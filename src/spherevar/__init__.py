@@ -40,7 +40,10 @@ from .operators import (
     EigenPair,
     assemble_mass,
     assemble_stiffness,
+    count_eigenvalues_below,
+    dissection_order,
     integrate,
+    shift_invert_operator,
     solve_smallest_eigenpairs,
     surface_gradient,
 )

@@ -28,6 +28,7 @@ from .mobius import (
 from .operators import (
     assemble_mass,
     assemble_stiffness,
+    dissection_order,
     eigen_clusters,
     integrate,
     solve_smallest_eigenpairs,
@@ -297,7 +298,7 @@ def build_certificate(mesh, k=8, seed=0, synthetic_lambda=None, surface_name=Non
     S = assemble_stiffness(mesh)
     M = assemble_mass(mesh, "consistent")
     ops = FormOperators(S=S, M=M)
-    pairs = solve_smallest_eigenpairs(S, M, k=k, seed=seed)
+    pairs = solve_smallest_eigenpairs(S, M, k=k, order=dissection_order(mesh), seed=seed)
     clusters = eigen_clusters(pairs)
     if len(clusters) < 2:
         raise SolverError("k too small: no nonzero eigenvalue cluster resolved")

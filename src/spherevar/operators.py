@@ -1,8 +1,9 @@
 """P1 finite-element operators on a SurfaceMesh.
 
 Cotangent stiffness, barycentric (lumped) and consistent mass, per-face
-gradients of linear interpolants, quadrature, and the low end of the
-Laplace-Beltrami eigenproblem S f = lambda M f.
+gradients of linear interpolants, quadrature, the low end of the
+Laplace-Beltrami eigenproblem S f = lambda M f, and the symmetric sparse
+factorizations behind every shift-invert eigensolve and inertia count.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .mesh import face_areas, face_corner_vectors
 
 DEFAULT_EIG_TOL = 1e-8
 CLUSTER_REL_TOL = 1e-3
+DISSECTION_LEAF_SIZE = 16   # parts this small keep their vertex-index order
 
 
 def assemble_stiffness(mesh):
@@ -165,12 +167,138 @@ def eigen_clusters(pairs, rel_tol=CLUSTER_REL_TOL):
     return clusters
 
 
-def solve_smallest_eigenpairs(S, M, k, tol=DEFAULT_EIG_TOL, seed=0):
+def dissection_order(mesh):
+    """Nested-dissection order of the vertices, taken from their coordinates.
+
+    Each part is bisected at the median of its widest ambient coordinate.
+    The lower-half vertices with an edge into the upper half form the
+    separator, numbered after both halves (A. George, SIAM J. Numer. Anal.
+    10, 1973). All parts of one level are split together, and a level keeps
+    only the vertices and edges still inside a part, so the cost is
+    O(E log V). Deterministic: ties keep their previous relative order.
+    """
+    x = mesh.vertices
+    V = mesh.num_vertices
+    f = mesh.faces
+    # every edge (a, b) of a closed oriented mesh once; a missing edge costs
+    # fill only
+    a, b = f.ravel(), f[:, [1, 2, 0]].ravel()
+    one_way = a < b
+    a, b = np.compress(one_way, a), np.compress(one_way, b)
+    # the vertices still inside a part, grouped by part in ascending order
+    idx = np.arange(V)
+    part = np.zeros(V, dtype=np.intp)
+    inside = np.ones(V, dtype=bool)
+    lower = np.zeros(V, dtype=bool)
+    # base-4 digits of each vertex's path in the dissection tree (0 lower
+    # half, 1 upper half, 2 separator); sorting by it numbers the tree in
+    # post-order, and within a leaf part by vertex index
+    key = np.zeros(V, dtype=np.int64)
+    while idx.size:
+        starts = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
+        sizes = np.diff(np.r_[starts, idx.size])
+        p = np.repeat(np.arange(starts.size), sizes)
+        xs = np.take(x, idx, axis=0)
+        hi = np.maximum.reduceat(xs, starts)
+        lo = np.minimum.reduceat(xs, starts)
+        axis = np.argmax(hi - lo, axis=1)[:, None]
+        lo = np.take_along_axis(lo, axis, axis=1)[:, 0]
+        width = np.take_along_axis(hi, axis, axis=1)[:, 0] - lo
+        width[width == 0.0] = 1.0
+        # sort by part, then by the widest coordinate scaled into [0, 1/2]
+        t = np.take_along_axis(xs, np.take(axis, p, axis=0), axis=1)[:, 0]
+        t = p + (t - np.take(lo, p)) / np.take(2.0 * width, p)
+        idx = np.take(idx, np.argsort(t, kind="stable"))
+        upper = np.arange(idx.size) - np.take(starts, p) >= np.take(sizes // 2, p)
+        lower[idx] = ~upper
+        lower_a = np.take(lower, a)
+        cut = lower_a != np.take(lower, b)
+        sep = np.compress(cut, np.where(lower_a, a, b))
+        key *= 4
+        key[idx] += upper
+        key[sep] |= 2   # separator vertices are lower, so this digit was 0
+        inside[sep] = False
+        # parts of at most DISSECTION_LEAF_SIZE vertices are finished
+        part = 2 * p + upper
+        stay = np.take(inside, idx)
+        sizes = np.bincount(part[stay], minlength=2 * starts.size)
+        stay &= np.take(sizes, part) > DISSECTION_LEAF_SIZE
+        inside[idx[~stay]] = False
+        idx, part = idx[stay], part[stay]
+        keep = ~cut & np.take(inside, a) & np.take(inside, b)
+        a, b = np.compress(keep, a), np.compress(keep, b)
+    return np.argsort(key, kind="stable")
+
+
+def _factor_shifted(A, M, sigma, order):
+    """SuperLU factor of A - sigma M in dissection order, pivots on the diagonal.
+
+    The vertex order is expanded to the per-vertex DOF blocks (DOF
+    v * block + j belongs to vertex v). The matrix is permuted once and
+    factored with SuperLU in symmetric mode without column reordering, so
+    U's diagonal holds the pivots of a symmetric LDL^T. Returns
+    (factor, DOF permutation, pivots).
+    """
+    order = np.asarray(order)
+    block, rest = divmod(A.shape[0], order.size)
+    if rest or block == 0:
+        raise ContractError(
+            f"pencil dimension {A.shape[0]} is not a multiple of {order.size} vertices")
+    perm = (order[:, None] * block + np.arange(block)).ravel()
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    K = (A - sigma * M).tocoo()
+    K = sp.csc_matrix((K.data, (inv[K.row], inv[K.col])), shape=K.shape)
+    try:
+        lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"factorization of A - ({sigma:g}) M failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(f"factorization of A - ({sigma:g}) M left the diagonal: "
+                          "a pivot vanished")
+    return lu, perm, lu.U.diagonal()
+
+
+def shift_invert_operator(A, M, sigma, order):
+    """(A - sigma M)^-1 as a LinearOperator: the OPinv of eigsh(sigma=sigma).
+
+    Factored once (see _factor_shifted). Every pivot is positive exactly
+    when A - sigma M is positive definite, i.e. when sigma lies below the
+    spectrum of (A, M); that certifies the shift, and SolverError is raised
+    otherwise.
+    """
+    lu, perm, pivots = _factor_shifted(A, M, sigma, order)
+    bad = int(np.count_nonzero(pivots <= 0.0))
+    if bad:
+        raise SolverError(f"shift {sigma:g} is not below the spectrum: "
+                          f"{bad} nonpositive pivots")
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[perm] = lu.solve(b[perm])
+        return x
+
+    return spla.LinearOperator(A.shape, matvec=solve, dtype=float)
+
+
+def count_eigenvalues_below(A, M, shift, order):
+    """Eigenvalues of A w = mu M w below shift, by Sylvester's law of inertia.
+
+    With M positive definite this is the number of negative pivots of
+    A - shift M, factored as in shift_invert_operator.
+    """
+    _, _, pivots = _factor_shifted(A, M, shift, order)
+    return int(np.count_nonzero(pivots < 0.0))
+
+
+def solve_smallest_eigenpairs(S, M, k, order, tol=DEFAULT_EIG_TOL, seed=0):
     """k smallest eigenpairs of S f = lambda M f, mass-orthonormal, ascending.
 
-    Shift-invert Lanczos below the spectrum; deterministic via a seeded
-    starting vector. Raises SolverError (carrying the best residual) on
-    failure of the residual contract.
+    Shift-invert Lanczos below the spectrum, factored in the vertex
+    ``order`` (see dissection_order); deterministic via a seeded starting
+    vector. Raises SolverError (carrying the best residual) on failure of
+    the residual contract.
     """
     V = S.shape[0]
     if not (1 <= k <= V - 1):
@@ -178,9 +306,10 @@ def solve_smallest_eigenpairs(S, M, k, tol=DEFAULT_EIG_TOL, seed=0):
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(V)
     sigma = -0.1  # S is PSD, so S - sigma M is SPD for sigma < 0
+    OPinv = shift_invert_operator(S, M, sigma, order)
     try:
         vals, vecs = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM", v0=v0,
-                                maxiter=5000)
+                                maxiter=5000, OPinv=OPinv)
     except (spla.ArpackNoConvergence, RuntimeError) as exc:
         raise SolverError(f"eigensolver failed: {exc}") from exc
     order = np.argsort(vals)

@@ -26,10 +26,13 @@ from .mobius import check_sphere_tangent, split_tangent_normal
 from .operators import (
     assemble_mass,
     assemble_stiffness,
+    count_eigenvalues_below,
+    dissection_order,
     face_centroids_on_sphere,
     face_orthonormal_basis,
     field_face_gradients,
     integrate,
+    shift_invert_operator,
 )
 
 DEFAULT_INDEX_DELTA = 0.1
@@ -143,6 +146,7 @@ class QuadraticFormMatrix(NamedTuple):
     kind: str                  # "energy" | "areaJacobi"
     frames: np.ndarray | None  # energy only: (V, n, n+1) DOF frame
     lower_bound: float         # certified lower bound on the (Q, M) spectrum
+    order: np.ndarray          # vertex elimination order (dissection_order)
 
 
 def _frame_block_matrix(A, frames):
@@ -178,7 +182,8 @@ def energy_quadratic_matrix(mesh, ops=None, frames=None):
     Q = 0.5 * (Q + Q.T)
     MQ = 0.5 * (MQ + MQ.T)
     return QuadraticFormMatrix(Q=Q.tocsr(), M=MQ.tocsr(), kind="energy",
-                               frames=frames, lower_bound=-2.0)
+                               frames=frames, lower_bound=-2.0,
+                               order=dissection_order(mesh))
 
 
 def area_jacobi_matrix(mesh, ops=None):
@@ -192,7 +197,8 @@ def area_jacobi_matrix(mesh, ops=None):
     Q = (ops.S - 2.0 * ops.M - MW).tocsr()
     lower = -2.0 - float(np.max(a2))
     return QuadraticFormMatrix(Q=Q, M=ops.M.tocsr(), kind="areaJacobi",
-                               frames=None, lower_bound=lower)
+                               frames=None, lower_bound=lower,
+                               order=dissection_order(mesh))
 
 
 class IndexCount(NamedTuple):
@@ -205,27 +211,37 @@ class IndexCount(NamedTuple):
 def negative_index_count(form, delta=DEFAULT_INDEX_DELTA, seed=0, k0=12):
     """Count eigenvalues of Q w = mu M w below -delta.
 
-    Shift-invert Lanczos anchored below the certified lower bound; k grows
-    until the spectrum above +delta is reached, so every negative and
-    near-zero eigenvalue is captured.
+    Shift-invert Lanczos anchored below the certified lower bound, with the
+    pencil factored once; k grows until the spectrum above +delta is
+    reached, so every negative and near-zero eigenvalue is captured. The
+    count is confirmed by the inertia of Q + delta M. Raises SolverError if
+    the shift is not below the spectrum or the two counts disagree.
     """
     dim = form.Q.shape[0]
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     sigma = form.lower_bound - 0.5
+    OPinv = shift_invert_operator(form.Q, form.M, sigma, form.order)
     k = min(k0, dim - 1)
     while True:
         try:
             vals = spla.eigsh(form.Q, k=k, M=form.M, sigma=sigma, which="LM",
-                              v0=v0, maxiter=5000, return_eigenvectors=False)
+                              v0=v0, maxiter=5000, return_eigenvectors=False,
+                              OPinv=OPinv)
         except (spla.ArpackNoConvergence, RuntimeError) as exc:
             raise SolverError(f"index eigensolver failed: {exc}") from exc
         vals = np.sort(vals)
         if vals[-1] > delta or k >= dim - 1:
             break
         k = min(2 * k, dim - 1)
+    del OPinv   # free the factor before the inertia factorization
     negatives = vals[vals < -delta]
     near_zero = vals[(vals >= -delta) & (vals <= delta)]
+    inertia = count_eigenvalues_below(form.Q, form.M, -delta, form.order)
+    if inertia != negatives.size:
+        raise SolverError(
+            f"{form.kind} index: Lanczos counts {negatives.size} eigenvalues below "
+            f"-{delta:g}, the inertia of Q + {delta:g} M counts {inertia}")
     return IndexCount(count=int(negatives.size), negatives=negatives,
                       near_zero=near_zero, delta=delta)
 

@@ -23,7 +23,7 @@ from .mobius import (
     split_tangent_normal,
     sum_normal_sq,
 )
-from .operators import integrate, solve_smallest_eigenpairs, vertex_weights
+from .operators import dissection_order, integrate, solve_smallest_eigenpairs, vertex_weights
 from .secondvar import (
     covariant_gradient_inner,
     energy_form_coordinate,
@@ -194,7 +194,7 @@ def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=1
         worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + area))
     report.checks.append(_check("prop1-random", worst, tol, "theorem"))
 
-    pairs = solve_smallest_eigenpairs(ops.S, M, k=k, seed=seed)
+    pairs = solve_smallest_eigenpairs(ops.S, M, k=k, order=dissection_order(mesh), seed=seed)
     low = [p for p in pairs if p.lam <= EIGENVALUE_CAP]
     worst = 0.0
     for p in low:

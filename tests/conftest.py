@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
-from spherevar.operators import solve_smallest_eigenpairs
+from spherevar.operators import dissection_order, solve_smallest_eigenpairs
 from spherevar.secondvar import form_operators
 
 
@@ -46,12 +46,14 @@ def sphere4_ops(sphere4):
 
 @pytest.fixture(scope="session")
 def clifford64_pairs(clifford64, clifford64_ops):
-    return solve_smallest_eigenpairs(clifford64_ops.S, clifford64_ops.M, k=12, seed=0)
+    return solve_smallest_eigenpairs(clifford64_ops.S, clifford64_ops.M, k=12,
+                                     order=dissection_order(clifford64), seed=0)
 
 
 @pytest.fixture(scope="session")
 def sphere4_pairs(sphere4, sphere4_ops):
-    return solve_smallest_eigenpairs(sphere4_ops.S, sphere4_ops.M, k=10, seed=0)
+    return solve_smallest_eigenpairs(sphere4_ops.S, sphere4_ops.M, k=10,
+                                     order=dissection_order(sphere4), seed=0)
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from spherevar.mobius import (
     sum_normal_sq,
 )
 from spherevar.operators import (
+    dissection_order,
     eigen_clusters,
     integrate,
     solve_smallest_eigenpairs,
@@ -84,7 +85,8 @@ def clifford128():
 
 @pytest.fixture(scope="module")
 def clifford64_pairs_acc(clifford64, clifford64_ops):
-    return solve_smallest_eigenpairs(clifford64_ops.S, clifford64_ops.M, k=12, seed=0)
+    return solve_smallest_eigenpairs(clifford64_ops.S, clifford64_ops.M, k=12,
+                                     order=dissection_order(clifford64), seed=0)
 
 
 def test_criterion_1_spectrum_fidelity(clifford64_pairs_acc, sphere4_pairs):

@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
 from spherevar.errors import ContractError
 from spherevar.mesh import total_area
 from spherevar.operators import (
     assemble_mass,
     assemble_stiffness,
+    count_eigenvalues_below,
+    dissection_order,
     eigen_clusters,
     integrate,
+    shift_invert_operator,
     solve_smallest_eigenpairs,
     surface_gradient,
     vertex_weights,
@@ -107,8 +112,9 @@ def test_eigensolver_sphere_spectrum(sphere4_pairs):
 def test_eigensolver_deterministic(clifford16):
     S = assemble_stiffness(clifford16)
     M = assemble_mass(clifford16)
-    a = solve_smallest_eigenpairs(S, M, k=5, seed=3)
-    b = solve_smallest_eigenpairs(S, M, k=5, seed=3)
+    order = dissection_order(clifford16)
+    a = solve_smallest_eigenpairs(S, M, k=5, order=order, seed=3)
+    b = solve_smallest_eigenpairs(S, M, k=5, order=order, seed=3)
     for pa, pb in zip(a, b):
         assert pa.lam == pb.lam
         assert np.array_equal(pa.field, pb.field)
@@ -118,7 +124,7 @@ def test_eigensolver_k_range(clifford16):
     S = assemble_stiffness(clifford16)
     M = assemble_mass(clifford16)
     with pytest.raises(ContractError):
-        solve_smallest_eigenpairs(S, M, k=0)
+        solve_smallest_eigenpairs(S, M, k=0, order=dissection_order(clifford16))
 
 
 def test_eigen_clusters(clifford64_pairs):
@@ -136,3 +142,35 @@ def test_spectrum_csv_format(tmp_path):
     assert lines[0] == "index,lambda,residual"
     assert lines[2].startswith("1,2.0123456789012")
     assert float(lines[2].split(",")[1]) == pairs[1].lam
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_clifford_torus(16),
+    lambda: build_equatorial_sphere(3, 4),
+    lambda: build_product_torus(2, 16, n=5),
+], ids=["clifford-torus", "equatorial-sphere", "torus-in-s5"])
+def test_dissection_order_is_a_repeatable_permutation(build):
+    mesh = build()
+    order = dissection_order(mesh)
+    assert np.array_equal(np.sort(order), np.arange(mesh.num_vertices))
+    assert np.array_equal(order, dissection_order(mesh))
+
+
+def test_shift_invert_operator_solves_the_shifted_system(clifford16, rng):
+    S = assemble_stiffness(clifford16)
+    M = assemble_mass(clifford16)
+    op = shift_invert_operator(S, M, -0.1, dissection_order(clifford16))
+    b = rng.standard_normal(clifford16.num_vertices)
+    x = op @ b
+    assert np.linalg.norm((S + 0.1 * M) @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_inertia_count_matches_dense_spectrum(clifford16):
+    S = assemble_stiffness(clifford16)
+    M = assemble_mass(clifford16)
+    lams = scipy.linalg.eigh(S.toarray(), M.toarray(), eigvals_only=True)
+    order = dissection_order(clifford16)
+    # shifts between the clusters 0 | 2 (x4) | 4 (x4) | 8 (x4)
+    for shift, expected in ((-0.1, 0), (1.0, 1), (3.0, 5), (6.0, 9)):
+        assert count_eigenvalues_below(S, M, shift, order) == expected
+        assert int(np.sum(lams < shift)) == expected

@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherevar.catalog import build_clifford_torus
-from spherevar.errors import ContractError, ParameterError, UnsupportedSurfaceError
+from spherevar.errors import (
+    ContractError,
+    ParameterError,
+    SolverError,
+    UnsupportedSurfaceError,
+)
 from spherevar.mesh import total_area
 from spherevar.mobius import moebius_basis, moebius_field, split_tangent_normal
 from spherevar.secondvar import (
@@ -98,6 +104,43 @@ def test_index_counts_match_known_values(clifford64, sphere4):
     sphere_area = negative_index_count(area_jacobi_matrix(sphere4))
     assert sphere_area.count == 1
     assert sphere_area.negatives[0] == pytest.approx(-2.0, rel=0.02)
+
+
+@pytest.mark.parametrize("build", [energy_quadratic_matrix, area_jacobi_matrix])
+def test_index_counts_match_dense_reference(clifford16, build):
+    form = build(clifford16)
+    delta = 0.1
+    mus = scipy.linalg.eigh(form.Q.toarray(), form.M.toarray(), eigvals_only=True)
+    dense_neg = mus[mus < -delta]
+    result = negative_index_count(form, delta=delta)
+    assert result.count == dense_neg.size
+    assert np.max(np.abs(result.negatives - dense_neg)) <= 1e-10
+    assert result.near_zero.size == int(np.sum(np.abs(mus) <= delta))
+
+
+def test_index_count_rejects_shift_inside_spectrum(clifford16):
+    # a "lower bound" above the lowest eigenvalue puts the shift inside the
+    # spectrum, where a nonpositive pivot must stop the count
+    form = area_jacobi_matrix(clifford16)
+    with pytest.raises(SolverError):
+        negative_index_count(form._replace(lower_bound=0.0))
+
+
+def test_index_count_inertia_disagreement_raises(clifford16, monkeypatch):
+    from spherevar import secondvar
+
+    monkeypatch.setattr(secondvar, "count_eigenvalues_below", lambda *args: 99)
+    with pytest.raises(SolverError, match="inertia"):
+        negative_index_count(area_jacobi_matrix(clifford16))
+
+
+def test_index_count_k_doubling_matches_default(clifford16):
+    form = energy_quadratic_matrix(clifford16)
+    default = negative_index_count(form)
+    doubled = negative_index_count(form, k0=2)
+    assert doubled.count == default.count == 4
+    assert np.max(np.abs(doubled.negatives - default.negatives)) <= 1e-10
+    assert doubled.near_zero.size == default.near_zero.size
 
 
 def test_energy_pencil_dimensions(clifford16):
