@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import MeshError, ParameterError, UnsupportedSurfaceError
-from .mesh import Chart, SurfaceMesh, contained_in_geodesic_s2, face_areas, validate_mesh
+from .mesh import Chart, SurfaceMesh, contained_in_geodesic_s2, validate_mesh
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -189,11 +189,10 @@ def minimality_residual(mesh):
     relative to |2u|; the face-wise check compares the squared gradient of
     the coordinate interpolants against 2.
     """
-    from .operators import assemble_mass, assemble_stiffness, surface_gradient
+    from .operators import assemble_stiffness, surface_gradient
 
     S = assemble_stiffness(mesh)
-    ML = assemble_mass(mesh, mode="lumped")
-    w = ML.diagonal()
+    w = mesh.geometry.vertex_weights
     u = mesh.vertices
     r = (S @ u) / w[:, None] - 2.0 * u
     laplace = float(np.sqrt(np.einsum("v,vd->", w, r * r)

@@ -3,13 +3,17 @@
 A SurfaceMesh stores vertices (all on the unit sphere), oriented triangular
 faces, and optional analytic chart data for catalog surfaces (per-vertex
 tangent frames, unit normal when the surface has codimension one in S^3, and
-the squared norm of the second fundamental form).
+the squared norm of the second fundamental form). Its vertices and faces are
+read-only, and its MeshGeometry computes each per-mesh geometric quantity
+once, at first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+import functools
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -36,9 +40,97 @@ class Chart:
     unit_normal: Optional[np.ndarray] = None
 
 
+class FaceGram(NamedTuple):
+    """Gram data of the corner vectors u = B - A, w = C - A, each (F,)."""
+
+    guu: np.ndarray
+    gww: np.ndarray
+    guw: np.ndarray
+    det: np.ndarray
+
+
+def _held(compute):
+    """A cached property whose arrays are made read-only before they are held."""
+
+    @functools.wraps(compute)
+    def read_only(self):
+        value = compute(self)
+        for array in value if isinstance(value, tuple) else (value,):
+            array.flags.writeable = False
+        return value
+
+    return cached_property(read_only)
+
+
+class MeshGeometry:
+    """Per-mesh geometric quantities, each computed at its first use and then held.
+
+    The corner vectors and the face Gram data feed the face areas; they are
+    held only once something asks for them itself (the gradients do), so a
+    mesh that is only integrated over keeps its areas and not the (F, n+1)
+    arrays behind them.
+    """
+
+    def __init__(self, vertices, faces):
+        self.vertices = vertices
+        self.faces = faces
+
+    def _held_or_fresh(self, name):
+        """Quantity ``name`` if it is held, else computed without holding it."""
+        held = self.__dict__.get(name)
+        return held if held is not None else getattr(type(self), name).func(self)
+
+    @_held
+    def corner_vectors(self):
+        """Edge vectors (B - A, C - A) per face, each (F, n+1)."""
+        x, f = self.vertices, self.faces
+        return x[f[:, 1]] - x[f[:, 0]], x[f[:, 2]] - x[f[:, 0]]
+
+    @_held
+    def gram(self):
+        u, w = self._held_or_fresh("corner_vectors")
+        guu = np.einsum("fd,fd->f", u, u)
+        gww = np.einsum("fd,fd->f", w, w)
+        guw = np.einsum("fd,fd->f", u, w)
+        return FaceGram(guu, gww, guw, guu * gww - guw * guw)
+
+    @_held
+    def face_areas(self):
+        """Triangle areas from the ambient Gram determinant (any codimension)."""
+        return 0.5 * np.sqrt(np.maximum(self._held_or_fresh("gram").det, 0.0))
+
+    @_held
+    def vertex_weights(self):
+        """Barycentric quadrature weights: a third of each incident face area."""
+        w = np.zeros(self.vertices.shape[0])
+        for corner in range(3):
+            np.add.at(w, self.faces[:, corner], self.face_areas / 3.0)
+        return w
+
+    @_held
+    def face_directions(self):
+        """Orthonormal in-plane directions (d1, d2) per face, each (F, n+1)."""
+        u, w = self._held_or_fresh("corner_vectors")
+        d1 = u / np.linalg.norm(u, axis=1, keepdims=True)
+        w_perp = w - np.einsum("fd,fd->f", w, d1)[:, None] * d1
+        d2 = w_perp / np.linalg.norm(w_perp, axis=1, keepdims=True)
+        return d1, d2
+
+    @_held
+    def face_centroids(self):
+        """Face centroids pushed radially onto the unit sphere, (F, n+1)."""
+        c = self.vertices[self.faces].mean(axis=1)
+        return c / np.linalg.norm(c, axis=1, keepdims=True)
+
+
 @dataclass
 class SurfaceMesh:
-    """Closed orientable triangulated surface with vertices on S^n."""
+    """Closed orientable triangulated surface with vertices on S^n.
+
+    ``n``, ``vertices`` and ``faces`` are fixed once the mesh is built and
+    the arrays are read-only copies, so the quantities held by ``geometry``
+    cannot go stale; a changed surface is a new SurfaceMesh.
+    """
 
     n: int
     vertices: np.ndarray          # (V, n+1)
@@ -48,13 +140,27 @@ class SurfaceMesh:
     chart: Optional[Chart] = None
     full: Optional[bool] = None   # spans all of R^{n+1} (not an equatorial inclusion)
 
+    _FIXED = ("n", "vertices", "faces")
+
     def __post_init__(self):
-        self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
-        self.faces = np.ascontiguousarray(self.faces, dtype=np.int64)
+        self.vertices = np.array(self.vertices, dtype=float, order="C")
+        self.faces = np.array(self.faces, dtype=np.int64, order="C")
         if self.vertices.ndim != 2 or self.vertices.shape[1] != self.n + 1:
             raise MeshError("vertices must have shape (V, n+1)")
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise MeshError("faces must have shape (F, 3)")
+        self.vertices.flags.writeable = False
+        self.faces.flags.writeable = False
+        self.__dict__["_built"] = True
+
+    def __setattr__(self, name, value):
+        if name in self._FIXED and self.__dict__.get("_built"):
+            raise AttributeError(f"SurfaceMesh.{name} is fixed once the mesh is built")
+        super().__setattr__(name, value)
+
+    @cached_property
+    def geometry(self):
+        return MeshGeometry(self.vertices, self.faces)
 
     @property
     def num_vertices(self):
@@ -67,19 +173,12 @@ class SurfaceMesh:
 
 def face_corner_vectors(mesh):
     """Edge vectors (B-A, C-A) per face, each of shape (F, n+1)."""
-    x = mesh.vertices
-    f = mesh.faces
-    return x[f[:, 1]] - x[f[:, 0]], x[f[:, 2]] - x[f[:, 0]]
+    return mesh.geometry.corner_vectors
 
 
 def face_areas(mesh):
     """Triangle areas from the ambient Gram determinant (any codimension)."""
-    u, w = face_corner_vectors(mesh)
-    uu = np.einsum("fd,fd->f", u, u)
-    ww = np.einsum("fd,fd->f", w, w)
-    uw = np.einsum("fd,fd->f", u, w)
-    g = uu * ww - uw * uw
-    return 0.5 * np.sqrt(np.maximum(g, 0.0))
+    return mesh.geometry.face_areas
 
 
 def edge_lengths(mesh):
@@ -113,8 +212,7 @@ def validate_mesh(mesh, unit_tol=UNIT_SPHERE_TOL):
     f = mesh.faces
     if f.min() < 0 or f.max() >= mesh.num_vertices:
         raise MeshError("face index out of range")
-    areas = face_areas(mesh)
-    if np.any(areas <= 0.0):
+    if np.any(mesh.geometry.face_areas <= 0.0):
         raise MeshError("degenerate (zero-area) triangle")
     directed = {}
     for tri in f:
@@ -130,7 +228,7 @@ def validate_mesh(mesh, unit_tol=UNIT_SPHERE_TOL):
 
 
 def total_area(mesh):
-    return float(face_areas(mesh).sum())
+    return float(mesh.geometry.face_areas.sum())
 
 
 def contained_in_geodesic_s2(mesh, cutoff=GEODESIC_RANK_CUTOFF):
@@ -192,11 +290,8 @@ def surface_tangent_frames(mesh):
     x = mesh.vertices
     d = mesh.n + 1
     V = mesh.num_vertices
-    areas = face_areas(mesh)
-    u, w = face_corner_vectors(mesh)
-    b1 = u / np.linalg.norm(u, axis=1, keepdims=True)
-    w_perp = w - np.einsum("fd,fd->f", w, b1)[:, None] * b1
-    b2 = w_perp / np.linalg.norm(w_perp, axis=1, keepdims=True)
+    areas = mesh.geometry.face_areas
+    b1, b2 = mesh.geometry.face_directions
     face_proj = np.einsum("fi,fj->fij", b1, b1) + np.einsum("fi,fj->fij", b2, b2)
     acc = np.zeros((V, d, d))
     for corner in range(3):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractError, MeshError
 from .mesh import surface_tangent_frames
-from .operators import integrate, surface_gradient, vertex_weights
+from .operators import surface_gradient
 
 SPHERE_TANGENCY_TOL = 1e-10
 GRAM_SINGULAR_REL = 1e-12
@@ -84,7 +84,7 @@ def field_norm(weights, X):
 def moebius_gram(mesh, weights=None):
     """(n+1)x(n+1) matrix of int xi_i . xi_j dmu."""
     if weights is None:
-        weights = vertex_weights(mesh)
+        weights = mesh.geometry.vertex_weights
     basis = moebius_basis(mesh)
     d = mesh.n + 1
     G = np.empty((d, d))
@@ -103,7 +103,7 @@ def project_orthogonal_to_moebius(mesh, X, weights=None, gram=None, basis=None):
     ||X||_{L2} ||xi_j||_{L2}.
     """
     if weights is None:
-        weights = vertex_weights(mesh)
+        weights = mesh.geometry.vertex_weights
     if basis is None:
         basis = moebius_basis(mesh)
     if gram is None:
@@ -141,8 +141,6 @@ def pointwise_identity_report(mesh, frames=None):
         frames = surface_tangent_frames(mesh)
     basis = moebius_basis(mesh)
     tri = mesh.faces
-    centroid = x[tri].mean(axis=1)
-    centroid /= np.linalg.norm(centroid, axis=1, keepdims=True)
 
     # unique undirected edges with their unit-sphere midpoints
     e = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContractError, MeshError, SolverError
-from .mesh import face_areas, face_corner_vectors
+from .mesh import edge_lengths
 
 DEFAULT_EIG_TOL = 1e-8
 CLUSTER_REL_TOL = 1e-3
@@ -28,10 +28,8 @@ def assemble_stiffness(mesh):
     Built intrinsically from edge lengths, so it works in any ambient
     dimension.
     """
-    from .mesh import edge_lengths
-
     l0, l1, l2 = edge_lengths(mesh)
-    areas = face_areas(mesh)
+    areas = mesh.geometry.face_areas
     if np.any(areas <= 0.0):
         raise MeshError("zero-area triangle in stiffness assembly")
     # cot(angle at corner k) = (sum of adjacent squared lengths - opposite^2) / (4 area)
@@ -52,16 +50,13 @@ def assemble_stiffness(mesh):
 
 def assemble_mass(mesh, mode="consistent"):
     """Mass matrix: 'consistent' (P1 Gram) or 'lumped' (barycentric diagonal)."""
-    areas = face_areas(mesh)
+    areas = mesh.geometry.face_areas
     if np.any(areas <= 0.0):
         raise MeshError("zero-area triangle in mass assembly")
     f = mesh.faces
     V = mesh.num_vertices
     if mode == "lumped":
-        w = np.zeros(V)
-        for corner in range(3):
-            np.add.at(w, f[:, corner], areas / 3.0)
-        return sp.diags(w).tocsr()
+        return sp.diags(mesh.geometry.vertex_weights).tocsr()
     if mode != "consistent":
         raise ContractError(f"unknown mass mode {mode!r}")
     rows = np.concatenate([f[:, 0], f[:, 1], f[:, 2],
@@ -73,8 +68,8 @@ def assemble_mass(mesh, mode="consistent"):
 
 
 def vertex_weights(mesh):
-    """Barycentric quadrature weights (row sums of the mass matrix)."""
-    return assemble_mass(mesh, mode="lumped").diagonal()
+    """Barycentric quadrature weights (row sums of the mass matrix), read-only."""
+    return mesh.geometry.vertex_weights
 
 
 def integrate(mesh, values):
@@ -84,26 +79,24 @@ def integrate(mesh, values):
     as a piecewise constant. integrate(1) equals the total area.
     """
     values = np.asarray(values, dtype=float)
+    geometry = mesh.geometry
     if np.ndim(values) == 0:
-        return float(values) * float(face_areas(mesh).sum())
+        return float(values) * float(geometry.face_areas.sum())
     if values.shape[0] == mesh.num_vertices:
-        return float(vertex_weights(mesh) @ values)
+        return float(geometry.vertex_weights @ values)
     if values.shape[0] == mesh.num_faces:
-        return float(face_areas(mesh) @ values)
+        return float(geometry.face_areas @ values)
     raise ContractError(
         f"field length {values.shape[0]} matches neither vertex ({mesh.num_vertices}) "
         f"nor face ({mesh.num_faces}) count")
 
 
-def _face_gram(mesh):
-    u, w = face_corner_vectors(mesh)
-    guu = np.einsum("fd,fd->f", u, u)
-    gww = np.einsum("fd,fd->f", w, w)
-    guw = np.einsum("fd,fd->f", u, w)
-    det = guu * gww - guw * guw
-    if np.any(det <= 0.0):
+def gradient_gram(mesh):
+    """The face Gram data, checked for the division the gradients make."""
+    gram = mesh.geometry.gram
+    if np.any(gram.det <= 0.0):
         raise MeshError("degenerate face in gradient computation")
-    return u, w, guu, gww, guw, det
+    return gram
 
 
 def surface_gradient(mesh, f):
@@ -111,7 +104,8 @@ def surface_gradient(mesh, f):
     f = np.asarray(f, dtype=float)
     if f.shape != (mesh.num_vertices,):
         raise ContractError("scalar field length must equal vertex count")
-    u, w, guu, gww, guw, det = _face_gram(mesh)
+    u, w = mesh.geometry.corner_vectors
+    guu, gww, guw, det = gradient_gram(mesh)
     tri = mesh.faces
     du = f[tri[:, 1]] - f[tri[:, 0]]
     dw = f[tri[:, 2]] - f[tri[:, 0]]
@@ -120,30 +114,14 @@ def surface_gradient(mesh, f):
     return c1[:, None] * u + c2[:, None] * w
 
 
-def field_face_gradients(mesh, X):
-    """Gradients of all components of a vector field at once, shape (F, C, n+1)."""
-    X = np.asarray(X, dtype=float)
-    u, w, guu, gww, guw, det = _face_gram(mesh)
-    tri = mesh.faces
-    du = X[tri[:, 1]] - X[tri[:, 0]]   # (F, C)
-    dw = X[tri[:, 2]] - X[tri[:, 0]]
-    c1 = (gww[:, None] * du - guw[:, None] * dw) / det[:, None]
-    c2 = (guu[:, None] * dw - guw[:, None] * du) / det[:, None]
-    return c1[..., None] * u[:, None, :] + c2[..., None] * w[:, None, :]
-
-
 def face_orthonormal_basis(mesh):
-    """Orthonormal in-plane directions (d1, d2) per face, each (F, n+1)."""
-    u, w = face_corner_vectors(mesh)
-    d1 = u / np.linalg.norm(u, axis=1, keepdims=True)
-    w_perp = w - np.einsum("fd,fd->f", w, d1)[:, None] * d1
-    d2 = w_perp / np.linalg.norm(w_perp, axis=1, keepdims=True)
-    return d1, d2
+    """Orthonormal in-plane directions (d1, d2) per face, each (F, n+1), read-only."""
+    return mesh.geometry.face_directions
 
 
 def face_centroids_on_sphere(mesh):
-    c = mesh.vertices[mesh.faces].mean(axis=1)
-    return c / np.linalg.norm(c, axis=1, keepdims=True)
+    """Face centroids pushed radially onto the unit sphere, (F, n+1), read-only."""
+    return mesh.geometry.face_centroids
 
 
 @dataclass
@@ -254,6 +232,7 @@ def _factor_shifted(A, M, sigma, order):
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"factorization of A - ({sigma:g}) M failed: {exc}") from exc
+    del K   # lu.U below is a full copy of the factor; free the matrix first
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(f"factorization of A - ({sigma:g}) M left the diagonal: "
                           "a pivot vanished")

@@ -21,16 +21,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContractError, ParameterError, SolverError, UnsupportedSurfaceError
-from .mesh import face_areas, surface_tangent_frames, sphere_tangent_frames
+from .mesh import surface_tangent_frames, sphere_tangent_frames
 from .mobius import check_sphere_tangent, split_tangent_normal
 from .operators import (
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
     dissection_order,
-    face_centroids_on_sphere,
-    face_orthonormal_basis,
-    field_face_gradients,
+    gradient_gram,
     integrate,
     shift_invert_operator,
 )
@@ -60,30 +58,33 @@ def energy_form_coordinate(mesh, X, Y=None, ops=None):
     return float(np.einsum("vd,vd->", X, SY) - 2.0 * np.einsum("vd,vd->", X, MY))
 
 
-def covariant_gradient_inner(mesh, X, Y=None):
-    """int <D X, D Y> with D the per-face sphere-covariant derivative.
+def covariant_face_derivatives(mesh, X):
+    """Per-face sphere-covariant derivatives of a field X (V, n+1), (F, 2, n+1).
 
-    The flat derivative of the linear interpolant is projected to the sphere
-    tangent space at the face centroid along each of the two orthonormal
-    in-plane directions.
+    Entry [:, k] is the derivative of the linear interpolant of X along the
+    k-th orthonormal in-plane direction (face_orthonormal_basis), projected
+    orthogonal to the face centroid on the sphere. With u = B - A,
+    w = C - A and du, dw the differences of X along them, the two
+    derivatives are du / |u| and (guu dw - guw du) / sqrt(det guu).
     """
     X = np.asarray(X, dtype=float)
-    Y = X if Y is None else np.asarray(Y, dtype=float)
-    areas = face_areas(mesh)
-    d1, d2 = face_orthonormal_basis(mesh)
-    centroid = face_centroids_on_sphere(mesh)
-    gX = field_face_gradients(mesh, X)   # (F, C, n+1)
-    gY = gX if Y is X else field_face_gradients(mesh, Y)
-    total = 0.0
-    for direction in (d1, d2):
-        hX = np.einsum("fcd,fd->fc", gX, direction)
-        hY = hX if Y is X else np.einsum("fcd,fd->fc", gY, direction)
-        hX_t = hX - np.einsum("fc,fc->f", hX, centroid)[:, None] * centroid
-        hY_t = hY if Y is X else hY - np.einsum("fc,fc->f", hY, centroid)[:, None] * centroid
-        if Y is X:
-            hY_t = hX_t
-        total += float(areas @ np.einsum("fc,fc->f", hX_t, hY_t))
-    return total
+    guu, _, guw, det = gradient_gram(mesh)
+    centroid = mesh.geometry.face_centroids
+    tri = mesh.faces
+    du = X[tri[:, 1]] - X[tri[:, 0]]   # (F, n+1)
+    dw = X[tri[:, 2]] - X[tri[:, 0]]
+    D = np.empty((tri.shape[0], 2, X.shape[1]))
+    D[:, 0] = du / np.sqrt(guu)[:, None]
+    D[:, 1] = (guu[:, None] * dw - guw[:, None] * du) / np.sqrt(det * guu)[:, None]
+    D -= np.einsum("fkc,fc->fk", D, centroid)[:, :, None] * centroid[:, None, :]
+    return D
+
+
+def covariant_gradient_inner(mesh, X, Y=None):
+    """int <D X, D Y> with D the per-face sphere-covariant derivative."""
+    DX = covariant_face_derivatives(mesh, X)
+    DY = DX if Y is None else covariant_face_derivatives(mesh, Y)
+    return float(mesh.geometry.face_areas @ np.einsum("fkc,fkc->f", DX, DY))
 
 
 def energy_form_covariant(mesh, X, frames=None):
@@ -112,7 +113,7 @@ def _normsq_A_values(mesh):
 def weighted_mass(mesh, weights):
     """Consistent mass with a per-face constant weight (centroid average)."""
     w_face = np.asarray(weights, dtype=float)[mesh.faces].mean(axis=1)
-    areas = face_areas(mesh) * w_face
+    areas = mesh.geometry.face_areas * w_face
     f = mesh.faces
     V = mesh.num_vertices
     rows = np.concatenate([f[:, 0], f[:, 1], f[:, 2],

@@ -3,19 +3,22 @@
 Each check compares two independently computed quantities and records the
 worst error over its instances together with the tolerance it was held to.
 Identities with the (4 - lambda) denominator are checked in cross-multiplied
-form so that eigenvalues near 4 stay well conditioned.
+form so that eigenvalues near 4 stay well conditioned. The eigenpair
+identities are bilinear in the random Moebius combination they are drawn
+against, so they are contracted once per eigenpair into (n+1) x (n+1)
+matrices and each draw is a dot product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .catalog import minimality_residual
 from .mesh import mesh_size, surface_tangent_frames
 from .mobius import (
-    field_norm,
     moebius_basis,
     moebius_field,
     moebius_gram,
@@ -23,9 +26,9 @@ from .mobius import (
     split_tangent_normal,
     sum_normal_sq,
 )
-from .operators import dissection_order, integrate, solve_smallest_eigenpairs, vertex_weights
+from .operators import dissection_order, integrate, solve_smallest_eigenpairs
 from .secondvar import (
-    covariant_gradient_inner,
+    covariant_face_derivatives,
     energy_form_coordinate,
     energy_form_covariant,
     form_operators,
@@ -91,23 +94,42 @@ def _check(name, error, tolerance, provenance, detail=""):
                        detail=detail)
 
 
-def identity_55_residual(mesh, eigenpair, a, i, weights, basis, frames):
-    """Cross-multiplied eigenfunction identity: (4-lambda) L = -2 T.
+class MoebiusTerms(NamedTuple):
+    """The Moebius fields with their surface-tangential parts and derivatives."""
 
-    Returns the three weighted integrals (full, tangential, normal inner
-    products against f) plus a norm-product scale for relative errors.
+    basis: np.ndarray        # (n+1, V, n+1): xi_j
+    tangential: np.ndarray   # (n+1, V, n+1): xi_j^T
+    derivatives: np.ndarray  # (n+1, F, 2, n+1): covariant_face_derivatives of xi_j
+
+
+def moebius_terms(mesh, basis, frames):
+    tangential = np.stack([split_tangent_normal(mesh, xi, frames=frames).tangential
+                           for xi in basis])
+    derivatives = np.stack([covariant_face_derivatives(mesh, xi) for xi in basis])
+    return MoebiusTerms(basis=basis, tangential=tangential, derivatives=derivatives)
+
+
+def identity_matrices(mesh, f, terms):
+    """Integrals of f xi_i against xi_j, as four (n+1) x (n+1) matrices.
+
+    L[i, j] = int f xi_i . xi_j, T[i, j] = int f xi_i^T . xi_j^T,
+    N[i, j] = int f xi_i^N . xi_j^N and D[i, j] = int <D(f xi_i), D xi_j>.
+    Each is linear in xi_j, so row i dotted with a gives the integral
+    against the combination sum_j a_j xi_j.
     """
-    f = eigenpair.field
-    lam = eigenpair.lam
-    xi = basis[i]
-    combo = np.einsum("j,jvd->vd", np.asarray(a, dtype=float), basis)
-    xs = split_tangent_normal(mesh, xi, frames=frames)
-    cs = split_tangent_normal(mesh, combo, frames=frames)
-    L = integrate(mesh, f * np.einsum("vd,vd->v", xi, combo))
-    T = integrate(mesh, f * np.einsum("vd,vd->v", xs.tangential, cs.tangential))
-    N = integrate(mesh, f * np.einsum("vd,vd->v", xs.normal, cs.normal))
-    scale = field_norm(weights, xi) * field_norm(weights, combo)
-    return L, T, N, scale
+    f = np.asarray(f, dtype=float)
+    weighted = mesh.geometry.vertex_weights * f
+
+    def contract(X):
+        return np.tensordot(X * weighted[None, :, None], X, axes=([1, 2], [1, 2]))
+
+    basis, tangential = terms.basis, terms.tangential
+    areas = mesh.geometry.face_areas[:, None, None]
+    D = np.stack([
+        np.tensordot(covariant_face_derivatives(mesh, f[:, None] * xi) * areas,
+                     terms.derivatives, axes=([0, 1, 2], [1, 2, 3]))
+        for xi in basis])
+    return contract(basis), contract(tangential), contract(basis - tangential), D
 
 
 def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=10,
@@ -130,7 +152,7 @@ def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=1
 
     ops = form_operators(mesh)
     M = ops.M
-    weights = vertex_weights(mesh)
+    weights = mesh.geometry.vertex_weights
     basis = moebius_basis(mesh)
     frames = surface_tangent_frames(mesh)
     area = integrate(mesh, 1.0)
@@ -202,23 +224,24 @@ def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=1
         worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + area))
     report.checks.append(_check("prop1-eigen", worst, tol, "theorem"))
 
-    # proof identities on every nonconstant eigenpair with lambda <= 6
+    # proof identities on every nonconstant eigenpair with lambda <= 6, each
+    # against num_coeffs random combinations a_j xi_j (row t uses i = t mod n+1)
     worst55 = worst_n = worst_mixed = 0.0
     nonconstant = [p for p in low if p.lam > 1e-6]
+    terms = moebius_terms(mesh, basis, frames)
+    rows = np.arange(num_coeffs) % (n + 1)
     for p in nonconstant:
         lam = p.lam
-        for t in range(num_coeffs):
-            a = rng.standard_normal(n + 1)
-            i = t % (n + 1)
-            L, T, N, scale = identity_55_residual(mesh, p, a, i, weights, basis, frames)
-            worst55 = max(worst55, abs((4.0 - lam) * L + 2.0 * T) / scale)
-            worst_n = max(worst_n, abs((4.0 - lam) * N + (6.0 - lam) * T) / scale,
-                          abs(N - (6.0 - lam) / 2.0 * L) / scale)
-            combo = np.einsum("j,jvd->vd", a, basis)
-            U = p.field[:, None] * basis[i]
-            lhs = -2.0 * covariant_gradient_inner(mesh, U, combo)
-            rhs = -2.0 * T
-            worst_mixed = max(worst_mixed, abs(lhs - rhs) / scale)
+        a = rng.standard_normal((num_coeffs, n + 1))
+        L, T, N, D = (np.einsum("tj,tj->t", X[rows], a)
+                      for X in identity_matrices(mesh, p.field, terms))
+        # ||xi_i||_{L2} ||a_j xi_j||_{L2}, from the lumped Gram matrix
+        scale = (np.sqrt(np.maximum(np.diag(G)[rows], 0.0))
+                 * np.sqrt(np.maximum(np.einsum("tj,jk,tk->t", a, G, a), 0.0)))
+        worst55 = np.max(np.abs((4.0 - lam) * L + 2.0 * T) / scale, initial=worst55)
+        worst_n = np.max(np.abs((4.0 - lam) * N + (6.0 - lam) * T) / scale, initial=worst_n)
+        worst_n = np.max(np.abs(N - (6.0 - lam) / 2.0 * L) / scale, initial=worst_n)
+        worst_mixed = np.max(np.abs(-2.0 * D + 2.0 * T) / scale, initial=worst_mixed)
     report.checks.append(_check("identity-55", worst55, tol, "theorem"))
     report.checks.append(_check("identity-normal", worst_n, tol, "theorem"))
     report.checks.append(_check("mixed-gradient", worst_mixed, tol, "theorem"))

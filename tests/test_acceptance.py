@@ -17,12 +17,16 @@ from spherevar.catalog import (
 )
 from spherevar.certificates import (
     build_certificate,
+    identity_55,
+    identity_normal,
+    mixed_gradient_identity,
     threshold,
     threshold_chain_check,
 )
 from spherevar.cli import EXIT_VERIFICATION, main as cli_main
 from spherevar.mesh import jitter_vertices, surface_tangent_frames, write_off
 from spherevar.mobius import (
+    field_norm,
     moebius_basis,
     moebius_field,
     pointwise_identity_report,
@@ -43,7 +47,6 @@ from spherevar.sampling import (
 )
 from spherevar.secondvar import (
     area_jacobi_matrix,
-    covariant_gradient_inner,
     ejiri_micallef_r,
     energy_form_coordinate,
     energy_form_covariant,
@@ -51,7 +54,6 @@ from spherevar.secondvar import (
     form_operators,
     negative_index_count,
 )
-from spherevar.verify import identity_55_residual
 
 
 _CAPSYS = None
@@ -201,13 +203,16 @@ def test_criterion_6_proof_identities(clifford64, clifford64_pairs_acc):
         for t in range(20):
             a = rng.standard_normal(4)
             i = t % 4
-            L, T, N, scale = identity_55_residual(mesh, p, a, i, w, basis, frames)
+            L, _ = identity_55(mesh, p, a, i, basis=basis, frames=frames)
+            N, _, _ = identity_normal(mesh, p, a, i, basis=basis, frames=frames)
+            mixed, minus_2T = mixed_gradient_identity(mesh, p.field, a, i,
+                                                      basis=basis, frames=frames)
+            T = -0.5 * minus_2T
+            combo = np.einsum("j,jvd->vd", a, basis)
+            scale = field_norm(w, basis[i]) * field_norm(w, combo)
             worst = max(worst, abs((4 - lam) * L + 2 * T) / scale)
             worst = max(worst, abs((4 - lam) * N + (6 - lam) * T) / scale)
             worst = max(worst, abs(N - (6 - lam) / 2 * L) / scale)
-            combo = np.einsum("j,jvd->vd", a, basis)
-            U = p.field[:, None] * basis[i]
-            mixed = -2.0 * covariant_gradient_inner(mesh, U, combo)
             worst = max(worst, abs(mixed + 2 * T) / scale)
     ok = worst <= 0.02
     report(6, "proof-identities", ok, f"worst={worst:.2e} over {len(pairs)} eigenpairs")

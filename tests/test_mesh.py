@@ -7,6 +7,7 @@ from spherevar.errors import MeshError, ParameterError
 from spherevar.mesh import (
     contained_in_geodesic_s2,
     face_areas,
+    face_corner_vectors,
     jitter_vertices,
     mesh_size,
     read_off,
@@ -17,6 +18,7 @@ from spherevar.mesh import (
     write_off,
     SurfaceMesh,
 )
+from spherevar.operators import vertex_weights
 
 
 def test_validate_catalog_meshes(sphere4, clifford64, torus_s4):
@@ -110,3 +112,25 @@ def test_jitter_moves_vertices_but_keeps_sphere(sphere2):
     jittered = jitter_vertices(sphere2, 0.05, seed=1)
     assert np.max(np.abs(np.linalg.norm(jittered.vertices, axis=1) - 1.0)) < 1e-12
     assert np.max(np.abs(jittered.vertices - sphere2.vertices)) > 0.01
+
+
+def test_mesh_arrays_and_held_geometry_are_read_only(clifford16):
+    with pytest.raises(ValueError):
+        clifford16.vertices[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        clifford16.faces[0, 0] = 1
+    with pytest.raises(ValueError):
+        face_areas(clifford16)[0] = 1.0
+    with pytest.raises(AttributeError):
+        clifford16.vertices = clifford16.vertices.copy()
+    assert face_areas(clifford16) is face_areas(clifford16)
+    assert face_corner_vectors(clifford16) is face_corner_vectors(clifford16)
+    assert vertex_weights(clifford16) is vertex_weights(clifford16)
+
+
+def test_mesh_copies_its_input_arrays():
+    verts = np.eye(4)[[0, 1, 2, 3]]
+    faces = np.array([[0, 1, 2], [0, 2, 3]])
+    mesh = SurfaceMesh(n=3, vertices=verts, faces=faces)
+    verts[0, 0] = 5.0   # the caller's array stays writable and the mesh keeps its own
+    assert mesh.vertices[0, 0] == 1.0

@@ -6,18 +6,21 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherevar.catalog import build_clifford_torus
+from spherevar.catalog import build_clifford_torus, build_product_torus
 from spherevar.errors import (
     ContractError,
     ParameterError,
     SolverError,
     UnsupportedSurfaceError,
 )
-from spherevar.mesh import total_area
+from spherevar.mesh import face_areas, total_area
 from spherevar.mobius import moebius_basis, moebius_field, split_tangent_normal
+from spherevar.operators import face_centroids_on_sphere, face_orthonormal_basis, surface_gradient
+from spherevar.sampling import random_bandlimited_field
 from spherevar.secondvar import (
     area_jacobi_form,
     area_jacobi_matrix,
+    covariant_gradient_inner,
     ejiri_micallef_r,
     energy_form_coordinate,
     energy_form_covariant,
@@ -174,3 +177,33 @@ def test_ejiri_micallef_parameter_errors():
         ejiri_micallef_r(-1, 0)
     with pytest.raises(ParameterError):
         ejiri_micallef_r(1, -2)
+
+
+def _covariant_gradient_inner_by_components(mesh, X, Y):
+    """int <D X, D Y> from surface_gradient per component, projected on the
+    in-plane directions and then orthogonal to the face centroid."""
+    d1, d2 = face_orthonormal_basis(mesh)
+    centroid = face_centroids_on_sphere(mesh)
+    gX = np.stack([surface_gradient(mesh, X[:, c]) for c in range(X.shape[1])], axis=1)
+    gY = np.stack([surface_gradient(mesh, Y[:, c]) for c in range(Y.shape[1])], axis=1)
+    total = 0.0
+    for direction in (d1, d2):
+        hX = np.einsum("fcd,fd->fc", gX, direction)
+        hY = np.einsum("fcd,fd->fc", gY, direction)
+        hX -= np.einsum("fc,fc->f", hX, centroid)[:, None] * centroid
+        hY -= np.einsum("fc,fc->f", hY, centroid)[:, None] * centroid
+        total += float(face_areas(mesh) @ np.einsum("fc,fc->f", hX, hY))
+    return total
+
+
+@pytest.mark.parametrize("mesh", [build_clifford_torus(16), build_product_torus(2, 16, n=5)],
+                         ids=["clifford16", "s5-torus16"])
+def test_covariant_gradient_inner_matches_componentwise_gradients(mesh):
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        X = random_bandlimited_field(mesh, rng)
+        Y = random_bandlimited_field(mesh, rng)
+        for A, B in ((X, Y), (X, X)):
+            ref = _covariant_gradient_inner_by_components(mesh, A, B)
+            assert abs(covariant_gradient_inner(mesh, A, B) - ref) <= 1e-12 * abs(ref)
+        assert covariant_gradient_inner(mesh, X) == covariant_gradient_inner(mesh, X, X)
