@@ -63,32 +63,24 @@ def _held(compute):
 
 
 class MeshGeometry:
-    """Per-mesh geometric quantities, each computed at its first use and then held.
-
-    The corner vectors and the face Gram data feed the face areas; they are
-    held only once something asks for them itself (the gradients do), so a
-    mesh that is only integrated over keeps its areas and not the (F, n+1)
-    arrays behind them.
-    """
+    """Per-mesh geometric quantities, each computed at its first use and then held."""
 
     def __init__(self, vertices, faces):
         self.vertices = vertices
         self.faces = faces
 
-    def _held_or_fresh(self, name):
-        """Quantity ``name`` if it is held, else computed without holding it."""
-        held = self.__dict__.get(name)
-        return held if held is not None else getattr(type(self), name).func(self)
-
-    @_held
     def corner_vectors(self):
-        """Edge vectors (B - A, C - A) per face, each (F, n+1)."""
+        """Edge vectors (B - A, C - A) per face, each (F, n+1).
+
+        One gather, so it is recomputed at each use rather than held: held,
+        the two (F, n+1) arrays would outweigh everything else here.
+        """
         x, f = self.vertices, self.faces
         return x[f[:, 1]] - x[f[:, 0]], x[f[:, 2]] - x[f[:, 0]]
 
     @_held
     def gram(self):
-        u, w = self._held_or_fresh("corner_vectors")
+        u, w = self.corner_vectors()
         guu = np.einsum("fd,fd->f", u, u)
         gww = np.einsum("fd,fd->f", w, w)
         guw = np.einsum("fd,fd->f", u, w)
@@ -97,7 +89,7 @@ class MeshGeometry:
     @_held
     def face_areas(self):
         """Triangle areas from the ambient Gram determinant (any codimension)."""
-        return 0.5 * np.sqrt(np.maximum(self._held_or_fresh("gram").det, 0.0))
+        return 0.5 * np.sqrt(np.maximum(self.gram.det, 0.0))
 
     @_held
     def vertex_weights(self):
@@ -110,7 +102,7 @@ class MeshGeometry:
     @_held
     def face_directions(self):
         """Orthonormal in-plane directions (d1, d2) per face, each (F, n+1)."""
-        u, w = self._held_or_fresh("corner_vectors")
+        u, w = self.corner_vectors()
         d1 = u / np.linalg.norm(u, axis=1, keepdims=True)
         w_perp = w - np.einsum("fd,fd->f", w, d1)[:, None] * d1
         d2 = w_perp / np.linalg.norm(w_perp, axis=1, keepdims=True)
@@ -123,13 +115,13 @@ class MeshGeometry:
         return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceMesh:
     """Closed orientable triangulated surface with vertices on S^n.
 
-    ``n``, ``vertices`` and ``faces`` are fixed once the mesh is built and
-    the arrays are read-only copies, so the quantities held by ``geometry``
-    cannot go stale; a changed surface is a new SurfaceMesh.
+    The mesh is frozen and its arrays are read-only copies, so the
+    quantities held by ``geometry`` cannot go stale; a changed surface is a
+    new SurfaceMesh.
     """
 
     n: int
@@ -140,23 +132,17 @@ class SurfaceMesh:
     chart: Optional[Chart] = None
     full: Optional[bool] = None   # spans all of R^{n+1} (not an equatorial inclusion)
 
-    _FIXED = ("n", "vertices", "faces")
-
     def __post_init__(self):
-        self.vertices = np.array(self.vertices, dtype=float, order="C")
-        self.faces = np.array(self.faces, dtype=np.int64, order="C")
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != self.n + 1:
+        vertices = np.array(self.vertices, dtype=float, order="C")
+        faces = np.array(self.faces, dtype=np.int64, order="C")
+        if vertices.ndim != 2 or vertices.shape[1] != self.n + 1:
             raise MeshError("vertices must have shape (V, n+1)")
-        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
+        if faces.ndim != 2 or faces.shape[1] != 3:
             raise MeshError("faces must have shape (F, 3)")
-        self.vertices.flags.writeable = False
-        self.faces.flags.writeable = False
-        self.__dict__["_built"] = True
-
-    def __setattr__(self, name, value):
-        if name in self._FIXED and self.__dict__.get("_built"):
-            raise AttributeError(f"SurfaceMesh.{name} is fixed once the mesh is built")
-        super().__setattr__(name, value)
+        vertices.flags.writeable = False
+        faces.flags.writeable = False
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "faces", faces)
 
     @cached_property
     def geometry(self):
@@ -173,7 +159,7 @@ class SurfaceMesh:
 
 def face_corner_vectors(mesh):
     """Edge vectors (B-A, C-A) per face, each of shape (F, n+1)."""
-    return mesh.geometry.corner_vectors
+    return mesh.geometry.corner_vectors()
 
 
 def face_areas(mesh):

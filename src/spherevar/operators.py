@@ -104,7 +104,7 @@ def surface_gradient(mesh, f):
     f = np.asarray(f, dtype=float)
     if f.shape != (mesh.num_vertices,):
         raise ContractError("scalar field length must equal vertex count")
-    u, w = mesh.geometry.corner_vectors
+    u, w = mesh.geometry.corner_vectors()
     guu, gww, guw, det = gradient_gram(mesh)
     tri = mesh.faces
     du = f[tri[:, 1]] - f[tri[:, 0]]

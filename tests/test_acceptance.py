@@ -17,9 +17,6 @@ from spherevar.catalog import (
 )
 from spherevar.certificates import (
     build_certificate,
-    identity_55,
-    identity_normal,
-    mixed_gradient_identity,
     threshold,
     threshold_chain_check,
 )
@@ -54,6 +51,7 @@ from spherevar.secondvar import (
     form_operators,
     negative_index_count,
 )
+from spherevar.verify import identity_matrices, moebius_terms
 
 
 _CAPSYS = None
@@ -188,11 +186,11 @@ def test_criterion_5_prop1_identity(clifford64, clifford64_ops, clifford64_pairs
 
 
 def test_criterion_6_proof_identities(clifford64, clifford64_pairs_acc):
-    # eigenvalue identities checked in cross-multiplied form, stable near
-    # the lambda = 4 denominator of the original statements
+    # eigenvalue identities checked in cross-multiplied form on the contracted
+    # integrals that run_verification uses; no lambda = 4 denominator appears
     mesh = clifford64
     basis = moebius_basis(mesh)
-    frames = surface_tangent_frames(mesh)
+    terms = moebius_terms(mesh, basis, surface_tangent_frames(mesh))
     w = vertex_weights(mesh)
     pairs = [p for p in clifford64_pairs_acc if 1.0 < p.lam < 6.0]
     assert len(pairs) == 8   # the lambda = 2 and lambda = 4 levels
@@ -200,20 +198,17 @@ def test_criterion_6_proof_identities(clifford64, clifford64_pairs_acc):
     worst = 0.0
     for p in pairs:
         lam = p.lam
+        matrices = identity_matrices(mesh, p.field, terms)
         for t in range(20):
             a = rng.standard_normal(4)
             i = t % 4
-            L, _ = identity_55(mesh, p, a, i, basis=basis, frames=frames)
-            N, _, _ = identity_normal(mesh, p, a, i, basis=basis, frames=frames)
-            mixed, minus_2T = mixed_gradient_identity(mesh, p.field, a, i,
-                                                      basis=basis, frames=frames)
-            T = -0.5 * minus_2T
+            L, T, N, D = (X[i] @ a for X in matrices)
             combo = np.einsum("j,jvd->vd", a, basis)
             scale = field_norm(w, basis[i]) * field_norm(w, combo)
             worst = max(worst, abs((4 - lam) * L + 2 * T) / scale)
             worst = max(worst, abs((4 - lam) * N + (6 - lam) * T) / scale)
             worst = max(worst, abs(N - (6 - lam) / 2 * L) / scale)
-            worst = max(worst, abs(mixed + 2 * T) / scale)
+            worst = max(worst, abs(-2 * D + 2 * T) / scale)
     ok = worst <= 0.02
     report(6, "proof-identities", ok, f"worst={worst:.2e} over {len(pairs)} eigenpairs")
 

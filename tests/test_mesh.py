@@ -7,7 +7,6 @@ from spherevar.errors import MeshError, ParameterError
 from spherevar.mesh import (
     contained_in_geodesic_s2,
     face_areas,
-    face_corner_vectors,
     jitter_vertices,
     mesh_size,
     read_off,
@@ -124,8 +123,8 @@ def test_mesh_arrays_and_held_geometry_are_read_only(clifford16):
     with pytest.raises(AttributeError):
         clifford16.vertices = clifford16.vertices.copy()
     assert face_areas(clifford16) is face_areas(clifford16)
-    assert face_corner_vectors(clifford16) is face_corner_vectors(clifford16)
     assert vertex_weights(clifford16) is vertex_weights(clifford16)
+    assert clifford16.geometry.gram is clifford16.geometry.gram
 
 
 def test_mesh_copies_its_input_arrays():
