@@ -200,16 +200,20 @@ def validate_mesh(mesh, unit_tol=UNIT_SPHERE_TOL):
         raise MeshError("face index out of range")
     if np.any(mesh.geometry.face_areas <= 0.0):
         raise MeshError("degenerate (zero-area) triangle")
-    directed = {}
-    for tri in f:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(a), int(b))
-            if key in directed:
-                raise MeshError(f"directed edge {key} used twice (non-orientable or non-manifold)")
-            directed[key] = True
-    for a, b in directed:
-        if (b, a) not in directed:
-            raise MeshError(f"boundary edge ({a}, {b}): mesh is not closed")
+    # each directed edge (a, b) as the key a * V + b, sorted
+    V = mesh.num_vertices
+    a, b = f.ravel(), f[:, [1, 2, 0]].ravel()
+    keys = np.sort(a * V + b)
+    twice = np.flatnonzero(keys[1:] == keys[:-1])
+    if twice.size:
+        edge = tuple(int(v) for v in divmod(int(keys[twice[0]]), V))
+        raise MeshError(f"directed edge {edge} used twice (non-orientable or non-manifold)")
+    reverse = b * V + a
+    at = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
+    open_edges = np.flatnonzero(keys[at] != reverse)
+    if open_edges.size:
+        i = open_edges[0]
+        raise MeshError(f"boundary edge ({a[i]}, {b[i]}): mesh is not closed")
     return True
 
 

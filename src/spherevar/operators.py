@@ -53,12 +53,18 @@ def assemble_mass(mesh, mode="consistent"):
     areas = mesh.geometry.face_areas
     if np.any(areas <= 0.0):
         raise MeshError("zero-area triangle in mass assembly")
-    f = mesh.faces
-    V = mesh.num_vertices
     if mode == "lumped":
         return sp.diags(mesh.geometry.vertex_weights).tocsr()
     if mode != "consistent":
         raise ContractError(f"unknown mass mode {mode!r}")
+    return _p1_gram(mesh, areas)
+
+
+def _p1_gram(mesh, areas):
+    """Gram matrix of the P1 hat functions, each face counted with its
+    entry of ``areas``: area / 6 on the diagonal, area / 12 off it."""
+    f = mesh.faces
+    V = mesh.num_vertices
     rows = np.concatenate([f[:, 0], f[:, 1], f[:, 2],
                            f[:, 0], f[:, 1], f[:, 0], f[:, 2], f[:, 1], f[:, 2]])
     cols = np.concatenate([f[:, 0], f[:, 1], f[:, 2],
@@ -214,8 +220,11 @@ def _factor_shifted(A, M, sigma, order):
     The vertex order is expanded to the per-vertex DOF blocks (DOF
     v * block + j belongs to vertex v). The matrix is permuted once and
     factored with SuperLU in symmetric mode without column reordering, so
-    U's diagonal holds the pivots of a symmetric LDL^T. Returns
-    (factor, DOF permutation, pivots).
+    U's diagonal holds the pivots of a symmetric LDL^T. With M positive
+    definite, the number of negative pivots is the number of eigenvalues of
+    A w = mu M w below sigma (Sylvester's law of inertia). Returns (factor,
+    DOF permutation, negative-pivot count). A singular A - sigma M, i.e. an
+    eigenvalue on sigma, raises SolverError.
     """
     order = np.asarray(order)
     block, rest = divmod(A.shape[0], order.size)
@@ -236,29 +245,24 @@ def _factor_shifted(A, M, sigma, order):
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(f"factorization of A - ({sigma:g}) M left the diagonal: "
                           "a pivot vanished")
-    return lu, perm, lu.U.diagonal()
+    return lu, perm, int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
 def shift_invert_operator(A, M, sigma, order):
-    """(A - sigma M)^-1 as a LinearOperator: the OPinv of eigsh(sigma=sigma).
+    """(A - sigma M)^-1 as a LinearOperator, with its negative-pivot count.
 
-    Factored once (see _factor_shifted). Every pivot is positive exactly
-    when A - sigma M is positive definite, i.e. when sigma lies below the
-    spectrum of (A, M); that certifies the shift, and SolverError is raised
-    otherwise.
+    The operator is the OPinv of eigsh(sigma=sigma), factored once (see
+    _factor_shifted). The count is the number of eigenvalues of (A, M)
+    below sigma; it is 0 exactly when sigma lies below the spectrum.
     """
-    lu, perm, pivots = _factor_shifted(A, M, sigma, order)
-    bad = int(np.count_nonzero(pivots <= 0.0))
-    if bad:
-        raise SolverError(f"shift {sigma:g} is not below the spectrum: "
-                          f"{bad} nonpositive pivots")
+    lu, perm, below = _factor_shifted(A, M, sigma, order)
 
     def solve(b):
         x = np.empty_like(b)
         x[perm] = lu.solve(b[perm])
         return x
 
-    return spla.LinearOperator(A.shape, matvec=solve, dtype=float)
+    return spla.LinearOperator(A.shape, matvec=solve, dtype=float), below
 
 
 def count_eigenvalues_below(A, M, shift, order):
@@ -267,8 +271,7 @@ def count_eigenvalues_below(A, M, shift, order):
     With M positive definite this is the number of negative pivots of
     A - shift M, factored as in shift_invert_operator.
     """
-    _, _, pivots = _factor_shifted(A, M, shift, order)
-    return int(np.count_nonzero(pivots < 0.0))
+    return _factor_shifted(A, M, shift, order)[2]
 
 
 def solve_smallest_eigenpairs(S, M, k, order, tol=DEFAULT_EIG_TOL, seed=0):
@@ -276,8 +279,9 @@ def solve_smallest_eigenpairs(S, M, k, order, tol=DEFAULT_EIG_TOL, seed=0):
 
     Shift-invert Lanczos below the spectrum, factored in the vertex
     ``order`` (see dissection_order); deterministic via a seeded starting
-    vector. Raises SolverError (carrying the best residual) on failure of
-    the residual contract.
+    vector. Raises SolverError if the factor has a negative pivot (the
+    shift is not below the spectrum), and (carrying the best residual) on
+    failure of the residual contract.
     """
     V = S.shape[0]
     if not (1 <= k <= V - 1):
@@ -285,7 +289,10 @@ def solve_smallest_eigenpairs(S, M, k, order, tol=DEFAULT_EIG_TOL, seed=0):
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(V)
     sigma = -0.1  # S is PSD, so S - sigma M is SPD for sigma < 0
-    OPinv = shift_invert_operator(S, M, sigma, order)
+    OPinv, below = shift_invert_operator(S, M, sigma, order)
+    if below:
+        raise SolverError(f"shift {sigma:g} is not below the spectrum: "
+                          f"{below} eigenvalues below it")
     try:
         vals, vecs = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM", v0=v0,
                                 maxiter=5000, OPinv=OPinv)

@@ -24,6 +24,7 @@ from .errors import ContractError, ParameterError, SolverError, UnsupportedSurfa
 from .mesh import surface_tangent_frames, sphere_tangent_frames
 from .mobius import check_sphere_tangent, split_tangent_normal
 from .operators import (
+    _p1_gram,
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
@@ -113,15 +114,7 @@ def _normsq_A_values(mesh):
 def weighted_mass(mesh, weights):
     """Consistent mass with a per-face constant weight (centroid average)."""
     w_face = np.asarray(weights, dtype=float)[mesh.faces].mean(axis=1)
-    areas = mesh.geometry.face_areas * w_face
-    f = mesh.faces
-    V = mesh.num_vertices
-    rows = np.concatenate([f[:, 0], f[:, 1], f[:, 2],
-                           f[:, 0], f[:, 1], f[:, 0], f[:, 2], f[:, 1], f[:, 2]])
-    cols = np.concatenate([f[:, 0], f[:, 1], f[:, 2],
-                           f[:, 1], f[:, 0], f[:, 2], f[:, 0], f[:, 2], f[:, 1]])
-    vals = np.concatenate([areas / 6.0] * 3 + [areas / 12.0] * 6)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(V, V)).tocsr()
+    return _p1_gram(mesh, mesh.geometry.face_areas * w_face)
 
 
 def area_jacobi_form(mesh, f, g=None, ops=None):
@@ -146,7 +139,6 @@ class QuadraticFormMatrix(NamedTuple):
     M: sp.csr_matrix
     kind: str                  # "energy" | "areaJacobi"
     frames: np.ndarray | None  # energy only: (V, n, n+1) DOF frame
-    lower_bound: float         # certified lower bound on the (Q, M) spectrum
     order: np.ndarray          # vertex elimination order (dissection_order)
 
 
@@ -170,8 +162,7 @@ def energy_quadratic_matrix(mesh, ops=None, frames=None):
     """Energy form over per-vertex orthonormal sphere-tangent frames.
 
     DOF dimension is n * V; the frame removes the radial directions, so the
-    pencil has no artificial zero modes. D^2E(X) >= -2 int |X|^2 gives the
-    spectral lower bound -2.
+    pencil has no artificial zero modes.
     """
     if ops is None:
         ops = form_operators(mesh)
@@ -183,8 +174,7 @@ def energy_quadratic_matrix(mesh, ops=None, frames=None):
     Q = 0.5 * (Q + Q.T)
     MQ = 0.5 * (MQ + MQ.T)
     return QuadraticFormMatrix(Q=Q.tocsr(), M=MQ.tocsr(), kind="energy",
-                               frames=frames, lower_bound=-2.0,
-                               order=dissection_order(mesh))
+                               frames=frames, order=dissection_order(mesh))
 
 
 def area_jacobi_matrix(mesh, ops=None):
@@ -196,10 +186,8 @@ def area_jacobi_matrix(mesh, ops=None):
         ops = form_operators(mesh)
     MW = weighted_mass(mesh, a2)
     Q = (ops.S - 2.0 * ops.M - MW).tocsr()
-    lower = -2.0 - float(np.max(a2))
     return QuadraticFormMatrix(Q=Q, M=ops.M.tocsr(), kind="areaJacobi",
-                               frames=None, lower_bound=lower,
-                               order=dissection_order(mesh))
+                               frames=None, order=dissection_order(mesh))
 
 
 class IndexCount(NamedTuple):
@@ -209,42 +197,47 @@ class IndexCount(NamedTuple):
     delta: float
 
 
-def negative_index_count(form, delta=DEFAULT_INDEX_DELTA, seed=0, k0=12):
+def negative_index_count(form, delta=DEFAULT_INDEX_DELTA, seed=0):
     """Count eigenvalues of Q w = mu M w below -delta.
 
-    Shift-invert Lanczos anchored below the certified lower bound, with the
-    pencil factored once; k grows until the spectrum above +delta is
-    reached, so every negative and near-zero eigenvalue is captured. The
-    count is confirmed by the inertia of Q + delta M. Raises SolverError if
-    the shift is not below the spectrum or the two counts disagree.
+    Sylvester inertia leads and Lanczos supplies the values. The negative
+    pivots of Q - delta M give the number of eigenvalues below +delta, and
+    the same factor is the OPinv of one shift-invert Lanczos at +delta.
+    There, exactly those eigenvalues have a negative transformed value
+    1 / (mu - delta), so which="SA" with k equal to that number returns
+    exactly them. The count is the number of negative pivots of
+    Q + delta M. Raises SolverError if an eigenvalue sits on +-delta (a
+    singular factor), if a Lanczos value is not below +delta, or if the
+    Lanczos values below -delta are not as many as that count.
     """
     dim = form.Q.shape[0]
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(dim)
-    sigma = form.lower_bound - 0.5
-    OPinv = shift_invert_operator(form.Q, form.M, sigma, form.order)
-    k = min(k0, dim - 1)
-    while True:
+    OPinv, wanted = shift_invert_operator(form.Q, form.M, delta, form.order)
+    if wanted >= dim:
+        raise SolverError(f"{form.kind} index: all {dim} eigenvalues lie below "
+                          f"{delta:g}; shift-invert Lanczos needs fewer than {dim}")
+    vals = np.empty(0)
+    if wanted:
+        v0 = np.random.default_rng(seed).standard_normal(dim)
         try:
-            vals = spla.eigsh(form.Q, k=k, M=form.M, sigma=sigma, which="LM",
+            vals = spla.eigsh(form.Q, k=wanted, M=form.M, sigma=delta, which="SA",
                               v0=v0, maxiter=5000, return_eigenvectors=False,
                               OPinv=OPinv)
         except (spla.ArpackNoConvergence, RuntimeError) as exc:
             raise SolverError(f"index eigensolver failed: {exc}") from exc
         vals = np.sort(vals)
-        if vals[-1] > delta or k >= dim - 1:
-            break
-        k = min(2 * k, dim - 1)
-    del OPinv   # free the factor before the inertia factorization
+    del OPinv   # free the factor before the inertia factorization at -delta
+    if vals.size and not vals[-1] < delta:
+        raise SolverError(
+            f"{form.kind} index: Lanczos returned {vals[-1]:.6g}, not below "
+            f"{delta:g}, so an eigenvalue below {delta:g} was missed")
+    count = count_eigenvalues_below(form.Q, form.M, -delta, form.order)
     negatives = vals[vals < -delta]
-    near_zero = vals[(vals >= -delta) & (vals <= delta)]
-    inertia = count_eigenvalues_below(form.Q, form.M, -delta, form.order)
-    if inertia != negatives.size:
+    if negatives.size != count:
         raise SolverError(
             f"{form.kind} index: Lanczos counts {negatives.size} eigenvalues below "
-            f"-{delta:g}, the inertia of Q + {delta:g} M counts {inertia}")
-    return IndexCount(count=int(negatives.size), negatives=negatives,
-                      near_zero=near_zero, delta=delta)
+            f"-{delta:g}, the inertia of Q + {delta:g} M counts {count}")
+    return IndexCount(count=count, negatives=negatives,
+                      near_zero=vals[vals >= -delta], delta=delta)
 
 
 class EjiriMicallefR(NamedTuple):

@@ -7,6 +7,7 @@ import pytest
 from spherevar.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, load_config_file, main
 from spherevar.errors import ParameterError
 from spherevar.mesh import jitter_vertices, write_off
+from spherevar.verify import run_verification
 
 
 def run(args):
@@ -50,6 +51,15 @@ def test_verify_passes_on_clifford(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["pass"] is True
     assert all("provenance" in c and "tolerance" in c for c in payload["checks"])
+
+
+def test_verify_default_k_matches_run_verification(tmp_path, clifford64):
+    # without --k, verify keeps run_verification's own k, which spans the
+    # whole lambda = 4 cluster of the Clifford torus
+    out = tmp_path / "verify.json"
+    run(["verify", "--surface", "clifford-torus", "--res", "64", "--out", str(out)])
+    expected = json.loads(json.dumps(run_verification(clifford64, seed=0).to_dict()))
+    assert json.loads(out.read_text())["checks"] == expected["checks"]
 
 
 def test_verify_fails_on_jittered_mesh(tmp_path, sphere2):

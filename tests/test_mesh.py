@@ -53,6 +53,32 @@ def test_validate_rejects_open_mesh():
         validate_mesh(SurfaceMesh(n=2, vertices=verts, faces=faces))
 
 
+def _directed_edge_fault(faces):
+    """Reference for validate_mesh's edge check, one directed edge at a time."""
+    directed = set()
+    for tri in faces:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            if (a, b) in directed:
+                return "used twice"
+            directed.add((a, b))
+    if any((b, a) not in directed for a, b in directed):
+        return "boundary edge"
+    return None
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda f: np.vstack([f[:5], f[5, ::-1], f[6:]]), "used twice"),   # flipped face
+    (lambda f: np.vstack([f, f[7]]), "used twice"),                     # duplicated face
+    (lambda f: np.delete(f, 3, axis=0), "boundary edge"),               # hole
+], ids=["flipped-face", "duplicated-face", "missing-face"])
+def test_validate_rejects_bad_directed_edges(clifford16, edit, fault):
+    faces = edit(np.asarray(clifford16.faces))
+    assert _directed_edge_fault(faces.tolist()) == fault
+    mesh = SurfaceMesh(n=3, vertices=clifford16.vertices, faces=faces)
+    with pytest.raises(MeshError, match=fault):
+        validate_mesh(mesh)
+
+
 def test_geodesic_s2_flag(sphere4, clifford64, torus_s4):
     assert contained_in_geodesic_s2(sphere4)
     assert not contained_in_geodesic_s2(clifford64)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
-from spherevar.errors import ContractError
+from spherevar.errors import ContractError, SolverError
 from spherevar.mesh import total_area
 from spherevar.operators import (
     assemble_mass,
@@ -159,10 +159,21 @@ def test_dissection_order_is_a_repeatable_permutation(build):
 def test_shift_invert_operator_solves_the_shifted_system(clifford16, rng):
     S = assemble_stiffness(clifford16)
     M = assemble_mass(clifford16)
-    op = shift_invert_operator(S, M, -0.1, dissection_order(clifford16))
     b = rng.standard_normal(clifford16.num_vertices)
-    x = op @ b
-    assert np.linalg.norm((S + 0.1 * M) @ x - b) <= 1e-10 * np.linalg.norm(b)
+    # below the spectrum, and between the clusters 2 (x4) and 4 (x4)
+    for shift, below in ((-0.1, 0), (3.0, 5)):
+        op, count = shift_invert_operator(S, M, shift, dissection_order(clifford16))
+        assert count == below
+        x = op @ b
+        assert np.linalg.norm((S - shift * M) @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_eigensolver_rejects_shift_inside_spectrum(clifford16):
+    # S - M has the eigenvalue -1, below the Laplace shift -0.1
+    S = assemble_stiffness(clifford16)
+    M = assemble_mass(clifford16)
+    with pytest.raises(SolverError, match="not below the spectrum"):
+        solve_smallest_eigenpairs(S - M, M, k=5, order=dissection_order(clifford16))
 
 
 def test_inertia_count_matches_dense_spectrum(clifford16):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from spherevar.secondvar import (
     energy_form_covariant,
     energy_quadratic_matrix,
     negative_index_count,
+    QuadraticFormMatrix,
 )
 
 SMALL_TORUS = build_clifford_torus(8)
@@ -121,12 +123,43 @@ def test_index_counts_match_dense_reference(clifford16, build):
     assert result.near_zero.size == int(np.sum(np.abs(mus) <= delta))
 
 
-def test_index_count_rejects_shift_inside_spectrum(clifford16):
-    # a "lower bound" above the lowest eigenvalue puts the shift inside the
-    # spectrum, where a nonpositive pivot must stop the count
-    form = area_jacobi_matrix(clifford16)
+def _diagonal_form(mus):
+    """A pencil (diag(mus), I), one DOF per vertex."""
+    dim = len(mus)
+    return QuadraticFormMatrix(Q=sp.diags(np.asarray(mus, dtype=float)).tocsr(),
+                               M=sp.identity(dim, format="csr"), kind="areaJacobi",
+                               frames=None, order=np.arange(dim))
+
+
+@pytest.mark.parametrize("on_cutoff", [0.1, -0.1], ids=["plus-delta", "minus-delta"])
+def test_index_count_eigenvalue_on_cutoff_raises(on_cutoff):
+    # an eigenvalue exactly on +-delta makes that factor singular
+    form = _diagonal_form([-3.0, -1.0, on_cutoff, 0.02, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     with pytest.raises(SolverError):
-        negative_index_count(form._replace(lower_bound=0.0))
+        negative_index_count(form, delta=0.1)
+
+
+def test_index_count_small_diagonal_pencil():
+    form = _diagonal_form([-3.0, -1.0, 0.05, -0.02, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    result = negative_index_count(form, delta=0.1)
+    assert result.count == 2
+    assert np.max(np.abs(result.negatives - [-3.0, -1.0])) <= 1e-12
+    assert np.max(np.abs(result.near_zero - [-0.02, 0.05])) <= 1e-12
+
+
+def test_index_count_lanczos_value_above_cutoff_raises(clifford16, monkeypatch):
+    from spherevar import secondvar
+
+    eigsh = secondvar.spla.eigsh
+
+    def missed_one(*args, **kwargs):
+        vals = np.sort(eigsh(*args, **kwargs))
+        vals[-1] = 0.5   # a value above +delta in place of the largest below it
+        return vals
+
+    monkeypatch.setattr(secondvar.spla, "eigsh", missed_one)
+    with pytest.raises(SolverError, match="missed"):
+        negative_index_count(energy_quadratic_matrix(clifford16), delta=0.1)
 
 
 def test_index_count_inertia_disagreement_raises(clifford16, monkeypatch):
@@ -135,15 +168,6 @@ def test_index_count_inertia_disagreement_raises(clifford16, monkeypatch):
     monkeypatch.setattr(secondvar, "count_eigenvalues_below", lambda *args: 99)
     with pytest.raises(SolverError, match="inertia"):
         negative_index_count(area_jacobi_matrix(clifford16))
-
-
-def test_index_count_k_doubling_matches_default(clifford16):
-    form = energy_quadratic_matrix(clifford16)
-    default = negative_index_count(form)
-    doubled = negative_index_count(form, k0=2)
-    assert doubled.count == default.count == 4
-    assert np.max(np.abs(doubled.negatives - default.negatives)) <= 1e-10
-    assert doubled.near_zero.size == default.near_zero.size
 
 
 def test_energy_pencil_dimensions(clifford16):
