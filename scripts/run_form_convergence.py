@@ -12,28 +12,8 @@ import sys
 import numpy as np
 
 from spherevar.catalog import build_clifford_torus
-from spherevar.mesh import mesh_size, surface_tangent_frames
-from spherevar.sampling import random_bandlimited_field
-from spherevar.secondvar import (
-    energy_form_coordinate,
-    energy_form_covariant,
-    form_operators,
-)
-
-
-def worst_error(mesh, num_fields, seed):
-    rng = np.random.default_rng(seed)
-    ops = form_operators(mesh)
-    frames = surface_tangent_frames(mesh)
-    worst = 0.0
-    for _ in range(num_fields):
-        X = random_bandlimited_field(mesh, rng)
-        coord = energy_form_coordinate(mesh, X, ops=ops)
-        cov = energy_form_covariant(mesh, X, frames=frames)
-        scale = float(np.einsum("vd,vd->", X, ops.S @ X)
-                      + np.einsum("vd,vd->", X, ops.M @ X))
-        worst = max(worst, abs(coord - cov) / scale)
-    return worst
+from spherevar.mesh import mesh_size
+from spherevar.verify import form_equivalence_error
 
 
 def main():
@@ -47,7 +27,7 @@ def main():
     print(f"{'res':>5} {'h':>8} {'worst rel err':>14} {'ratio':>7}")
     for res in args.resolutions:
         mesh = build_clifford_torus(res)
-        err = worst_error(mesh, args.num_fields, args.seed)
+        err = form_equivalence_error(mesh, np.random.default_rng(args.seed), args.num_fields)
         ratio = "" if prev is None else f"{err / prev:7.3f}"
         print(f"{res:>5} {mesh_size(mesh):>8.4f} {err:>14.3e} {ratio:>7}")
         prev = err

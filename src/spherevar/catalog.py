@@ -37,23 +37,28 @@ def _icosahedron():
 
 
 def _subdivide(verts, faces):
-    """Loop-style 1-to-4 subdivision with midpoints pushed to the sphere."""
-    verts = list(verts)
-    cache = {}
+    """Loop-style 1-to-4 subdivision with midpoints pushed to the sphere.
 
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in cache:
-            m = verts[i] + verts[j]
-            verts.append(m / np.linalg.norm(m))
-            cache[key] = len(verts) - 1
-        return cache[key]
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-    return np.array(verts), np.array(out, dtype=np.int64)
+    Each edge {i, j} is the key min * V + max. Its midpoint is numbered
+    after the old vertices in the order the edges first occur, face by face
+    in the order ab, bc, ca.
+    """
+    V = verts.shape[0]
+    ends = faces[:, [1, 2, 0]]
+    keys = (np.minimum(faces, ends) * V + np.maximum(faces, ends)).ravel()
+    edges, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    number = np.empty_like(by_first)
+    number[by_first] = V + np.arange(by_first.size)
+    ab, bc, ca = number[inverse].reshape(-1, 3).T
+    i, j = np.divmod(edges[by_first], V)
+    m = verts[i] + verts[j]
+    # per row the dot product np.linalg.norm takes of one vector, so each
+    # level matches normalizing the midpoints one at a time bit for bit
+    m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+    a, b, c = faces.T
+    out = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+    return np.vstack([verts, m]), out
 
 
 def _sphere_chart(vertices3, n):
@@ -101,13 +106,15 @@ def _torus_chart(angles_a, angles_b, n):
     frames[:, 0, 1] = np.cos(angles_a)
     frames[:, 1, 2] = -np.sin(angles_b)
     frames[:, 1, 3] = np.cos(angles_b)
-    normal = None
+    normsq_A = normal = None
     if n == 3:
+        # in codimension > 1 the scalar area Jacobi form does not apply
+        normsq_A = 2.0
         normal = np.stack([
             np.cos(angles_a), np.sin(angles_a),
             -np.cos(angles_b), -np.sin(angles_b),
         ], axis=1) / np.sqrt(2.0)
-    return Chart(tangent_frames=frames, normsq_A=2.0, unit_normal=normal)
+    return Chart(tangent_frames=frames, normsq_A=normsq_A, unit_normal=normal)
 
 
 def _clifford_vertices(res, n):
@@ -128,17 +135,10 @@ def _clifford_vertices(res, n):
 
 def _torus_faces(res):
     """Each grid quad split along the (i,j) -> (i+1,j+1) diagonal."""
-    def vid(i, j):
-        return (i % res) * res + (j % res)
-
-    faces = []
-    for i in range(res):
-        for j in range(res):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            faces.append([v00, v10, v11])
-            faces.append([v00, v11, v01])
-    return np.array(faces, dtype=np.int64)
+    i, j = np.divmod(np.arange(res * res, dtype=np.int64), res)
+    i1, j1 = (i + 1) % res, (j + 1) % res
+    v00, v10, v11, v01 = i * res + j, i1 * res + j, i1 * res + j1, i * res + j1
+    return np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
 
 def build_clifford_torus(res):
@@ -161,9 +161,6 @@ def build_product_torus(k, res, n=3):
         genus=1, chart=_torus_chart(aa, bb, n),
         full=(n == 3),
     )
-    if n > 3:
-        # codimension > 1: the scalar area Jacobi form does not apply
-        mesh.chart.normsq_A = None
     validate_mesh(mesh)
     return mesh
 
@@ -189,12 +186,11 @@ def minimality_residual(mesh):
     relative to |2u|; the face-wise check compares the squared gradient of
     the coordinate interpolants against 2.
     """
-    from .operators import assemble_stiffness, surface_gradient
+    from .operators import assemble_stiffness, surface_gradient, vertex_weights
 
-    S = assemble_stiffness(mesh)
-    w = mesh.geometry.vertex_weights
+    w = vertex_weights(mesh)
     u = mesh.vertices
-    r = (S @ u) / w[:, None] - 2.0 * u
+    r = (assemble_stiffness(mesh) @ u) / w[:, None] - 2.0 * u
     laplace = float(np.sqrt(np.einsum("v,vd->", w, r * r)
                             / np.einsum("v,vd->", w, 4.0 * u * u)))
     laplace_max = float(np.max(np.abs(r)))

@@ -16,12 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractError, ParameterError, SolverError, UnsupportedSurfaceError
-from .mesh import contained_in_geodesic_s2, mesh_size, surface_tangent_frames
+from .mesh import contained_in_geodesic_s2, mesh_size
 from .mobius import (
-    field_inner,
-    field_norm,
     moebius_basis,
-    moebius_gram,
+    moebius_tangential,
     project_orthogonal_to_moebius,
     split_tangent_normal,
 )
@@ -32,14 +30,8 @@ from .operators import (
     eigen_clusters,
     integrate,
     solve_smallest_eigenpairs,
-    vertex_weights,
 )
-from .secondvar import (
-    FormOperators,
-    covariant_gradient_inner,
-    energy_form_coordinate,
-    form_operators,
-)
+from .secondvar import covariant_gradient_inner, energy_form_coordinate
 
 ORTHOGONALITY_TOL = 1e-8
 LAMBDA_SINGULAR_TOL = 1e-6
@@ -71,22 +63,19 @@ def threshold_chain_check(n, num_samples=10000):
     return True
 
 
-def prop1_sum(mesh, f, ops=None, basis=None):
+def prop1_sum(mesh, f):
     """Sum of canonical-variation energies vs n*int|grad f|^2 - (2n-4)*int f^2.
 
     Returns (lhs, rhs); the identity holds for every smooth f on a minimal
     surface, so the gap is pure discretization error.
     """
-    if ops is None:
-        ops = form_operators(mesh)
-    if basis is None:
-        basis = moebius_basis(mesh)
     f = np.asarray(f, dtype=float)
     lhs = 0.0
-    for xi in basis:
-        lhs += energy_form_coordinate(mesh, f[:, None] * xi, ops=ops)
+    for xi in moebius_basis(mesh):
+        lhs += energy_form_coordinate(mesh, f[:, None] * xi)
     n = mesh.n
-    rhs = float(n * (f @ (ops.S @ f)) - (2 * n - 4) * (f @ (ops.M @ f)))
+    S, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    rhs = float(n * (f @ (S @ f)) - (2 * n - 4) * (f @ (M @ f)))
     return lhs, rhs
 
 
@@ -98,26 +87,22 @@ def _pointwise_dot(X, Y):
     return np.einsum("vd,vd->v", X, Y)
 
 
-def identity_55(mesh, eigenpair, a, i, basis=None, frames=None):
+def identity_55(mesh, eigenpair, a, i):
     """int f xi_i . (a_j xi_j) vs -2/(4-lambda) int f xi_i^T . (a_j xi_j)^T."""
     lam = eigenpair.lam
     if abs(lam - 4.0) < LAMBDA_SINGULAR_TOL:
         raise ContractError("eigenvalue at the singular denominator lambda = 4")
-    if basis is None:
-        basis = moebius_basis(mesh)
-    if frames is None:
-        frames = surface_tangent_frames(mesh)
+    basis = moebius_basis(mesh)
     f = eigenpair.field
-    xi = basis[i]
     combo = _combination(basis, a)
-    lhs = integrate(mesh, f * _pointwise_dot(xi, combo))
-    xi_t = split_tangent_normal(mesh, xi, frames=frames).tangential
-    combo_t = split_tangent_normal(mesh, combo, frames=frames).tangential
+    lhs = integrate(mesh, f * _pointwise_dot(basis[i], combo))
+    xi_t = moebius_tangential(mesh)[i]
+    combo_t = split_tangent_normal(mesh, combo).tangential
     rhs = -2.0 / (4.0 - lam) * integrate(mesh, f * _pointwise_dot(xi_t, combo_t))
     return lhs, rhs
 
 
-def identity_normal(mesh, eigenpair, a, i, basis=None, frames=None):
+def identity_normal(mesh, eigenpair, a, i):
     """Normal-part identity; returns (lhs, rhs_tangential, rhs_total).
 
     lhs = int f xi_i^N . (a_j xi_j)^N, compared against
@@ -127,43 +112,37 @@ def identity_normal(mesh, eigenpair, a, i, basis=None, frames=None):
     lam = eigenpair.lam
     if abs(lam - 4.0) < LAMBDA_SINGULAR_TOL:
         raise ContractError("eigenvalue at the singular denominator lambda = 4")
-    if basis is None:
-        basis = moebius_basis(mesh)
-    if frames is None:
-        frames = surface_tangent_frames(mesh)
+    basis = moebius_basis(mesh)
     f = eigenpair.field
-    xi_split = split_tangent_normal(mesh, basis[i], frames=frames)
+    xi_t = moebius_tangential(mesh)[i]
     combo = _combination(basis, a)
-    combo_split = split_tangent_normal(mesh, combo, frames=frames)
-    lhs = integrate(mesh, f * _pointwise_dot(xi_split.normal, combo_split.normal))
+    combo_split = split_tangent_normal(mesh, combo)
+    lhs = integrate(mesh, f * _pointwise_dot(basis[i] - xi_t, combo_split.normal))
     rhs_t = -(6.0 - lam) / (4.0 - lam) * integrate(
-        mesh, f * _pointwise_dot(xi_split.tangential, combo_split.tangential))
+        mesh, f * _pointwise_dot(xi_t, combo_split.tangential))
     rhs_total = (6.0 - lam) / 2.0 * integrate(
         mesh, f * _pointwise_dot(basis[i], combo))
     return lhs, rhs_t, rhs_total
 
 
-def mixed_gradient_identity(mesh, f, a, i, basis=None, frames=None):
+def mixed_gradient_identity(mesh, f, a, i):
     """Mixed covariant-gradient term of the cross expansion.
 
     lhs = -2 int <D(f xi_i), D(a_j xi_j)> with the per-face sphere-covariant
     derivative; rhs = -2 int f xi_i^T . (a_j xi_j)^T. Holds for any f.
     """
-    if basis is None:
-        basis = moebius_basis(mesh)
-    if frames is None:
-        frames = surface_tangent_frames(mesh)
+    basis = moebius_basis(mesh)
     f = np.asarray(f, dtype=float)
     U = f[:, None] * basis[i]
     W = _combination(basis, a)
     lhs = -2.0 * covariant_gradient_inner(mesh, U, W)
-    xi_t = split_tangent_normal(mesh, basis[i], frames=frames).tangential
-    combo_t = split_tangent_normal(mesh, W, frames=frames).tangential
+    xi_t = moebius_tangential(mesh)[i]
+    combo_t = split_tangent_normal(mesh, W).tangential
     rhs = -2.0 * integrate(mesh, f * _pointwise_dot(xi_t, combo_t))
     return lhs, rhs
 
 
-def el_soufi_lower_bound_check(mesh, ops=None, basis=None):
+def el_soufi_lower_bound_check(mesh):
     """Negative definiteness of the Moebius-span energy Gram matrix.
 
     Returns (matrix, negative_definite, claim_valid): the (n+1)x(n+1) matrix
@@ -171,15 +150,12 @@ def el_soufi_lower_bound_check(mesh, ops=None, basis=None):
     eigenvalues are negative, and whether the lower bound ind_E >= n+1 may be
     claimed (the surface must not sit in a geodesic S^2).
     """
-    if ops is None:
-        ops = form_operators(mesh)
-    if basis is None:
-        basis = moebius_basis(mesh)
+    basis = moebius_basis(mesh)
     d = mesh.n + 1
     B = np.empty((d, d))
     for i in range(d):
         for j in range(i, d):
-            B[i, j] = B[j, i] = energy_form_coordinate(mesh, basis[i], basis[j], ops=ops)
+            B[i, j] = B[j, i] = energy_form_coordinate(mesh, basis[i], basis[j])
     evals = np.linalg.eigvalsh(B)
     negative_definite = bool(evals[-1] < 0.0)
     claim_valid = not contained_in_geodesic_s2(mesh)
@@ -239,17 +215,18 @@ class CertificateReport:
         }
 
 
-def _certificate_for_eigenfunction(mesh, f, lam, ops, basis, frames, gram, weights):
+def _certificate_for_eigenfunction(mesh, f, lam):
     """Selection + projection + evaluation for one eigenfunction."""
     n = mesh.n
     d = n + 1
     d2e = np.empty(d)
     normal_mass = np.empty(d)
-    splits = [split_tangent_normal(mesh, basis[i], frames=frames) for i in range(d)]
+    basis = moebius_basis(mesh)
+    normals = basis - moebius_tangential(mesh)
     for i in range(d):
         Xi = f[:, None] * basis[i]
-        d2e[i] = energy_form_coordinate(mesh, Xi, ops=ops)
-        fn = f[:, None] * splits[i].normal
+        d2e[i] = energy_form_coordinate(mesh, Xi)
+        fn = f[:, None] * normals[i]
         normal_mass[i] = integrate(mesh, _pointwise_dot(fn, fn))
     mass_floor = 1e-12 * max(float(np.max(normal_mass)), 1.0)
     usable = normal_mass > mass_floor
@@ -261,14 +238,13 @@ def _certificate_for_eigenfunction(mesh, f, lam, ops, basis, frames, gram, weigh
         i0 = int(np.argmin(d2e))
         ratio_defined = False
     X0 = f[:, None] * basis[i0]
-    X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(
-        mesh, X0, weights=weights, gram=gram, basis=basis)
-    d2e_value = energy_form_coordinate(mesh, X_perp, ops=ops)
+    X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, X0)
+    d2e_value = energy_form_coordinate(mesh, X_perp)
 
     # proof decomposition: D^2E(X) = D^2E(f xi_i0) - 2 int |a_j xi_j^N|^2
     #                                + 4 int f xi_i0^N . (a_j xi_j^N)
-    combo_n = np.einsum("j,jvd->vd", a, np.stack([s.normal for s in splits]))
-    fxi_n = f[:, None] * splits[i0].normal
+    combo_n = np.einsum("j,jvd->vd", a, normals)
+    fxi_n = f[:, None] * normals[i0]
     decomposition = (d2e[i0]
                      - 2.0 * integrate(mesh, _pointwise_dot(combo_n, combo_n))
                      + 4.0 * integrate(mesh, _pointwise_dot(fxi_n, combo_n)))
@@ -295,10 +271,8 @@ def build_certificate(mesh, k=8, seed=0, synthetic_lambda=None, surface_name=Non
     if contained_in_geodesic_s2(mesh):
         raise UnsupportedSurfaceError(
             "certificate pipeline requires a surface not contained in a geodesic S^2")
-    S = assemble_stiffness(mesh)
-    M = assemble_mass(mesh, "consistent")
-    ops = FormOperators(S=S, M=M)
-    pairs = solve_smallest_eigenpairs(S, M, k=k, order=dissection_order(mesh), seed=seed)
+    pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=k,
+                                      order=dissection_order(mesh), seed=seed)
     clusters = eigen_clusters(pairs)
     if len(clusters) < 2:
         raise SolverError("k too small: no nonzero eigenvalue cluster resolved")
@@ -307,15 +281,7 @@ def build_certificate(mesh, k=8, seed=0, synthetic_lambda=None, surface_name=Non
     lam_used = float(synthetic_lambda) if synthetic_lambda is not None else lambda1
     thr = threshold(mesh.n)
 
-    basis = moebius_basis(mesh)
-    frames = surface_tangent_frames(mesh)
-    weights = vertex_weights(mesh)
-    gram = moebius_gram(mesh, weights=weights)
-
-    members = []
-    for j in first:
-        members.append(_certificate_for_eigenfunction(
-            mesh, pairs[j].field, lam_used, ops, basis, frames, gram, weights))
+    members = [_certificate_for_eigenfunction(mesh, pairs[j].field, lam_used) for j in first]
     main = members[0]
 
     residual_ok = bool(np.max(main["residuals"]) <= ORTHOGONALITY_TOL)

@@ -15,7 +15,12 @@ import sys
 import numpy as np
 
 from .catalog import CATALOG, build_by_name, minimality_residual
-from .certificates import build_certificate, el_soufi_lower_bound_check, threshold
+from .certificates import (
+    ORTHOGONALITY_TOL,
+    build_certificate,
+    el_soufi_lower_bound_check,
+    threshold,
+)
 from .errors import (
     ContractError,
     MeshError,
@@ -154,9 +159,8 @@ def cmd_spectrum(args):
     if cfg["k"] < 1:
         raise ParameterError(f"k={cfg['k']} must be at least 1")
     mesh = build_surface(cfg)
-    S = assemble_stiffness(mesh)
-    M = assemble_mass(mesh, "consistent")
-    pairs = solve_smallest_eigenpairs(S, M, k=cfg["k"], order=dissection_order(mesh),
+    pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh),
+                                      k=cfg["k"], order=dissection_order(mesh),
                                       seed=cfg["seed"])
     out = cfg["out"] or "spectrum.csv"
     write_spectrum_csv(pairs, out)
@@ -286,7 +290,7 @@ def cmd_certificate(args):
                                synthetic_lambda=cfg["synthetic_lambda"])
     payload = report.to_dict()
     payload["tolerances"] = {
-        "orthogonality_residual": 1e-8,
+        "orthogonality_residual": ORTHOGONALITY_TOL,
         "provenance": "projection coefficients from the Moebius Gram system",
     }
     print(f"surface={report.surface} lambda1={report.lambda1:.6f} "

@@ -4,18 +4,19 @@ A SurfaceMesh stores vertices (all on the unit sphere), oriented triangular
 faces, and optional analytic chart data for catalog surfaces (per-vertex
 tangent frames, unit normal when the surface has codimension one in S^3, and
 the squared norm of the second fundamental form). Its vertices and faces are
-read-only, and its MeshGeometry computes each per-mesh geometric quantity
-once, at first use.
+read-only. Every per-mesh quantity (geometry, operators, frames, Moebius
+fields) is a function of the mesh decorated with per_mesh, which computes it
+once, at first use, and holds it on the mesh.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import MeshError, ParameterError
 
@@ -24,7 +25,7 @@ FRAME_SKIP_TOL = 1e-6
 GEODESIC_RANK_CUTOFF = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class Chart:
     """Analytic per-vertex data for exactly-known surfaces.
 
@@ -33,11 +34,19 @@ class Chart:
     normsq_A : squared norm of the second fundamental form, a constant or a
         per-vertex array; only meaningful for surfaces in S^3.
     unit_normal : (V, n+1) unit normal of the surface inside S^3, or None.
+
+    Frozen, and its arrays are made read-only in place, so the frames held
+    for a mesh cannot change after construction.
     """
 
     tangent_frames: np.ndarray
     normsq_A: Union[float, np.ndarray, None] = None
     unit_normal: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        for value in (self.tangent_frames, self.normsq_A, self.unit_normal):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 class FaceGram(NamedTuple):
@@ -49,78 +58,35 @@ class FaceGram(NamedTuple):
     det: np.ndarray
 
 
-def _held(compute):
-    """A cached property whose arrays are made read-only before they are held."""
+def per_mesh(compute):
+    """Hold ``compute(mesh)`` on the mesh: computed at first use, then returned as is.
+
+    The value lives in the mesh's memo, so it lives exactly as long as the
+    mesh. Its arrays, and the buffers of a sparse matrix, are made read-only
+    before they are held; the mesh is frozen, so a held value cannot go stale.
+    """
 
     @functools.wraps(compute)
-    def read_only(self):
-        value = compute(self)
-        for array in value if isinstance(value, tuple) else (value,):
-            array.flags.writeable = False
-        return value
+    def held(mesh):
+        memo = mesh._memo
+        if compute not in memo:
+            value = compute(mesh)
+            for part in value if isinstance(value, tuple) else (value,):
+                arrays = (part.data, part.indices, part.indptr) if sp.issparse(part) else (part,)
+                for array in arrays:
+                    array.flags.writeable = False
+            memo[compute] = value
+        return memo[compute]
 
-    return cached_property(read_only)
-
-
-class MeshGeometry:
-    """Per-mesh geometric quantities, each computed at its first use and then held."""
-
-    def __init__(self, vertices, faces):
-        self.vertices = vertices
-        self.faces = faces
-
-    def corner_vectors(self):
-        """Edge vectors (B - A, C - A) per face, each (F, n+1).
-
-        One gather, so it is recomputed at each use rather than held: held,
-        the two (F, n+1) arrays would outweigh everything else here.
-        """
-        x, f = self.vertices, self.faces
-        return x[f[:, 1]] - x[f[:, 0]], x[f[:, 2]] - x[f[:, 0]]
-
-    @_held
-    def gram(self):
-        u, w = self.corner_vectors()
-        guu = np.einsum("fd,fd->f", u, u)
-        gww = np.einsum("fd,fd->f", w, w)
-        guw = np.einsum("fd,fd->f", u, w)
-        return FaceGram(guu, gww, guw, guu * gww - guw * guw)
-
-    @_held
-    def face_areas(self):
-        """Triangle areas from the ambient Gram determinant (any codimension)."""
-        return 0.5 * np.sqrt(np.maximum(self.gram.det, 0.0))
-
-    @_held
-    def vertex_weights(self):
-        """Barycentric quadrature weights: a third of each incident face area."""
-        w = np.zeros(self.vertices.shape[0])
-        for corner in range(3):
-            np.add.at(w, self.faces[:, corner], self.face_areas / 3.0)
-        return w
-
-    @_held
-    def face_directions(self):
-        """Orthonormal in-plane directions (d1, d2) per face, each (F, n+1)."""
-        u, w = self.corner_vectors()
-        d1 = u / np.linalg.norm(u, axis=1, keepdims=True)
-        w_perp = w - np.einsum("fd,fd->f", w, d1)[:, None] * d1
-        d2 = w_perp / np.linalg.norm(w_perp, axis=1, keepdims=True)
-        return d1, d2
-
-    @_held
-    def face_centroids(self):
-        """Face centroids pushed radially onto the unit sphere, (F, n+1)."""
-        c = self.vertices[self.faces].mean(axis=1)
-        return c / np.linalg.norm(c, axis=1, keepdims=True)
+    return held
 
 
 @dataclass(frozen=True)
 class SurfaceMesh:
     """Closed orientable triangulated surface with vertices on S^n.
 
-    The mesh is frozen and its arrays are read-only copies, so the
-    quantities held by ``geometry`` cannot go stale; a changed surface is a
+    The mesh is frozen and its arrays are read-only copies, so the values
+    held in its memo (see per_mesh) cannot go stale; a changed surface is a
     new SurfaceMesh.
     """
 
@@ -131,6 +97,7 @@ class SurfaceMesh:
     genus: Optional[int] = None
     chart: Optional[Chart] = None
     full: Optional[bool] = None   # spans all of R^{n+1} (not an equatorial inclusion)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vertices = np.array(self.vertices, dtype=float, order="C")
@@ -144,10 +111,6 @@ class SurfaceMesh:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "faces", faces)
 
-    @cached_property
-    def geometry(self):
-        return MeshGeometry(self.vertices, self.faces)
-
     @property
     def num_vertices(self):
         return self.vertices.shape[0]
@@ -158,13 +121,39 @@ class SurfaceMesh:
 
 
 def face_corner_vectors(mesh):
-    """Edge vectors (B-A, C-A) per face, each of shape (F, n+1)."""
-    return mesh.geometry.corner_vectors()
+    """Edge vectors (B-A, C-A) per face, each of shape (F, n+1).
+
+    One gather, so it is recomputed at each use rather than held: held, the
+    two (F, n+1) arrays would outweigh every other per-face quantity.
+    """
+    x, f = mesh.vertices, mesh.faces
+    return x[f[:, 1]] - x[f[:, 0]], x[f[:, 2]] - x[f[:, 0]]
 
 
+@per_mesh
+def face_gram(mesh):
+    """Gram data of the corner vectors, with its determinant, read-only."""
+    u, w = face_corner_vectors(mesh)
+    guu = np.einsum("fd,fd->f", u, u)
+    gww = np.einsum("fd,fd->f", w, w)
+    guw = np.einsum("fd,fd->f", u, w)
+    return FaceGram(guu, gww, guw, guu * gww - guw * guw)
+
+
+@per_mesh
 def face_areas(mesh):
-    """Triangle areas from the ambient Gram determinant (any codimension)."""
-    return mesh.geometry.face_areas
+    """Triangle areas from the ambient Gram determinant (any codimension), read-only."""
+    return 0.5 * np.sqrt(np.maximum(face_gram(mesh).det, 0.0))
+
+
+@per_mesh
+def face_orthonormal_basis(mesh):
+    """Orthonormal in-plane directions (d1, d2) per face, each (F, n+1), read-only."""
+    u, w = face_corner_vectors(mesh)
+    d1 = u / np.linalg.norm(u, axis=1, keepdims=True)
+    w_perp = w - np.einsum("fd,fd->f", w, d1)[:, None] * d1
+    d2 = w_perp / np.linalg.norm(w_perp, axis=1, keepdims=True)
+    return d1, d2
 
 
 def edge_lengths(mesh):
@@ -198,7 +187,7 @@ def validate_mesh(mesh, unit_tol=UNIT_SPHERE_TOL):
     f = mesh.faces
     if f.min() < 0 or f.max() >= mesh.num_vertices:
         raise MeshError("face index out of range")
-    if np.any(mesh.geometry.face_areas <= 0.0):
+    if np.any(face_areas(mesh) <= 0.0):
         raise MeshError("degenerate (zero-area) triangle")
     # each directed edge (a, b) as the key a * V + b, sorted
     V = mesh.num_vertices
@@ -218,7 +207,7 @@ def validate_mesh(mesh, unit_tol=UNIT_SPHERE_TOL):
 
 
 def total_area(mesh):
-    return float(mesh.geometry.face_areas.sum())
+    return float(face_areas(mesh).sum())
 
 
 def contained_in_geodesic_s2(mesh, cutoff=GEODESIC_RANK_CUTOFF):
@@ -260,6 +249,7 @@ def frames_from_projectors(proj, count, skip_tol=FRAME_SKIP_TOL):
     return frames
 
 
+@per_mesh
 def sphere_tangent_frames(mesh):
     """(V, n, n+1) orthonormal basis of T_x S^n (everything orthogonal to x)."""
     x = mesh.vertices
@@ -268,6 +258,7 @@ def sphere_tangent_frames(mesh):
     return frames_from_projectors(proj, mesh.n)
 
 
+@per_mesh
 def surface_tangent_frames(mesh):
     """(V, 2, n+1) orthonormal basis of the discrete tangent plane of Sigma.
 
@@ -280,8 +271,8 @@ def surface_tangent_frames(mesh):
     x = mesh.vertices
     d = mesh.n + 1
     V = mesh.num_vertices
-    areas = mesh.geometry.face_areas
-    b1, b2 = mesh.geometry.face_directions
+    areas = face_areas(mesh)
+    b1, b2 = face_orthonormal_basis(mesh)
     face_proj = np.einsum("fi,fj->fij", b1, b1) + np.einsum("fi,fj->fij", b2, b2)
     acc = np.zeros((V, d, d))
     for corner in range(3):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, MeshError
-from .mesh import surface_tangent_frames
-from .operators import surface_gradient
+from .errors import ContractError
+from .mesh import per_mesh, surface_tangent_frames
+from .operators import surface_gradient, vertex_weights
 
 SPHERE_TANGENCY_TOL = 1e-10
 GRAM_SINGULAR_REL = 1e-12
@@ -30,8 +30,9 @@ def moebius_field(mesh, v):
     return v[None, :] - (x @ v)[:, None] * x
 
 
+@per_mesh
 def moebius_basis(mesh):
-    """All n+1 coordinate Moebius fields, shape (n+1, V, n+1)."""
+    """All n+1 coordinate Moebius fields, shape (n+1, V, n+1), read-only."""
     d = mesh.n + 1
     return np.stack([moebius_field(mesh, np.eye(d)[i]) for i in range(d)])
 
@@ -56,16 +57,22 @@ class SplitField:
     normal: np.ndarray       # (V, n+1), sphere-tangent and Sigma-normal
 
 
-def split_tangent_normal(mesh, X, frames=None):
+def split_tangent_normal(mesh, X):
     """Project X onto the discrete tangent plane; the rest is the normal part."""
     X = check_sphere_tangent(mesh, X)
-    if frames is None:
-        frames = surface_tangent_frames(mesh)
-    if frames.shape[0] != mesh.num_vertices:
-        raise MeshError("tangent frames do not match the mesh")
+    frames = surface_tangent_frames(mesh)
     coeff = np.einsum("vkd,vd->vk", frames, X)
     tangential = np.einsum("vkd,vk->vd", frames, coeff)
     return SplitField(tangential=tangential, normal=X - tangential)
+
+
+@per_mesh
+def moebius_tangential(mesh):
+    """Tangential parts xi_i^T of the Moebius basis, (n+1, V, n+1), read-only.
+
+    The normal parts are moebius_basis(mesh) minus these.
+    """
+    return np.stack([split_tangent_normal(mesh, xi).tangential for xi in moebius_basis(mesh)])
 
 
 def field_inner(weights, X, Y):
@@ -81,10 +88,10 @@ def field_norm(weights, X):
     return float(np.sqrt(max(field_inner(weights, X, X), 0.0)))
 
 
-def moebius_gram(mesh, weights=None):
-    """(n+1)x(n+1) matrix of int xi_i . xi_j dmu."""
-    if weights is None:
-        weights = mesh.geometry.vertex_weights
+@per_mesh
+def moebius_gram(mesh):
+    """(n+1)x(n+1) matrix of int xi_i . xi_j dmu, read-only."""
+    weights = vertex_weights(mesh)
     basis = moebius_basis(mesh)
     d = mesh.n + 1
     G = np.empty((d, d))
@@ -94,7 +101,7 @@ def moebius_gram(mesh, weights=None):
     return G
 
 
-def project_orthogonal_to_moebius(mesh, X, weights=None, gram=None, basis=None):
+def project_orthogonal_to_moebius(mesh, X):
     """Remove the Moebius components: X_perp = X - sum_j a_j xi_j.
 
     Coefficients solve G a = (int X . xi_j)_j; a singular Gram matrix falls
@@ -102,12 +109,9 @@ def project_orthogonal_to_moebius(mesh, X, weights=None, gram=None, basis=None):
     (X_perp, a, residuals, degenerate_gram) with residuals normalized by
     ||X||_{L2} ||xi_j||_{L2}.
     """
-    if weights is None:
-        weights = mesh.geometry.vertex_weights
-    if basis is None:
-        basis = moebius_basis(mesh)
-    if gram is None:
-        gram = moebius_gram(mesh, weights=weights)
+    weights = vertex_weights(mesh)
+    basis = moebius_basis(mesh)
+    gram = moebius_gram(mesh)
     X = check_sphere_tangent(mesh, X)
     b = np.array([field_inner(weights, X, xi) for xi in basis])
     evals = np.linalg.eigvalsh(gram)
@@ -126,7 +130,7 @@ def project_orthogonal_to_moebius(mesh, X, weights=None, gram=None, basis=None):
     return X_perp, a, residuals, degenerate
 
 
-def pointwise_identity_report(mesh, frames=None):
+def pointwise_identity_report(mesh):
     """Max pointwise errors of the Moebius-field identities, per coordinate.
 
     Returns a dict with, for each coordinate index i:
@@ -137,9 +141,8 @@ def pointwise_identity_report(mesh, frames=None):
     """
     x = mesh.vertices
     d = mesh.n + 1
-    if frames is None:
-        frames = surface_tangent_frames(mesh)
     basis = moebius_basis(mesh)
+    tangential = moebius_tangential(mesh)
     tri = mesh.faces
 
     # unique undirected edges with their unit-sphere midpoints
@@ -159,8 +162,7 @@ def pointwise_identity_report(mesh, frames=None):
         norm_sq_all += sq
         err_norm = float(np.max(np.abs(sq - (1.0 - x[:, i] ** 2))))
 
-        split = split_tangent_normal(mesh, xi, frames=frames)
-        tansq = np.einsum("vd,vd->v", split.tangential, split.tangential)
+        tansq = np.einsum("vd,vd->v", tangential[i], tangential[i])
         # compare per face: analytic tangential norm at the centroid vs the
         # P1 gradient of the coordinate function on the same face
         g = surface_gradient(mesh, x[:, i])
@@ -184,12 +186,9 @@ def pointwise_identity_report(mesh, frames=None):
     return report
 
 
-def sum_normal_sq(mesh, frames=None):
+def sum_normal_sq(mesh):
     """Per-vertex sum_i |xi_i^N|^2 (equals n-2 on minimal surfaces)."""
-    if frames is None:
-        frames = surface_tangent_frames(mesh)
     total = np.zeros(mesh.num_vertices)
-    for xi in moebius_basis(mesh):
-        split = split_tangent_normal(mesh, xi, frames=frames)
-        total += np.einsum("vd,vd->v", split.normal, split.normal)
+    for normal in moebius_basis(mesh) - moebius_tangential(mesh):
+        total += np.einsum("vd,vd->v", normal, normal)
     return total

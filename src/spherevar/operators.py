@@ -1,7 +1,7 @@
 """P1 finite-element operators on a SurfaceMesh.
 
-Cotangent stiffness, barycentric (lumped) and consistent mass, per-face
-gradients of linear interpolants, quadrature, the low end of the
+Cotangent stiffness, consistent mass, barycentric quadrature weights,
+per-face gradients of linear interpolants, quadrature, the low end of the
 Laplace-Beltrami eigenproblem S f = lambda M f, and the symmetric sparse
 factorizations behind every shift-invert eigensolve and inertia count.
 """
@@ -15,21 +15,22 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContractError, MeshError, SolverError
-from .mesh import edge_lengths
+from .mesh import edge_lengths, face_areas, face_corner_vectors, face_gram, per_mesh
 
 DEFAULT_EIG_TOL = 1e-8
 CLUSTER_REL_TOL = 1e-3
 DISSECTION_LEAF_SIZE = 16   # parts this small keep their vertex-index order
 
 
+@per_mesh
 def assemble_stiffness(mesh):
-    """Cotangent-weight stiffness matrix (PSD, constants in the kernel).
+    """Cotangent-weight stiffness matrix (PSD, constants in the kernel), held.
 
     Built intrinsically from edge lengths, so it works in any ambient
     dimension.
     """
     l0, l1, l2 = edge_lengths(mesh)
-    areas = mesh.geometry.face_areas
+    areas = face_areas(mesh)
     if np.any(areas <= 0.0):
         raise MeshError("zero-area triangle in stiffness assembly")
     # cot(angle at corner k) = (sum of adjacent squared lengths - opposite^2) / (4 area)
@@ -48,15 +49,15 @@ def assemble_stiffness(mesh):
     return (off + sp.diags(diag)).tocsr()
 
 
-def assemble_mass(mesh, mode="consistent"):
-    """Mass matrix: 'consistent' (P1 Gram) or 'lumped' (barycentric diagonal)."""
-    areas = mesh.geometry.face_areas
+@per_mesh
+def assemble_mass(mesh):
+    """Consistent mass matrix (the P1 Gram matrix), held.
+
+    The lumped (barycentric) mass is its row sums, diags(vertex_weights).
+    """
+    areas = face_areas(mesh)
     if np.any(areas <= 0.0):
         raise MeshError("zero-area triangle in mass assembly")
-    if mode == "lumped":
-        return sp.diags(mesh.geometry.vertex_weights).tocsr()
-    if mode != "consistent":
-        raise ContractError(f"unknown mass mode {mode!r}")
     return _p1_gram(mesh, areas)
 
 
@@ -73,9 +74,15 @@ def _p1_gram(mesh, areas):
     return sp.coo_matrix((vals, (rows, cols)), shape=(V, V)).tocsr()
 
 
+@per_mesh
 def vertex_weights(mesh):
-    """Barycentric quadrature weights (row sums of the mass matrix), read-only."""
-    return mesh.geometry.vertex_weights
+    """Barycentric quadrature weights, a third of each incident face area
+    (row sums of the mass matrix), read-only."""
+    w = np.zeros(mesh.num_vertices)
+    third = face_areas(mesh) / 3.0
+    for corner in range(3):
+        np.add.at(w, mesh.faces[:, corner], third)
+    return w
 
 
 def integrate(mesh, values):
@@ -85,21 +92,20 @@ def integrate(mesh, values):
     as a piecewise constant. integrate(1) equals the total area.
     """
     values = np.asarray(values, dtype=float)
-    geometry = mesh.geometry
     if np.ndim(values) == 0:
-        return float(values) * float(geometry.face_areas.sum())
+        return float(values) * float(face_areas(mesh).sum())
     if values.shape[0] == mesh.num_vertices:
-        return float(geometry.vertex_weights @ values)
+        return float(vertex_weights(mesh) @ values)
     if values.shape[0] == mesh.num_faces:
-        return float(geometry.face_areas @ values)
+        return float(face_areas(mesh) @ values)
     raise ContractError(
         f"field length {values.shape[0]} matches neither vertex ({mesh.num_vertices}) "
         f"nor face ({mesh.num_faces}) count")
 
 
 def gradient_gram(mesh):
-    """The face Gram data, checked for the division the gradients make."""
-    gram = mesh.geometry.gram
+    """The held face Gram data, checked for the division the gradients make."""
+    gram = face_gram(mesh)
     if np.any(gram.det <= 0.0):
         raise MeshError("degenerate face in gradient computation")
     return gram
@@ -110,7 +116,7 @@ def surface_gradient(mesh, f):
     f = np.asarray(f, dtype=float)
     if f.shape != (mesh.num_vertices,):
         raise ContractError("scalar field length must equal vertex count")
-    u, w = mesh.geometry.corner_vectors()
+    u, w = face_corner_vectors(mesh)
     guu, gww, guw, det = gradient_gram(mesh)
     tri = mesh.faces
     du = f[tri[:, 1]] - f[tri[:, 0]]
@@ -120,14 +126,11 @@ def surface_gradient(mesh, f):
     return c1[:, None] * u + c2[:, None] * w
 
 
-def face_orthonormal_basis(mesh):
-    """Orthonormal in-plane directions (d1, d2) per face, each (F, n+1), read-only."""
-    return mesh.geometry.face_directions
-
-
+@per_mesh
 def face_centroids_on_sphere(mesh):
     """Face centroids pushed radially onto the unit sphere, (F, n+1), read-only."""
-    return mesh.geometry.face_centroids
+    c = mesh.vertices[mesh.faces].mean(axis=1)
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
 @dataclass
@@ -151,8 +154,9 @@ def eigen_clusters(pairs, rel_tol=CLUSTER_REL_TOL):
     return clusters
 
 
+@per_mesh
 def dissection_order(mesh):
-    """Nested-dissection order of the vertices, taken from their coordinates.
+    """Nested-dissection order of the vertices, taken from their coordinates, held.
 
     Each part is bisected at the median of its widest ambient coordinate.
     The lower-half vertices with an edge into the upper half form the

@@ -21,7 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContractError, ParameterError, SolverError, UnsupportedSurfaceError
-from .mesh import surface_tangent_frames, sphere_tangent_frames
+from .mesh import face_areas, sphere_tangent_frames
 from .mobius import check_sphere_tangent, split_tangent_normal
 from .operators import (
     _p1_gram,
@@ -29,6 +29,7 @@ from .operators import (
     assemble_stiffness,
     count_eigenvalues_below,
     dissection_order,
+    face_centroids_on_sphere,
     gradient_gram,
     integrate,
     shift_invert_operator,
@@ -38,24 +39,22 @@ DEFAULT_INDEX_DELTA = 0.1
 
 
 class FormOperators(NamedTuple):
-    """Scalar matrices shared by all form evaluations on one mesh."""
+    """The held stiffness and mass matrices of one mesh."""
 
     S: sp.csr_matrix
     M: sp.csr_matrix
 
 
 def form_operators(mesh):
-    return FormOperators(S=assemble_stiffness(mesh), M=assemble_mass(mesh, "consistent"))
+    return FormOperators(S=assemble_stiffness(mesh), M=assemble_mass(mesh))
 
 
-def energy_form_coordinate(mesh, X, Y=None, ops=None):
+def energy_form_coordinate(mesh, X, Y=None):
     """D^2E as a bilinear form: sum_i (X^i' S Y^i - 2 X^i' M Y^i)."""
-    if ops is None:
-        ops = form_operators(mesh)
     X = check_sphere_tangent(mesh, X)
     Y = X if Y is None else check_sphere_tangent(mesh, Y)
-    SY = ops.S @ Y
-    MY = ops.M @ Y
+    SY = assemble_stiffness(mesh) @ Y
+    MY = assemble_mass(mesh) @ Y
     return float(np.einsum("vd,vd->", X, SY) - 2.0 * np.einsum("vd,vd->", X, MY))
 
 
@@ -70,7 +69,7 @@ def covariant_face_derivatives(mesh, X):
     """
     X = np.asarray(X, dtype=float)
     guu, _, guw, det = gradient_gram(mesh)
-    centroid = mesh.geometry.face_centroids
+    centroid = face_centroids_on_sphere(mesh)
     tri = mesh.faces
     du = X[tri[:, 1]] - X[tri[:, 0]]   # (F, n+1)
     dw = X[tri[:, 2]] - X[tri[:, 0]]
@@ -85,13 +84,13 @@ def covariant_gradient_inner(mesh, X, Y=None):
     """int <D X, D Y> with D the per-face sphere-covariant derivative."""
     DX = covariant_face_derivatives(mesh, X)
     DY = DX if Y is None else covariant_face_derivatives(mesh, Y)
-    return float(mesh.geometry.face_areas @ np.einsum("fkc,fkc->f", DX, DY))
+    return float(face_areas(mesh) @ np.einsum("fkc,fkc->f", DX, DY))
 
 
-def energy_form_covariant(mesh, X, frames=None):
+def energy_form_covariant(mesh, X):
     """D^2E(X) = int |D X|^2 - 2 |X^N|^2 - |X^T|^2 (cross-check form)."""
     X = check_sphere_tangent(mesh, X)
-    split = split_tangent_normal(mesh, X, frames=frames)
+    split = split_tangent_normal(mesh, X)
     tansq = np.einsum("vd,vd->v", split.tangential, split.tangential)
     norsq = np.einsum("vd,vd->v", split.normal, split.normal)
     grad = covariant_gradient_inner(mesh, X)
@@ -114,22 +113,21 @@ def _normsq_A_values(mesh):
 def weighted_mass(mesh, weights):
     """Consistent mass with a per-face constant weight (centroid average)."""
     w_face = np.asarray(weights, dtype=float)[mesh.faces].mean(axis=1)
-    return _p1_gram(mesh, mesh.geometry.face_areas * w_face)
+    return _p1_gram(mesh, face_areas(mesh) * w_face)
 
 
-def area_jacobi_form(mesh, f, g=None, ops=None):
+def area_jacobi_form(mesh, f, g=None):
     """int grad f . grad g - 2 f g - |A|^2 f g (codimension one, n = 3 only)."""
     if mesh.n != 3:
         raise UnsupportedSurfaceError("area Jacobi form is defined for surfaces in S^3 only")
     a2 = _normsq_A_values(mesh)
-    if ops is None:
-        ops = form_operators(mesh)
     f = np.asarray(f, dtype=float)
     g = f if g is None else np.asarray(g, dtype=float)
     if f.shape != (mesh.num_vertices,) or g.shape != (mesh.num_vertices,):
         raise ContractError("scalar fields must have one value per vertex")
     MW = weighted_mass(mesh, a2)
-    return float(f @ (ops.S @ g) - 2.0 * f @ (ops.M @ g) - f @ (MW @ g))
+    S, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    return float(f @ (S @ g) - 2.0 * f @ (M @ g) - f @ (MW @ g))
 
 
 class QuadraticFormMatrix(NamedTuple):
@@ -138,7 +136,6 @@ class QuadraticFormMatrix(NamedTuple):
     Q: sp.csr_matrix
     M: sp.csr_matrix
     kind: str                  # "energy" | "areaJacobi"
-    frames: np.ndarray | None  # energy only: (V, n, n+1) DOF frame
     order: np.ndarray          # vertex elimination order (dissection_order)
 
 
@@ -158,36 +155,31 @@ def _frame_block_matrix(A, frames):
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(dim, dim)).tocsr()
 
 
-def energy_quadratic_matrix(mesh, ops=None, frames=None):
+def energy_quadratic_matrix(mesh):
     """Energy form over per-vertex orthonormal sphere-tangent frames.
 
-    DOF dimension is n * V; the frame removes the radial directions, so the
-    pencil has no artificial zero modes.
+    DOF dimension is n * V; the frame (sphere_tangent_frames) removes the
+    radial directions, so the pencil has no artificial zero modes.
     """
-    if ops is None:
-        ops = form_operators(mesh)
-    if frames is None:
-        frames = sphere_tangent_frames(mesh)
-    A = (ops.S - 2.0 * ops.M).tocsr()
+    frames = sphere_tangent_frames(mesh)
+    M = assemble_mass(mesh)
+    A = (assemble_stiffness(mesh) - 2.0 * M).tocsr()
     Q = _frame_block_matrix(A, frames)
-    MQ = _frame_block_matrix(ops.M, frames)
+    MQ = _frame_block_matrix(M, frames)
     Q = 0.5 * (Q + Q.T)
     MQ = 0.5 * (MQ + MQ.T)
     return QuadraticFormMatrix(Q=Q.tocsr(), M=MQ.tocsr(), kind="energy",
-                               frames=frames, order=dissection_order(mesh))
+                               order=dissection_order(mesh))
 
 
-def area_jacobi_matrix(mesh, ops=None):
+def area_jacobi_matrix(mesh):
     """Scalar area Jacobi pencil (S - 2M - |A|^2-weighted M, M), n = 3 only."""
     if mesh.n != 3:
         raise UnsupportedSurfaceError("area Jacobi form is defined for surfaces in S^3 only")
     a2 = _normsq_A_values(mesh)
-    if ops is None:
-        ops = form_operators(mesh)
-    MW = weighted_mass(mesh, a2)
-    Q = (ops.S - 2.0 * ops.M - MW).tocsr()
-    return QuadraticFormMatrix(Q=Q, M=ops.M.tocsr(), kind="areaJacobi",
-                               frames=None, order=dissection_order(mesh))
+    M = assemble_mass(mesh)
+    Q = (assemble_stiffness(mesh) - 2.0 * M - weighted_mass(mesh, a2)).tocsr()
+    return QuadraticFormMatrix(Q=Q, M=M, kind="areaJacobi", order=dissection_order(mesh))
 
 
 class IndexCount(NamedTuple):

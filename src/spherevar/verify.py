@@ -17,22 +17,25 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import minimality_residual
-from .mesh import mesh_size, surface_tangent_frames
+from .mesh import face_areas, mesh_size
 from .mobius import (
     moebius_basis,
     moebius_field,
     moebius_gram,
+    moebius_tangential,
     pointwise_identity_report,
     split_tangent_normal,
     sum_normal_sq,
 )
-from .operators import dissection_order, integrate, solve_smallest_eigenpairs
-from .secondvar import (
-    covariant_face_derivatives,
-    energy_form_coordinate,
-    energy_form_covariant,
-    form_operators,
+from .operators import (
+    assemble_mass,
+    assemble_stiffness,
+    dissection_order,
+    integrate,
+    solve_smallest_eigenpairs,
+    vertex_weights,
 )
+from .secondvar import covariant_face_derivatives, energy_form_coordinate, energy_form_covariant
 from .sampling import random_bandlimited_field, random_polynomial_scalar, random_unit_direction
 
 MINIMALITY_GATE = 0.05
@@ -102,11 +105,11 @@ class MoebiusTerms(NamedTuple):
     derivatives: np.ndarray  # (n+1, F, 2, n+1): covariant_face_derivatives of xi_j
 
 
-def moebius_terms(mesh, basis, frames):
-    tangential = np.stack([split_tangent_normal(mesh, xi, frames=frames).tangential
-                           for xi in basis])
+def moebius_terms(mesh):
+    basis = moebius_basis(mesh)
     derivatives = np.stack([covariant_face_derivatives(mesh, xi) for xi in basis])
-    return MoebiusTerms(basis=basis, tangential=tangential, derivatives=derivatives)
+    return MoebiusTerms(basis=basis, tangential=moebius_tangential(mesh),
+                        derivatives=derivatives)
 
 
 def identity_matrices(mesh, f, terms):
@@ -118,18 +121,35 @@ def identity_matrices(mesh, f, terms):
     against the combination sum_j a_j xi_j.
     """
     f = np.asarray(f, dtype=float)
-    weighted = mesh.geometry.vertex_weights * f
+    weighted = vertex_weights(mesh) * f
 
     def contract(X):
         return np.tensordot(X * weighted[None, :, None], X, axes=([1, 2], [1, 2]))
 
     basis, tangential = terms.basis, terms.tangential
-    areas = mesh.geometry.face_areas[:, None, None]
+    areas = face_areas(mesh)[:, None, None]
     D = np.stack([
         np.tensordot(covariant_face_derivatives(mesh, f[:, None] * xi) * areas,
                      terms.derivatives, axes=([0, 1, 2], [1, 2, 3]))
         for xi in basis])
     return contract(basis), contract(tangential), contract(basis - tangential), D
+
+
+def form_equivalence_error(mesh, rng, num_fields):
+    """Worst relative gap between the coordinate and covariant energy forms.
+
+    Taken over num_fields random band-limited fields drawn from rng, each gap
+    relative to the field's H^1 norm squared, X'SX + X'MX.
+    """
+    S, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    worst = 0.0
+    for _ in range(num_fields):
+        X = random_bandlimited_field(mesh, rng)
+        coord = energy_form_coordinate(mesh, X)
+        cov = energy_form_covariant(mesh, X)
+        sobolev = float(np.einsum("vd,vd->", X, S @ X) + np.einsum("vd,vd->", X, M @ X))
+        worst = max(worst, abs(coord - cov) / sobolev)
+    return worst
 
 
 def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=10,
@@ -150,14 +170,9 @@ def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=1
     if not report.checks[-1].passed:
         return report
 
-    ops = form_operators(mesh)
-    M = ops.M
-    weights = mesh.geometry.vertex_weights
-    basis = moebius_basis(mesh)
-    frames = surface_tangent_frames(mesh)
     area = integrate(mesh, 1.0)
 
-    pw = pointwise_identity_report(mesh, frames=frames)
+    pw = pointwise_identity_report(mesh)
     coords = [pw[i] for i in range(n + 1)]
     report.checks.append(_check(
         "moebius-norm-identity", max(c["norm_sq"] for c in coords),
@@ -171,13 +186,13 @@ def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=1
         "covariant-derivative", max(c["covariant"] for c in coords),
         0.05 * h, "oracle"))
 
-    G = moebius_gram(mesh, weights=weights)
+    G = moebius_gram(mesh)
     report.checks.append(_check(
         "gram-trace", abs(np.trace(G) - n * area) / (n * area),
         AGGREGATE_ALGEBRAIC_TOL, "algebraic"))
 
     if n >= 3:
-        s = sum_normal_sq(mesh, frames=frames)
+        s = sum_normal_sq(mesh)
         report.checks.append(_check(
             "sum-normal-sq", float(np.max(np.abs(s - (n - 2)))) / (n - 2),
             tol, "theorem"))
@@ -188,23 +203,15 @@ def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=1
     directions += [random_unit_direction(rng, n + 1) for _ in range(num_directions)]
     for v in directions:
         xi = moebius_field(mesh, v)
-        split = split_tangent_normal(mesh, xi, frames=frames)
+        split = split_tangent_normal(mesh, xi)
         nm = integrate(mesh, np.einsum("vd,vd->v", split.normal, split.normal))
-        d2e = energy_form_coordinate(mesh, xi, ops=ops)
+        d2e = energy_form_coordinate(mesh, xi)
         nrm = integrate(mesh, np.einsum("vd,vd->v", xi, xi))
         worst = max(worst, abs(d2e + 2.0 * nm) / max(nm, 0.01 * nrm))
     report.checks.append(_check("d2e-moebius-fields", worst, tol, "theorem"))
 
-    # coordinate vs covariant energy form on random band-limited fields
-    worst = 0.0
-    for _ in range(num_fields):
-        X = random_bandlimited_field(mesh, rng)
-        coord = energy_form_coordinate(mesh, X, ops=ops)
-        cov = energy_form_covariant(mesh, X, frames=frames)
-        sobolev = float(np.einsum("vd,vd->", X, ops.S @ X)
-                        + np.einsum("vd,vd->", X, ops.M @ X))
-        worst = max(worst, abs(coord - cov) / sobolev)
-    report.checks.append(_check("form-equivalence", worst, tol, "theorem"))
+    report.checks.append(_check(
+        "form-equivalence", form_equivalence_error(mesh, rng, num_fields), tol, "theorem"))
 
     # canonical-variation sum identity for random functions
     from .certificates import prop1_sum
@@ -212,15 +219,16 @@ def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=1
     worst = 0.0
     for _ in range(num_random_f):
         f = random_polynomial_scalar(mesh, rng)
-        lhs, rhs = prop1_sum(mesh, f, ops=ops, basis=basis)
+        lhs, rhs = prop1_sum(mesh, f)
         worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + area))
     report.checks.append(_check("prop1-random", worst, tol, "theorem"))
 
-    pairs = solve_smallest_eigenpairs(ops.S, M, k=k, order=dissection_order(mesh), seed=seed)
+    pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=k,
+                                      order=dissection_order(mesh), seed=seed)
     low = [p for p in pairs if p.lam <= EIGENVALUE_CAP]
     worst = 0.0
     for p in low:
-        lhs, rhs = prop1_sum(mesh, p.field, ops=ops, basis=basis)
+        lhs, rhs = prop1_sum(mesh, p.field)
         worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + area))
     report.checks.append(_check("prop1-eigen", worst, tol, "theorem"))
 
@@ -228,7 +236,7 @@ def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=1
     # against num_coeffs random combinations a_j xi_j (row t uses i = t mod n+1)
     worst55 = worst_n = worst_mixed = 0.0
     nonconstant = [p for p in low if p.lam > 1e-6]
-    terms = moebius_terms(mesh, basis, frames)
+    terms = moebius_terms(mesh)
     rows = np.arange(num_coeffs) % (n + 1)
     for p in nonconstant:
         lam = p.lam

@@ -21,7 +21,7 @@ from spherevar.certificates import (
     threshold_chain_check,
 )
 from spherevar.cli import EXIT_VERIFICATION, main as cli_main
-from spherevar.mesh import jitter_vertices, surface_tangent_frames, write_off
+from spherevar.mesh import jitter_vertices, write_off
 from spherevar.mobius import (
     field_norm,
     moebius_basis,
@@ -116,23 +116,22 @@ def test_criterion_2_index_counts(clifford64, clifford128, sphere4):
     report(2, "index-counts", ok, str(counts))
 
 
-def test_criterion_3_moebius_identities(clifford64, clifford64_ops, sphere4, sphere4_ops):
+def test_criterion_3_moebius_identities(clifford64, sphere4):
     worst_alg = worst_sum = worst_d2e = 0.0
-    for mesh, ops in ((clifford64, clifford64_ops), (sphere4, sphere4_ops)):
+    for mesh in (clifford64, sphere4):
         n = mesh.n
-        frames = surface_tangent_frames(mesh)
-        pw = pointwise_identity_report(mesh, frames=frames)
+        pw = pointwise_identity_report(mesh)
         worst_alg = max(worst_alg, max(pw[i]["norm_sq"] for i in range(n + 1)))
-        s = sum_normal_sq(mesh, frames=frames)
+        s = sum_normal_sq(mesh)
         worst_sum = max(worst_sum, float(np.max(np.abs(s - (n - 2)))) / (n - 2))
         rng = np.random.default_rng(0)
         dirs = [np.eye(n + 1)[i] for i in range(n + 1)]
         dirs += [random_unit_direction(rng, n + 1) for _ in range(20)]
         for v in dirs:
             xi = moebius_field(mesh, v)
-            split = split_tangent_normal(mesh, xi, frames=frames)
+            split = split_tangent_normal(mesh, xi)
             nm = integrate(mesh, np.einsum("vd,vd->v", split.normal, split.normal))
-            d2e = energy_form_coordinate(mesh, xi, ops=ops)
+            d2e = energy_form_coordinate(mesh, xi)
             # scale floor 1% of ||xi||^2 covers directions with zero normal mass
             total = integrate(mesh, np.einsum("vd,vd->v", xi, xi))
             worst_d2e = max(worst_d2e, abs(d2e + 2.0 * nm) / max(nm, 0.01 * total))
@@ -144,12 +143,11 @@ def test_criterion_3_moebius_identities(clifford64, clifford64_ops, sphere4, sph
 def _form_equivalence_error(mesh, num=50, seed=0):
     rng = np.random.default_rng(seed)
     ops = form_operators(mesh)
-    frames = surface_tangent_frames(mesh)
     worst = 0.0
     for _ in range(num):
         X = random_bandlimited_field(mesh, rng)
-        coord = energy_form_coordinate(mesh, X, ops=ops)
-        cov = energy_form_covariant(mesh, X, frames=frames)
+        coord = energy_form_coordinate(mesh, X)
+        cov = energy_form_covariant(mesh, X)
         scale = float(np.einsum("vd,vd->", X, ops.S @ X)
                       + np.einsum("vd,vd->", X, ops.M @ X))
         worst = max(worst, abs(coord - cov) / scale)
@@ -166,20 +164,17 @@ def test_criterion_4_form_equivalence(clifford64, clifford128):
            f"err64={e64:.2e} err128={e128:.2e} ratio={ratio:.3f}")
 
 
-def test_criterion_5_prop1_identity(clifford64, clifford64_ops, clifford64_pairs_acc,
-                                    sphere4, sphere4_ops, sphere4_pairs):
+def test_criterion_5_prop1_identity(clifford64, clifford64_pairs_acc, sphere4, sphere4_pairs):
     from spherevar.certificates import prop1_sum
 
     worst = 0.0
-    for mesh, ops, pairs in ((clifford64, clifford64_ops, clifford64_pairs_acc),
-                             (sphere4, sphere4_ops, sphere4_pairs)):
+    for mesh, pairs in ((clifford64, clifford64_pairs_acc), (sphere4, sphere4_pairs)):
         rng = np.random.default_rng(0)
         area = integrate(mesh, 1.0)
-        basis = moebius_basis(mesh)
         fields = [random_polynomial_scalar(mesh, rng) for _ in range(50)]
         fields += [p.field for p in pairs if p.lam <= 6.1]
         for f in fields:
-            lhs, rhs = prop1_sum(mesh, f, ops=ops, basis=basis)
+            lhs, rhs = prop1_sum(mesh, f)
             worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + area))
     ok = worst <= 0.02
     report(5, "prop1-identity", ok, f"worst={worst:.2e}")
@@ -190,7 +185,7 @@ def test_criterion_6_proof_identities(clifford64, clifford64_pairs_acc):
     # integrals that run_verification uses; no lambda = 4 denominator appears
     mesh = clifford64
     basis = moebius_basis(mesh)
-    terms = moebius_terms(mesh, basis, surface_tangent_frames(mesh))
+    terms = moebius_terms(mesh)
     w = vertex_weights(mesh)
     pairs = [p for p in clifford64_pairs_acc if 1.0 < p.lam < 6.0]
     assert len(pairs) == 8   # the lambda = 2 and lambda = 4 levels

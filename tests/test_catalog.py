@@ -5,6 +5,9 @@ import pytest
 
 from spherevar.catalog import (
     CATALOG,
+    _icosahedron,
+    _subdivide,
+    _torus_faces,
     build_by_name,
     build_clifford_torus,
     build_equatorial_sphere,
@@ -83,6 +86,57 @@ def test_minimality_residual_catalog(sphere4, clifford64):
 def test_minimality_residual_flags_non_minimal(sphere2):
     jittered = jitter_vertices(sphere2, 0.05, seed=1)
     assert minimality_residual(jittered).value > 0.5
+
+
+def _subdivide_by_loop(verts, faces):
+    """Reference for catalog._subdivide, one edge midpoint at a time."""
+    verts = list(verts)
+    cache = {}
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key not in cache:
+            m = verts[i] + verts[j]
+            verts.append(m / np.linalg.norm(m))
+            cache[key] = len(verts) - 1
+        return cache[key]
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+    return np.array(verts), np.array(out, dtype=np.int64)
+
+
+def _torus_faces_by_loop(res):
+    """Reference for catalog._torus_faces, one grid quad at a time."""
+    def vid(i, j):
+        return (i % res) * res + (j % res)
+
+    faces = []
+    for i in range(res):
+        for j in range(res):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
+            faces.append([v00, v10, v11])
+            faces.append([v00, v11, v01])
+    return np.array(faces, dtype=np.int64)
+
+
+def test_subdivision_matches_loop_reference():
+    verts, faces = _icosahedron()
+    ref_verts, ref_faces = verts, faces
+    for level in range(1, 6):
+        verts, faces = _subdivide(verts, faces)
+        ref_verts, ref_faces = _subdivide_by_loop(ref_verts, ref_faces)
+        assert np.array_equal(faces, ref_faces), level
+        # within one ulp
+        assert np.all(np.abs(verts - ref_verts) <= np.spacing(np.abs(ref_verts))), level
+
+
+@pytest.mark.parametrize("res", [8, 9, 16])
+def test_torus_faces_match_loop_reference(res):
+    assert np.array_equal(_torus_faces(res), _torus_faces_by_loop(res))
 
 
 def test_catalog_entries_buildable():

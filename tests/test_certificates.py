@@ -36,17 +36,17 @@ def test_threshold_chain_exact():
         assert threshold_chain_check(n, num_samples=1000)
 
 
-def test_prop1_constant_function(clifford64, clifford64_ops):
+def test_prop1_constant_function(clifford64):
     f = np.ones(clifford64.num_vertices)
-    lhs, rhs = prop1_sum(clifford64, f, ops=clifford64_ops)
+    lhs, rhs = prop1_sum(clifford64, f)
     # gradient term vanishes: rhs = -(2n-4) * area = -2 * 2pi^2
     assert rhs == pytest.approx(-2.0 * total_area(clifford64), rel=1e-10)
     assert lhs == pytest.approx(rhs, rel=0.02)
 
 
-def test_prop1_first_eigenfunction(clifford64, clifford64_ops, clifford64_pairs):
+def test_prop1_first_eigenfunction(clifford64, clifford64_pairs):
     p = clifford64_pairs[1]
-    lhs, rhs = prop1_sum(clifford64, p.field, ops=clifford64_ops)
+    lhs, rhs = prop1_sum(clifford64, p.field)
     # mass-normalized f: rhs = n*lambda - (2n-4) = 3*2 - 2 = 4
     assert rhs == pytest.approx(4.0, rel=0.01)
     assert lhs == pytest.approx(rhs, rel=0.02)

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spherevar.errors import MeshError, ParameterError
 from spherevar.mesh import (
     contained_in_geodesic_s2,
     face_areas,
+    face_gram,
+    face_orthonormal_basis,
     jitter_vertices,
     mesh_size,
     read_off,
@@ -17,7 +20,21 @@ from spherevar.mesh import (
     write_off,
     SurfaceMesh,
 )
-from spherevar.operators import vertex_weights
+from spherevar.mobius import moebius_basis, moebius_gram, moebius_tangential
+from spherevar.operators import (
+    assemble_mass,
+    assemble_stiffness,
+    dissection_order,
+    face_centroids_on_sphere,
+    gradient_gram,
+    vertex_weights,
+)
+
+# every function whose value is held on the mesh (per_mesh)
+HELD = [face_gram, face_areas, face_orthonormal_basis, sphere_tangent_frames,
+        surface_tangent_frames, vertex_weights, face_centroids_on_sphere,
+        assemble_stiffness, assemble_mass, dissection_order,
+        moebius_basis, moebius_gram, moebius_tangential]
 
 
 def test_validate_catalog_meshes(sphere4, clifford64, torus_s4):
@@ -148,9 +165,22 @@ def test_mesh_arrays_and_held_geometry_are_read_only(clifford16):
         face_areas(clifford16)[0] = 1.0
     with pytest.raises(AttributeError):
         clifford16.vertices = clifford16.vertices.copy()
+    with pytest.raises(AttributeError):
+        clifford16.chart.normsq_A = None
+    with pytest.raises(ValueError):
+        clifford16.chart.unit_normal[0, 0] = 0.0
     assert face_areas(clifford16) is face_areas(clifford16)
     assert vertex_weights(clifford16) is vertex_weights(clifford16)
-    assert clifford16.geometry.gram is clifford16.geometry.gram
+    assert gradient_gram(clifford16) is gradient_gram(clifford16)
+    # a held value is computed once per mesh and never shared with another mesh
+    jittered = jitter_vertices(clifford16, 0.01, seed=2)
+    for held in HELD:
+        value = held(clifford16)
+        assert held(clifford16) is value, held.__name__
+        assert held(jittered) is not value, held.__name__
+        for part in value if isinstance(value, tuple) else (value,):
+            arrays = (part.data, part.indices, part.indptr) if sp.issparse(part) else (part,)
+            assert not any(a.flags.writeable for a in arrays), held.__name__
 
 
 def test_mesh_copies_its_input_arrays():

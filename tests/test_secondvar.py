@@ -14,9 +14,9 @@ from spherevar.errors import (
     SolverError,
     UnsupportedSurfaceError,
 )
-from spherevar.mesh import face_areas, total_area
+from spherevar.mesh import face_areas, face_orthonormal_basis, total_area
 from spherevar.mobius import moebius_basis, moebius_field, split_tangent_normal
-from spherevar.operators import face_centroids_on_sphere, face_orthonormal_basis, surface_gradient
+from spherevar.operators import face_centroids_on_sphere, surface_gradient
 from spherevar.sampling import random_bandlimited_field
 from spherevar.secondvar import (
     area_jacobi_form,
@@ -33,10 +33,10 @@ from spherevar.secondvar import (
 SMALL_TORUS = build_clifford_torus(8)
 
 
-def test_energy_form_on_moebius_fields(clifford64, clifford64_ops):
+def test_energy_form_on_moebius_fields(clifford64):
     # D^2E(xi_i) = -2 int |xi_i^N|^2 = -pi^2 by symmetry on the Clifford torus
     for xi in moebius_basis(clifford64):
-        val = energy_form_coordinate(clifford64, xi, ops=clifford64_ops)
+        val = energy_form_coordinate(clifford64, xi)
         assert val == pytest.approx(-np.pi ** 2, rel=0.02)
 
 
@@ -69,7 +69,7 @@ def test_coordinate_covariant_agreement(clifford64, clifford64_ops, rng):
 
     for _ in range(5):
         X = random_bandlimited_field(clifford64, rng)
-        coord = energy_form_coordinate(clifford64, X, ops=clifford64_ops)
+        coord = energy_form_coordinate(clifford64, X)
         cov = energy_form_covariant(clifford64, X)
         scale = float(np.einsum("vd,vd->", X, clifford64_ops.S @ X)
                       + np.einsum("vd,vd->", X, clifford64_ops.M @ X))
@@ -128,7 +128,7 @@ def _diagonal_form(mus):
     dim = len(mus)
     return QuadraticFormMatrix(Q=sp.diags(np.asarray(mus, dtype=float)).tocsr(),
                                M=sp.identity(dim, format="csr"), kind="areaJacobi",
-                               frames=None, order=np.arange(dim))
+                               order=np.arange(dim))
 
 
 @pytest.mark.parametrize("on_cutoff", [0.1, -0.1], ids=["plus-delta", "minus-delta"])
@@ -177,13 +177,13 @@ def test_energy_pencil_dimensions(clifford16):
     assert (abs(form.Q - form.Q.T)).max() < 1e-12
 
 
-def test_area_le_energy_for_normal_fields(clifford64, clifford64_pairs, clifford64_ops):
+def test_area_le_energy_for_normal_fields(clifford64, clifford64_pairs):
     # second variation of area <= second variation of energy on f * nu
     nu = clifford64.chart.unit_normal
     for j in (1, 2):
         f = clifford64_pairs[j].field
-        aj = area_jacobi_form(clifford64, f, ops=clifford64_ops)
-        en = energy_form_coordinate(clifford64, f[:, None] * nu, ops=clifford64_ops)
+        aj = area_jacobi_form(clifford64, f)
+        en = energy_form_coordinate(clifford64, f[:, None] * nu)
         assert aj <= en + 0.02 * (abs(aj) + abs(en))
 
 

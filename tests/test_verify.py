@@ -5,7 +5,7 @@ import pytest
 
 from spherevar.catalog import build_clifford_torus, build_product_torus
 from spherevar.certificates import identity_55, identity_normal, mixed_gradient_identity
-from spherevar.mesh import jitter_vertices, surface_tangent_frames
+from spherevar.mesh import jitter_vertices
 from spherevar.mobius import field_norm, moebius_basis
 from spherevar.operators import (
     EigenPair,
@@ -96,9 +96,8 @@ def test_contracted_identities_match_per_draw_reference(mesh):
     nonconstant += [EigenPair(lam=2.0, field=random_polynomial_scalar(mesh, rng), residual=0.0)
                     for _ in range(2)]
     basis = moebius_basis(mesh)
-    frames = surface_tangent_frames(mesh)
     weights = vertex_weights(mesh)
-    terms = moebius_terms(mesh, basis, frames)
+    terms = moebius_terms(mesh)
     worst = 0.0
     for p in nonconstant:
         L, T, N, D = identity_matrices(mesh, p.field, terms)
@@ -107,10 +106,9 @@ def test_contracted_identities_match_per_draw_reference(mesh):
             i = t % (mesh.n + 1)
             scale = (field_norm(weights, basis[i])
                      * field_norm(weights, np.einsum("j,jvd->vd", a, basis)))
-            ref_L, _ = identity_55(mesh, p, a, i, basis=basis, frames=frames)
-            ref_N, _, _ = identity_normal(mesh, p, a, i, basis=basis, frames=frames)
-            ref_mixed, ref_minus_2T = mixed_gradient_identity(mesh, p.field, a, i,
-                                                              basis=basis, frames=frames)
+            ref_L, _ = identity_55(mesh, p, a, i)
+            ref_N, _, _ = identity_normal(mesh, p, a, i)
+            ref_mixed, ref_minus_2T = mixed_gradient_identity(mesh, p.field, a, i)
             gaps = (L[i] @ a - ref_L, -2.0 * (T[i] @ a) - ref_minus_2T,
                     N[i] @ a - ref_N, -2.0 * (D[i] @ a) - ref_mixed)
             worst = max(worst, max(abs(g) for g in gaps) / scale)
