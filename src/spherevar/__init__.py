@@ -12,9 +12,6 @@ from .certificates import (
     CertificateReport,
     build_certificate,
     el_soufi_lower_bound_check,
-    identity_55,
-    identity_normal,
-    mixed_gradient_identity,
     prop1_sum,
     threshold,
     threshold_chain_check,

@@ -13,8 +13,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import MeshError, ParameterError, UnsupportedSurfaceError
-from .mesh import Chart, SurfaceMesh, contained_in_geodesic_s2, validate_mesh
+from .errors import ParameterError, UnsupportedSurfaceError
+from .mesh import Chart, SurfaceMesh, validate_mesh
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -186,7 +186,7 @@ def minimality_residual(mesh):
     relative to |2u|; the face-wise check compares the squared gradient of
     the coordinate interpolants against 2.
     """
-    from .operators import assemble_stiffness, surface_gradient, vertex_weights
+    from .operators import assemble_stiffness, coordinate_gradient_sq, vertex_weights
 
     w = vertex_weights(mesh)
     u = mesh.vertices
@@ -194,10 +194,7 @@ def minimality_residual(mesh):
     laplace = float(np.sqrt(np.einsum("v,vd->", w, r * r)
                             / np.einsum("v,vd->", w, 4.0 * u * u)))
     laplace_max = float(np.max(np.abs(r)))
-    gradsq = np.zeros(mesh.num_faces)
-    for c in range(mesh.n + 1):
-        g = surface_gradient(mesh, u[:, c])
-        gradsq += np.einsum("fd,fd->f", g, g)
+    gradsq = coordinate_gradient_sq(mesh).sum(axis=0)
     gradsq_max = float(np.max(np.abs(gradsq - 2.0)))
     return MinimalityResidual(laplace, laplace_max, gradsq_max)
 

@@ -11,18 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
-from .errors import ContractError, ParameterError, SolverError, UnsupportedSurfaceError
-from .mesh import contained_in_geodesic_s2, mesh_size
-from .mobius import (
-    moebius_basis,
-    moebius_tangential,
-    project_orthogonal_to_moebius,
-    split_tangent_normal,
-)
+from .errors import ParameterError, SolverError, UnsupportedSurfaceError
+from .mesh import contained_in_geodesic_s2, mesh_size, per_mesh
+from .mobius import moebius_basis, moebius_tangential, project_orthogonal_to_moebius
 from .operators import (
     assemble_mass,
     assemble_stiffness,
@@ -31,10 +26,9 @@ from .operators import (
     integrate,
     solve_smallest_eigenpairs,
 )
-from .secondvar import covariant_gradient_inner, energy_form_coordinate
+from .secondvar import energy_form_coordinate, moebius_energy_gram
 
 ORTHOGONALITY_TOL = 1e-8
-LAMBDA_SINGULAR_TOL = 1e-6
 
 
 def threshold(n):
@@ -63,99 +57,56 @@ def threshold_chain_check(n, num_samples=10000):
     return True
 
 
+@per_mesh
+def canonical_variation_matrix(mesh):
+    """The matrix P with f' P f = sum_i D^2E(f xi_i), held.
+
+    sum_i D^2E(f xi_i) = sum_vw f_v f_w (S - 2M)_vw sum_i xi_i(v) . xi_i(w),
+    so P is S - 2M weighted entrywise by sum_i xi_i(v) . xi_i(w),
+    accumulated over the Moebius basis.
+    """
+    A = (assemble_stiffness(mesh) - 2.0 * assemble_mass(mesh)).tocoo()
+    weight = np.zeros(A.nnz)
+    for xi in moebius_basis(mesh):
+        weight += np.einsum("ed,ed->e", xi[A.row], xi[A.col])
+    return sp.csr_matrix((A.data * weight, (A.row, A.col)), shape=A.shape)
+
+
 def prop1_sum(mesh, f):
     """Sum of canonical-variation energies vs n*int|grad f|^2 - (2n-4)*int f^2.
 
-    Returns (lhs, rhs); the identity holds for every smooth f on a minimal
+    f is one function (V,), which gives two floats (lhs, rhs), or a batch
+    (V, m) of functions, which gives two length-m arrays from one product
+    with each matrix. The identity holds for every smooth f on a minimal
     surface, so the gap is pure discretization error.
     """
     f = np.asarray(f, dtype=float)
-    lhs = 0.0
-    for xi in moebius_basis(mesh):
-        lhs += energy_form_coordinate(mesh, f[:, None] * xi)
+
+    def form(A):
+        return np.einsum("v...,v...->...", f, A @ f)
+
     n = mesh.n
-    S, M = assemble_stiffness(mesh), assemble_mass(mesh)
-    rhs = float(n * (f @ (S @ f)) - (2 * n - 4) * (f @ (M @ f)))
+    lhs = form(canonical_variation_matrix(mesh))
+    rhs = n * form(assemble_stiffness(mesh)) - (2 * n - 4) * form(assemble_mass(mesh))
+    if f.ndim == 1:
+        return float(lhs), float(rhs)
     return lhs, rhs
-
-
-def _combination(basis, a):
-    return np.einsum("j,jvd->vd", np.asarray(a, dtype=float), basis)
 
 
 def _pointwise_dot(X, Y):
     return np.einsum("vd,vd->v", X, Y)
 
 
-def identity_55(mesh, eigenpair, a, i):
-    """int f xi_i . (a_j xi_j) vs -2/(4-lambda) int f xi_i^T . (a_j xi_j)^T."""
-    lam = eigenpair.lam
-    if abs(lam - 4.0) < LAMBDA_SINGULAR_TOL:
-        raise ContractError("eigenvalue at the singular denominator lambda = 4")
-    basis = moebius_basis(mesh)
-    f = eigenpair.field
-    combo = _combination(basis, a)
-    lhs = integrate(mesh, f * _pointwise_dot(basis[i], combo))
-    xi_t = moebius_tangential(mesh)[i]
-    combo_t = split_tangent_normal(mesh, combo).tangential
-    rhs = -2.0 / (4.0 - lam) * integrate(mesh, f * _pointwise_dot(xi_t, combo_t))
-    return lhs, rhs
-
-
-def identity_normal(mesh, eigenpair, a, i):
-    """Normal-part identity; returns (lhs, rhs_tangential, rhs_total).
-
-    lhs = int f xi_i^N . (a_j xi_j)^N, compared against
-    -(6-lambda)/(4-lambda) * int f xi_i^T . (a_j xi_j)^T and
-    (6-lambda)/2 * int f xi_i . (a_j xi_j).
-    """
-    lam = eigenpair.lam
-    if abs(lam - 4.0) < LAMBDA_SINGULAR_TOL:
-        raise ContractError("eigenvalue at the singular denominator lambda = 4")
-    basis = moebius_basis(mesh)
-    f = eigenpair.field
-    xi_t = moebius_tangential(mesh)[i]
-    combo = _combination(basis, a)
-    combo_split = split_tangent_normal(mesh, combo)
-    lhs = integrate(mesh, f * _pointwise_dot(basis[i] - xi_t, combo_split.normal))
-    rhs_t = -(6.0 - lam) / (4.0 - lam) * integrate(
-        mesh, f * _pointwise_dot(xi_t, combo_split.tangential))
-    rhs_total = (6.0 - lam) / 2.0 * integrate(
-        mesh, f * _pointwise_dot(basis[i], combo))
-    return lhs, rhs_t, rhs_total
-
-
-def mixed_gradient_identity(mesh, f, a, i):
-    """Mixed covariant-gradient term of the cross expansion.
-
-    lhs = -2 int <D(f xi_i), D(a_j xi_j)> with the per-face sphere-covariant
-    derivative; rhs = -2 int f xi_i^T . (a_j xi_j)^T. Holds for any f.
-    """
-    basis = moebius_basis(mesh)
-    f = np.asarray(f, dtype=float)
-    U = f[:, None] * basis[i]
-    W = _combination(basis, a)
-    lhs = -2.0 * covariant_gradient_inner(mesh, U, W)
-    xi_t = moebius_tangential(mesh)[i]
-    combo_t = split_tangent_normal(mesh, W).tangential
-    rhs = -2.0 * integrate(mesh, f * _pointwise_dot(xi_t, combo_t))
-    return lhs, rhs
-
-
 def el_soufi_lower_bound_check(mesh):
     """Negative definiteness of the Moebius-span energy Gram matrix.
 
-    Returns (matrix, negative_definite, claim_valid): the (n+1)x(n+1) matrix
-    of energy-form values on pairs of Moebius fields, whether all its
-    eigenvalues are negative, and whether the lower bound ind_E >= n+1 may be
-    claimed (the surface must not sit in a geodesic S^2).
+    Returns (matrix, negative_definite, claim_valid): the held (n+1)x(n+1)
+    matrix of energy-form values on pairs of Moebius fields
+    (moebius_energy_gram), whether all its eigenvalues are negative, and
+    whether the lower bound ind_E >= n+1 may be claimed (the surface must
+    not sit in a geodesic S^2).
     """
-    basis = moebius_basis(mesh)
-    d = mesh.n + 1
-    B = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            B[i, j] = B[j, i] = energy_form_coordinate(mesh, basis[i], basis[j])
+    B = moebius_energy_gram(mesh)
     evals = np.linalg.eigvalsh(B)
     negative_definite = bool(evals[-1] < 0.0)
     claim_valid = not contained_in_geodesic_s2(mesh)
@@ -218,16 +169,11 @@ class CertificateReport:
 def _certificate_for_eigenfunction(mesh, f, lam):
     """Selection + projection + evaluation for one eigenfunction."""
     n = mesh.n
-    d = n + 1
-    d2e = np.empty(d)
-    normal_mass = np.empty(d)
     basis = moebius_basis(mesh)
     normals = basis - moebius_tangential(mesh)
-    for i in range(d):
-        Xi = f[:, None] * basis[i]
-        d2e[i] = energy_form_coordinate(mesh, Xi)
-        fn = f[:, None] * normals[i]
-        normal_mass[i] = integrate(mesh, _pointwise_dot(fn, fn))
+    d2e = energy_form_coordinate(mesh, f[None, :, None] * basis)
+    normal_mass = np.array([integrate(mesh, _pointwise_dot(fn, fn))
+                            for fn in f[None, :, None] * normals])
     mass_floor = 1e-12 * max(float(np.max(normal_mass)), 1.0)
     usable = normal_mass > mass_floor
     if np.any(usable):

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .catalog import CATALOG, build_by_name, minimality_residual
+from .catalog import CATALOG, build_by_name
 from .certificates import (
     ORTHOGONALITY_TOL,
     build_certificate,
@@ -28,7 +28,7 @@ from .errors import (
     SolverError,
     UnsupportedSurfaceError,
 )
-from .mesh import contained_in_geodesic_s2, mesh_size, read_off
+from .mesh import mesh_size, read_off
 from .operators import (
     assemble_mass,
     assemble_stiffness,

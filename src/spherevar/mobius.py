@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractError
 from .mesh import per_mesh, surface_tangent_frames
-from .operators import surface_gradient, vertex_weights
+from .operators import coordinate_gradient_sq, vertex_weights
 
 SPHERE_TANGENCY_TOL = 1e-10
 GRAM_SINGULAR_REL = 1e-12
@@ -101,6 +101,14 @@ def moebius_gram(mesh):
     return G
 
 
+@per_mesh
+def moebius_normal_gram(mesh):
+    """(n+1)x(n+1) matrix of int xi_i^N . xi_j^N dmu, lumped as moebius_gram, read-only."""
+    normals = moebius_basis(mesh) - moebius_tangential(mesh)
+    return np.tensordot(normals * vertex_weights(mesh)[None, :, None], normals,
+                        axes=([1, 2], [1, 2]))
+
+
 def project_orthogonal_to_moebius(mesh, X):
     """Remove the Moebius components: X_perp = X - sum_j a_j xi_j.
 
@@ -143,12 +151,15 @@ def pointwise_identity_report(mesh):
     d = mesh.n + 1
     basis = moebius_basis(mesh)
     tangential = moebius_tangential(mesh)
+    gradsq = coordinate_gradient_sq(mesh)
     tri = mesh.faces
 
-    # unique undirected edges with their unit-sphere midpoints
-    e = np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
-    e = np.unique(np.sort(e, axis=1), axis=0)
-    p, q = x[e[:, 0]], x[e[:, 1]]
+    # unique undirected edges {a, b}, a < b, as the sorted int64 keys a * V + b,
+    # with their unit-sphere midpoints
+    V = mesh.num_vertices
+    ends = tri[:, [1, 2, 0]]
+    a, b = np.divmod(np.unique(np.minimum(tri, ends) * V + np.maximum(tri, ends)), V)
+    p, q = x[a], x[b]
     mid = 0.5 * (p + q)
     mid_hat = mid / np.linalg.norm(mid, axis=1, keepdims=True)
     edge = q - p
@@ -165,14 +176,12 @@ def pointwise_identity_report(mesh):
         tansq = np.einsum("vd,vd->v", tangential[i], tangential[i])
         # compare per face: analytic tangential norm at the centroid vs the
         # P1 gradient of the coordinate function on the same face
-        g = surface_gradient(mesh, x[:, i])
-        gradsq = np.einsum("fd,fd->f", g, g)
         tansq_face = tansq[tri].mean(axis=1)
-        err_tan = float(np.max(np.abs(tansq_face - gradsq)))
+        err_tan = float(np.max(np.abs(tansq_face - gradsq[i])))
 
         # finite difference of xi_i along each edge, projected to the sphere
         # tangent space at the midpoint, against -x_i * edge
-        delta = basis[i][e[:, 1]] - basis[i][e[:, 0]]
+        delta = basis[i][b] - basis[i][a]
         delta -= np.einsum("ed,ed->e", delta, mid_hat)[:, None] * mid_hat
         target = -mid_hat[:, i][:, None] * edge
         err_cov = float(np.max(np.linalg.norm(delta - target, axis=1) / edge_len))

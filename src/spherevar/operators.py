@@ -127,6 +127,13 @@ def surface_gradient(mesh, f):
 
 
 @per_mesh
+def coordinate_gradient_sq(mesh):
+    """|grad x_i|^2 per face of each coordinate function x_i, (n+1, F), read-only."""
+    return np.stack([np.einsum("fd,fd->f", g, g)
+                     for g in (surface_gradient(mesh, x) for x in mesh.vertices.T)])
+
+
+@per_mesh
 def face_centroids_on_sphere(mesh):
     """Face centroids pushed radially onto the unit sphere, (F, n+1), read-only."""
     c = mesh.vertices[mesh.faces].mean(axis=1)

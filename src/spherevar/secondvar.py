@@ -21,8 +21,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContractError, ParameterError, SolverError, UnsupportedSurfaceError
-from .mesh import face_areas, sphere_tangent_frames
-from .mobius import check_sphere_tangent, split_tangent_normal
+from .mesh import face_areas, per_mesh, sphere_tangent_frames
+from .mobius import check_sphere_tangent, moebius_basis, split_tangent_normal
 from .operators import (
     _p1_gram,
     assemble_mass,
@@ -38,24 +38,73 @@ from .operators import (
 DEFAULT_INDEX_DELTA = 0.1
 
 
-class FormOperators(NamedTuple):
-    """The held stiffness and mass matrices of one mesh."""
+def _apply_to_stack(A, X):
+    """A applied to every component of every field of a stack X (m, V, n+1).
 
-    S: sp.csr_matrix
-    M: sp.csr_matrix
+    One sparse product over the (V, m * (n+1)) matrix of components; each
+    column is the product A @ X[k] would give, and each field of the result
+    is contiguous again.
+    """
+    m, V, d = X.shape
+    AX = A @ np.moveaxis(X, 0, 1).reshape(V, m * d)
+    return np.ascontiguousarray(np.moveaxis(AX.reshape(V, m, d), 1, 0))
 
 
-def form_operators(mesh):
-    return FormOperators(S=assemble_stiffness(mesh), M=assemble_mass(mesh))
+def _field_stack(mesh, X):
+    """X as a stack (m, V, n+1) of sphere-tangent fields; one field is a stack of one."""
+    X = np.asarray(X, dtype=float)
+    stack = X if X.ndim == 3 else X[None]
+    for one in stack:
+        check_sphere_tangent(mesh, one)
+    return stack
+
+
+def coordinate_form_parts(mesh, X, Y=None):
+    """Stiffness and mass parts sum_i X^i' S Y^i and sum_i X^i' M Y^i of D^2E.
+
+    X (and Y, of the same shape) is one field (V, n+1), which gives two
+    floats, or a stack (m, V, n+1) of fields, which gives two length-m
+    arrays from one stiffness and one mass product; each entry is summed as
+    for that field alone.
+    """
+    Xs = _field_stack(mesh, X)
+    Ys = Xs if Y is None else _field_stack(mesh, Y)
+    if Xs.shape != Ys.shape:
+        raise ContractError("the two arguments of the form differ in shape")
+    parts = tuple(np.array([np.einsum("vd,vd->", x, ay)
+                            for x, ay in zip(Xs, _apply_to_stack(A, Ys))])
+                  for A in (assemble_stiffness(mesh), assemble_mass(mesh)))
+    if np.ndim(X) == 3:
+        return parts
+    return tuple(float(part[0]) for part in parts)
 
 
 def energy_form_coordinate(mesh, X, Y=None):
-    """D^2E as a bilinear form: sum_i (X^i' S Y^i - 2 X^i' M Y^i)."""
-    X = check_sphere_tangent(mesh, X)
-    Y = X if Y is None else check_sphere_tangent(mesh, Y)
-    SY = assemble_stiffness(mesh) @ Y
-    MY = assemble_mass(mesh) @ Y
-    return float(np.einsum("vd,vd->", X, SY) - 2.0 * np.einsum("vd,vd->", X, MY))
+    """D^2E as a bilinear form: sum_i (X^i' S Y^i - 2 X^i' M Y^i).
+
+    A stack (m, V, n+1) of fields gives the m values as an array (see
+    coordinate_form_parts).
+    """
+    stiffness, mass = coordinate_form_parts(mesh, X, Y)
+    return stiffness - 2.0 * mass
+
+
+@per_mesh
+def moebius_energy_gram(mesh):
+    """(n+1)x(n+1) matrix B_ij = D^2E(xi_i, xi_j) on the Moebius basis, read-only.
+
+    One stiffness and one mass product over the stacked basis. Entry (i, j)
+    with i <= j is summed as energy_form_coordinate(mesh, xi_i, xi_j) sums
+    it and mirrored below the diagonal, so B is exactly symmetric.
+    """
+    basis = moebius_basis(mesh)
+    S_xi, M_xi = (_apply_to_stack(A, basis)
+                  for A in (assemble_stiffness(mesh), assemble_mass(mesh)))
+    B = np.empty((mesh.n + 1, mesh.n + 1))
+    for i, j in zip(*np.triu_indices(mesh.n + 1)):
+        B[i, j] = B[j, i] = (np.einsum("vd,vd->", basis[i], S_xi[j])
+                             - 2.0 * np.einsum("vd,vd->", basis[i], M_xi[j]))
+    return B
 
 
 def covariant_face_derivatives(mesh, X):
@@ -139,37 +188,46 @@ class QuadraticFormMatrix(NamedTuple):
     order: np.ndarray          # vertex elimination order (dissection_order)
 
 
-def _frame_block_matrix(A, frames):
-    """Congruence of a scalar matrix to per-vertex frame coordinates.
+def _frame_block_matrices(frames, entries, *values):
+    """Congruences of scalar matrices to per-vertex frame coordinates.
 
-    For A with entries A_vw, the block at (v, w) is A_vw * F_v F_w^T where
-    F_v is the (count, n+1) frame at vertex v.
+    Each scalar matrix is given by its values on the COO pattern entries.
+    For one with entries A_vw, the block at (v, w) is A_vw * F_v F_w^T where
+    F_v is the (count, n+1) frame at vertex v; the frame products F_v F_w^T
+    are formed once for all of them. Exact zeros, from frame vectors with
+    disjoint support, are not stored.
     """
-    A = A.tocoo()
     count = frames.shape[1]
-    blocks = np.einsum("eki,eli->ekl", frames[A.row], frames[A.col]) * A.data[:, None, None]
+    products = np.einsum("eki,eli->ekl", frames[entries.row], frames[entries.col])
     k_idx, l_idx = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
-    rows = (A.row[:, None, None] * count + k_idx[None]).ravel()
-    cols = (A.col[:, None, None] * count + l_idx[None]).ravel()
-    dim = A.shape[0] * count
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(dim, dim)).tocsr()
+    rows = (entries.row[:, None, None] * count + k_idx[None]).ravel()
+    cols = (entries.col[:, None, None] * count + l_idx[None]).ravel()
+    dim = entries.shape[0] * count
+    matrices = []
+    for data in values:
+        blocks = (products * data[:, None, None]).ravel()
+        matrix = sp.coo_matrix((blocks, (rows, cols)), shape=(dim, dim)).tocsr()
+        matrix.eliminate_zeros()
+        matrices.append(matrix)
+    return matrices
 
 
 def energy_quadratic_matrix(mesh):
     """Energy form over per-vertex orthonormal sphere-tangent frames.
 
     DOF dimension is n * V; the frame (sphere_tangent_frames) removes the
-    radial directions, so the pencil has no artificial zero modes.
+    radial directions, so the pencil has no artificial zero modes. Q is the
+    congruence of S - 2M and the pencil's mass that of M, both taken on the
+    pattern of M, which holds every entry of S. Both are exactly symmetric,
+    because S and M are.
     """
-    frames = sphere_tangent_frames(mesh)
     M = assemble_mass(mesh)
-    A = (assemble_stiffness(mesh) - 2.0 * M).tocsr()
-    Q = _frame_block_matrix(A, frames)
-    MQ = _frame_block_matrix(M, frames)
-    Q = 0.5 * (Q + Q.T)
-    MQ = 0.5 * (MQ + MQ.T)
-    return QuadraticFormMatrix(Q=Q.tocsr(), M=MQ.tocsr(), kind="energy",
-                               order=dissection_order(mesh))
+    A = assemble_stiffness(mesh) - 2.0 * M
+    entries = M.tocoo()
+    Q, MQ = _frame_block_matrices(sphere_tangent_frames(mesh), entries,
+                                  np.asarray(A[entries.row, entries.col]).ravel(),
+                                  entries.data)
+    return QuadraticFormMatrix(Q=Q, M=MQ, kind="energy", order=dissection_order(mesh))
 
 
 def area_jacobi_matrix(mesh):

@@ -5,8 +5,12 @@ import numpy as np
 import pytest
 
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
-from spherevar.operators import dissection_order, solve_smallest_eigenpairs
-from spherevar.secondvar import form_operators
+from spherevar.operators import (
+    assemble_mass,
+    assemble_stiffness,
+    dissection_order,
+    solve_smallest_eigenpairs,
+)
 
 
 @pytest.fixture(scope="session")
@@ -35,25 +39,15 @@ def torus_s4():
 
 
 @pytest.fixture(scope="session")
-def clifford64_ops(clifford64):
-    return form_operators(clifford64)
+def clifford64_pairs(clifford64):
+    return solve_smallest_eigenpairs(assemble_stiffness(clifford64), assemble_mass(clifford64),
+                                     k=12, order=dissection_order(clifford64), seed=0)
 
 
 @pytest.fixture(scope="session")
-def sphere4_ops(sphere4):
-    return form_operators(sphere4)
-
-
-@pytest.fixture(scope="session")
-def clifford64_pairs(clifford64, clifford64_ops):
-    return solve_smallest_eigenpairs(clifford64_ops.S, clifford64_ops.M, k=12,
-                                     order=dissection_order(clifford64), seed=0)
-
-
-@pytest.fixture(scope="session")
-def sphere4_pairs(sphere4, sphere4_ops):
-    return solve_smallest_eigenpairs(sphere4_ops.S, sphere4_ops.M, k=10,
-                                     order=dissection_order(sphere4), seed=0)
+def sphere4_pairs(sphere4):
+    return solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
+                                     k=10, order=dissection_order(sphere4), seed=0)
 
 
 @pytest.fixture

@@ -1,0 +1,79 @@
+"""Per-draw evaluations of the eigenfunction proof identities.
+
+Each function evaluates one identity for one Moebius combination a_j xi_j,
+splitting the combination afresh. run_verification contracts the same
+integrals once per eigenpair (verify.identity_matrices); these are the
+references the contraction is tested against.
+"""
+
+import numpy as np
+
+from spherevar.errors import ContractError
+from spherevar.mobius import moebius_basis, moebius_tangential, split_tangent_normal
+from spherevar.operators import integrate
+from spherevar.secondvar import covariant_gradient_inner
+
+LAMBDA_SINGULAR_TOL = 1e-6
+
+
+def _combination(basis, a):
+    return np.einsum("j,jvd->vd", np.asarray(a, dtype=float), basis)
+
+
+def _pointwise_dot(X, Y):
+    return np.einsum("vd,vd->v", X, Y)
+
+
+def identity_55(mesh, eigenpair, a, i):
+    """int f xi_i . (a_j xi_j) vs -2/(4-lambda) int f xi_i^T . (a_j xi_j)^T."""
+    lam = eigenpair.lam
+    if abs(lam - 4.0) < LAMBDA_SINGULAR_TOL:
+        raise ContractError("eigenvalue at the singular denominator lambda = 4")
+    basis = moebius_basis(mesh)
+    f = eigenpair.field
+    combo = _combination(basis, a)
+    lhs = integrate(mesh, f * _pointwise_dot(basis[i], combo))
+    xi_t = moebius_tangential(mesh)[i]
+    combo_t = split_tangent_normal(mesh, combo).tangential
+    rhs = -2.0 / (4.0 - lam) * integrate(mesh, f * _pointwise_dot(xi_t, combo_t))
+    return lhs, rhs
+
+
+def identity_normal(mesh, eigenpair, a, i):
+    """Normal-part identity; returns (lhs, rhs_tangential, rhs_total).
+
+    lhs = int f xi_i^N . (a_j xi_j)^N, compared against
+    -(6-lambda)/(4-lambda) * int f xi_i^T . (a_j xi_j)^T and
+    (6-lambda)/2 * int f xi_i . (a_j xi_j).
+    """
+    lam = eigenpair.lam
+    if abs(lam - 4.0) < LAMBDA_SINGULAR_TOL:
+        raise ContractError("eigenvalue at the singular denominator lambda = 4")
+    basis = moebius_basis(mesh)
+    f = eigenpair.field
+    xi_t = moebius_tangential(mesh)[i]
+    combo = _combination(basis, a)
+    combo_split = split_tangent_normal(mesh, combo)
+    lhs = integrate(mesh, f * _pointwise_dot(basis[i] - xi_t, combo_split.normal))
+    rhs_t = -(6.0 - lam) / (4.0 - lam) * integrate(
+        mesh, f * _pointwise_dot(xi_t, combo_split.tangential))
+    rhs_total = (6.0 - lam) / 2.0 * integrate(
+        mesh, f * _pointwise_dot(basis[i], combo))
+    return lhs, rhs_t, rhs_total
+
+
+def mixed_gradient_identity(mesh, f, a, i):
+    """Mixed covariant-gradient term of the cross expansion.
+
+    lhs = -2 int <D(f xi_i), D(a_j xi_j)> with the per-face sphere-covariant
+    derivative; rhs = -2 int f xi_i^T . (a_j xi_j)^T. Holds for any f.
+    """
+    basis = moebius_basis(mesh)
+    f = np.asarray(f, dtype=float)
+    U = f[:, None] * basis[i]
+    W = _combination(basis, a)
+    lhs = -2.0 * covariant_gradient_inner(mesh, U, W)
+    xi_t = moebius_tangential(mesh)[i]
+    combo_t = split_tangent_normal(mesh, W).tangential
+    rhs = -2.0 * integrate(mesh, f * _pointwise_dot(xi_t, combo_t))
+    return lhs, rhs

@@ -2,20 +2,21 @@
 
 import numpy as np
 import pytest
+from identity_reference import identity_55, identity_normal, mixed_gradient_identity
 
 from spherevar.certificates import (
     build_certificate,
     el_soufi_lower_bound_check,
-    identity_55,
-    identity_normal,
-    mixed_gradient_identity,
     prop1_sum,
     threshold,
     threshold_chain_check,
 )
 from spherevar.errors import ContractError, ParameterError, UnsupportedSurfaceError
 from spherevar.mesh import total_area
-from spherevar.operators import EigenPair
+from spherevar.mobius import moebius_basis
+from spherevar.operators import EigenPair, assemble_mass, assemble_stiffness
+from spherevar.sampling import random_polynomial_scalar
+from spherevar.secondvar import coordinate_form_parts, energy_form_coordinate
 
 
 def test_threshold_values():
@@ -161,3 +162,34 @@ def test_certificate_deterministic(clifford16):
     assert a.i0 == b.i0
     assert a.d2e_value == b.d2e_value
     assert a.verdict == b.verdict
+
+
+def _prop1_loop_reference(mesh, f):
+    """sum_i D^2E(f xi_i), one canonical variation at a time, and the rhs,
+    with the scale of both: the sums of the absolute stiffness and mass
+    terms, of which lhs and rhs are differences."""
+    variations = [f[:, None] * xi for xi in moebius_basis(mesh)]
+    lhs = sum(energy_form_coordinate(mesh, X) for X in variations)
+    S, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    n = mesh.n
+    stiffness, mass = f @ (S @ f), f @ (M @ f)
+    scale = sum(abs(part) for X in variations for part in coordinate_form_parts(mesh, X))
+    scale += n * stiffness + (2 * n - 4) * mass
+    return lhs, n * stiffness - (2 * n - 4) * mass, scale
+
+
+@pytest.mark.parametrize("mesh_name", ["clifford64", "sphere4"])
+def test_prop1_batch_matches_loop_reference(mesh_name, request):
+    mesh = request.getfixturevalue(mesh_name)
+    pairs = request.getfixturevalue(mesh_name + "_pairs")
+    rng = np.random.default_rng(7)
+    for fields in ([random_polynomial_scalar(mesh, rng) for _ in range(5)],
+                   [p.field for p in pairs]):
+        lhs, rhs = prop1_sum(mesh, np.stack(fields, axis=1))
+        assert lhs.shape == rhs.shape == (len(fields),)
+        for j, f in enumerate(fields):
+            ref_lhs, ref_rhs, scale = _prop1_loop_reference(mesh, f)
+            one_lhs, one_rhs = prop1_sum(mesh, f)
+            for value, ref in ((lhs[j], ref_lhs), (rhs[j], ref_rhs),
+                               (one_lhs, ref_lhs), (one_rhs, ref_rhs)):
+                assert abs(value - ref) <= 1e-13 * scale

@@ -20,21 +20,25 @@ from spherevar.mesh import (
     write_off,
     SurfaceMesh,
 )
-from spherevar.mobius import moebius_basis, moebius_gram, moebius_tangential
+from spherevar.certificates import canonical_variation_matrix
+from spherevar.mobius import moebius_basis, moebius_gram, moebius_normal_gram, moebius_tangential
 from spherevar.operators import (
     assemble_mass,
     assemble_stiffness,
+    coordinate_gradient_sq,
     dissection_order,
     face_centroids_on_sphere,
     gradient_gram,
     vertex_weights,
 )
+from spherevar.secondvar import moebius_energy_gram
 
 # every function whose value is held on the mesh (per_mesh)
 HELD = [face_gram, face_areas, face_orthonormal_basis, sphere_tangent_frames,
         surface_tangent_frames, vertex_weights, face_centroids_on_sphere,
-        assemble_stiffness, assemble_mass, dissection_order,
-        moebius_basis, moebius_gram, moebius_tangential]
+        assemble_stiffness, assemble_mass, dissection_order, coordinate_gradient_sq,
+        moebius_basis, moebius_gram, moebius_tangential, moebius_normal_gram,
+        moebius_energy_gram, canonical_variation_matrix]
 
 
 def test_validate_catalog_meshes(sphere4, clifford64, torus_s4):

@@ -15,8 +15,20 @@ from spherevar.errors import (
     UnsupportedSurfaceError,
 )
 from spherevar.mesh import face_areas, face_orthonormal_basis, total_area
-from spherevar.mobius import moebius_basis, moebius_field, split_tangent_normal
-from spherevar.operators import face_centroids_on_sphere, surface_gradient
+from spherevar.mobius import (
+    field_inner,
+    moebius_basis,
+    moebius_field,
+    moebius_normal_gram,
+    split_tangent_normal,
+)
+from spherevar.operators import (
+    assemble_mass,
+    assemble_stiffness,
+    face_centroids_on_sphere,
+    surface_gradient,
+    vertex_weights,
+)
 from spherevar.sampling import random_bandlimited_field
 from spherevar.secondvar import (
     area_jacobi_form,
@@ -26,6 +38,7 @@ from spherevar.secondvar import (
     energy_form_coordinate,
     energy_form_covariant,
     energy_quadratic_matrix,
+    moebius_energy_gram,
     negative_index_count,
     QuadraticFormMatrix,
 )
@@ -64,15 +77,16 @@ def test_forms_scale_quadratically(a):
         9.0 * base, rel=1e-10, abs=1e-10)
 
 
-def test_coordinate_covariant_agreement(clifford64, clifford64_ops, rng):
+def test_coordinate_covariant_agreement(clifford64, rng):
     from spherevar.sampling import random_bandlimited_field
 
+    S, M = assemble_stiffness(clifford64), assemble_mass(clifford64)
     for _ in range(5):
         X = random_bandlimited_field(clifford64, rng)
         coord = energy_form_coordinate(clifford64, X)
         cov = energy_form_covariant(clifford64, X)
-        scale = float(np.einsum("vd,vd->", X, clifford64_ops.S @ X)
-                      + np.einsum("vd,vd->", X, clifford64_ops.M @ X))
+        scale = float(np.einsum("vd,vd->", X, S @ X)
+                      + np.einsum("vd,vd->", X, M @ X))
         assert abs(coord - cov) <= 0.02 * scale
 
 
@@ -175,6 +189,9 @@ def test_energy_pencil_dimensions(clifford16):
     dim = clifford16.n * clifford16.num_vertices
     assert form.Q.shape == (dim, dim)
     assert (abs(form.Q - form.Q.T)).max() < 1e-12
+    assert (form.Q != form.Q.T).nnz == 0
+    assert (form.M != form.M.T).nnz == 0
+    assert np.all(form.Q.data != 0.0) and np.all(form.M.data != 0.0)
 
 
 def test_area_le_energy_for_normal_fields(clifford64, clifford64_pairs):
@@ -231,3 +248,27 @@ def test_covariant_gradient_inner_matches_componentwise_gradients(mesh):
             ref = _covariant_gradient_inner_by_components(mesh, A, B)
             assert abs(covariant_gradient_inner(mesh, A, B) - ref) <= 1e-12 * abs(ref)
         assert covariant_gradient_inner(mesh, X) == covariant_gradient_inner(mesh, X, X)
+
+
+@pytest.mark.parametrize("mesh_name", ["clifford64", "s5-torus32", "sphere4"])
+def test_held_moebius_grams_match_pairwise_reference(mesh_name, request):
+    # B_ij = D^2E(xi_i, xi_j) and N_ij = int xi_i^N . xi_j^N (lumped), one
+    # pair and one split at a time
+    mesh = (build_product_torus(2, 32, n=5) if mesh_name == "s5-torus32"
+            else request.getfixturevalue(mesh_name))
+    basis = moebius_basis(mesh)
+    normals = [split_tangent_normal(mesh, xi).normal for xi in basis]
+    w = vertex_weights(mesh)
+    d = mesh.n + 1
+    B_ref = np.array([[energy_form_coordinate(mesh, basis[i], basis[j]) for j in range(d)]
+                      for i in range(d)])
+    N_ref = np.array([[field_inner(w, normals[i], normals[j]) for j in range(d)]
+                      for i in range(d)])
+    for held, ref in ((moebius_energy_gram(mesh), B_ref), (moebius_normal_gram(mesh), N_ref)):
+        assert np.max(np.abs(held - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(moebius_energy_gram(mesh), moebius_energy_gram(mesh).T)
+    # a stack of fields gives each field's value, summed as for that field alone
+    directions = np.random.default_rng(5).standard_normal((3, d))
+    stack = np.stack([moebius_field(mesh, v) for v in directions])
+    assert np.array_equal(energy_form_coordinate(mesh, stack),
+                          [energy_form_coordinate(mesh, X) for X in stack])

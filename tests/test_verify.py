@@ -2,20 +2,29 @@
 
 import numpy as np
 import pytest
+from identity_reference import identity_55, identity_normal, mixed_gradient_identity
 
 from spherevar.catalog import build_clifford_torus, build_product_torus
-from spherevar.certificates import identity_55, identity_normal, mixed_gradient_identity
 from spherevar.mesh import jitter_vertices
-from spherevar.mobius import field_norm, moebius_basis
+from spherevar.mobius import field_norm, moebius_basis, moebius_field, split_tangent_normal
 from spherevar.operators import (
     EigenPair,
+    assemble_mass,
+    assemble_stiffness,
     dissection_order,
+    integrate,
     solve_smallest_eigenpairs,
     vertex_weights,
 )
-from spherevar.sampling import random_polynomial_scalar
-from spherevar.secondvar import form_operators
-from spherevar.verify import identity_matrices, moebius_terms, run_verification
+from spherevar.sampling import random_polynomial_scalar, random_unit_direction
+from spherevar.secondvar import energy_form_coordinate
+from spherevar.verify import (
+    EIGENVALUE_CAP,
+    form_equivalence_error,
+    identity_matrices,
+    moebius_terms,
+    run_verification,
+)
 
 EXPECTED_CHECKS = {
     "minimality-gate",
@@ -88,8 +97,8 @@ def test_contracted_identities_match_per_draw_reference(mesh):
     # (roundoff-sized values), so the gap is taken relative to
     # ||xi_i|| ||a_j xi_j||, the scale the checks divide by, and random
     # polynomials f, where none of them vanish, are checked as well.
-    ops = form_operators(mesh)
-    pairs = solve_smallest_eigenpairs(ops.S, ops.M, k=12, order=dissection_order(mesh), seed=0)
+    pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=12,
+                                      order=dissection_order(mesh), seed=0)
     nonconstant = [p for p in pairs if 1e-6 < p.lam <= 6.0]
     assert len(nonconstant) == 8
     rng = np.random.default_rng(11)
@@ -113,3 +122,50 @@ def test_contracted_identities_match_per_draw_reference(mesh):
                     N[i] @ a - ref_N, -2.0 * (D[i] @ a) - ref_mixed)
             worst = max(worst, max(abs(g) for g in gaps) / scale)
     assert worst <= 1e-12
+
+
+def _moebius_span_reference_errors(mesh, seed, k=12, num_fields=10, num_random_f=10,
+                                   num_directions=20):
+    """d2e-moebius-fields, prop1-random and prop1-eigen one field at a time,
+    drawing from the rng in run_verification's order."""
+    n = mesh.n
+    rng = np.random.default_rng(seed)
+    area = integrate(mesh, 1.0)
+    directions = [np.eye(n + 1)[i] for i in range(n + 1)]
+    directions += [random_unit_direction(rng, n + 1) for _ in range(num_directions)]
+    d2e_worst = 0.0
+    for v in directions:
+        xi = moebius_field(mesh, v)
+        normal = split_tangent_normal(mesh, xi).normal
+        nm = integrate(mesh, np.einsum("vd,vd->v", normal, normal))
+        d2e = energy_form_coordinate(mesh, xi)
+        nrm = integrate(mesh, np.einsum("vd,vd->v", xi, xi))
+        d2e_worst = max(d2e_worst, abs(d2e + 2.0 * nm) / max(nm, 0.01 * nrm))
+    form_equivalence_error(mesh, rng, num_fields)
+
+    def prop1_worst(fields):
+        worst = 0.0
+        for f in fields:
+            lhs = sum(energy_form_coordinate(mesh, f[:, None] * xi) for xi in moebius_basis(mesh))
+            S, M = assemble_stiffness(mesh), assemble_mass(mesh)
+            rhs = n * (f @ (S @ f)) - (2 * n - 4) * (f @ (M @ f))
+            worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + area))
+        return worst
+
+    randoms = [random_polynomial_scalar(mesh, rng) for _ in range(num_random_f)]
+    pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=k,
+                                      order=dissection_order(mesh), seed=seed)
+    return {"d2e-moebius-fields": d2e_worst,
+            "prop1-random": prop1_worst(randoms),
+            "prop1-eigen": prop1_worst([p.field for p in pairs if p.lam <= EIGENVALUE_CAP])}
+
+
+@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(2, 16, n=5)],
+                         ids=["clifford32", "s5-torus16"])
+def test_moebius_span_checks_match_per_field_reference(mesh):
+    # the battery reads these checks from held Gram matrices and batched
+    # Proposition 1 products; the reference evaluates them one field at a time
+    for seed in (0, 1):
+        errors = {c.name: c.error for c in run_verification(mesh, seed=seed).checks}
+        for name, ref in _moebius_span_reference_errors(mesh, seed).items():
+            assert abs(errors[name] - ref) <= 1e-9 * ref, name
