@@ -107,6 +107,40 @@ def moebius_energy_gram(mesh):
     return B
 
 
+@per_mesh
+def moebius_covariant_load(mesh):
+    """Covariant loads C xi_j of the Moebius basis, (n+1, V, n+1), read-only.
+
+    sum_v X(v) . (C xi_j)(v) = covariant_gradient_inner(mesh, X, xi_j) for
+    every field X (V, n+1). The projection orthogonal to the face centroid
+    is symmetric and idempotent, so on each face <D X, D xi_j> is the
+    unprojected difference of X along direction k dotted with (D xi_j)_k.
+    C xi_j scatters area * (D xi_j)_k, times the coefficient of each corner
+    in that difference, to the three corners, as a P1 load is assembled.
+    """
+    guu, _, guw, det = gradient_gram(mesh)
+    areas = face_areas(mesh)
+    tri = mesh.faces
+    d, V = mesh.n + 1, mesh.num_vertices
+    # the differences of covariant_face_derivatives are du / |u| and
+    # (guu dw - guw du) / sqrt(det guu), with du = X_1 - X_0, dw = X_2 - X_0;
+    # the coefficients of each sum to zero over the corners
+    first = (areas / np.sqrt(guu))[:, None]
+    second = (areas / np.sqrt(det * guu))[:, None]
+    scatter = sp.csr_matrix((np.ones(tri.size), (tri.ravel(), np.arange(tri.size))),
+                            shape=(V, tri.size))
+    corners = np.empty((tri.shape[0], 3, d))
+    load = np.empty((d, V, d))
+    for j, xi in enumerate(moebius_basis(mesh)):
+        D = covariant_face_derivatives(mesh, xi)
+        weighted = second * D[:, 1]
+        corners[:, 1] = first * D[:, 0] - guw[:, None] * weighted
+        corners[:, 2] = guu[:, None] * weighted
+        corners[:, 0] = -corners[:, 1] - corners[:, 2]
+        load[j] = scatter @ corners.reshape(-1, d)
+    return load
+
+
 def covariant_face_derivatives(mesh, X):
     """Per-face sphere-covariant derivatives of a field X (V, n+1), (F, 2, n+1).
 

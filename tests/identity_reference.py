@@ -1,17 +1,20 @@
-"""Per-draw evaluations of the eigenfunction proof identities.
+"""Reference evaluations of the eigenfunction proof identities.
 
-Each function evaluates one identity for one Moebius combination a_j xi_j,
-splitting the combination afresh. run_verification contracts the same
-integrals once per eigenpair (verify.identity_matrices); these are the
-references the contraction is tested against.
+identity_55, identity_normal and mixed_gradient_identity evaluate one
+identity for one Moebius combination a_j xi_j, splitting the combination
+afresh. run_verification contracts the same integrals into (n+1) x (n+1)
+matrices (verify.identity_matrices); identity_matrices_reference contracts
+them for one function f from the per-face covariant derivatives of each
+f xi_i. These are the references the contraction is tested against.
 """
 
 import numpy as np
 
 from spherevar.errors import ContractError
 from spherevar.mobius import moebius_basis, moebius_tangential, split_tangent_normal
-from spherevar.operators import integrate
-from spherevar.secondvar import covariant_gradient_inner
+from spherevar.mesh import face_areas
+from spherevar.operators import integrate, vertex_weights
+from spherevar.secondvar import covariant_face_derivatives, covariant_gradient_inner
 
 LAMBDA_SINGULAR_TOL = 1e-6
 
@@ -77,3 +80,26 @@ def mixed_gradient_identity(mesh, f, a, i):
     combo_t = split_tangent_normal(mesh, W).tangential
     rhs = -2.0 * integrate(mesh, f * _pointwise_dot(xi_t, combo_t))
     return lhs, rhs
+
+
+def identity_matrices_reference(mesh, f):
+    """L, T, N, D of verify.identity_matrices for one f (V,), contracted directly.
+
+    L, T and N contract the weighted basis, tangential and normal parts over
+    vertices and components; D[i, j] contracts the per-face covariant
+    derivatives of f xi_i with those of xi_j, weighted by the face areas.
+    """
+    f = np.asarray(f, dtype=float)
+    weighted = vertex_weights(mesh) * f
+
+    def contract(X):
+        return np.tensordot(X * weighted[None, :, None], X, axes=([1, 2], [1, 2]))
+
+    basis, tangential = moebius_basis(mesh), moebius_tangential(mesh)
+    derivatives = np.stack([covariant_face_derivatives(mesh, xi) for xi in basis])
+    areas = face_areas(mesh)[:, None, None]
+    D = np.stack([
+        np.tensordot(covariant_face_derivatives(mesh, f[:, None] * xi) * areas,
+                     derivatives, axes=([0, 1, 2], [1, 2, 3]))
+        for xi in basis])
+    return contract(basis), contract(tangential), contract(basis - tangential), D

@@ -52,7 +52,7 @@ from spherevar.secondvar import (
     energy_quadratic_matrix,
     negative_index_count,
 )
-from spherevar.verify import identity_matrices, moebius_terms
+from spherevar.verify import identity_matrices
 
 
 _CAPSYS = None
@@ -186,7 +186,6 @@ def test_criterion_6_proof_identities(clifford64, clifford64_pairs_acc):
     # integrals that run_verification uses; no lambda = 4 denominator appears
     mesh = clifford64
     basis = moebius_basis(mesh)
-    terms = moebius_terms(mesh)
     w = vertex_weights(mesh)
     pairs = [p for p in clifford64_pairs_acc if 1.0 < p.lam < 6.0]
     assert len(pairs) == 8   # the lambda = 2 and lambda = 4 levels
@@ -194,7 +193,7 @@ def test_criterion_6_proof_identities(clifford64, clifford64_pairs_acc):
     worst = 0.0
     for p in pairs:
         lam = p.lam
-        matrices = identity_matrices(mesh, p.field, terms)
+        matrices = identity_matrices(mesh, p.field)
         for t in range(20):
             a = rng.standard_normal(4)
             i = t % 4

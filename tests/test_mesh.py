@@ -31,14 +31,14 @@ from spherevar.operators import (
     gradient_gram,
     vertex_weights,
 )
-from spherevar.secondvar import moebius_energy_gram
+from spherevar.secondvar import moebius_covariant_load, moebius_energy_gram
 
 # every function whose value is held on the mesh (per_mesh)
 HELD = [face_gram, face_areas, face_orthonormal_basis, sphere_tangent_frames,
         surface_tangent_frames, vertex_weights, face_centroids_on_sphere,
         assemble_stiffness, assemble_mass, dissection_order, coordinate_gradient_sq,
         moebius_basis, moebius_gram, moebius_tangential, moebius_normal_gram,
-        moebius_energy_gram, canonical_variation_matrix]
+        moebius_energy_gram, moebius_covariant_load, canonical_variation_matrix]
 
 
 def test_validate_catalog_meshes(sphere4, clifford64, torus_s4):

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherevar.catalog import build_clifford_torus, build_product_torus
+from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
 from spherevar.errors import (
     ContractError,
     ParameterError,
@@ -38,6 +38,7 @@ from spherevar.secondvar import (
     energy_form_coordinate,
     energy_form_covariant,
     energy_quadratic_matrix,
+    moebius_covariant_load,
     moebius_energy_gram,
     negative_index_count,
     QuadraticFormMatrix,
@@ -272,3 +273,21 @@ def test_held_moebius_grams_match_pairwise_reference(mesh_name, request):
     stack = np.stack([moebius_field(mesh, v) for v in directions])
     assert np.array_equal(energy_form_coordinate(mesh, stack),
                           [energy_form_coordinate(mesh, X) for X in stack])
+
+
+@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(2, 32, n=5),
+                                  build_equatorial_sphere(3, 3)],
+                         ids=["clifford32", "s5-torus32", "sphere3"])
+def test_covariant_load_pairs_like_covariant_gradient_inner(mesh):
+    # sum_v X(v) . (C xi_j)(v) against the per-face derivatives of X and
+    # xi_j; some of these integrals vanish by symmetry, so each gap is taken
+    # relative to the Cauchy-Schwarz bound of the integral
+    load = moebius_covariant_load(mesh)
+    assert load.shape == (mesh.n + 1, mesh.num_vertices, mesh.n + 1)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        X = random_bandlimited_field(mesh, rng)
+        for xi, C_xi in zip(moebius_basis(mesh), load):
+            ref = covariant_gradient_inner(mesh, X, xi)
+            bound = np.sqrt(covariant_gradient_inner(mesh, X) * covariant_gradient_inner(mesh, xi))
+            assert abs(np.einsum("vd,vd->", X, C_xi) - ref) <= 1e-12 * bound

@@ -2,11 +2,22 @@
 
 import numpy as np
 import pytest
-from identity_reference import identity_55, identity_normal, mixed_gradient_identity
+from identity_reference import (
+    identity_55,
+    identity_matrices_reference,
+    identity_normal,
+    mixed_gradient_identity,
+)
 
-from spherevar.catalog import build_clifford_torus, build_product_torus
+from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
 from spherevar.mesh import jitter_vertices
-from spherevar.mobius import field_norm, moebius_basis, moebius_field, split_tangent_normal
+from spherevar.mobius import (
+    field_norm,
+    moebius_basis,
+    moebius_field,
+    moebius_gram,
+    split_tangent_normal,
+)
 from spherevar.operators import (
     EigenPair,
     assemble_mass,
@@ -22,7 +33,6 @@ from spherevar.verify import (
     EIGENVALUE_CAP,
     form_equivalence_error,
     identity_matrices,
-    moebius_terms,
     run_verification,
 )
 
@@ -106,10 +116,9 @@ def test_contracted_identities_match_per_draw_reference(mesh):
                     for _ in range(2)]
     basis = moebius_basis(mesh)
     weights = vertex_weights(mesh)
-    terms = moebius_terms(mesh)
     worst = 0.0
     for p in nonconstant:
-        L, T, N, D = identity_matrices(mesh, p.field, terms)
+        L, T, N, D = identity_matrices(mesh, p.field)
         for t in range(5):
             a = rng.standard_normal(mesh.n + 1)
             i = t % (mesh.n + 1)
@@ -122,6 +131,32 @@ def test_contracted_identities_match_per_draw_reference(mesh):
                     N[i] @ a - ref_N, -2.0 * (D[i] @ a) - ref_mixed)
             worst = max(worst, max(abs(g) for g in gaps) / scale)
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(2, 32, n=5),
+                                  build_equatorial_sphere(3, 3)],
+                         ids=["clifford32", "s5-torus32", "sphere3"])
+def test_batched_identity_matrices_match_per_eigenpair_reference(mesh):
+    # identity_matrices sums per-vertex densities against a batch of
+    # functions; the reference contracts the per-face covariant derivatives
+    # of f xi_i for one f. Each gap is taken relative to max|f| max_i G_ii,
+    # which bounds every entry of L, T and N.
+    pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=12,
+                                      order=dissection_order(mesh), seed=0)
+    rng = np.random.default_rng(13)
+    fields = [p.field for p in pairs if 1e-6 < p.lam <= EIGENVALUE_CAP]
+    fields += [random_polynomial_scalar(mesh, rng) for _ in range(2)]
+    batch = identity_matrices(mesh, np.stack(fields, axis=1))
+    d = mesh.n + 1
+    assert batch.shape == (len(fields), 4, d, d)
+    gram_scale = np.max(np.diag(moebius_gram(mesh)))
+    for f, matrices in zip(fields, batch):
+        scale = np.max(np.abs(f)) * gram_scale
+        reference = np.stack(identity_matrices_reference(mesh, f))
+        assert np.max(np.abs(matrices - reference)) <= 1e-13 * scale
+        # a batch gives each column's single-f matrices, up to the order of
+        # the matrix product's sums
+        assert np.max(np.abs(matrices - identity_matrices(mesh, f))) <= 1e-14 * scale
 
 
 def _moebius_span_reference_errors(mesh, seed, k=12, num_fields=10, num_random_f=10,
