@@ -17,13 +17,18 @@ import scipy.sparse as sp
 
 from .errors import ParameterError, SolverError, UnsupportedSurfaceError
 from .mesh import contained_in_geodesic_s2, mesh_size, per_mesh
-from .mobius import moebius_basis, moebius_tangential, project_orthogonal_to_moebius
+from .mobius import (
+    moebius_basis,
+    moebius_normal,
+    moebius_normal_gram,
+    project_orthogonal_to_moebius,
+)
 from .operators import (
     assemble_mass,
     assemble_stiffness,
     dissection_order,
     eigen_clusters,
-    integrate,
+    lumped_gram,
     solve_smallest_eigenpairs,
 )
 from .secondvar import energy_form_coordinate, moebius_energy_gram
@@ -91,10 +96,6 @@ def prop1_sum(mesh, f):
     if f.ndim == 1:
         return float(lhs), float(rhs)
     return lhs, rhs
-
-
-def _pointwise_dot(X, Y):
-    return np.einsum("vd,vd->v", X, Y)
 
 
 def el_soufi_lower_bound_check(mesh):
@@ -170,10 +171,10 @@ def _certificate_for_eigenfunction(mesh, f, lam):
     """Selection + projection + evaluation for one eigenfunction."""
     n = mesh.n
     basis = moebius_basis(mesh)
-    normals = basis - moebius_tangential(mesh)
+    normals = moebius_normal(mesh)
+    f_normals = f[None, :, None] * normals
     d2e = energy_form_coordinate(mesh, f[None, :, None] * basis)
-    normal_mass = np.array([integrate(mesh, _pointwise_dot(fn, fn))
-                            for fn in f[None, :, None] * normals])
+    normal_mass = np.diag(lumped_gram(mesh, f_normals))
     mass_floor = 1e-12 * max(float(np.max(normal_mass)), 1.0)
     usable = normal_mass > mass_floor
     if np.any(usable):
@@ -189,11 +190,9 @@ def _certificate_for_eigenfunction(mesh, f, lam):
 
     # proof decomposition: D^2E(X) = D^2E(f xi_i0) - 2 int |a_j xi_j^N|^2
     #                                + 4 int f xi_i0^N . (a_j xi_j^N)
-    combo_n = np.einsum("j,jvd->vd", a, normals)
-    fxi_n = f[:, None] * normals[i0]
     decomposition = (d2e[i0]
-                     - 2.0 * integrate(mesh, _pointwise_dot(combo_n, combo_n))
-                     + 4.0 * integrate(mesh, _pointwise_dot(fxi_n, combo_n)))
+                     - 2.0 * (a @ moebius_normal_gram(mesh) @ a)
+                     + 4.0 * (lumped_gram(mesh, f_normals[[i0]], normals)[0] @ a))
 
     coeff = (n * lam - 2 * n + 4) / (n - 2)
     pigeonhole = float(np.sum(d2e - coeff * normal_mass))
@@ -207,7 +206,7 @@ def _certificate_for_eigenfunction(mesh, f, lam):
     }
 
 
-def build_certificate(mesh, k=8, seed=0, synthetic_lambda=None, surface_name=None):
+def build_certificate(mesh, k=8, seed=0, synthetic_lambda=None):
     """Run the full certificate pipeline on a mesh.
 
     All first-eigenvalue cluster members are processed; the reported fields
@@ -234,7 +233,7 @@ def build_certificate(mesh, k=8, seed=0, synthetic_lambda=None, surface_name=Non
     verdict = "negative" if (main["d2e_value"] < 0.0 and residual_ok) else "nonnegative"
 
     return CertificateReport(
-        surface=surface_name or mesh.name,
+        surface=mesh.name,
         n=mesh.n,
         mesh_size=mesh_size(mesh),
         lambda1=lambda1,

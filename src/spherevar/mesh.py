@@ -313,6 +313,7 @@ def write_off(mesh, path):
 
 
 def read_off(path, name=None):
+    """Read an extended OFF file; the mesh must pass validate_mesh (MeshError)."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != "nOFF":
@@ -329,7 +330,9 @@ def read_off(path, name=None):
         faces.append([int(t) for t in toks[1:4]])
     if verts.shape != (nv, dim) or len(faces) != nf:
         raise ParameterError(f"{path}: truncated OFF data")
-    return SurfaceMesh(
+    mesh = SurfaceMesh(
         n=dim - 1, vertices=verts, faces=np.array(faces, dtype=np.int64),
         name=name or "off-mesh",
     )
+    validate_mesh(mesh)
+    return mesh

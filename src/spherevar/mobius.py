@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ContractError
 from .mesh import per_mesh, surface_tangent_frames
-from .operators import coordinate_gradient_sq, vertex_weights
+from .operators import coordinate_gradient_sq, lumped_gram
 
 SPHERE_TANGENCY_TOL = 1e-10
 GRAM_SINGULAR_REL = 1e-12
@@ -68,45 +68,30 @@ def split_tangent_normal(mesh, X):
 
 @per_mesh
 def moebius_tangential(mesh):
-    """Tangential parts xi_i^T of the Moebius basis, (n+1, V, n+1), read-only.
-
-    The normal parts are moebius_basis(mesh) minus these.
-    """
+    """Tangential parts xi_i^T of the Moebius basis, (n+1, V, n+1), read-only."""
     return np.stack([split_tangent_normal(mesh, xi).tangential for xi in moebius_basis(mesh)])
 
 
-def field_inner(weights, X, Y):
-    """L2 inner product int X . Y dmu, pointwise dot against the vertex weights.
-
-    Using the barycentric quadrature keeps the algebraic Moebius identities
-    (Gram integrand, trace) exact up to rounding.
-    """
-    return float(np.einsum("v,vd,vd->", weights, X, Y))
-
-
-def field_norm(weights, X):
-    return float(np.sqrt(max(field_inner(weights, X, X), 0.0)))
+@per_mesh
+def moebius_normal(mesh):
+    """Normal parts xi_i^N = xi_i - xi_i^T of the Moebius basis, (n+1, V, n+1), read-only."""
+    return moebius_basis(mesh) - moebius_tangential(mesh)
 
 
 @per_mesh
 def moebius_gram(mesh):
-    """(n+1)x(n+1) matrix of int xi_i . xi_j dmu, read-only."""
-    weights = vertex_weights(mesh)
-    basis = moebius_basis(mesh)
-    d = mesh.n + 1
-    G = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            G[i, j] = G[j, i] = field_inner(weights, basis[i], basis[j])
-    return G
+    """(n+1)x(n+1) matrix of int xi_i . xi_j dmu, lumped (lumped_gram), read-only.
+
+    The barycentric quadrature keeps the algebraic Moebius identities (Gram
+    integrand, trace) exact up to rounding.
+    """
+    return lumped_gram(mesh, moebius_basis(mesh))
 
 
 @per_mesh
 def moebius_normal_gram(mesh):
     """(n+1)x(n+1) matrix of int xi_i^N . xi_j^N dmu, lumped as moebius_gram, read-only."""
-    normals = moebius_basis(mesh) - moebius_tangential(mesh)
-    return np.tensordot(normals * vertex_weights(mesh)[None, :, None], normals,
-                        axes=([1, 2], [1, 2]))
+    return lumped_gram(mesh, moebius_normal(mesh))
 
 
 def project_orthogonal_to_moebius(mesh, X):
@@ -117,11 +102,10 @@ def project_orthogonal_to_moebius(mesh, X):
     (X_perp, a, residuals, degenerate_gram) with residuals normalized by
     ||X||_{L2} ||xi_j||_{L2}.
     """
-    weights = vertex_weights(mesh)
     basis = moebius_basis(mesh)
     gram = moebius_gram(mesh)
     X = check_sphere_tangent(mesh, X)
-    b = np.array([field_inner(weights, X, xi) for xi in basis])
+    b = lumped_gram(mesh, X[None], basis)[0]
     evals = np.linalg.eigvalsh(gram)
     degenerate = bool(evals[0] <= GRAM_SINGULAR_REL * max(evals[-1], 1.0))
     if degenerate:
@@ -129,12 +113,10 @@ def project_orthogonal_to_moebius(mesh, X):
     else:
         a = np.linalg.solve(gram, b)
     X_perp = X - np.einsum("j,jvd->vd", a, basis)
-    norm_x = max(field_norm(weights, X_perp), np.finfo(float).tiny)
-    residuals = np.array([
-        abs(field_inner(weights, X_perp, xi))
-        / (norm_x * max(field_norm(weights, xi), np.finfo(float).tiny))
-        for xi in basis
-    ])
+    tiny = np.finfo(float).tiny
+    norm_x = max(np.sqrt(max(lumped_gram(mesh, X_perp[None])[0, 0], 0.0)), tiny)
+    norm_xi = np.maximum(np.sqrt(np.maximum(np.diag(gram), 0.0)), tiny)
+    residuals = np.abs(lumped_gram(mesh, X_perp[None], basis)[0]) / (norm_x * norm_xi)
     return X_perp, a, residuals, degenerate
 
 
@@ -197,7 +179,5 @@ def pointwise_identity_report(mesh):
 
 def sum_normal_sq(mesh):
     """Per-vertex sum_i |xi_i^N|^2 (equals n-2 on minimal surfaces)."""
-    total = np.zeros(mesh.num_vertices)
-    for normal in moebius_basis(mesh) - moebius_tangential(mesh):
-        total += np.einsum("vd,vd->v", normal, normal)
-    return total
+    normal = moebius_normal(mesh)
+    return np.einsum("ivd,ivd->v", normal, normal)

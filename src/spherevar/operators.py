@@ -1,9 +1,10 @@
 """P1 finite-element operators on a SurfaceMesh.
 
 Cotangent stiffness, consistent mass, barycentric quadrature weights,
-per-face gradients of linear interpolants, quadrature, the low end of the
-Laplace-Beltrami eigenproblem S f = lambda M f, and the symmetric sparse
-factorizations behind every shift-invert eigensolve and inertia count.
+per-face gradients of linear interpolants, quadrature, lumped L2 products
+of vector fields, the low end of the Laplace-Beltrami eigenproblem
+S f = lambda M f, and the symmetric sparse factorizations behind every
+shift-invert eigensolve and inertia count.
 """
 
 from __future__ import annotations
@@ -101,6 +102,21 @@ def integrate(mesh, values):
     raise ContractError(
         f"field length {values.shape[0]} matches neither vertex ({mesh.num_vertices}) "
         f"nor face ({mesh.num_faces}) count")
+
+
+def lumped_gram(mesh, X, Y=None):
+    """L2 inner products int X_a . Y_b of two field stacks, as an (m, p) matrix.
+
+    X is (m, V, n+1) and Y (p, V, n+1); each entry is the lumped
+    (barycentric) quadrature sum_v w_v X_a(v) . Y_b(v), summed as for that
+    pair alone. Without Y the matrix is the Gram matrix of X, each entry
+    a <= b summed once and mirrored, so it is exactly symmetric.
+    """
+    G = np.einsum("v,avd,bvd->ab", vertex_weights(mesh), X, X if Y is None else Y)
+    if Y is None:
+        lower = np.tril_indices(len(G), -1)
+        G[lower] = G.T[lower]
+    return G
 
 
 def gradient_gram(mesh):

@@ -9,29 +9,28 @@ from __future__ import annotations
 
 import numpy as np
 
+FIELD_TERMS = 3
 
-def random_polynomial_scalar(mesh, rng, degree=2):
-    """Random polynomial c0 + sum c_i x_i + sum c_ij x_i x_j at the vertices."""
+
+def random_polynomial_scalar(mesh, rng):
+    """Random quadratic c0 + sum c_i x_i + sum c_ij x_i x_j at the vertices."""
     x = mesh.vertices
     d = mesh.n + 1
     f = rng.standard_normal() * np.ones(mesh.num_vertices)
-    if degree >= 1:
-        f = f + x @ rng.standard_normal(d)
-    if degree >= 2:
-        C = rng.standard_normal((d, d))
-        f = f + np.einsum("vi,ij,vj->v", x, C, x)
-    return f
+    f = f + x @ rng.standard_normal(d)
+    C = rng.standard_normal((d, d))
+    return f + np.einsum("vi,vi->v", x @ C, x)
 
 
-def random_bandlimited_field(mesh, rng, terms=3, degree=2):
-    """Random sphere-tangent field sum_m f_m(x) * xi_{v_m}(x)."""
+def random_bandlimited_field(mesh, rng):
+    """Random sphere-tangent field sum_m f_m(x) * xi_{v_m}(x), FIELD_TERMS terms."""
     from .mobius import moebius_field
 
     X = np.zeros_like(mesh.vertices)
     d = mesh.n + 1
-    for _ in range(terms):
+    for _ in range(FIELD_TERMS):
         v = rng.standard_normal(d)
-        f = random_polynomial_scalar(mesh, rng, degree=degree)
+        f = random_polynomial_scalar(mesh, rng)
         X += f[:, None] * moebius_field(mesh, v)
     return X
 

@@ -31,7 +31,7 @@ from .operators import (
     dissection_order,
     face_centroids_on_sphere,
     gradient_gram,
-    integrate,
+    lumped_gram,
     shift_invert_operator,
 )
 
@@ -172,12 +172,9 @@ def covariant_gradient_inner(mesh, X, Y=None):
 
 def energy_form_covariant(mesh, X):
     """D^2E(X) = int |D X|^2 - 2 |X^N|^2 - |X^T|^2 (cross-check form)."""
-    X = check_sphere_tangent(mesh, X)
     split = split_tangent_normal(mesh, X)
-    tansq = np.einsum("vd,vd->v", split.tangential, split.tangential)
-    norsq = np.einsum("vd,vd->v", split.normal, split.normal)
-    grad = covariant_gradient_inner(mesh, X)
-    return grad - integrate(mesh, 2.0 * norsq + tansq)
+    tansq, norsq = np.diag(lumped_gram(mesh, np.stack([split.tangential, split.normal])))
+    return covariant_gradient_inner(mesh, X) - 2.0 * norsq - tansq
 
 
 def _normsq_A_values(mesh):
@@ -201,16 +198,11 @@ def weighted_mass(mesh, weights):
 
 def area_jacobi_form(mesh, f, g=None):
     """int grad f . grad g - 2 f g - |A|^2 f g (codimension one, n = 3 only)."""
-    if mesh.n != 3:
-        raise UnsupportedSurfaceError("area Jacobi form is defined for surfaces in S^3 only")
-    a2 = _normsq_A_values(mesh)
     f = np.asarray(f, dtype=float)
     g = f if g is None else np.asarray(g, dtype=float)
     if f.shape != (mesh.num_vertices,) or g.shape != (mesh.num_vertices,):
         raise ContractError("scalar fields must have one value per vertex")
-    MW = weighted_mass(mesh, a2)
-    S, M = assemble_stiffness(mesh), assemble_mass(mesh)
-    return float(f @ (S @ g) - 2.0 * f @ (M @ g) - f @ (MW @ g))
+    return float(f @ (area_jacobi_matrix(mesh).Q @ g))
 
 
 class QuadraticFormMatrix(NamedTuple):

@@ -22,6 +22,7 @@ from .mesh import mesh_size
 from .mobius import (
     moebius_basis,
     moebius_gram,
+    moebius_normal,
     moebius_normal_gram,
     moebius_tangential,
     pointwise_identity_report,
@@ -47,6 +48,10 @@ MINIMALITY_GATE = 0.05
 ALGEBRAIC_TOL = 1e-12
 AGGREGATE_ALGEBRAIC_TOL = 1e-9
 EIGENVALUE_CAP = 6.1
+NUM_DIRECTIONS = 20       # random Moebius directions beside the axes (d2e-moebius-fields)
+NUM_FORM_FIELDS = 10      # random fields of form-equivalence
+NUM_RANDOM_F = 10         # random polynomials of prop1-random
+NUM_COEFFS = 20           # random combinations a_j xi_j per eigenpair (proof identities)
 
 
 @dataclass
@@ -119,8 +124,8 @@ def identity_matrices(mesh, f):
     f = np.asarray(f, dtype=float)
     fields = f.reshape(mesh.num_vertices, -1)
     d = mesh.n + 1
-    basis, tangential = moebius_basis(mesh), moebius_tangential(mesh)
-    normal = basis - tangential
+    basis = moebius_basis(mesh)
+    tangential, normal = moebius_tangential(mesh), moebius_normal(mesh)
     weighted = fields * vertex_weights(mesh)[:, None]
     out = np.empty((fields.shape[1], 4, d, d))
     for slot, (F, X, Y) in enumerate(((weighted, basis, basis),
@@ -158,11 +163,10 @@ def _prop1_error(mesh, fields):
     return float(np.max(gap, initial=0.0))
 
 
-def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=10,
-                     num_coeffs=20, num_directions=20, surface_name=None):
+def run_verification(mesh, tol=0.02, seed=0, k=12):
     """Run every identity check; the minimality gate short-circuits failures."""
     report = VerificationReport(
-        surface=surface_name or mesh.name, n=mesh.n,
+        surface=mesh.name, n=mesh.n,
         mesh_size=mesh_size(mesh), tolerance=tol,
     )
     h = report.mesh_size
@@ -206,18 +210,18 @@ def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=1
     # D^2E(xi_v) = -2 int |xi_v^N|^2 for the axes and random directions; the
     # three integrals are quadratic forms in v, read from the held Gram matrices
     directions = np.vstack([np.eye(n + 1)]
-                           + [random_unit_direction(rng, n + 1) for _ in range(num_directions)])
+                           + [random_unit_direction(rng, n + 1) for _ in range(NUM_DIRECTIONS)])
     d2e, nm, nrm = (np.einsum("ti,ij,tj->t", directions, X, directions)
                     for X in (moebius_energy_gram(mesh), moebius_normal_gram(mesh), G))
     worst = float(np.max(np.abs(d2e + 2.0 * nm) / np.maximum(nm, 0.01 * nrm)))
     report.checks.append(_check("d2e-moebius-fields", worst, tol, "theorem"))
 
     report.checks.append(_check(
-        "form-equivalence", form_equivalence_error(mesh, rng, num_fields), tol, "theorem"))
+        "form-equivalence", form_equivalence_error(mesh, rng, NUM_FORM_FIELDS), tol, "theorem"))
 
     # canonical-variation sum identity for random functions
-    randoms = np.empty((mesh.num_vertices, num_random_f))
-    for j in range(num_random_f):
+    randoms = np.empty((mesh.num_vertices, NUM_RANDOM_F))
+    for j in range(NUM_RANDOM_F):
         randoms[:, j] = random_polynomial_scalar(mesh, rng)
     report.checks.append(_check("prop1-random", _prop1_error(mesh, randoms), tol, "theorem"))
 
@@ -229,16 +233,16 @@ def run_verification(mesh, tol=0.02, seed=0, k=12, num_fields=10, num_random_f=1
         tol, "theorem"))
 
     # proof identities on every nonconstant eigenpair with lambda <= 6, each
-    # against num_coeffs random combinations a_j xi_j (row t uses i = t mod n+1)
+    # against NUM_COEFFS random combinations a_j xi_j (row t uses i = t mod n+1)
     worst55 = worst_n = worst_mixed = 0.0
     nonconstant = [p for p in low if p.lam > 1e-6]
     fields = np.reshape([p.field for p in nonconstant],
                         (len(nonconstant), mesh.num_vertices)).T
     matrices = identity_matrices(mesh, fields)
-    rows = np.arange(num_coeffs) % (n + 1)
+    rows = np.arange(NUM_COEFFS) % (n + 1)
     for p, pair_matrices in zip(nonconstant, matrices):
         lam = p.lam
-        a = rng.standard_normal((num_coeffs, n + 1))
+        a = rng.standard_normal((NUM_COEFFS, n + 1))
         L, T, N, D = (np.einsum("tj,tj->t", X[rows], a) for X in pair_matrices)
         # ||xi_i||_{L2} ||a_j xi_j||_{L2}, from the lumped Gram matrix
         scale = (np.sqrt(np.maximum(np.diag(G)[rows], 0.0))

@@ -1,11 +1,13 @@
-"""Reference evaluations of the eigenfunction proof identities.
+"""Reference evaluations of L2 products and the eigenfunction proof identities.
 
-identity_55, identity_normal and mixed_gradient_identity evaluate one
-identity for one Moebius combination a_j xi_j, splitting the combination
-afresh. run_verification contracts the same integrals into (n+1) x (n+1)
-matrices (verify.identity_matrices); identity_matrices_reference contracts
-them for one function f from the per-face covariant derivatives of each
-f xi_i. These are the references the contraction is tested against.
+field_inner and field_norm evaluate the lumped L2 product of one pair of
+fields, the reference for operators.lumped_gram. identity_55,
+identity_normal and mixed_gradient_identity evaluate one identity for one
+Moebius combination a_j xi_j, splitting the combination afresh.
+run_verification contracts the same integrals into (n+1) x (n+1) matrices
+(verify.identity_matrices); identity_matrices_reference contracts them for
+one function f from the per-face covariant derivatives of each f xi_i.
+These are the references the contraction is tested against.
 """
 
 import numpy as np
@@ -17,6 +19,15 @@ from spherevar.operators import integrate, vertex_weights
 from spherevar.secondvar import covariant_face_derivatives, covariant_gradient_inner
 
 LAMBDA_SINGULAR_TOL = 1e-6
+
+
+def field_inner(weights, X, Y):
+    """L2 inner product int X . Y dmu, pointwise dot against the vertex weights."""
+    return float(np.einsum("v,vd,vd->", weights, X, Y))
+
+
+def field_norm(weights, X):
+    return float(np.sqrt(max(field_inner(weights, X, X), 0.0)))
 
 
 def _combination(basis, a):

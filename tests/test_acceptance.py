@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from identity_reference import field_norm
 
 from spherevar.catalog import (
     build_clifford_torus,
@@ -23,7 +24,6 @@ from spherevar.certificates import (
 from spherevar.cli import EXIT_VERIFICATION, main as cli_main
 from spherevar.mesh import jitter_vertices, write_off
 from spherevar.mobius import (
-    field_norm,
     moebius_basis,
     moebius_field,
     pointwise_identity_report,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from identity_reference import identity_55, identity_normal, mixed_gradient_identity
+from identity_reference import field_norm, identity_55, identity_normal, mixed_gradient_identity
 
 from spherevar.certificates import (
     build_certificate,
@@ -94,7 +94,6 @@ def test_identity_normal(clifford64, clifford64_pairs):
 def test_mixed_gradient_identity_any_function(clifford64, rng):
     # holds for arbitrary f, not just eigenfunctions; error measured against
     # the L2 norms of the two fields since both sides can nearly cancel
-    from spherevar.mobius import field_norm, moebius_basis
     from spherevar.operators import vertex_weights
 
     w = vertex_weights(clifford64)

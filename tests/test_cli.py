@@ -6,7 +6,7 @@ import pytest
 
 from spherevar.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, load_config_file, main
 from spherevar.errors import ParameterError
-from spherevar.mesh import jitter_vertices, write_off
+from spherevar.mesh import SurfaceMesh, jitter_vertices, write_off
 from spherevar.verify import run_verification
 
 
@@ -66,6 +66,21 @@ def test_verify_fails_on_jittered_mesh(tmp_path, sphere2):
     path = tmp_path / "jittered.off"
     write_off(jitter_vertices(sphere2, 0.05, seed=1), path)
     assert run(["verify", "--surface", str(path)]) == EXIT_VERIFICATION
+
+
+@pytest.mark.parametrize("command", ["index", "certificate"])
+def test_invalid_off_mesh_is_usage_error(tmp_path, clifford16, command):
+    # a mesh read from a file is validated: vertices off the unit sphere and
+    # a single flipped face each end in MeshError, not in counts or a verdict
+    flipped = clifford16.faces.copy()
+    flipped[0] = flipped[0, ::-1]
+    for name, mesh in (("scaled", SurfaceMesh(n=3, vertices=1.3 * clifford16.vertices,
+                                              faces=clifford16.faces)),
+                       ("flipped", SurfaceMesh(n=3, vertices=clifford16.vertices,
+                                               faces=flipped))):
+        path = tmp_path / f"{name}.off"
+        write_off(mesh, path)
+        assert run([command, "--surface", str(path)]) == EXIT_USAGE, name
 
 
 def test_index_report(tmp_path):

@@ -21,7 +21,13 @@ from spherevar.mesh import (
     SurfaceMesh,
 )
 from spherevar.certificates import canonical_variation_matrix
-from spherevar.mobius import moebius_basis, moebius_gram, moebius_normal_gram, moebius_tangential
+from spherevar.mobius import (
+    moebius_basis,
+    moebius_gram,
+    moebius_normal,
+    moebius_normal_gram,
+    moebius_tangential,
+)
 from spherevar.operators import (
     assemble_mass,
     assemble_stiffness,
@@ -37,7 +43,7 @@ from spherevar.secondvar import moebius_covariant_load, moebius_energy_gram
 HELD = [face_gram, face_areas, face_orthonormal_basis, sphere_tangent_frames,
         surface_tangent_frames, vertex_weights, face_centroids_on_sphere,
         assemble_stiffness, assemble_mass, dissection_order, coordinate_gradient_sq,
-        moebius_basis, moebius_gram, moebius_tangential, moebius_normal_gram,
+        moebius_basis, moebius_gram, moebius_tangential, moebius_normal, moebius_normal_gram,
         moebius_energy_gram, moebius_covariant_load, canonical_variation_matrix]
 
 

@@ -7,23 +7,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from identity_reference import field_inner, field_norm
 
-from spherevar.catalog import build_clifford_torus, build_equatorial_sphere
+from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
 from spherevar.errors import ContractError
 from spherevar.mesh import total_area
 from spherevar.mobius import (
     check_sphere_tangent,
-    field_inner,
-    field_norm,
     moebius_basis,
     moebius_field,
     moebius_gram,
+    moebius_normal,
     pointwise_identity_report,
     project_orthogonal_to_moebius,
     split_tangent_normal,
     sum_normal_sq,
 )
-from spherevar.operators import vertex_weights
+from spherevar.operators import lumped_gram, vertex_weights
+from spherevar.sampling import random_polynomial_scalar
 
 SMALL_TORUS = build_clifford_torus(8)
 SMALL_SPHERE = build_equatorial_sphere(3, 1)
@@ -122,15 +123,38 @@ def test_gram_matrix_equator_in_s3(sphere4):
 
 
 def test_projection_coefficients_match_quadrature(clifford64, clifford64_pairs):
-    # coefficients of f*xi_1 solve the Gram system with rhs int f xi_1 . xi_j
-    f = clifford64_pairs[1].field
+    # coefficients of f*xi_1 solve the Gram system with rhs int f xi_1 . xi_j;
+    # for the eigenfunction the rhs vanishes by symmetry, for a random
+    # polynomial it does not
     basis = moebius_basis(clifford64)
-    X = f[:, None] * basis[0]
-    _, a, _, _ = project_orthogonal_to_moebius(clifford64, X)
     w = vertex_weights(clifford64)
     G = moebius_gram(clifford64)
-    rhs = np.array([field_inner(w, X, xi) for xi in basis])
-    assert np.allclose(G @ a, rhs, atol=1e-10 * np.linalg.norm(rhs))
+    polynomial = random_polynomial_scalar(clifford64, np.random.default_rng(7))
+    for f in (clifford64_pairs[1].field, polynomial):
+        X = f[:, None] * basis[0]
+        _, a, _, _ = project_orthogonal_to_moebius(clifford64, X)
+        rhs = np.array([field_inner(w, X, xi) for xi in basis])
+        assert np.allclose(G @ a, rhs, atol=1e-10 * np.linalg.norm(rhs))
+
+
+@pytest.mark.parametrize("mesh_name", ["clifford64", "s5-torus32", "sphere4"])
+def test_lumped_gram_matches_pairwise_reference(mesh_name, request):
+    # each entry is summed as field_inner sums its pair; without Y each entry
+    # a <= b is mirrored, so the Gram matrix is exactly symmetric
+    mesh = (build_product_torus(2, 32, n=5) if mesh_name == "s5-torus32"
+            else request.getfixturevalue(mesh_name))
+    w = vertex_weights(mesh)
+    basis, normal = moebius_basis(mesh), moebius_normal(mesh)
+    f = random_polynomial_scalar(mesh, np.random.default_rng(3))
+    for X in (basis, normal, f[None, :, None] * normal):
+        G = lumped_gram(mesh, X)
+        assert np.array_equal(G, G.T)
+        d = len(X)
+        reference = [[field_inner(w, X[min(a, b)], X[max(a, b)]) for b in range(d)]
+                     for a in range(d)]
+        assert np.array_equal(G, reference)
+        assert np.array_equal(lumped_gram(mesh, X[:2], basis),
+                              [[field_inner(w, x, y) for y in basis] for x in X[:2]])
 
 
 def test_sphere_axis_moebius_fields_are_tangential(sphere4):

@@ -1,18 +1,21 @@
-"""The benchmark's verify workload runs from the checkout and checks its answers."""
+"""The benchmark's verify and fine-mesh workloads run from the checkout and check their answers."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_verify_workload_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ["verify", "fine-mesh"])
+def test_workload_smoke_run_is_correct(workload):
     # one untraced pass: every task's answers are checked against exactly-known
     # values, and the last line of stdout is the run's JSON summary
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "verify", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

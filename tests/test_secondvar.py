@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from identity_reference import field_inner
 
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
 from spherevar.errors import (
@@ -16,7 +17,6 @@ from spherevar.errors import (
 )
 from spherevar.mesh import face_areas, face_orthonormal_basis, total_area
 from spherevar.mobius import (
-    field_inner,
     moebius_basis,
     moebius_field,
     moebius_normal_gram,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from identity_reference import (
+    field_norm,
     identity_55,
     identity_matrices_reference,
     identity_normal,
@@ -12,7 +13,6 @@ from identity_reference import (
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
 from spherevar.mesh import jitter_vertices
 from spherevar.mobius import (
-    field_norm,
     moebius_basis,
     moebius_field,
     moebius_gram,
@@ -31,6 +31,9 @@ from spherevar.sampling import random_polynomial_scalar, random_unit_direction
 from spherevar.secondvar import energy_form_coordinate
 from spherevar.verify import (
     EIGENVALUE_CAP,
+    NUM_DIRECTIONS,
+    NUM_FORM_FIELDS,
+    NUM_RANDOM_F,
     form_equivalence_error,
     identity_matrices,
     run_verification,
@@ -159,15 +162,14 @@ def test_batched_identity_matrices_match_per_eigenpair_reference(mesh):
         assert np.max(np.abs(matrices - identity_matrices(mesh, f))) <= 1e-14 * scale
 
 
-def _moebius_span_reference_errors(mesh, seed, k=12, num_fields=10, num_random_f=10,
-                                   num_directions=20):
+def _moebius_span_reference_errors(mesh, seed, k=12):
     """d2e-moebius-fields, prop1-random and prop1-eigen one field at a time,
     drawing from the rng in run_verification's order."""
     n = mesh.n
     rng = np.random.default_rng(seed)
     area = integrate(mesh, 1.0)
     directions = [np.eye(n + 1)[i] for i in range(n + 1)]
-    directions += [random_unit_direction(rng, n + 1) for _ in range(num_directions)]
+    directions += [random_unit_direction(rng, n + 1) for _ in range(NUM_DIRECTIONS)]
     d2e_worst = 0.0
     for v in directions:
         xi = moebius_field(mesh, v)
@@ -176,7 +178,7 @@ def _moebius_span_reference_errors(mesh, seed, k=12, num_fields=10, num_random_f
         d2e = energy_form_coordinate(mesh, xi)
         nrm = integrate(mesh, np.einsum("vd,vd->v", xi, xi))
         d2e_worst = max(d2e_worst, abs(d2e + 2.0 * nm) / max(nm, 0.01 * nrm))
-    form_equivalence_error(mesh, rng, num_fields)
+    form_equivalence_error(mesh, rng, NUM_FORM_FIELDS)
 
     def prop1_worst(fields):
         worst = 0.0
@@ -187,7 +189,7 @@ def _moebius_span_reference_errors(mesh, seed, k=12, num_fields=10, num_random_f
             worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + area))
         return worst
 
-    randoms = [random_polynomial_scalar(mesh, rng) for _ in range(num_random_f)]
+    randoms = [random_polynomial_scalar(mesh, rng) for _ in range(NUM_RANDOM_F)]
     pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=k,
                                       order=dissection_order(mesh), seed=seed)
     return {"d2e-moebius-fields": d2e_worst,
