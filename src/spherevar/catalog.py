@@ -98,39 +98,42 @@ def build_equatorial_sphere(n, res):
     return mesh
 
 
-def _torus_chart(angles_a, angles_b, n):
-    V = angles_a.shape[0]
+def _torus_trig(res):
+    """cos a, sin a, cos b, sin b at each grid vertex i * res + j, each (V,).
+
+    The angles are a = 2 pi i / res and b = 2 pi j / res, so cos and sin are
+    taken once on the res grid angles and gathered per vertex.
+    """
+    angles = 2.0 * np.pi * np.arange(res) / res
+    cos, sin = np.cos(angles), np.sin(angles)
+    i, j = np.divmod(np.arange(res * res), res)
+    return cos[i], sin[i], cos[j], sin[j]
+
+
+def _torus_chart(trig, n):
+    cos_a, sin_a, cos_b, sin_b = trig
+    V = cos_a.shape[0]
     d = n + 1
     frames = np.zeros((V, 2, d))
-    frames[:, 0, 0] = -np.sin(angles_a)
-    frames[:, 0, 1] = np.cos(angles_a)
-    frames[:, 1, 2] = -np.sin(angles_b)
-    frames[:, 1, 3] = np.cos(angles_b)
+    frames[:, 0, 0] = -sin_a
+    frames[:, 0, 1] = cos_a
+    frames[:, 1, 2] = -sin_b
+    frames[:, 1, 3] = cos_b
     normsq_A = normal = None
     if n == 3:
         # in codimension > 1 the scalar area Jacobi form does not apply
         normsq_A = 2.0
-        normal = np.stack([
-            np.cos(angles_a), np.sin(angles_a),
-            -np.cos(angles_b), -np.sin(angles_b),
-        ], axis=1) / np.sqrt(2.0)
+        normal = np.stack([cos_a, sin_a, -cos_b, -sin_b], axis=1) / np.sqrt(2.0)
     return Chart(tangent_frames=frames, normsq_A=normsq_A, unit_normal=normal)
 
 
-def _clifford_vertices(res, n):
-    idx = np.arange(res)
-    a = 2.0 * np.pi * idx / res
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    aa = a[ii.ravel()]
-    bb = a[jj.ravel()]
-    verts = np.zeros((res * res, n + 1))
-    verts[:, 0] = np.cos(aa)
-    verts[:, 1] = np.sin(aa)
-    verts[:, 2] = np.cos(bb)
-    verts[:, 3] = np.sin(bb)
+def _clifford_vertices(trig, n):
+    verts = np.zeros((trig[0].shape[0], n + 1))
+    for axis, column in enumerate(trig):
+        verts[:, axis] = column
     verts /= np.sqrt(2.0)
     verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    return verts, aa, bb
+    return verts
 
 
 def _torus_faces(res):
@@ -154,11 +157,11 @@ def build_product_torus(k, res, n=3):
         raise ParameterError(f"torus grid size res={res} must be an integer >= 8")
     if not (isinstance(n, (int, np.integer)) and n >= 3):
         raise ParameterError(f"ambient dimension n={n} must be an integer >= 3")
-    verts, aa, bb = _clifford_vertices(res, n)
+    trig = _torus_trig(res)
     mesh = SurfaceMesh(
-        n=n, vertices=verts, faces=_torus_faces(res),
+        n=n, vertices=_clifford_vertices(trig, n), faces=_torus_faces(res),
         name="clifford-torus" if n == 3 else f"clifford-torus-in-s{n}",
-        genus=1, chart=_torus_chart(aa, bb, n),
+        genus=1, chart=_torus_chart(trig, n),
         full=(n == 3),
     )
     validate_mesh(mesh)

@@ -30,6 +30,7 @@ from .operators import (
     eigen_clusters,
     lumped_gram,
     solve_smallest_eigenpairs,
+    vertex_weights,
 )
 from .secondvar import energy_form_coordinate, moebius_energy_gram
 
@@ -63,18 +64,40 @@ def threshold_chain_check(n, num_samples=10000):
 
 
 @per_mesh
+def canonical_variation_weights(mesh):
+    """S on the CSR pattern of M, and the weights xi_i(v) . xi_i(w) there, (n+1, nnz), held.
+
+    D^2E(f xi_i) = sum_vw f_v f_w (S - 2M)_vw xi_i(v) . xi_i(w). The pattern
+    of M holds every entry of S, so S and M weighted entrywise by row i of
+    the weights are matrices on that one pattern.
+    """
+    M = assemble_mass(mesh)
+    row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    stiffness = np.asarray(assemble_stiffness(mesh)[row, M.indices]).ravel()
+    weights = np.stack([np.einsum("ed,ed->e", np.take(xi, row, axis=0),
+                                  np.take(xi, M.indices, axis=0))
+                        for xi in moebius_basis(mesh)])
+    return stiffness, weights
+
+
+def _on_mass_pattern(mesh, values):
+    """The sparse matrix with the given (nnz,) values on the CSR pattern of M."""
+    M = assemble_mass(mesh)
+    return sp.csr_matrix((values, M.indices, M.indptr), shape=M.shape)
+
+
+@per_mesh
 def canonical_variation_matrix(mesh):
     """The matrix P with f' P f = sum_i D^2E(f xi_i), held.
 
-    sum_i D^2E(f xi_i) = sum_vw f_v f_w (S - 2M)_vw sum_i xi_i(v) . xi_i(w),
-    so P is S - 2M weighted entrywise by sum_i xi_i(v) . xi_i(w),
-    accumulated over the Moebius basis.
+    P is S - 2M weighted entrywise by sum_i xi_i(v) . xi_i(w), accumulated
+    over the Moebius basis (canonical_variation_weights).
     """
-    A = (assemble_stiffness(mesh) - 2.0 * assemble_mass(mesh)).tocoo()
-    weight = np.zeros(A.nnz)
-    for xi in moebius_basis(mesh):
-        weight += np.einsum("ed,ed->e", xi[A.row], xi[A.col])
-    return sp.csr_matrix((A.data * weight, (A.row, A.col)), shape=A.shape)
+    stiffness, weights = canonical_variation_weights(mesh)
+    weight = np.zeros(stiffness.size)
+    for w in weights:
+        weight += w
+    return _on_mass_pattern(mesh, (stiffness - 2.0 * assemble_mass(mesh).data) * weight)
 
 
 def prop1_sum(mesh, f):
@@ -167,43 +190,65 @@ class CertificateReport:
         }
 
 
-def _certificate_for_eigenfunction(mesh, f, lam):
-    """Selection + projection + evaluation for one eigenfunction."""
+def canonical_variation_values(mesh, F):
+    """D^2E(f xi_i) and int |f xi_i^N|^2 of every column f of F (V, m), each (m, n+1).
+
+    The energies are f' S_i f - 2 f' M_i f, with S_i and M_i the matrices S
+    and M weighted entrywise by the weights of xi_i, one sparse product of
+    each with F. The two parts are summed apart, as the coordinate form sums
+    them: S - 2M formed entrywise rounds alike on every vertex of a regular
+    grid, which shifts f' (S - 2M) f by about 100 times the rounding of the
+    separate sums. The normal masses are sums over vertices of f(v)^2 times
+    the per-vertex density w_v |xi_i^N(v)|^2, one product for all of F.
+    """
+    stiffness, weights = canonical_variation_weights(mesh)
+    d2e = np.empty((F.shape[1], mesh.n + 1))
+    for i, w in enumerate(weights):
+        S_i, M_i = (_on_mass_pattern(mesh, values * w)
+                    for values in (stiffness, assemble_mass(mesh).data))
+        d2e[:, i] = (np.einsum("vm,vm->m", F, S_i @ F)
+                     - 2.0 * np.einsum("vm,vm->m", F, M_i @ F))
+    normal = moebius_normal(mesh)
+    density = vertex_weights(mesh)[:, None] * np.einsum("ivd,ivd->vi", normal, normal)
+    return d2e, (F * F).T @ density
+
+
+def certificate_members(mesh, F, lam):
+    """Selection + projection + evaluation for each eigenfunction, a column of F (V, m)."""
     n = mesh.n
     basis = moebius_basis(mesh)
     normals = moebius_normal(mesh)
-    f_normals = f[None, :, None] * normals
-    d2e = energy_form_coordinate(mesh, f[None, :, None] * basis)
-    normal_mass = np.diag(lumped_gram(mesh, f_normals))
-    mass_floor = 1e-12 * max(float(np.max(normal_mass)), 1.0)
-    usable = normal_mass > mass_floor
-    if np.any(usable):
-        ratios = np.where(usable, d2e / np.maximum(normal_mass, mass_floor), np.inf)
-        i0 = int(np.argmin(ratios))
-        ratio_defined = True
-    else:
-        i0 = int(np.argmin(d2e))
-        ratio_defined = False
-    X0 = f[:, None] * basis[i0]
-    X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, X0)
-    d2e_value = energy_form_coordinate(mesh, X_perp)
-
-    # proof decomposition: D^2E(X) = D^2E(f xi_i0) - 2 int |a_j xi_j^N|^2
-    #                                + 4 int f xi_i0^N . (a_j xi_j^N)
-    decomposition = (d2e[i0]
-                     - 2.0 * (a @ moebius_normal_gram(mesh) @ a)
-                     + 4.0 * (lumped_gram(mesh, f_normals[[i0]], normals)[0] @ a))
-
     coeff = (n * lam - 2 * n + 4) / (n - 2)
-    pigeonhole = float(np.sum(d2e - coeff * normal_mass))
-    prop_ok = bool(lam <= 1.0 and d2e[i0] < -1.5 * normal_mass[i0])
-    return {
-        "d2e": d2e, "normal_mass": normal_mass, "i0": i0,
-        "ratio_defined": ratio_defined, "a": a, "residuals": residuals,
-        "degenerate": degenerate, "d2e_value": d2e_value,
-        "decomposition": decomposition, "pigeonhole": pigeonhole,
-        "prop_ok": prop_ok,
-    }
+    members = []
+    for f, d2e, normal_mass in zip(F.T, *canonical_variation_values(mesh, F)):
+        mass_floor = 1e-12 * max(float(np.max(normal_mass)), 1.0)
+        usable = normal_mass > mass_floor
+        if np.any(usable):
+            ratios = np.where(usable, d2e / np.maximum(normal_mass, mass_floor), np.inf)
+            i0 = int(np.argmin(ratios))
+            ratio_defined = True
+        else:
+            i0 = int(np.argmin(d2e))
+            ratio_defined = False
+        X0 = f[:, None] * basis[i0]
+        X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, X0)
+        d2e_value = energy_form_coordinate(mesh, X_perp)
+
+        # proof decomposition: D^2E(X) = D^2E(f xi_i0) - 2 int |a_j xi_j^N|^2
+        #                                + 4 int f xi_i0^N . (a_j xi_j^N)
+        decomposition = (d2e[i0]
+                         - 2.0 * (a @ moebius_normal_gram(mesh) @ a)
+                         + 4.0 * (lumped_gram(mesh, f[None, :, None] * normals[[i0]],
+                                              normals)[0] @ a))
+        members.append({
+            "d2e": d2e, "normal_mass": normal_mass, "i0": i0,
+            "ratio_defined": ratio_defined, "a": a, "residuals": residuals,
+            "degenerate": degenerate, "d2e_value": d2e_value,
+            "decomposition": decomposition,
+            "pigeonhole": float(np.sum(d2e - coeff * normal_mass)),
+            "prop_ok": bool(lam <= 1.0 and d2e[i0] < -1.5 * normal_mass[i0]),
+        })
+    return members
 
 
 def build_certificate(mesh, k=8, seed=0, synthetic_lambda=None):
@@ -226,7 +271,8 @@ def build_certificate(mesh, k=8, seed=0, synthetic_lambda=None):
     lam_used = float(synthetic_lambda) if synthetic_lambda is not None else lambda1
     thr = threshold(mesh.n)
 
-    members = [_certificate_for_eigenfunction(mesh, pairs[j].field, lam_used) for j in first]
+    members = certificate_members(
+        mesh, np.stack([pairs[j].field for j in first], axis=1), lam_used)
     main = members[0]
 
     residual_ok = bool(np.max(main["residuals"]) <= ORTHOGONALITY_TOL)

@@ -171,11 +171,63 @@ def mesh_size(mesh):
     return float(max(l.max() for l in edge_lengths(mesh)))
 
 
+def _directed_edges(mesh):
+    """Tails and heads of the directed edges ab, bc, ca of every face, each (3F,)."""
+    f = mesh.faces
+    return f.ravel(), f[:, [1, 2, 0]].ravel()
+
+
+def _edge_fault(mesh):
+    """What keeps the face graph from being closed and oriented, as a message.
+
+    Names the directed edge used twice with the smallest key a * V + b, else
+    the first directed edge in face order whose reverse is missing, else an
+    edge from a vertex to itself.
+    """
+    V = mesh.num_vertices
+    a, b = _directed_edges(mesh)
+    keys = np.sort(a * V + b)
+    twice = np.flatnonzero(keys[1:] == keys[:-1])
+    if twice.size:
+        edge = tuple(int(v) for v in divmod(int(keys[twice[0]]), V))
+        return f"directed edge {edge} used twice (non-orientable or non-manifold)"
+    reverse = b * V + a
+    at = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
+    open_edges = np.flatnonzero(keys[at] != reverse)
+    if open_edges.size:
+        i = open_edges[0]
+        return f"boundary edge ({a[i]}, {b[i]}): mesh is not closed"
+    loop = int(a[np.flatnonzero(a == b)[0]])
+    return f"edge ({loop}, {loop}) joins a vertex to itself"
+
+
+@per_mesh
+def mesh_edges(mesh):
+    """The undirected edges (a, b), a < b, of a closed oriented mesh, (E, 2), held.
+
+    Each directed edge a -> b of a face is the key (min * V + max) * 2 + [a > b],
+    so the two directions of one edge are the keys 2k and 2k + 1. The mesh
+    is closed and oriented exactly when its sorted keys come in such pairs:
+    every directed edge is used once and its reverse once. The edges are
+    sorted by (a, b), as int32 (a mesh that fits in memory has fewer than
+    2^31 vertices), which halves what the table holds. Raises MeshError
+    naming the fault otherwise.
+    """
+    V = mesh.num_vertices
+    a, b = _directed_edges(mesh)
+    keys = np.sort((np.minimum(a, b) * V + np.maximum(a, b)) * 2 + (a > b))
+    down, up = keys[0::2], keys[1::2]
+    if np.any(down & 1) or not np.array_equal(down + 1, up):
+        raise MeshError(_edge_fault(mesh))
+    return np.stack(np.divmod(down >> 1, V), axis=1).astype(np.int32)
+
+
 def validate_mesh(mesh, unit_tol=UNIT_SPHERE_TOL):
     """Raise MeshError unless the mesh is a valid closed oriented surface.
 
     Checks: finite unit vertices, positive triangle areas, every directed
-    edge used exactly once with its reverse also used exactly once.
+    edge used exactly once with its reverse also used exactly once
+    (mesh_edges).
     """
     x = mesh.vertices
     if not np.all(np.isfinite(x)):
@@ -189,20 +241,7 @@ def validate_mesh(mesh, unit_tol=UNIT_SPHERE_TOL):
         raise MeshError("face index out of range")
     if np.any(face_areas(mesh) <= 0.0):
         raise MeshError("degenerate (zero-area) triangle")
-    # each directed edge (a, b) as the key a * V + b, sorted
-    V = mesh.num_vertices
-    a, b = f.ravel(), f[:, [1, 2, 0]].ravel()
-    keys = np.sort(a * V + b)
-    twice = np.flatnonzero(keys[1:] == keys[:-1])
-    if twice.size:
-        edge = tuple(int(v) for v in divmod(int(keys[twice[0]]), V))
-        raise MeshError(f"directed edge {edge} used twice (non-orientable or non-manifold)")
-    reverse = b * V + a
-    at = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
-    open_edges = np.flatnonzero(keys[at] != reverse)
-    if open_edges.size:
-        i = open_edges[0]
-        raise MeshError(f"boundary edge ({a[i]}, {b[i]}): mesh is not closed")
+    mesh_edges(mesh)
     return True
 
 
@@ -313,26 +352,30 @@ def write_off(mesh, path):
 
 
 def read_off(path, name=None):
-    """Read an extended OFF file; the mesh must pass validate_mesh (MeshError)."""
+    """Read an extended OFF file; the mesh must pass validate_mesh (MeshError).
+
+    A file that does not parse as nOFF raises ParameterError.
+    """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != "nOFF":
         raise ParameterError(f"{path}: missing nOFF header")
-    dim, nv, nf, _ = (int(tok) for tok in lines[1].split())
-    if dim < 3:
-        raise ParameterError(f"{path}: ambient dimension {dim} below 3")
-    verts = np.array([[float(t) for t in ln.split()] for ln in lines[2:2 + nv]])
-    faces = []
-    for ln in lines[2 + nv:2 + nv + nf]:
-        toks = ln.split()
-        if toks[0] != "3":
-            raise ParameterError(f"{path}: non-triangular face")
-        faces.append([int(t) for t in toks[1:4]])
+    try:
+        dim, nv, nf, _ = (int(tok) for tok in lines[1].split())
+        if dim < 3:
+            raise ParameterError(f"{path}: ambient dimension {dim} below 3")
+        verts = np.array([[float(t) for t in ln.split()] for ln in lines[2:2 + nv]])
+        faces = []
+        for ln in lines[2 + nv:2 + nv + nf]:
+            toks = ln.split()
+            if toks[0] != "3":
+                raise ParameterError(f"{path}: non-triangular face")
+            faces.append([int(t) for t in toks[1:4]])
+        faces = np.array(faces, dtype=np.int64)
+    except (ValueError, IndexError) as exc:
+        raise ParameterError(f"{path}: malformed OFF data ({exc})") from exc
     if verts.shape != (nv, dim) or len(faces) != nf:
         raise ParameterError(f"{path}: truncated OFF data")
-    mesh = SurfaceMesh(
-        n=dim - 1, vertices=verts, faces=np.array(faces, dtype=np.int64),
-        name=name or "off-mesh",
-    )
+    mesh = SurfaceMesh(n=dim - 1, vertices=verts, faces=faces, name=name or "off-mesh")
     validate_mesh(mesh)
     return mesh

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .mesh import per_mesh, surface_tangent_frames
+from .mesh import mesh_edges, per_mesh, surface_tangent_frames
 from .operators import coordinate_gradient_sq, lumped_gram
 
 SPHERE_TANGENCY_TOL = 1e-10
@@ -136,11 +136,8 @@ def pointwise_identity_report(mesh):
     gradsq = coordinate_gradient_sq(mesh)
     tri = mesh.faces
 
-    # unique undirected edges {a, b}, a < b, as the sorted int64 keys a * V + b,
-    # with their unit-sphere midpoints
-    V = mesh.num_vertices
-    ends = tri[:, [1, 2, 0]]
-    a, b = np.divmod(np.unique(np.minimum(tri, ends) * V + np.maximum(tri, ends)), V)
+    # every edge {a, b} once, with its unit-sphere midpoint
+    a, b = mesh_edges(mesh).T
     p, q = x[a], x[b]
     mid = 0.5 * (p + q)
     mid_hat = mid / np.linalg.norm(mid, axis=1, keepdims=True)

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ContractError, MeshError, SolverError
-from .mesh import edge_lengths, face_areas, face_corner_vectors, face_gram, per_mesh
+from .mesh import edge_lengths, face_areas, face_corner_vectors, face_gram, mesh_edges, per_mesh
 
 DEFAULT_EIG_TOL = 1e-8
 CLUSTER_REL_TOL = 1e-3
@@ -186,16 +186,13 @@ def dissection_order(mesh):
     separator, numbered after both halves (A. George, SIAM J. Numer. Anal.
     10, 1973). All parts of one level are split together, and a level keeps
     only the vertices and edges still inside a part, so the cost is
-    O(E log V). Deterministic: ties keep their previous relative order.
+    O(E log V). The edges are the held mesh_edges, so a mesh that is not
+    closed and oriented raises MeshError. Deterministic: ties keep their
+    previous relative order.
     """
     x = mesh.vertices
     V = mesh.num_vertices
-    f = mesh.faces
-    # every edge (a, b) of a closed oriented mesh once; a missing edge costs
-    # fill only
-    a, b = f.ravel(), f[:, [1, 2, 0]].ravel()
-    one_way = a < b
-    a, b = np.compress(one_way, a), np.compress(one_way, b)
+    a, b = mesh_edges(mesh).T
     # the vertices still inside a part, grouped by part in ascending order
     idx = np.arange(V)
     part = np.zeros(V, dtype=np.intp)

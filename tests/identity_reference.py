@@ -8,15 +8,30 @@ run_verification contracts the same integrals into (n+1) x (n+1) matrices
 (verify.identity_matrices); identity_matrices_reference contracts them for
 one function f from the per-face covariant derivatives of each f xi_i.
 These are the references the contraction is tested against.
+certificate_member_reference evaluates the certificate for one
+eigenfunction, building its n+1 canonical variations f xi_i as fields;
+certificates.certificate_members evaluates a whole cluster from the held
+weights of the canonical variation matrix.
 """
 
 import numpy as np
 
 from spherevar.errors import ContractError
-from spherevar.mobius import moebius_basis, moebius_tangential, split_tangent_normal
+from spherevar.mobius import (
+    moebius_basis,
+    moebius_normal,
+    moebius_normal_gram,
+    moebius_tangential,
+    project_orthogonal_to_moebius,
+    split_tangent_normal,
+)
 from spherevar.mesh import face_areas
-from spherevar.operators import integrate, vertex_weights
-from spherevar.secondvar import covariant_face_derivatives, covariant_gradient_inner
+from spherevar.operators import integrate, lumped_gram, vertex_weights
+from spherevar.secondvar import (
+    covariant_face_derivatives,
+    covariant_gradient_inner,
+    energy_form_coordinate,
+)
 
 LAMBDA_SINGULAR_TOL = 1e-6
 
@@ -114,3 +129,37 @@ def identity_matrices_reference(mesh, f):
                      derivatives, axes=([0, 1, 2], [1, 2, 3]))
         for xi in basis])
     return contract(basis), contract(tangential), contract(basis - tangential), D
+
+
+def certificate_member_reference(mesh, f, lam):
+    """Selection + projection + evaluation for one eigenfunction f (V,), field by field."""
+    n = mesh.n
+    basis = moebius_basis(mesh)
+    normals = moebius_normal(mesh)
+    f_normals = f[None, :, None] * normals
+    d2e = energy_form_coordinate(mesh, f[None, :, None] * basis)
+    normal_mass = np.diag(lumped_gram(mesh, f_normals))
+    mass_floor = 1e-12 * max(float(np.max(normal_mass)), 1.0)
+    usable = normal_mass > mass_floor
+    if np.any(usable):
+        ratios = np.where(usable, d2e / np.maximum(normal_mass, mass_floor), np.inf)
+        i0 = int(np.argmin(ratios))
+        ratio_defined = True
+    else:
+        i0 = int(np.argmin(d2e))
+        ratio_defined = False
+    X0 = f[:, None] * basis[i0]
+    X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, X0)
+    d2e_value = energy_form_coordinate(mesh, X_perp)
+    decomposition = (d2e[i0]
+                     - 2.0 * (a @ moebius_normal_gram(mesh) @ a)
+                     + 4.0 * (lumped_gram(mesh, f_normals[[i0]], normals)[0] @ a))
+    coeff = (n * lam - 2 * n + 4) / (n - 2)
+    return {
+        "d2e": d2e, "normal_mass": normal_mass, "i0": i0,
+        "ratio_defined": ratio_defined, "a": a, "residuals": residuals,
+        "degenerate": degenerate, "d2e_value": d2e_value,
+        "decomposition": decomposition,
+        "pigeonhole": float(np.sum(d2e - coeff * normal_mass)),
+        "prop_ok": bool(lam <= 1.0 and d2e[i0] < -1.5 * normal_mass[i0]),
+    }

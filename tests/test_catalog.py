@@ -139,6 +139,49 @@ def test_torus_faces_match_loop_reference(res):
     assert np.array_equal(_torus_faces(res), _torus_faces_by_loop(res))
 
 
+def _torus_by_vertex_angles(res, n):
+    """Reference for the torus vertices and chart: cos and sin of each vertex's angles.
+
+    Returns the vertices, the tangent frames and the unit normal (None
+    unless n = 3).
+    """
+    idx = np.arange(res)
+    a = 2.0 * np.pi * idx / res
+    ii, jj = np.meshgrid(idx, idx, indexing="ij")
+    aa = a[ii.ravel()]
+    bb = a[jj.ravel()]
+    verts = np.zeros((res * res, n + 1))
+    verts[:, 0] = np.cos(aa)
+    verts[:, 1] = np.sin(aa)
+    verts[:, 2] = np.cos(bb)
+    verts[:, 3] = np.sin(bb)
+    verts /= np.sqrt(2.0)
+    verts /= np.linalg.norm(verts, axis=1, keepdims=True)
+    frames = np.zeros((res * res, 2, n + 1))
+    frames[:, 0, 0] = -np.sin(aa)
+    frames[:, 0, 1] = np.cos(aa)
+    frames[:, 1, 2] = -np.sin(bb)
+    frames[:, 1, 3] = np.cos(bb)
+    normal = None
+    if n == 3:
+        normal = np.stack([np.cos(aa), np.sin(aa), -np.cos(bb), -np.sin(bb)],
+                          axis=1) / np.sqrt(2.0)
+    return verts, frames, normal
+
+
+@pytest.mark.parametrize("res", [8, 64])
+@pytest.mark.parametrize("n", [3, 5])
+def test_torus_vertices_and_chart_match_vertex_angle_reference(res, n):
+    mesh = build_product_torus(2, res, n=n)
+    verts, frames, normal = _torus_by_vertex_angles(res, n)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.chart.tangent_frames, frames)
+    if n == 3:
+        assert np.array_equal(mesh.chart.unit_normal, normal)
+    else:
+        assert mesh.chart.unit_normal is None
+
+
 def test_catalog_entries_buildable():
     for name in CATALOG:
         mesh = build_by_name(name, res=16 if "torus" in name else 1)

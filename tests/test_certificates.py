@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
-from identity_reference import field_norm, identity_55, identity_normal, mixed_gradient_identity
+from identity_reference import (
+    certificate_member_reference,
+    field_norm,
+    identity_55,
+    identity_normal,
+    mixed_gradient_identity,
+)
 
+from spherevar.catalog import build_product_torus
 from spherevar.certificates import (
     build_certificate,
+    certificate_members,
     el_soufi_lower_bound_check,
     prop1_sum,
     threshold,
@@ -14,7 +22,14 @@ from spherevar.certificates import (
 from spherevar.errors import ContractError, ParameterError, UnsupportedSurfaceError
 from spherevar.mesh import total_area
 from spherevar.mobius import moebius_basis
-from spherevar.operators import EigenPair, assemble_mass, assemble_stiffness
+from spherevar.operators import (
+    EigenPair,
+    assemble_mass,
+    assemble_stiffness,
+    dissection_order,
+    eigen_clusters,
+    solve_smallest_eigenpairs,
+)
 from spherevar.sampling import random_polynomial_scalar
 from spherevar.secondvar import coordinate_form_parts, energy_form_coordinate
 
@@ -192,3 +207,39 @@ def test_prop1_batch_matches_loop_reference(mesh_name, request):
             for value, ref in ((lhs[j], ref_lhs), (rhs[j], ref_rhs),
                                (one_lhs, ref_lhs), (one_rhs, ref_rhs)):
                 assert abs(value - ref) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("mesh_name", ["clifford64", "s5-torus32"])
+@pytest.mark.parametrize("lam", [None, 0.1], ids=["lambda1", "synthetic"])
+def test_certificate_members_match_per_member_reference(mesh_name, lam, request):
+    # the whole first cluster in one pass; the selection, projection and
+    # final energy are exactly the reference's, the canonical-variation
+    # energies and normal masses agree to rounding
+    if mesh_name == "s5-torus32":
+        mesh = build_product_torus(2, 32, n=5)
+        pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=8,
+                                          order=dissection_order(mesh), seed=0)
+    else:
+        mesh = request.getfixturevalue(mesh_name)
+        pairs = request.getfixturevalue(mesh_name + "_pairs")
+    first = eigen_clusters(pairs)[1]
+    assert len(first) == 4
+    lam = float(np.mean([pairs[j].lam for j in first])) if lam is None else lam
+    members = certificate_members(mesh, np.stack([pairs[j].field for j in first], axis=1), lam)
+    assert len(members) == len(first)
+    for member, j in zip(members, first):
+        reference = certificate_member_reference(mesh, pairs[j].field, lam)
+        assert member.keys() == reference.keys()
+        for key in ("i0", "ratio_defined", "degenerate", "d2e_value", "prop_ok"):
+            assert member[key] == reference[key], key
+        for key in ("a", "residuals"):
+            assert np.array_equal(member[key], reference[key]), key
+        scale = np.sum(np.abs(reference["d2e"])) + np.sum(reference["normal_mass"])
+        for key in ("d2e", "normal_mass", "decomposition", "pigeonhole"):
+            assert np.max(np.abs(member[key] - reference[key])) <= 1e-12 * scale, key
+    if mesh.n == 5:
+        # xi_4 = e_4 and xi_5 = e_5 on the equatorial torus: their ratios tie
+        # exactly, and the argmin keeps the first
+        assert all(m["d2e"][4] == m["d2e"][5] for m in members)
+        assert all(m["normal_mass"][4] == m["normal_mass"][5] for m in members)
+        assert [m["i0"] for m in members] == [4, 4, 4, 4]

@@ -83,6 +83,24 @@ def test_invalid_off_mesh_is_usage_error(tmp_path, clifford16, command):
         assert run([command, "--surface", str(path)]) == EXIT_USAGE, name
 
 
+_TETRAHEDRON = ["1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1"]
+_TETRAHEDRON_FACES = ["3 0 1 2", "3 0 2 3", "3 0 3 1", "3 1 3 2"]
+
+
+@pytest.mark.parametrize("text", [
+    "nOFF\n4 4\n" + "\n".join(_TETRAHEDRON + _TETRAHEDRON_FACES),
+    "nOFF\n4 4 4 0\n" + "\n".join(["1 0 0 0", "0 1 x 0"] + _TETRAHEDRON[2:]
+                                      + _TETRAHEDRON_FACES),
+    "nOFF\n4 4 4 0\n" + "\n".join(["1 0 0 0", "0 1 0"] + _TETRAHEDRON[2:]
+                                      + _TETRAHEDRON_FACES),
+    "nOFF\n",
+], ids=["two-number-counts", "non-numeric-coordinate", "ragged-vertex-rows", "header-only"])
+def test_malformed_off_file_is_usage_error(tmp_path, text):
+    path = tmp_path / "malformed.off"
+    path.write_text(text)
+    assert run(["index", "--surface", str(path)]) == EXIT_USAGE
+
+
 def test_index_report(tmp_path):
     out = tmp_path / "index.json"
     code = run(["index", "--surface", "clifford-torus", "--res", "32",

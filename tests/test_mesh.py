@@ -11,6 +11,7 @@ from spherevar.mesh import (
     face_gram,
     face_orthonormal_basis,
     jitter_vertices,
+    mesh_edges,
     mesh_size,
     read_off,
     sphere_tangent_frames,
@@ -20,7 +21,8 @@ from spherevar.mesh import (
     write_off,
     SurfaceMesh,
 )
-from spherevar.certificates import canonical_variation_matrix
+from spherevar.catalog import build_equatorial_sphere, build_product_torus
+from spherevar.certificates import canonical_variation_matrix, canonical_variation_weights
 from spherevar.mobius import (
     moebius_basis,
     moebius_gram,
@@ -40,11 +42,12 @@ from spherevar.operators import (
 from spherevar.secondvar import moebius_covariant_load, moebius_energy_gram
 
 # every function whose value is held on the mesh (per_mesh)
-HELD = [face_gram, face_areas, face_orthonormal_basis, sphere_tangent_frames,
+HELD = [face_gram, face_areas, face_orthonormal_basis, mesh_edges, sphere_tangent_frames,
         surface_tangent_frames, vertex_weights, face_centroids_on_sphere,
         assemble_stiffness, assemble_mass, dissection_order, coordinate_gradient_sq,
         moebius_basis, moebius_gram, moebius_tangential, moebius_normal, moebius_normal_gram,
-        moebius_energy_gram, moebius_covariant_load, canonical_variation_matrix]
+        moebius_energy_gram, moebius_covariant_load, canonical_variation_weights,
+        canonical_variation_matrix]
 
 
 def test_validate_catalog_meshes(sphere4, clifford64, torus_s4):
@@ -93,17 +96,64 @@ def _directed_edge_fault(faces):
     return None
 
 
-@pytest.mark.parametrize("edit, fault", [
-    (lambda f: np.vstack([f[:5], f[5, ::-1], f[6:]]), "used twice"),   # flipped face
-    (lambda f: np.vstack([f, f[7]]), "used twice"),                     # duplicated face
-    (lambda f: np.delete(f, 3, axis=0), "boundary edge"),               # hole
-], ids=["flipped-face", "duplicated-face", "missing-face"])
-def test_validate_rejects_bad_directed_edges(clifford16, edit, fault):
+def _four_faces_on_one_edge(f):
+    a, b = f[0, :2]
+    return np.vstack([f, [[a, b, 100], [b, a, 200]]])
+
+
+# each message names the same edge as the sort-and-search check did before
+# mesh_edges, which runs it only once a mesh fails
+@pytest.mark.parametrize("edit, fault, message", [
+    (lambda f: np.vstack([f[:5], f[5, ::-1], f[6:]]), "used twice",
+     "directed edge (2, 3) used twice (non-orientable or non-manifold)"),
+    (lambda f: np.vstack([f, f[7]]), "used twice",
+     "directed edge (3, 20) used twice (non-orientable or non-manifold)"),
+    (lambda f: np.delete(f, 3, axis=0), "boundary edge",
+     "boundary edge (18, 1): mesh is not closed"),
+    (_four_faces_on_one_edge, "used twice",
+     "directed edge (0, 16) used twice (non-orientable or non-manifold)"),
+], ids=["flipped-face", "duplicated-face", "missing-face", "four-faces-on-an-edge"])
+def test_validate_rejects_bad_directed_edges(clifford16, edit, fault, message):
     faces = edit(np.asarray(clifford16.faces))
     assert _directed_edge_fault(faces.tolist()) == fault
     mesh = SurfaceMesh(n=3, vertices=clifford16.vertices, faces=faces)
-    with pytest.raises(MeshError, match=fault):
+    with pytest.raises(MeshError) as raised:
         validate_mesh(mesh)
+    assert str(raised.value) == message
+    with pytest.raises(MeshError) as raised:
+        mesh_edges(mesh)
+    assert str(raised.value) == message
+
+
+def test_mesh_edges_names_an_edge_from_a_vertex_to_itself():
+    # the directed edges of one face (0, 0, 1) pass the used-twice and
+    # boundary checks, but do not pair up
+    mesh = SurfaceMesh(n=2, vertices=np.eye(3), faces=[[0, 0, 1]])
+    with pytest.raises(MeshError, match=r"^edge \(0, 0\) joins a vertex to itself$"):
+        mesh_edges(mesh)
+
+
+def _edges_by_loop(faces):
+    """Reference for mesh_edges: the edges {a, b} of the faces, one face at a time."""
+    edges = set()
+    for tri in faces:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edges.add((min(a, b), max(a, b)))
+    return np.array(sorted(edges), dtype=np.int64)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_product_torus(2, 16, n=3),
+    lambda: build_equatorial_sphere(3, 3),
+    lambda: build_product_torus(2, 32, n=5),
+], ids=["clifford16", "sphere3", "s5-torus32"])
+def test_mesh_edges_match_loop_reference(build):
+    mesh = build()
+    edges = mesh_edges(mesh)
+    assert edges.dtype == np.int32
+    assert np.array_equal(edges, _edges_by_loop(mesh.faces.tolist()))
+    # a closed triangulated surface has E = 3F / 2 edges
+    assert 2 * len(edges) == 3 * mesh.num_faces
 
 
 def test_geodesic_s2_flag(sphere4, clifford64, torus_s4):
