@@ -39,7 +39,9 @@ from .operators import (
     assemble_stiffness,
     count_eigenvalues_below,
     dissection_order,
+    dissection_tree,
     integrate,
+    nested_dissection,
     shift_invert_operator,
     solve_smallest_eigenpairs,
     surface_gradient,

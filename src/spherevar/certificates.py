@@ -63,13 +63,13 @@ def threshold_chain_check(n, num_samples=10000):
     return True
 
 
-@per_mesh
 def canonical_variation_weights(mesh):
-    """S on the CSR pattern of M, and the weights xi_i(v) . xi_i(w) there, (n+1, nnz), held.
+    """S on the CSR pattern of M, and the weights xi_i(v) . xi_i(w) there, (n+1, nnz).
 
     D^2E(f xi_i) = sum_vw f_v f_w (S - 2M)_vw xi_i(v) . xi_i(w). The pattern
     of M holds every entry of S, so S and M weighted entrywise by row i of
-    the weights are matrices on that one pattern.
+    the weights are matrices on that one pattern. Not held: the held P and
+    each certificate read it once.
     """
     M = assemble_mass(mesh)
     row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))

@@ -219,9 +219,12 @@ def cmd_index(args):
         "count": energy.count,
         "negatives": [float(v) for v in energy.negatives],
         "near_zero": [float(v) for v in energy.near_zero],
-        "provenance": "inertia of Q + delta M on the frame-coordinate energy pencil; "
-                      "values from shift-invert Lanczos at +delta, cross-checked "
-                      "against the inertia of Q - delta M and Q + delta M",
+        "provenance": "inertia of Q + delta M on the frame-coordinate energy pencil, "
+                      "from a count-only multifrontal LDL^T (Cholesky or Bunch-Kaufman "
+                      "per dense front of the nested-dissection tree); values from "
+                      "shift-invert Lanczos at +delta on a SuperLU factor of Q - delta M, "
+                      "cross-checked against the dense-front inertia of Q - delta M "
+                      "and Q + delta M",
     }
     print(f"energy index: {energy.count} "
           f"(negatives {np.round(energy.negatives, 4).tolist()})")
@@ -254,9 +257,12 @@ def cmd_index(args):
             "negatives": [float(v) for v in area.negatives],
             "near_zero": [float(v) for v in area.near_zero],
             "provenance": "inertia of Q + delta M on the scalar Jacobi pencil with "
-                          "analytic |A|^2; values from shift-invert Lanczos at "
-                          "+delta, cross-checked against the inertia of Q - delta M "
-                          "and Q + delta M",
+                          "analytic |A|^2, from a count-only multifrontal LDL^T "
+                          "(Cholesky or Bunch-Kaufman per dense front of the "
+                          "nested-dissection tree); values from shift-invert Lanczos "
+                          "at +delta on a SuperLU factor of Q - delta M, cross-checked "
+                          "against the dense-front inertia of Q - delta M and "
+                          "Q + delta M",
         }
         print(f"area Jacobi index: {area.count} "
               f"(negatives {np.round(area.negatives, 4).tolist()})")

@@ -3,24 +3,37 @@
 Cotangent stiffness, consistent mass, barycentric quadrature weights,
 per-face gradients of linear interpolants, quadrature, lumped L2 products
 of vector fields, the low end of the Laplace-Beltrami eigenproblem
-S f = lambda M f, and the symmetric sparse factorizations behind every
-shift-invert eigensolve and inertia count.
+S f = lambda M f, the nested dissection of the mesh graph, the SuperLU
+factorizations behind every shift-invert eigensolve, and the dense-front
+inertia count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from .errors import ContractError, MeshError, SolverError
-from .mesh import edge_lengths, face_areas, face_corner_vectors, face_gram, mesh_edges, per_mesh
+from .mesh import (
+    edge_lengths,
+    face_areas,
+    face_corner_vectors,
+    face_corners,
+    face_gram,
+    mesh_edges,
+    per_mesh,
+)
 
 DEFAULT_EIG_TOL = 1e-8
 CLUSTER_REL_TOL = 1e-3
 DISSECTION_LEAF_SIZE = 16   # parts this small keep their vertex-index order
+FRONT_MERGE_DOFS = 192      # subtrees this small are counted as one dense front
+EXTEND_ADD_COLUMNS = 64     # widest column block of one update added at a time
 
 
 @per_mesh
@@ -152,7 +165,8 @@ def coordinate_gradient_sq(mesh):
 @per_mesh
 def face_centroids_on_sphere(mesh):
     """Face centroids pushed radially onto the unit sphere, (F, n+1), read-only."""
-    c = mesh.vertices[mesh.faces].mean(axis=1)
+    a, b, c = face_corners(mesh)
+    c = (a + b + c) / 3.0
     return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
@@ -178,21 +192,71 @@ def eigen_clusters(pairs, rel_tol=CLUSTER_REL_TOL):
 
 
 @per_mesh
-def dissection_order(mesh):
-    """Nested-dissection order of the vertices, taken from their coordinates, held.
+def _dissection_nodes(mesh):
+    """The nodes of the mesh graph's nested dissection (see _dissect), held.
+    Its edges are the held mesh_edges, so a mesh that is not closed and
+    oriented raises MeshError."""
+    return _dissect(mesh.vertices, mesh_edges(mesh))
 
-    Each part is bisected at the median of its widest ambient coordinate.
-    The lower-half vertices with an edge into the upper half form the
+
+def dissection_order(mesh):
+    """The held nested-dissection vertex order of the mesh."""
+    return _dissection_nodes(mesh)[0]
+
+
+@per_mesh
+def dissection_tree(mesh):
+    """The nested-dissection tree of the mesh graph with the updates of its
+    nodes (see nested_dissection), held. Only an inertia count needs the
+    updates, so a mesh that is only factored holds its nodes alone."""
+    nodes = _dissection_nodes(mesh)
+    return DissectionTree(*nodes, *_node_updates(nodes, mesh_edges(mesh)))
+
+
+class DissectionTree(NamedTuple):
+    """A nested-dissection order and its elimination tree.
+
+    Positions are indices into ``order``. The nodes, separators and leaf
+    parts, are in post-order: node s pivots on the positions
+    start[s]:stop[s], its subtree holds the positions first[s]:stop[s], and
+    update[update_ptr[s]:update_ptr[s + 1]] are the positions after its
+    subtree that an edge joins to the subtree, ascending.
+    """
+
+    order: np.ndarray        # (V,) vertices in elimination order
+    start: np.ndarray        # (nodes,) first pivot position of each node
+    first: np.ndarray        # (nodes,) first position of its subtree
+    stop: np.ndarray         # (nodes,) one past its last position
+    parent: np.ndarray       # (nodes,) nearest enclosing node, -1 at a root
+    update_ptr: np.ndarray   # (nodes + 1,)
+    update: np.ndarray       # positions, grouped by node
+
+
+def nested_dissection(points, edges):
+    """Nested-dissection tree of a graph whose vertices carry coordinates.
+
+    Each part is bisected at the median of its widest coordinate. The
+    lower-half vertices with an edge into the upper half form the
     separator, numbered after both halves (A. George, SIAM J. Numer. Anal.
     10, 1973). All parts of one level are split together, and a level keeps
     only the vertices and edges still inside a part, so the cost is
-    O(E log V). The edges are the held mesh_edges, so a mesh that is not
-    closed and oriented raises MeshError. Deterministic: ties keep their
-    previous relative order.
+    O(E log V). Deterministic: ties keep their previous relative order.
+
+    The tree's nodes are the separators and the leaf parts, each numbered
+    after the subtree below it. No edge joins two subtrees that are not
+    nested, so the update of a node lies in the pivots of its ancestors.
     """
-    x = mesh.vertices
-    V = mesh.num_vertices
-    a, b = mesh_edges(mesh).T
+    nodes = _dissect(points, edges)
+    return DissectionTree(*nodes, *_node_updates(nodes, np.asarray(edges)))
+
+
+def _dissect(points, edges):
+    """The order and the nodes (start, first, stop, parent) of
+    nested_dissection, without the updates."""
+    x = np.asarray(points, dtype=float)
+    V = x.shape[0]
+    edges = np.asarray(edges)
+    a, b = edges.T
     # the vertices still inside a part, grouped by part in ascending order
     idx = np.arange(V)
     part = np.zeros(V, dtype=np.intp)
@@ -202,6 +266,8 @@ def dissection_order(mesh):
     # half, 1 upper half, 2 separator); sorting by it numbers the tree in
     # post-order, and within a leaf part by vertex index
     key = np.zeros(V, dtype=np.int64)
+    level = np.zeros(V, dtype=np.int64)   # the level that finished the vertex
+    depth = 0
     while idx.size:
         starts = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
         sizes = np.diff(np.r_[starts, idx.size])
@@ -232,23 +298,81 @@ def dissection_order(mesh):
         sizes = np.bincount(part[stay], minlength=2 * starts.size)
         stay &= np.take(sizes, part) > DISSECTION_LEAF_SIZE
         inside[idx[~stay]] = False
+        level[idx[~stay]] = depth
         idx, part = idx[stay], part[stay]
         keep = ~cut & np.take(inside, a) & np.take(inside, b)
         a, b = np.compress(keep, a), np.compress(keep, b)
-    return np.argsort(key, kind="stable")
+        depth += 1
+    order = np.argsort(key, kind="stable")
+    return _dissection_tree_nodes(order, np.take(key, order), np.take(level, order), depth)
 
 
-def _factor_shifted(A, M, sigma, order):
-    """SuperLU factor of A - sigma M in dissection order, pivots on the diagonal.
+def _dissection_tree_nodes(order, key, level, depth):
+    """The nodes of the dissection whose sorted path keys are ``key``.
+
+    A node is a separator or a leaf part: the positions that share a key.
+    Its subtree is the part it splits (a leaf: itself), whose keys share the
+    part's path as a prefix, so it is the run of positions from ``first``
+    to the node's end. The parent of a node is the separator of the nearest
+    enclosing part that has one.
+    """
+    V = order.size
+    start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    stop = np.r_[start[1:], V]
+    node_key = key[start]
+    level = level[start]
+    path = node_key >> 2 * (depth - 1 - level)   # level + 1 base-4 digits
+    separator = (path & 3) == 2
+    part = np.where(separator, path >> 2, path)
+    part_depth = np.where(separator, level, level + 1)
+    first = np.searchsorted(key, part << 2 * (depth - part_depth))
+    parent = np.full(node_key.size, -1)
+    todo = np.arange(node_key.size)
+    up = 1
+    while todo.size:
+        todo = todo[part_depth[todo] >= up]
+        enclosing = part_depth[todo] - up   # depth of the enclosing part tried
+        candidate = ((part[todo] >> 2 * up) * 4 + 2) << 2 * (depth - 1 - enclosing)
+        at = np.minimum(np.searchsorted(node_key, candidate), node_key.size - 1)
+        found = node_key[at] == candidate
+        parent[todo[found]] = at[found]
+        todo = todo[~found]
+        up += 1
+    return order, start, first, stop, parent
+
+
+def _node_updates(nodes, edges):
+    """(update_ptr, update) of DissectionTree for the dissection ``nodes``.
+
+    The update of a node is every later position on an edge that starts in
+    its subtree, found by walking each edge up from the node of its earlier
+    end until the node whose pivots hold the later end.
+    """
+    order, start, _, stop, parent = nodes
+    V = order.size
+    position = np.empty(V, dtype=np.intp)
+    position[order] = np.arange(V)
+    i, j = np.take(position, edges[:, 0]), np.take(position, edges[:, 1])
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    s = np.repeat(np.arange(start.size), stop - start)[i]
+    pairs = []
+    while s.size:
+        later = j >= np.take(stop, s)
+        s, j = s[later], j[later]
+        pairs.append(s * V + j)
+        s = np.take(parent, s)
+    pairs = np.sort(np.concatenate([np.empty(0, dtype=np.intp), *pairs]))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]   # np.unique hashes, slower here
+    return np.searchsorted(pairs // V, np.arange(start.size + 1)), pairs % V
+
+
+def _shifted_in_order(A, M, sigma, order):
+    """A - sigma M as COO (data, (row, col)) in elimination order.
 
     The vertex order is expanded to the per-vertex DOF blocks (DOF
-    v * block + j belongs to vertex v). The matrix is permuted once and
-    factored with SuperLU in symmetric mode without column reordering, so
-    U's diagonal holds the pivots of a symmetric LDL^T. With M positive
-    definite, the number of negative pivots is the number of eigenvalues of
-    A w = mu M w below sigma (Sylvester's law of inertia). Returns (factor,
-    DOF permutation, negative-pivot count). A singular A - sigma M, i.e. an
-    eigenvalue on sigma, raises SolverError.
+    v * block + j belongs to vertex v, and sits at position p * block + j
+    when v is at position p). Returns the triplet, the DOF at each position
+    and the block size.
     """
     order = np.asarray(order)
     block, rest = divmod(A.shape[0], order.size)
@@ -259,43 +383,145 @@ def _factor_shifted(A, M, sigma, order):
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
     K = (A - sigma * M).tocoo()
-    K = sp.csc_matrix((K.data, (inv[K.row], inv[K.col])), shape=K.shape)
+    return (K.data, (inv[K.row], inv[K.col])), perm, block
+
+
+def _factor_shifted(A, M, sigma, order):
+    """SuperLU factor of A - sigma M in dissection order, pivots on the diagonal.
+
+    The matrix is permuted once to the elimination order and factored with
+    SuperLU in symmetric mode without column reordering, so U's diagonal
+    holds the pivots of a symmetric LDL^T. Returns (factor, DOF
+    permutation). A singular A - sigma M, i.e. an eigenvalue on sigma,
+    raises SolverError.
+    """
+    triplet, perm, _ = _shifted_in_order(A, M, sigma, order)
+    K = sp.csc_matrix(triplet, shape=A.shape)
     try:
         lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"factorization of A - ({sigma:g}) M failed: {exc}") from exc
-    del K   # lu.U below is a full copy of the factor; free the matrix first
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(f"factorization of A - ({sigma:g}) M left the diagonal: "
                           "a pivot vanished")
-    return lu, perm, int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    return lu, perm
 
 
-def shift_invert_operator(A, M, sigma, order):
-    """(A - sigma M)^-1 as a LinearOperator, with its negative-pivot count.
-
-    The operator is the OPinv of eigsh(sigma=sigma), factored once (see
-    _factor_shifted). The count is the number of eigenvalues of (A, M)
-    below sigma; it is 0 exactly when sigma lies below the spectrum.
-    """
-    lu, perm, below = _factor_shifted(A, M, sigma, order)
-
+def _inverse_operator(lu, perm):
     def solve(b):
         x = np.empty_like(b)
         x[perm] = lu.solve(b[perm])
         return x
 
-    return spla.LinearOperator(A.shape, matvec=solve, dtype=float), below
+    return spla.LinearOperator(lu.shape, matvec=solve, dtype=float)
 
 
-def count_eigenvalues_below(A, M, shift, order):
+def shift_invert_operator(A, M, sigma, order):
+    """(A - sigma M)^-1 as a LinearOperator, the OPinv of eigsh(sigma=sigma),
+    factored once (see _factor_shifted)."""
+    return _inverse_operator(*_factor_shifted(A, M, sigma, order))
+
+
+def count_eigenvalues_below(A, M, shift, tree):
     """Eigenvalues of A w = mu M w below shift, by Sylvester's law of inertia.
 
-    With M positive definite this is the number of negative pivots of
-    A - shift M, factored as in shift_invert_operator.
+    With M positive definite this is the number of negative eigenvalues of
+    K = A - shift M, counted by a multifrontal LDL^T that keeps nothing but
+    the count (I. S. Duff and J. K. Reid, ACM TOMS 9, 1983). The fronts are
+    those of the dissection tree (see nested_dissection), in DOF blocks.
+    A front gathers its rows of K and the updates of its children into a
+    dense matrix [[F11, F12], [F21, F22]] over its pivots and its update
+    positions. F11 is factored by Cholesky, or when that fails by
+    Bunch-Kaufman, and the negative eigenvalues of its D blocks are counted;
+    the Schur complement F22 - F21 F11^-1 F12 goes to the parent front. By
+    inertia additivity the counts sum to that of K. A singular F11, as from
+    an eigenvalue on the shift, raises SolverError. K is read from its
+    upper triangle in elimination order; an entry of K between two vertices
+    that no mesh edge joins raises ContractError.
     """
-    return _factor_shifted(A, M, shift, order)[2]
+    (data, (row, col)), _, block = _shifted_in_order(A, M, shift, tree.order)
+    keep = row <= col
+    # each row of the upper triangle goes to the lower triangle of the one
+    # front that pivots on it
+    K = sp.csr_matrix((data[keep], (row[keep], col[keep])), shape=A.shape)
+    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    # a front is a node with more than FRONT_MERGE_DOFS DOFs in its subtree,
+    # pivoting on its own vertices, or a largest subtree of at most that
+    # many, pivoting on all of them
+    small = (tree.stop - tree.first) * block <= FRONT_MERGE_DOFS
+    fronts = np.flatnonzero(~small | (tree.parent < 0) | ~np.take(small, tree.parent))
+    starts = np.where(small, tree.first, tree.start)
+    local = np.zeros(K.shape[0], dtype=np.intp)
+    lanes = np.arange(block)
+    negative = 0
+    pending = []   # (parent, update DOFs, Schur complement), newest last
+    for s in fronts.tolist():
+        a, b = starts[s] * block, tree.stop[s] * block
+        later = tree.update[tree.update_ptr[s]:tree.update_ptr[s + 1]]
+        dofs = np.concatenate([np.arange(a, b), (later[:, None] * block + lanes).ravel()])
+        local[dofs] = np.arange(dofs.size)
+        lo, hi = K.indptr[a], K.indptr[b]
+        at = local[K.indices[lo:hi]]
+        if not np.array_equal(np.take(dofs, at, mode="clip"), K.indices[lo:hi]):
+            raise ContractError("the pencil has an entry between vertices that no "
+                                "mesh edge joins")
+        F = np.zeros((dofs.size,) * 2, order="F")
+        F[at, rows[lo:hi] - a] = K.data[lo:hi]
+        while pending and pending[-1][0] == s:
+            _, child, update = pending.pop()
+            _extend_add(F, local[child], update)
+        count, update = _eliminate_pivots(F, b - a, shift)
+        negative += count
+        if dofs.size > b - a:
+            pending.append((tree.parent[s], dofs[b - a:], update))
+    return negative
+
+
+def _extend_add(F, at, update):
+    """Add the lower triangle of a child's update into F at the ascending
+    local positions ``at``.
+
+    Where the positions fall into few runs of consecutive ones, the add goes
+    one block of at most EXTEND_ADD_COLUMNS columns of a run at a time, over
+    the rows from that block down (the rows of its diagonal block above the
+    diagonal are added as well). Otherwise one scattered add takes the
+    whole update: a block costs about as much as scattering 1000 entries.
+    """
+    cuts = np.flatnonzero(np.diff(at) != 1) + 1
+    if (cuts.size + 1) * 1000 > at.size ** 2:
+        F[np.ix_(at, at)] += update
+        return
+    bounds = np.union1d(cuts, np.arange(0, at.size, EXTEND_ADD_COLUMNS)).tolist()
+    for k0, k1 in zip(bounds, bounds[1:] + [at.size]):
+        F[at[k0:], at[k0]:at[k0] + k1 - k0] += update[k0:, k0:k1]
+
+
+def _eliminate_pivots(F, pivots, shift):
+    """Negative eigenvalues of F11 = F[:pivots, :pivots] and the Schur
+    complement of F11 in F, both from the lower triangle of F (the upper
+    triangle of the returned complement is not set)."""
+    F11, F21, F22 = F[:pivots, :pivots], F[pivots:, :pivots], F[pivots:, pivots:]
+    L, info = lapack.dpotrf(F11, lower=1, clean=0)
+    if info == 0:
+        if not F21.size:
+            return 0, None
+        L21 = blas.dtrsm(1.0, L, F21, side=1, lower=1, trans_a=1)
+        return 0, blas.dsyrk(-1.0, L21, beta=1.0, c=F22, lower=1, overwrite_c=1)
+    if F21.size:
+        LD, ipiv, X, info = lapack.dsysv(F11, F21.T, lower=1)
+    else:
+        LD, ipiv, info = lapack.dsytrf(F11, lower=1)
+    # D has 1x1 blocks where ipiv > 0 and 2x2 blocks on the pairs ipiv < 0
+    d = LD.diagonal()
+    two = np.flatnonzero(ipiv < 0)[::2]
+    det = d[two] * d[two + 1] - LD[two + 1, two] ** 2
+    if info != 0 or np.any(det == 0.0):
+        raise SolverError(f"inertia count of A - ({shift:g}) M: a pivot block is "
+                          "singular")
+    count = (np.count_nonzero(d[ipiv > 0] < 0.0) + np.count_nonzero(det < 0.0)
+             + 2 * np.count_nonzero((det > 0.0) & (d[two] < 0.0)))
+    return int(count), (F22 - F21 @ X if F21.size else None)
 
 
 def solve_smallest_eigenpairs(S, M, k, order, tol=DEFAULT_EIG_TOL, seed=0):
@@ -313,10 +539,14 @@ def solve_smallest_eigenpairs(S, M, k, order, tol=DEFAULT_EIG_TOL, seed=0):
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(V)
     sigma = -0.1  # S is PSD, so S - sigma M is SPD for sigma < 0
-    OPinv, below = shift_invert_operator(S, M, sigma, order)
+    lu, perm = _factor_shifted(S, M, sigma, order)
+    # the pivots of the factor it solves with; lu.U copies it, which for a
+    # scalar pencil costs less than a second factorization would
+    below = int(np.count_nonzero(lu.U.diagonal() < 0.0))
     if below:
         raise SolverError(f"shift {sigma:g} is not below the spectrum: "
                           f"{below} eigenvalues below it")
+    OPinv = _inverse_operator(lu, perm)
     try:
         vals, vecs = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM", v0=v0,
                                 maxiter=5000, OPinv=OPinv)

@@ -24,11 +24,12 @@ from .errors import ContractError, ParameterError, SolverError, UnsupportedSurfa
 from .mesh import face_areas, per_mesh, sphere_tangent_frames
 from .mobius import check_sphere_tangent, moebius_basis, split_tangent_normal
 from .operators import (
+    DissectionTree,
     _p1_gram,
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
-    dissection_order,
+    dissection_tree,
     face_centroids_on_sphere,
     gradient_gram,
     lumped_gram,
@@ -154,8 +155,9 @@ def covariant_face_derivatives(mesh, X):
     guu, _, guw, det = gradient_gram(mesh)
     centroid = face_centroids_on_sphere(mesh)
     tri = mesh.faces
-    du = X[tri[:, 1]] - X[tri[:, 0]]   # (F, n+1)
-    dw = X[tri[:, 2]] - X[tri[:, 0]]
+    X0 = np.take(X, tri[:, 0], axis=0)
+    du = np.take(X, tri[:, 1], axis=0) - X0   # (F, n+1)
+    dw = np.take(X, tri[:, 2], axis=0) - X0
     D = np.empty((tri.shape[0], 2, X.shape[1]))
     D[:, 0] = du / np.sqrt(guu)[:, None]
     D[:, 1] = (guu[:, None] * dw - guw[:, None] * du) / np.sqrt(det * guu)[:, None]
@@ -211,7 +213,7 @@ class QuadraticFormMatrix(NamedTuple):
     Q: sp.csr_matrix
     M: sp.csr_matrix
     kind: str                  # "energy" | "areaJacobi"
-    order: np.ndarray          # vertex elimination order (dissection_order)
+    tree: DissectionTree       # elimination order and tree (dissection_tree)
 
 
 def _frame_block_matrices(frames, entries, *values):
@@ -253,7 +255,7 @@ def energy_quadratic_matrix(mesh):
     Q, MQ = _frame_block_matrices(sphere_tangent_frames(mesh), entries,
                                   np.asarray(A[entries.row, entries.col]).ravel(),
                                   entries.data)
-    return QuadraticFormMatrix(Q=Q, M=MQ, kind="energy", order=dissection_order(mesh))
+    return QuadraticFormMatrix(Q=Q, M=MQ, kind="energy", tree=dissection_tree(mesh))
 
 
 def area_jacobi_matrix(mesh):
@@ -263,7 +265,7 @@ def area_jacobi_matrix(mesh):
     a2 = _normsq_A_values(mesh)
     M = assemble_mass(mesh)
     Q = (assemble_stiffness(mesh) - 2.0 * M - weighted_mass(mesh, a2)).tocsr()
-    return QuadraticFormMatrix(Q=Q, M=M, kind="areaJacobi", order=dissection_order(mesh))
+    return QuadraticFormMatrix(Q=Q, M=M, kind="areaJacobi", tree=dissection_tree(mesh))
 
 
 class IndexCount(NamedTuple):
@@ -276,23 +278,26 @@ class IndexCount(NamedTuple):
 def negative_index_count(form, delta=DEFAULT_INDEX_DELTA, seed=0):
     """Count eigenvalues of Q w = mu M w below -delta.
 
-    Sylvester inertia leads and Lanczos supplies the values. The negative
-    pivots of Q - delta M give the number of eigenvalues below +delta, and
-    the same factor is the OPinv of one shift-invert Lanczos at +delta.
-    There, exactly those eigenvalues have a negative transformed value
-    1 / (mu - delta), so which="SA" with k equal to that number returns
-    exactly them. The count is the number of negative pivots of
-    Q + delta M. Raises SolverError if an eigenvalue sits on +-delta (a
-    singular factor), if a Lanczos value is not below +delta, or if the
-    Lanczos values below -delta are not as many as that count.
+    Sylvester inertia leads and Lanczos supplies the values. The inertia
+    of Q - delta M, counted on the dense fronts of the dissection tree
+    (count_eigenvalues_below), gives the number of eigenvalues below
+    +delta. SuperLU factors Q - delta M, in the same vertex order, as the
+    OPinv of one shift-invert Lanczos at +delta; there exactly those
+    eigenvalues have a negative transformed value 1 / (mu - delta), so
+    which="SA" with k equal to that number returns exactly them. The count
+    is the inertia of Q + delta M, counted on the fronts. Raises
+    SolverError if an eigenvalue sits on +-delta (a singular front), if a
+    Lanczos value is not below +delta, or if the Lanczos values below
+    -delta are not as many as that count.
     """
     dim = form.Q.shape[0]
-    OPinv, wanted = shift_invert_operator(form.Q, form.M, delta, form.order)
+    wanted = count_eigenvalues_below(form.Q, form.M, delta, form.tree)
     if wanted >= dim:
         raise SolverError(f"{form.kind} index: all {dim} eigenvalues lie below "
                           f"{delta:g}; shift-invert Lanczos needs fewer than {dim}")
     vals = np.empty(0)
     if wanted:
+        OPinv = shift_invert_operator(form.Q, form.M, delta, form.tree.order)
         v0 = np.random.default_rng(seed).standard_normal(dim)
         try:
             vals = spla.eigsh(form.Q, k=wanted, M=form.M, sigma=delta, which="SA",
@@ -300,13 +305,13 @@ def negative_index_count(form, delta=DEFAULT_INDEX_DELTA, seed=0):
                               OPinv=OPinv)
         except (spla.ArpackNoConvergence, RuntimeError) as exc:
             raise SolverError(f"index eigensolver failed: {exc}") from exc
+        del OPinv   # free the factor before the count at -delta
         vals = np.sort(vals)
-    del OPinv   # free the factor before the inertia factorization at -delta
     if vals.size and not vals[-1] < delta:
         raise SolverError(
             f"{form.kind} index: Lanczos returned {vals[-1]:.6g}, not below "
             f"{delta:g}, so an eigenvalue below {delta:g} was missed")
-    count = count_eigenvalues_below(form.Q, form.M, -delta, form.order)
+    count = count_eigenvalues_below(form.Q, form.M, -delta, form.tree)
     negatives = vals[vals < -delta]
     if negatives.size != count:
         raise SolverError(

@@ -22,7 +22,7 @@ from spherevar.mesh import (
     SurfaceMesh,
 )
 from spherevar.catalog import build_equatorial_sphere, build_product_torus
-from spherevar.certificates import canonical_variation_matrix, canonical_variation_weights
+from spherevar.certificates import canonical_variation_matrix
 from spherevar.mobius import (
     moebius_basis,
     moebius_gram,
@@ -35,6 +35,7 @@ from spherevar.operators import (
     assemble_stiffness,
     coordinate_gradient_sq,
     dissection_order,
+    dissection_tree,
     face_centroids_on_sphere,
     gradient_gram,
     vertex_weights,
@@ -44,9 +45,9 @@ from spherevar.secondvar import moebius_covariant_load, moebius_energy_gram
 # every function whose value is held on the mesh (per_mesh)
 HELD = [face_gram, face_areas, face_orthonormal_basis, mesh_edges, sphere_tangent_frames,
         surface_tangent_frames, vertex_weights, face_centroids_on_sphere,
-        assemble_stiffness, assemble_mass, dissection_order, coordinate_gradient_sq,
-        moebius_basis, moebius_gram, moebius_tangential, moebius_normal, moebius_normal_gram,
-        moebius_energy_gram, moebius_covariant_load, canonical_variation_weights,
+        assemble_stiffness, assemble_mass, dissection_tree, dissection_order,
+        coordinate_gradient_sq, moebius_basis, moebius_gram, moebius_tangential,
+        moebius_normal, moebius_normal_gram, moebius_energy_gram, moebius_covariant_load,
         canonical_variation_matrix]
 
 

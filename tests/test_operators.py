@@ -7,14 +7,16 @@ import scipy.sparse as sp
 
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
 from spherevar.errors import ContractError, SolverError
-from spherevar.mesh import total_area
+from spherevar.mesh import mesh_edges, total_area
 from spherevar.operators import (
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
     dissection_order,
+    dissection_tree,
     eigen_clusters,
     integrate,
+    nested_dissection,
     shift_invert_operator,
     solve_smallest_eigenpairs,
     surface_gradient,
@@ -129,6 +131,15 @@ def test_eigen_clusters(clifford64_pairs):
     assert len(clusters[1]) == 4          # lambda = 2 level
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eigensolver_returns_whole_clusters(sphere4, seed):
+    # 0 | 2 (x3) | 6 (x5) | 12: eigsh at a loose tol (1e-10) returns 12 twice
+    # in place of one copy of 6, with every residual under 1e-8
+    pairs = solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
+                                      k=10, order=dissection_order(sphere4), seed=seed)
+    assert [len(c) for c in eigen_clusters(pairs)] == [1, 3, 5, 1]
+
+
 def test_spectrum_csv_format(tmp_path):
     pairs = [EigenPair(lam=0.0, field=np.zeros(1), residual=1e-15),
              EigenPair(lam=2.0123456789012345, field=np.zeros(1), residual=2e-12)]
@@ -158,8 +169,8 @@ def test_shift_invert_operator_solves_the_shifted_system(clifford16, rng):
     b = rng.standard_normal(clifford16.num_vertices)
     # below the spectrum, and between the clusters 2 (x4) and 4 (x4)
     for shift, below in ((-0.1, 0), (3.0, 5)):
-        op, count = shift_invert_operator(S, M, shift, dissection_order(clifford16))
-        assert count == below
+        op = shift_invert_operator(S, M, shift, dissection_order(clifford16))
+        assert count_eigenvalues_below(S, M, shift, dissection_tree(clifford16)) == below
         x = op @ b
         assert np.linalg.norm((S - shift * M) @ x - b) <= 1e-10 * np.linalg.norm(b)
 
@@ -176,8 +187,92 @@ def test_inertia_count_matches_dense_spectrum(clifford16):
     S = assemble_stiffness(clifford16)
     M = assemble_mass(clifford16)
     lams = scipy.linalg.eigh(S.toarray(), M.toarray(), eigvals_only=True)
-    order = dissection_order(clifford16)
+    tree = dissection_tree(clifford16)
     # shifts between the clusters 0 | 2 (x4) | 4 (x4) | 8 (x4)
     for shift, expected in ((-0.1, 0), (1.0, 1), (3.0, 5), (6.0, 9)):
-        assert count_eigenvalues_below(S, M, shift, order) == expected
+        assert count_eigenvalues_below(S, M, shift, tree) == expected
         assert int(np.sum(lams < shift)) == expected
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_clifford_torus(32),
+    lambda: build_equatorial_sphere(3, 3),
+    lambda: build_product_torus(2, 24, n=5),
+], ids=["clifford-torus", "equatorial-sphere", "torus-in-s5"])
+def test_dissection_tree_matches_graph_reference(build):
+    mesh = build()
+    tree = dissection_tree(mesh)
+    V = mesh.num_vertices
+    assert tree.order is dissection_order(mesh)
+    # the pivots of the nodes are consecutive runs that cover every position
+    assert tree.start[0] == 0 and tree.stop[-1] == V
+    assert np.array_equal(tree.start[1:], tree.stop[:-1])
+    assert np.all(tree.stop > tree.start)
+    node = np.repeat(np.arange(tree.start.size), tree.stop - tree.start)
+    position = np.empty(V, dtype=int)
+    position[tree.order] = np.arange(V)
+    neighbours = [set() for _ in range(V)]
+    for a, b in mesh_edges(mesh):
+        neighbours[position[a]].add(position[b])
+        neighbours[position[b]].add(position[a])
+    first = tree.start.copy()   # a subtree is its node and its children's subtrees
+    for s in range(tree.start.size):
+        assert tree.parent[s] == -1 or tree.parent[s] > s   # post-order
+        if tree.parent[s] >= 0:
+            first[tree.parent[s]] = min(first[tree.parent[s]], first[s])
+    assert np.array_equal(tree.first, first)
+    for s in range(tree.start.size):
+        subtree = range(first[s], tree.stop[s])
+        # no edge leaves a subtree except to later positions
+        assert all(q >= first[s] for p in subtree for q in neighbours[p]), s
+        expected = sorted({q for p in subtree for q in neighbours[p] if q >= tree.stop[s]})
+        update = tree.update[tree.update_ptr[s]:tree.update_ptr[s + 1]]
+        assert update.tolist() == expected, s
+        # the update lies in the pivots and the update of the parent
+        t = tree.parent[s]
+        if update.size:
+            assert t >= 0
+            above = set(range(tree.start[t], tree.stop[t]))
+            above |= set(tree.update[tree.update_ptr[t]:tree.update_ptr[t + 1]].tolist())
+            assert set(update.tolist()) <= above, s
+            assert set(node[update]) <= _ancestors(tree, s), s
+
+
+def _ancestors(tree, s):
+    found, t = set(), tree.parent[s]
+    while t >= 0:
+        found.add(t)
+        t = tree.parent[t]
+    return found
+
+
+def test_front_count_with_two_by_two_pivots(clifford16, rng):
+    # random weights on the mesh edges and a zero diagonal: no front is
+    # definite, and Bunch-Kaufman needs 2x2 pivots at the first shift
+    a, b = mesh_edges(clifford16).T
+    V = clifford16.num_vertices
+    W = sp.coo_matrix((rng.standard_normal(a.size), (a, b)), shape=(V, V))
+    Q = (W + W.T).tocsr()
+    I = sp.identity(V, format="csr")
+    mus = np.linalg.eigvalsh(Q.toarray())
+    tree = dissection_tree(clifford16)
+    for shift in (0.0, -1.5, 0.7, 2.0, -3.0):
+        assert np.min(np.abs(mus - shift)) > 1e-6
+        assert count_eigenvalues_below(Q, I, shift, tree) == int(np.sum(mus < shift))
+
+
+def test_front_count_rejects_an_entry_off_the_mesh_graph(clifford16):
+    S = assemble_stiffness(clifford16)
+    V = clifford16.num_vertices
+    far = sp.coo_matrix(([1.0, 1.0], ([0, V // 2], [V // 2, 0])), shape=(V, V))
+    with pytest.raises(ContractError, match="no mesh edge"):
+        count_eigenvalues_below(S + far, assemble_mass(clifford16), -0.1,
+                                dissection_tree(clifford16))
+
+
+def test_nested_dissection_of_a_graph_without_edges():
+    tree = nested_dissection(np.arange(40.0)[:, None], np.empty((0, 2), dtype=int))
+    assert np.array_equal(np.sort(tree.order), np.arange(40))
+    assert np.all(tree.parent == -1) and tree.update.size == 0
+    Q = sp.diags(np.linspace(-2.0, 2.0, 40) + 0.01).tocsr()
+    assert count_eigenvalues_below(Q, sp.identity(40, format="csr"), 0.0, tree) == 20

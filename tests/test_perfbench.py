@@ -1,4 +1,4 @@
-"""The benchmark's verify and fine-mesh workloads run from the checkout and check their answers."""
+"""The benchmark's workloads run from the checkout and check their answers."""
 
 import json
 import subprocess
@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["verify", "fine-mesh"])
+@pytest.mark.parametrize("workload", ["index", "verify", "fine-mesh"])
 def test_workload_smoke_run_is_correct(workload):
     # one untraced pass: every task's answers are checked against exactly-known
     # values, and the last line of stdout is the run's JSON summary

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from identity_reference import field_inner
 
-from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
+from spherevar.catalog import (
+    build_by_name,
+    build_clifford_torus,
+    build_equatorial_sphere,
+    build_product_torus,
+)
 from spherevar.errors import (
     ContractError,
     ParameterError,
@@ -23,14 +28,18 @@ from spherevar.mobius import (
     split_tangent_normal,
 )
 from spherevar.operators import (
+    _factor_shifted,
     assemble_mass,
     assemble_stiffness,
+    count_eigenvalues_below,
     face_centroids_on_sphere,
+    nested_dissection,
     surface_gradient,
     vertex_weights,
 )
 from spherevar.sampling import random_bandlimited_field
 from spherevar.secondvar import (
+    DEFAULT_INDEX_DELTA,
     area_jacobi_form,
     area_jacobi_matrix,
     covariant_gradient_inner,
@@ -138,12 +147,47 @@ def test_index_counts_match_dense_reference(clifford16, build):
     assert result.near_zero.size == int(np.sum(np.abs(mus) <= delta))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_clifford_torus(16),
+    lambda: build_product_torus(2, 16, n=4),
+], ids=["clifford16", "torus-in-s4-16"])
+def test_front_count_matches_dense_spectrum(build):
+    form = energy_quadratic_matrix(build())
+    mus = scipy.linalg.eigh(form.Q.toarray(), form.M.toarray(), eigvals_only=True)
+    # midpoints of spectral gaps, from the index range to well inside the spectrum
+    gaps = np.flatnonzero(np.diff(mus) > 1e-3)
+    shifts = [(mus[g] + mus[g + 1]) / 2 for g in gaps[[0, 3, 8, 20, 60, len(gaps) // 2]]]
+    shifts += [-0.1, 0.1]
+    for shift in shifts:
+        assert np.min(np.abs(mus - shift)) > 1e-6
+        assert count_eigenvalues_below(form.Q, form.M, shift, form.tree) == np.sum(mus < shift)
+
+
+@pytest.mark.parametrize("surface, res, build", [
+    ("clifford-torus", 64, energy_quadratic_matrix),
+    ("clifford-torus", 64, area_jacobi_matrix),
+    ("clifford-torus", 128, energy_quadratic_matrix),
+    ("clifford-torus", 128, area_jacobi_matrix),
+    ("equatorial-sphere", 5, area_jacobi_matrix),
+], ids=["clifford64-energy", "clifford64-area", "clifford128-energy", "clifford128-area",
+        "sphere5-area"])
+def test_front_count_matches_superlu_pivots(surface, res, build):
+    # the pencils and shifts of `spherevar index` and the benchmark's index workload
+    form = build(build_by_name(surface, res=res))
+    for shift in (DEFAULT_INDEX_DELTA, -DEFAULT_INDEX_DELTA):
+        lu, _ = _factor_shifted(form.Q, form.M, shift, form.tree.order)
+        pivots = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+        del lu
+        assert count_eigenvalues_below(form.Q, form.M, shift, form.tree) == pivots
+
+
 def _diagonal_form(mus):
     """A pencil (diag(mus), I), one DOF per vertex."""
     dim = len(mus)
     return QuadraticFormMatrix(Q=sp.diags(np.asarray(mus, dtype=float)).tocsr(),
                                M=sp.identity(dim, format="csr"), kind="areaJacobi",
-                               order=np.arange(dim))
+                               tree=nested_dissection(np.arange(dim, dtype=float)[:, None],
+                                                      np.empty((0, 2), dtype=int)))
 
 
 @pytest.mark.parametrize("on_cutoff", [0.1, -0.1], ids=["plus-delta", "minus-delta"])
@@ -180,7 +224,12 @@ def test_index_count_lanczos_value_above_cutoff_raises(clifford16, monkeypatch):
 def test_index_count_inertia_disagreement_raises(clifford16, monkeypatch):
     from spherevar import secondvar
 
-    monkeypatch.setattr(secondvar, "count_eigenvalues_below", lambda *args: 99)
+    count = secondvar.count_eigenvalues_below
+
+    def wrong_below_minus_delta(Q, M, shift, tree):
+        return 99 if shift < 0 else count(Q, M, shift, tree)
+
+    monkeypatch.setattr(secondvar, "count_eigenvalues_below", wrong_below_minus_delta)
     with pytest.raises(SolverError, match="inertia"):
         negative_index_count(area_jacobi_matrix(clifford16))
 
