@@ -92,7 +92,7 @@ def build_equatorial_sphere(n, res):
     verts[:, :3] = verts3
     mesh = SurfaceMesh(
         n=n, vertices=verts, faces=faces, name="equatorial-sphere",
-        genus=0, chart=_sphere_chart(verts3, n), full=(n == 2),
+        genus=0, chart=_sphere_chart(verts3, n),
     )
     validate_mesh(mesh)
     return mesh
@@ -146,13 +146,11 @@ def _torus_faces(res):
 
 def build_clifford_torus(res):
     """Square Clifford torus (cos a, sin a, cos b, sin b)/sqrt(2) in S^3."""
-    return build_product_torus(2, res, n=3)
+    return build_product_torus(res, n=3)
 
 
-def build_product_torus(k, res, n=3):
-    """Clifford torus (k=2 only) embedded equatorially in S^n, n >= 3."""
-    if k != 2:
-        raise UnsupportedSurfaceError(f"product of k={k} circles not in the catalog (only k=2)")
+def build_product_torus(res, n=3):
+    """Clifford torus embedded equatorially in S^n, n >= 3."""
     if not (isinstance(res, (int, np.integer)) and res >= 8):
         raise ParameterError(f"torus grid size res={res} must be an integer >= 8")
     if not (isinstance(n, (int, np.integer)) and n >= 3):
@@ -162,10 +160,21 @@ def build_product_torus(k, res, n=3):
         n=n, vertices=_clifford_vertices(trig, n), faces=_torus_faces(res),
         name="clifford-torus" if n == 3 else f"clifford-torus-in-s{n}",
         genus=1, chart=_torus_chart(trig, n),
-        full=(n == 3),
     )
     validate_mesh(mesh)
     return mesh
+
+
+def _clifford_torus_entry(n=3, res=64):
+    if n != 3:
+        raise ParameterError(f"clifford-torus lies in S^3, not S^{n}; n >= 4 is product-torus")
+    return build_clifford_torus(res)
+
+
+def _product_torus_entry(n=4, res=64):
+    if not (isinstance(n, (int, np.integer)) and n >= 4):
+        raise ParameterError(f"product-torus needs an integer n >= 4, not {n}; see clifford-torus")
+    return build_product_torus(res, n=n)
 
 
 class MinimalityResidual(NamedTuple):
@@ -235,7 +244,7 @@ CATALOG = {
     ),
     "clifford-torus": CatalogEntry(
         name="clifford-torus",
-        builder=lambda n=3, res=64: build_product_torus(2, res, n=n),
+        builder=_clifford_torus_entry,
         description="square Clifford torus in S^3 (res = grid points per circle)",
         area=2.0 * np.pi ** 2,
         lambda1=2.0,
@@ -248,7 +257,7 @@ CATALOG = {
     ),
     "product-torus": CatalogEntry(
         name="product-torus",
-        builder=lambda n=4, res=64: build_product_torus(2, res, n=n),
+        builder=_product_torus_entry,
         description="Clifford torus included equatorially in S^n, n > 3 (non-full)",
         area=2.0 * np.pi ** 2,
         lambda1=2.0,

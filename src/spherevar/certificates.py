@@ -27,7 +27,7 @@ from .operators import (
     assemble_mass,
     assemble_stiffness,
     dissection_order,
-    eigen_clusters,
+    first_nonzero_cluster,
     lumped_gram,
     solve_smallest_eigenpairs,
     vertex_weights,
@@ -263,16 +263,15 @@ def build_certificate(mesh, k=8, seed=0, synthetic_lambda=None):
             "certificate pipeline requires a surface not contained in a geodesic S^2")
     pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=k,
                                       order=dissection_order(mesh), seed=seed)
-    clusters = eigen_clusters(pairs)
-    if len(clusters) < 2:
+    first = first_nonzero_cluster(pairs)
+    if first is None:
         raise SolverError("k too small: no nonzero eigenvalue cluster resolved")
-    first = clusters[1]
-    lambda1 = float(np.mean([pairs[j].lam for j in first]))
+    lambda1 = float(np.mean([p.lam for p in first]))
     lam_used = float(synthetic_lambda) if synthetic_lambda is not None else lambda1
     thr = threshold(mesh.n)
 
     members = certificate_members(
-        mesh, np.stack([pairs[j].field for j in first], axis=1), lam_used)
+        mesh, np.stack([p.field for p in first], axis=1), lam_used)
     main = members[0]
 
     residual_ok = bool(np.max(main["residuals"]) <= ORTHOGONALITY_TOL)

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .operators import (
     assemble_mass,
     assemble_stiffness,
     dissection_order,
-    eigen_clusters,
+    first_nonzero_cluster,
     solve_smallest_eigenpairs,
     write_spectrum_csv,
 )
@@ -50,33 +51,40 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-DEFAULTS = {
-    "surface": "clifford-torus",
-    "n": None,
-    "res": None,
-    "k": 8,
-    "delta": 0.1,
-    "seed": 0,
-    "tol": 0.02,
-    "out": None,
-    "synthetic_lambda": None,
+
+class Option(NamedTuple):
+    """One setting: flag --key (with - for _), type, default and help."""
+
+    key: str
+    type: type
+    default: object
+    help: str
+
+
+_SURFACE = (Option("surface", str, "clifford-torus", "catalog name or mesh file path"),
+            Option("n", int, None, "ambient sphere dimension"),
+            Option("res", int, None, "mesh resolution (catalog semantics)"))
+_K = Option("k", int, 8, "number of eigenpairs")
+_SEED = Option("seed", int, 0, "random seed")
+_OUT = Option("out", str, None, "output path (CSV or JSON)")
+
+# the settings each command reads, in --help order
+OPTIONS = {
+    "catalog": (),
+    "spectrum": _SURFACE + (_K, _SEED, _OUT),
+    "verify": _SURFACE + (Option("k", int, 12, "number of eigenpairs; 12 spans the "
+                                 "lambda = 4 cluster of the Clifford torus"),
+                          _SEED, Option("tol", float, 0.02, "discretization tolerance"), _OUT),
+    "index": _SURFACE + (Option("delta", float, 0.1, "negative-eigenvalue separation"),
+                         _SEED, _OUT),
+    "certificate": _SURFACE + (_K, _SEED, _OUT, Option(
+        "synthetic_lambda", float, None, "override the first eigenvalue (plumbing exercise)")),
 }
 
-_CASTS = {
-    "surface": str,
-    "n": int,
-    "res": int,
-    "k": int,
-    "delta": float,
-    "seed": int,
-    "tol": float,
-    "out": str,
-    "synthetic_lambda": float,
-}
 
-
-def load_config_file(path):
-    """Parse a flat key=value config file (''#'' comments, blank lines ok)."""
+def load_config_file(path, command):
+    """Parse a flat key=value config file of the settings the command reads."""
+    options = {o.key: o for o in OPTIONS[command]}
     values = {}
     try:
         with open(path) as fh:
@@ -91,22 +99,23 @@ def load_config_file(path):
             raise ParameterError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CASTS:
-            raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in options:
+            raise ParameterError(f"{path}:{lineno}: config key {key!r} is not read "
+                                 f"by spherevar {command}")
         try:
-            values[key] = _CASTS[key](val.strip())
+            values[key] = options[key].type(val.strip())
         except ValueError as exc:
             raise ParameterError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
-def resolve_config(args, defaults=DEFAULTS):
+def resolve_config(args):
     """Merge flags over config file over defaults into one namespace dict."""
-    cfg = dict(defaults)
+    cfg = {o.key: o.default for o in OPTIONS[args.command]}
     if getattr(args, "config", None):
-        cfg.update(load_config_file(args.config))
-    for key in defaults:
-        flag = getattr(args, key, None)
+        cfg.update(load_config_file(args.config, args.command))
+    for key in cfg:
+        flag = getattr(args, key)
         if flag is not None:
             cfg[key] = flag
     return cfg
@@ -133,7 +142,7 @@ def _write_json(report, out):
         print(text)
 
 
-def cmd_catalog(args):
+def cmd_catalog(cfg):
     for entry in CATALOG.values():
         print(f"{entry.name}")
         print(f"  {entry.description}")
@@ -154,8 +163,7 @@ def cmd_catalog(args):
     return EXIT_OK
 
 
-def cmd_spectrum(args):
-    cfg = resolve_config(args)
+def cmd_spectrum(cfg):
     if cfg["k"] < 1:
         raise ParameterError(f"k={cfg['k']} must be at least 1")
     mesh = build_surface(cfg)
@@ -164,13 +172,11 @@ def cmd_spectrum(args):
                                       seed=cfg["seed"])
     out = cfg["out"] or "spectrum.csv"
     write_spectrum_csv(pairs, out)
-    clusters = eigen_clusters(pairs)
-    nonzero = [c for c in clusters if pairs[c[0]].lam > 1e-6]
+    first = first_nonzero_cluster(pairs)
     print(f"surface={mesh.name} n={mesh.n} V={mesh.num_vertices} h={mesh_size(mesh):.4f}")
     print(f"wrote {len(pairs)} eigenpairs to {out}")
-    if nonzero:
-        first = nonzero[0]
-        lam1 = float(np.mean([pairs[j].lam for j in first]))
+    if first is not None:
+        lam1 = float(np.mean([p.lam for p in first]))
         thr = threshold(mesh.n) if mesh.n >= 3 else float("nan")
         rel = "<" if lam1 < thr else ">="
         print(f"lambda1 = {lam1:.6f} (multiplicity {len(first)})")
@@ -180,13 +186,9 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
-def cmd_verify(args):
-    # k unset keeps run_verification's own default, which spans the whole
-    # lambda = 4 cluster of the Clifford torus
-    cfg = resolve_config(args, dict(DEFAULTS, k=None))
+def cmd_verify(cfg):
     mesh = build_surface(cfg)
-    k = {} if cfg["k"] is None else {"k": cfg["k"]}
-    report = run_verification(mesh, tol=cfg["tol"], seed=cfg["seed"], **k)
+    report = run_verification(mesh, tol=cfg["tol"], seed=cfg["seed"], k=cfg["k"])
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status:4s} {c.name:28s} err={c.error:.3e} tol={c.tolerance:.3e} "
@@ -200,34 +202,37 @@ def cmd_verify(args):
     return EXIT_OK
 
 
-def cmd_index(args):
-    cfg = resolve_config(args)
+def _index_count(matrix, cfg, label, pencil):
+    """Count, print and report the negative directions of one pencil."""
+    result = negative_index_count(matrix, delta=cfg["delta"], seed=cfg["seed"])
+    print(f"{label}: {result.count} "
+          f"(negatives {np.round(result.negatives, 4).tolist()})")
+    return result.count, {
+        "count": result.count,
+        "negatives": [float(v) for v in result.negatives],
+        "near_zero": [float(v) for v in result.near_zero],
+        "provenance": f"inertia of Q + delta M on the {pencil}, from a count-only "
+                      "multifrontal LDL^T (Cholesky or Bunch-Kaufman per dense front "
+                      "of the nested-dissection tree); values from shift-invert "
+                      "Lanczos at +delta on a SuperLU factor of Q - delta M, "
+                      "cross-checked against the dense-front inertia of Q - delta M "
+                      "and Q + delta M",
+    }
+
+
+def cmd_index(cfg):
     mesh = build_surface(cfg)
-    delta = cfg["delta"]
     report = {
         "surface": mesh.name,
         "n": mesh.n,
         "num_vertices": mesh.num_vertices,
         "mesh_size": mesh_size(mesh),
-        "delta": delta,
+        "delta": cfg["delta"],
         "counts": {},
     }
 
-    energy = negative_index_count(energy_quadratic_matrix(mesh),
-                                  delta=delta, seed=cfg["seed"])
-    report["counts"]["energy"] = {
-        "count": energy.count,
-        "negatives": [float(v) for v in energy.negatives],
-        "near_zero": [float(v) for v in energy.near_zero],
-        "provenance": "inertia of Q + delta M on the frame-coordinate energy pencil, "
-                      "from a count-only multifrontal LDL^T (Cholesky or Bunch-Kaufman "
-                      "per dense front of the nested-dissection tree); values from "
-                      "shift-invert Lanczos at +delta on a SuperLU factor of Q - delta M, "
-                      "cross-checked against the dense-front inertia of Q - delta M "
-                      "and Q + delta M",
-    }
-    print(f"energy index: {energy.count} "
-          f"(negatives {np.round(energy.negatives, 4).tolist()})")
+    energy_count, report["counts"]["energy"] = _index_count(
+        energy_quadratic_matrix(mesh), cfg, "energy index", "frame-coordinate energy pencil")
 
     B, negdef, claim_valid = el_soufi_lower_bound_check(mesh)
     lower = mesh.n + 1
@@ -240,7 +245,7 @@ def cmd_index(args):
         "provenance": "energy form on the Moebius-field span",
     }
     if claim_valid:
-        ok = negdef and energy.count >= lower
+        ok = negdef and energy_count >= lower
         print(f"lower bound ind_E >= {lower}: "
               f"{'pass' if ok else 'FAIL'} (Moebius span negative definite: {negdef})")
         report["el_soufi"]["pass"] = ok
@@ -249,32 +254,18 @@ def cmd_index(args):
 
     area_count = None
     try:
-        area = negative_index_count(area_jacobi_matrix(mesh),
-                                    delta=delta, seed=cfg["seed"])
-        area_count = area.count
-        report["counts"]["area_jacobi"] = {
-            "count": area.count,
-            "negatives": [float(v) for v in area.negatives],
-            "near_zero": [float(v) for v in area.near_zero],
-            "provenance": "inertia of Q + delta M on the scalar Jacobi pencil with "
-                          "analytic |A|^2, from a count-only multifrontal LDL^T "
-                          "(Cholesky or Bunch-Kaufman per dense front of the "
-                          "nested-dissection tree); values from shift-invert Lanczos "
-                          "at +delta on a SuperLU factor of Q - delta M, cross-checked "
-                          "against the dense-front inertia of Q - delta M and "
-                          "Q + delta M",
-        }
-        print(f"area Jacobi index: {area.count} "
-              f"(negatives {np.round(area.negatives, 4).tolist()})")
+        area_count, report["counts"]["area_jacobi"] = _index_count(
+            area_jacobi_matrix(mesh), cfg, "area Jacobi index",
+            "scalar Jacobi pencil with analytic |A|^2")
     except UnsupportedSurfaceError as exc:
         report["counts"]["area_jacobi"] = {"skipped": str(exc)}
         print(f"area Jacobi index skipped: {exc}")
 
     if area_count is not None and mesh.genus is not None:
         r = ejiri_micallef_r(mesh.genus, 0)
-        ok = energy.count <= area_count <= energy.count + r.value
+        ok = energy_count <= area_count <= energy_count + r.value
         report["bracket"] = {
-            "ind_E": energy.count,
+            "ind_E": energy_count,
             "ind_A": area_count,
             "r": r.value,
             "cases": list(r.cases),
@@ -282,15 +273,14 @@ def cmd_index(args):
             "provenance": "index gap bound r(genus, branch points)",
         }
         print(f"bracket ind_E <= ind_A <= ind_E + r(g={mesh.genus}, b=0): "
-              f"{energy.count} <= {area_count} <= {energy.count + r.value} "
+              f"{energy_count} <= {area_count} <= {energy_count + r.value} "
               f"-> {'pass' if ok else 'FAIL'}")
 
     _write_json(report, cfg["out"])
     return EXIT_OK
 
 
-def cmd_certificate(args):
-    cfg = resolve_config(args)
+def cmd_certificate(cfg):
     mesh = build_surface(cfg)
     report = build_certificate(mesh, k=cfg["k"], seed=cfg["seed"],
                                synthetic_lambda=cfg["synthetic_lambda"])
@@ -310,20 +300,6 @@ def cmd_certificate(args):
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--surface", help="catalog name or mesh file path")
-    p.add_argument("--n", type=int, help="ambient sphere dimension")
-    p.add_argument("--res", type=int, help="mesh resolution (catalog semantics)")
-    p.add_argument("--k", type=int, help="number of eigenpairs")
-    p.add_argument("--delta", type=float, help="negative-eigenvalue separation")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--tol", type=float, help="discretization tolerance")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--out", help="output path (CSV or JSON)")
-    p.add_argument("--synthetic-lambda", dest="synthetic_lambda", type=float,
-                   help="override the first eigenvalue (plumbing exercise)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spherevar",
@@ -338,8 +314,11 @@ def build_parser():
     }
     for name, (fn, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        if name != "catalog":
-            _add_common(p)
+        for o in OPTIONS[name]:
+            p.add_argument("--" + o.key.replace("_", "-"), dest=o.key, type=o.type,
+                           help=o.help + ("" if o.default is None else f" (default {o.default})"))
+        if OPTIONS[name]:
+            p.add_argument("--config", help="key=value config file")
         p.set_defaults(func=fn)
     return parser
 
@@ -352,7 +331,7 @@ def main(argv=None):
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(resolve_config(args))
     except (ParameterError, UnsupportedSurfaceError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -96,7 +96,6 @@ class SurfaceMesh:
     name: str = "mesh"
     genus: Optional[int] = None
     chart: Optional[Chart] = None
-    full: Optional[bool] = None   # spans all of R^{n+1} (not an equatorial inclusion)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -227,7 +226,7 @@ def mesh_edges(mesh):
     return np.stack(np.divmod(down >> 1, V), axis=1).astype(np.int32)
 
 
-def validate_mesh(mesh, unit_tol=UNIT_SPHERE_TOL):
+def validate_mesh(mesh):
     """Raise MeshError unless the mesh is a valid closed oriented surface.
 
     Checks: finite unit vertices, positive triangle areas, every directed
@@ -239,7 +238,7 @@ def validate_mesh(mesh, unit_tol=UNIT_SPHERE_TOL):
         raise MeshError("non-finite vertex coordinates")
     r = np.linalg.norm(x, axis=1)
     off = float(np.max(np.abs(r - 1.0)))
-    if off > unit_tol:
+    if off > UNIT_SPHERE_TOL:
         raise MeshError(f"vertices off the unit sphere by {off:.3e}")
     f = mesh.faces
     if f.min() < 0 or f.max() >= mesh.num_vertices:
@@ -254,18 +253,18 @@ def total_area(mesh):
     return float(face_areas(mesh).sum())
 
 
-def contained_in_geodesic_s2(mesh, cutoff=GEODESIC_RANK_CUTOFF):
+def contained_in_geodesic_s2(mesh):
     """True iff the vertices span a linear subspace of dimension <= 3.
 
     Rank is taken from the singular values of the vertex matrix with a
     relative cutoff, i.e. the surface lies in some totally geodesic S^2.
     """
     s = np.linalg.svd(mesh.vertices, compute_uv=False)
-    rank = int(np.sum(s > cutoff * s[0]))
+    rank = int(np.sum(s > GEODESIC_RANK_CUTOFF * s[0]))
     return rank <= 3
 
 
-def frames_from_projectors(proj, count, skip_tol=FRAME_SKIP_TOL):
+def frames_from_projectors(proj, count):
     """Deterministic orthonormal frames inside per-vertex subspaces.
 
     proj is (V, d, d), the orthogonal projector onto the desired subspace at
@@ -282,7 +281,7 @@ def frames_from_projectors(proj, count, skip_tol=FRAME_SKIP_TOL):
         coeff = np.einsum("vkd,vd->vk", frames, w)
         w -= np.einsum("vkd,vk->vd", frames, coeff)
         norm = np.linalg.norm(w, axis=1)
-        take = (norm > skip_tol) & (filled < count)
+        take = (norm > FRAME_SKIP_TOL) & (filled < count)
         idx = np.nonzero(take)[0]
         frames[idx, filled[idx]] = w[idx] / norm[idx, None]
         filled[idx] += 1
@@ -337,7 +336,7 @@ def jitter_vertices(mesh, scale, seed=0):
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     return SurfaceMesh(
         n=mesh.n, vertices=x, faces=mesh.faces.copy(),
-        name=mesh.name + "-jittered", genus=mesh.genus, chart=None, full=mesh.full,
+        name=mesh.name + "-jittered", genus=mesh.genus, chart=None,
     )
 
 

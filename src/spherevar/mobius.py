@@ -37,14 +37,14 @@ def moebius_basis(mesh):
     return np.stack([moebius_field(mesh, np.eye(d)[i]) for i in range(d)])
 
 
-def check_sphere_tangent(mesh, X, tol=SPHERE_TANGENCY_TOL):
+def check_sphere_tangent(mesh, X):
     X = np.asarray(X, dtype=float)
     if X.shape != mesh.vertices.shape:
         raise ContractError("tangent field must have shape (V, n+1)")
     radial = np.abs(np.einsum("vd,vd->v", X, mesh.vertices))
     scale = np.maximum(np.linalg.norm(X, axis=1), 1.0)
     worst = float(np.max(radial / scale))
-    if worst > tol:
+    if worst > SPHERE_TANGENCY_TOL:
         raise ContractError(f"field is not sphere-tangent (radial part {worst:.3e})")
     return X
 

@@ -29,8 +29,9 @@ from .mesh import (
     per_mesh,
 )
 
-DEFAULT_EIG_TOL = 1e-8
+EIG_TOL = 1e-8
 CLUSTER_REL_TOL = 1e-3
+KERNEL_TOL = 1e-6           # eigenvalues at most this belong to the constants
 DISSECTION_LEAF_SIZE = 16   # parts this small keep their vertex-index order
 FRONT_MERGE_DOFS = 192      # subtrees this small are counted as one dense front
 EXTEND_ADD_COLUMNS = 64     # widest column block of one update added at a time
@@ -179,16 +180,25 @@ class EigenPair:
     residual: float
 
 
-def eigen_clusters(pairs, rel_tol=CLUSTER_REL_TOL):
-    """Group eigenpairs whose eigenvalues agree within rel_tol (chained)."""
+def eigen_clusters(pairs):
+    """Group eigenpairs whose eigenvalues agree within CLUSTER_REL_TOL (chained)."""
     clusters = []
     for k, p in enumerate(pairs):
         scale = max(abs(p.lam), 1.0)
-        if clusters and abs(p.lam - pairs[clusters[-1][-1]].lam) <= rel_tol * scale:
+        if clusters and abs(p.lam - pairs[clusters[-1][-1]].lam) <= CLUSTER_REL_TOL * scale:
             clusters[-1].append(k)
         else:
             clusters.append([k])
     return clusters
+
+
+def first_nonzero_cluster(pairs):
+    """The eigenpairs of lambda_1: the first eigen_clusters group above
+    KERNEL_TOL, or None when the pairs do not reach it."""
+    for cluster in eigen_clusters(pairs):
+        if pairs[cluster[0]].lam > KERNEL_TOL:
+            return [pairs[j] for j in cluster]
+    return None
 
 
 @per_mesh
@@ -524,7 +534,7 @@ def _eliminate_pivots(F, pivots, shift):
     return int(count), (F22 - F21 @ X if F21.size else None)
 
 
-def solve_smallest_eigenpairs(S, M, k, order, tol=DEFAULT_EIG_TOL, seed=0):
+def solve_smallest_eigenpairs(S, M, k, order, seed=0):
     """k smallest eigenpairs of S f = lambda M f, mass-orthonormal, ascending.
 
     Shift-invert Lanczos below the spectrum, factored in the vertex
@@ -570,11 +580,11 @@ def solve_smallest_eigenpairs(S, M, k, order, tol=DEFAULT_EIG_TOL, seed=0):
             v = -v
         basis.append(v)
         res = np.linalg.norm(S @ v - vals[j] * (M @ v)) / np.linalg.norm(M @ v)
-        pairs.append(EigenPair(lam=float(max(vals[j], 0.0) if abs(vals[j]) < tol else vals[j]),
+        pairs.append(EigenPair(lam=float(max(vals[j], 0.0) if abs(vals[j]) < EIG_TOL else vals[j]),
                                field=v, residual=float(res)))
     worst = max(p.residual for p in pairs)
-    if worst > tol:
-        raise SolverError(f"eigenpair residual {worst:.3e} exceeds tol {tol:.1e}",
+    if worst > EIG_TOL:
+        raise SolverError(f"eigenpair residual {worst:.3e} exceeds tol {EIG_TOL:.1e}",
                           best_residual=worst)
     return pairs
 

@@ -35,7 +35,7 @@ def clifford16():
 
 @pytest.fixture(scope="session")
 def torus_s4():
-    return build_product_torus(2, 32, n=4)
+    return build_product_torus(32, n=4)
 
 
 @pytest.fixture(scope="session")

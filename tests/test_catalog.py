@@ -28,10 +28,22 @@ def test_sphere_parameter_errors():
 def test_torus_parameter_errors():
     with pytest.raises(ParameterError):
         build_clifford_torus(4)   # grid too coarse
-    with pytest.raises(UnsupportedSurfaceError):
-        build_product_torus(3, 16)
     with pytest.raises(ParameterError):
-        build_product_torus(2, 16, n=2)
+        build_product_torus(16, n=2)
+
+
+@pytest.mark.parametrize("name, allowed, other", [
+    ("clifford-torus", [3], "product-torus"),
+    ("product-torus", [4, 5], "clifford-torus"),
+])
+def test_catalog_name_fixes_its_dimension(name, allowed, other):
+    # each entry's listed data hold for its own n only; any other n names the
+    # entry that covers it
+    for n in allowed:
+        assert build_by_name(name, n=n, res=8).n == n
+    for n in sorted({2, 3, 4, 5} - set(allowed)):
+        with pytest.raises(ParameterError, match=other):
+            build_by_name(name, n=n, res=8)
 
 
 def test_unknown_catalog_name():
@@ -58,15 +70,13 @@ def test_clifford_structure(clifford16):
 def test_product_torus_zero_padding(torus_s4):
     assert torus_s4.n == 4
     assert np.all(torus_s4.vertices[:, 4] == 0.0)
-    assert torus_s4.full is False
     assert torus_s4.chart.normsq_A is None
 
 
 def test_product_torus_n3_matches_clifford(clifford16):
-    other = build_product_torus(2, 16, n=3)
+    other = build_product_torus(16, n=3)
     assert np.array_equal(other.vertices, clifford16.vertices)
     assert np.array_equal(other.faces, clifford16.faces)
-    assert other.full is True
 
 
 def test_area_convergence_rate():
@@ -172,7 +182,7 @@ def _torus_by_vertex_angles(res, n):
 @pytest.mark.parametrize("res", [8, 64])
 @pytest.mark.parametrize("n", [3, 5])
 def test_torus_vertices_and_chart_match_vertex_angle_reference(res, n):
-    mesh = build_product_torus(2, res, n=n)
+    mesh = build_product_torus(res, n=n)
     verts, frames, normal = _torus_by_vertex_angles(res, n)
     assert np.array_equal(mesh.vertices, verts)
     assert np.array_equal(mesh.chart.tangent_frames, frames)

@@ -216,7 +216,7 @@ def test_certificate_members_match_per_member_reference(mesh_name, lam, request)
     # final energy are exactly the reference's, the canonical-variation
     # energies and normal masses agree to rounding
     if mesh_name == "s5-torus32":
-        mesh = build_product_torus(2, 32, n=5)
+        mesh = build_product_torus(32, n=5)
         pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=8,
                                           order=dissection_order(mesh), seed=0)
     else:

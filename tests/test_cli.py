@@ -1,10 +1,19 @@
 """CLI contract: subcommands, config precedence, exit codes, file outputs."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from spherevar.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, load_config_file, main
+from spherevar.cli import (
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFICATION,
+    build_parser,
+    load_config_file,
+    main,
+)
 from spherevar.errors import ParameterError
 from spherevar.mesh import SurfaceMesh, jitter_vertices, write_off
 from spherevar.verify import run_verification
@@ -152,12 +161,63 @@ def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("resolution = 16\n")
     with pytest.raises(ParameterError):
-        load_config_file(bad)
+        load_config_file(bad, "spectrum")
     bad.write_text("just a line\n")
     with pytest.raises(ParameterError):
-        load_config_file(bad)
+        load_config_file(bad, "spectrum")
     assert run(["spectrum", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
 
 
 def test_usage_error_exit_code():
     assert run(["frobnicate"]) == EXIT_USAGE
+
+
+# the flags each command reads, in --help order; every one also takes --config
+READS = {
+    "catalog": [],
+    "spectrum": ["surface", "n", "res", "k", "seed", "out"],
+    "verify": ["surface", "n", "res", "k", "seed", "tol", "out"],
+    "index": ["surface", "n", "res", "delta", "seed", "out"],
+    "certificate": ["surface", "n", "res", "k", "seed", "out", "synthetic-lambda"],
+}
+FLAG_VALUES = {"surface": "clifford-torus", "n": "3", "res": "16", "k": "6",
+               "delta": "0.1", "seed": "0", "tol": "0.02", "out": "out.json",
+               "synthetic-lambda": "0.1", "config": "run.cfg"}
+UNREAD_FLAGS = [(command, flag) for command, reads in READS.items()
+                for flag in FLAG_VALUES
+                if flag not in reads and (flag != "config" or not reads)]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS,
+                         ids=[f"{c}-{f}" for c, f in UNREAD_FLAGS])
+def test_unread_flag_is_usage_error(capsys, command, flag):
+    assert run([command, f"--{flag}", FLAG_VALUES[flag]]) == EXIT_USAGE
+    assert f"--{flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("spectrum", "delta"), ("verify", "synthetic_lambda"),
+                                          ("index", "k"), ("certificate", "tol")])
+def test_unread_config_key_is_usage_error(tmp_path, capsys, command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    assert run([command, "--config", str(cfg)]) == EXIT_USAGE
+    assert repr(key) in capsys.readouterr().err
+
+
+def _readme_flags():
+    """The per-command flag lists of the README's CLI section."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return {m.group(1): re.findall(r"`(--[a-z-]+)`", m.group(2))
+            for m in re.finditer(r"^- `([a-z]+)`: (.*(?:\n  .*)*)", section, re.MULTILINE)}
+
+
+def test_readme_flag_lists_match_the_parser():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    taken = {name: [s for a in p._actions for s in a.option_strings if s.startswith("--")
+                    and s != "--help"]
+             for name, p in subparsers.items()}
+    assert _readme_flags() == taken
+    assert taken == {name: [f"--{f}" for f in reads] + (["--config"] if reads else [])
+                     for name, reads in READS.items()}

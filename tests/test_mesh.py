@@ -144,9 +144,9 @@ def _edges_by_loop(faces):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: build_product_torus(2, 16, n=3),
+    lambda: build_product_torus(16, n=3),
     lambda: build_equatorial_sphere(3, 3),
-    lambda: build_product_torus(2, 32, n=5),
+    lambda: build_product_torus(32, n=5),
 ], ids=["clifford16", "sphere3", "s5-torus32"])
 def test_mesh_edges_match_loop_reference(build):
     mesh = build()

@@ -141,7 +141,7 @@ def test_projection_coefficients_match_quadrature(clifford64, clifford64_pairs):
 def test_lumped_gram_matches_pairwise_reference(mesh_name, request):
     # each entry is summed as field_inner sums its pair; without Y each entry
     # a <= b is mirrored, so the Gram matrix is exactly symmetric
-    mesh = (build_product_torus(2, 32, n=5) if mesh_name == "s5-torus32"
+    mesh = (build_product_torus(32, n=5) if mesh_name == "s5-torus32"
             else request.getfixturevalue(mesh_name))
     w = vertex_weights(mesh)
     basis, normal = moebius_basis(mesh), moebius_normal(mesh)

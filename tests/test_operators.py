@@ -154,7 +154,7 @@ def test_spectrum_csv_format(tmp_path):
 @pytest.mark.parametrize("build", [
     lambda: build_clifford_torus(16),
     lambda: build_equatorial_sphere(3, 4),
-    lambda: build_product_torus(2, 16, n=5),
+    lambda: build_product_torus(16, n=5),
 ], ids=["clifford-torus", "equatorial-sphere", "torus-in-s5"])
 def test_dissection_order_is_a_repeatable_permutation(build):
     mesh = build()
@@ -197,7 +197,7 @@ def test_inertia_count_matches_dense_spectrum(clifford16):
 @pytest.mark.parametrize("build", [
     lambda: build_clifford_torus(32),
     lambda: build_equatorial_sphere(3, 3),
-    lambda: build_product_torus(2, 24, n=5),
+    lambda: build_product_torus(24, n=5),
 ], ids=["clifford-torus", "equatorial-sphere", "torus-in-s5"])
 def test_dissection_tree_matches_graph_reference(build):
     mesh = build()

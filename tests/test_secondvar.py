@@ -149,7 +149,7 @@ def test_index_counts_match_dense_reference(clifford16, build):
 
 @pytest.mark.parametrize("build", [
     lambda: build_clifford_torus(16),
-    lambda: build_product_torus(2, 16, n=4),
+    lambda: build_product_torus(16, n=4),
 ], ids=["clifford16", "torus-in-s4-16"])
 def test_front_count_matches_dense_spectrum(build):
     form = energy_quadratic_matrix(build())
@@ -287,7 +287,7 @@ def _covariant_gradient_inner_by_components(mesh, X, Y):
     return total
 
 
-@pytest.mark.parametrize("mesh", [build_clifford_torus(16), build_product_torus(2, 16, n=5)],
+@pytest.mark.parametrize("mesh", [build_clifford_torus(16), build_product_torus(16, n=5)],
                          ids=["clifford16", "s5-torus16"])
 def test_covariant_gradient_inner_matches_componentwise_gradients(mesh):
     rng = np.random.default_rng(3)
@@ -304,7 +304,7 @@ def test_covariant_gradient_inner_matches_componentwise_gradients(mesh):
 def test_held_moebius_grams_match_pairwise_reference(mesh_name, request):
     # B_ij = D^2E(xi_i, xi_j) and N_ij = int xi_i^N . xi_j^N (lumped), one
     # pair and one split at a time
-    mesh = (build_product_torus(2, 32, n=5) if mesh_name == "s5-torus32"
+    mesh = (build_product_torus(32, n=5) if mesh_name == "s5-torus32"
             else request.getfixturevalue(mesh_name))
     basis = moebius_basis(mesh)
     normals = [split_tangent_normal(mesh, xi).normal for xi in basis]
@@ -324,7 +324,7 @@ def test_held_moebius_grams_match_pairwise_reference(mesh_name, request):
                           [energy_form_coordinate(mesh, X) for X in stack])
 
 
-@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(2, 32, n=5),
+@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(32, n=5),
                                   build_equatorial_sphere(3, 3)],
                          ids=["clifford32", "s5-torus32", "sphere3"])
 def test_covariant_load_pairs_like_covariant_gradient_inner(mesh):

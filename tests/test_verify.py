@@ -101,7 +101,7 @@ def test_report_deterministic(clifford16):
         assert ca.passed == cb.passed
 
 
-@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(2, 32, n=5)],
+@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(32, n=5)],
                          ids=["clifford32", "s5-torus32"])
 def test_contracted_identities_match_per_draw_reference(mesh):
     # run_verification dots rows of identity_matrices with each draw; the
@@ -136,7 +136,7 @@ def test_contracted_identities_match_per_draw_reference(mesh):
     assert worst <= 1e-12
 
 
-@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(2, 32, n=5),
+@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(32, n=5),
                                   build_equatorial_sphere(3, 3)],
                          ids=["clifford32", "s5-torus32", "sphere3"])
 def test_batched_identity_matrices_match_per_eigenpair_reference(mesh):
@@ -197,7 +197,7 @@ def _moebius_span_reference_errors(mesh, seed, k=12):
             "prop1-eigen": prop1_worst([p.field for p in pairs if p.lam <= EIGENVALUE_CAP])}
 
 
-@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(2, 16, n=5)],
+@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(16, n=5)],
                          ids=["clifford32", "s5-torus16"])
 def test_moebius_span_checks_match_per_field_reference(mesh):
     # the battery reads these checks from held Gram matrices and batched
