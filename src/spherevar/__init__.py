@@ -42,7 +42,6 @@ from .operators import (
     dissection_tree,
     integrate,
     nested_dissection,
-    shift_invert_operator,
     solve_smallest_eigenpairs,
     surface_gradient,
 )

@@ -180,14 +180,8 @@ def _product_torus_entry(n=4, res=64):
 class MinimalityResidual(NamedTuple):
     """Defect of the minimal-immersion equation -Delta u = 2u."""
 
-    laplace: float       # mass-weighted relative L2 norm of (lumped-inverse S u - 2u)
-    laplace_max: float   # max over vertices/coordinates (diagnostic; does not
-                         # converge at irregular vertices)
+    value: float         # mass-weighted relative L2 norm of (lumped-inverse S u - 2u)
     gradsq_max: float    # max over faces of | |grad u|^2 - 2 |
-
-    @property
-    def value(self):
-        return self.laplace
 
 
 def minimality_residual(mesh):
@@ -203,12 +197,11 @@ def minimality_residual(mesh):
     w = vertex_weights(mesh)
     u = mesh.vertices
     r = (assemble_stiffness(mesh) @ u) / w[:, None] - 2.0 * u
-    laplace = float(np.sqrt(np.einsum("v,vd->", w, r * r)
-                            / np.einsum("v,vd->", w, 4.0 * u * u)))
-    laplace_max = float(np.max(np.abs(r)))
+    value = float(np.sqrt(np.einsum("v,vd->", w, r * r)
+                          / np.einsum("v,vd->", w, 4.0 * u * u)))
     gradsq = coordinate_gradient_sq(mesh).sum(axis=0)
     gradsq_max = float(np.max(np.abs(gradsq - 2.0)))
-    return MinimalityResidual(laplace, laplace_max, gradsq_max)
+    return MinimalityResidual(value, gradsq_max)
 
 
 @dataclass

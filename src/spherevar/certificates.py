@@ -9,7 +9,7 @@ a guaranteed negative direction is (n-2)/(2n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +35,7 @@ from .operators import (
 from .secondvar import energy_form_coordinate, moebius_energy_gram
 
 ORTHOGONALITY_TOL = 1e-8
+DEFAULT_CERTIFICATE_K = 8   # eigenpairs solved for the first nonzero cluster
 
 
 def threshold(n):
@@ -164,30 +165,10 @@ class CertificateReport:
     cluster_members: list = field(default_factory=list)
 
     def to_dict(self):
-        """JSON-ready dict with a stable field order."""
-        return {
-            "surface": self.surface,
-            "n": self.n,
-            "mesh_size": self.mesh_size,
-            "lambda1": self.lambda1,
-            "multiplicity": self.multiplicity,
-            "threshold": self.threshold,
-            "hypothesis_met": self.hypothesis_met,
-            "synthetic": self.synthetic,
-            "lambda_used": self.lambda_used,
-            "i0": self.i0,
-            "a": list(map(float, self.a)),
-            "d2e_canonical": list(map(float, self.d2e_canonical)),
-            "normal_mass": list(map(float, self.normal_mass)),
-            "d2e_value": self.d2e_value,
-            "decomposition_value": self.decomposition_value,
-            "pigeonhole_sum": self.pigeonhole_sum,
-            "orthogonality_residuals": list(map(float, self.orthogonality_residuals)),
-            "proposition_applicable": self.proposition_applicable,
-            "verdict": self.verdict,
-            "degenerate_gram": self.degenerate_gram,
-            "cluster_members": self.cluster_members,
-        }
+        """JSON-ready dict in field order, each array as a list of floats."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: list(map(float, v)) if isinstance(v, np.ndarray) else v
+                for name, v in values.items()}
 
 
 def canonical_variation_values(mesh, F):
@@ -251,7 +232,7 @@ def certificate_members(mesh, F, lam):
     return members
 
 
-def build_certificate(mesh, k=8, seed=0, synthetic_lambda=None):
+def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0, synthetic_lambda=None):
     """Run the full certificate pipeline on a mesh.
 
     All first-eigenvalue cluster members are processed; the reported fields

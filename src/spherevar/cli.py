@@ -17,6 +17,7 @@ import numpy as np
 
 from .catalog import CATALOG, build_by_name
 from .certificates import (
+    DEFAULT_CERTIFICATE_K,
     ORTHOGONALITY_TOL,
     build_certificate,
     el_soufi_lower_bound_check,
@@ -39,12 +40,13 @@ from .operators import (
     write_spectrum_csv,
 )
 from .secondvar import (
+    DEFAULT_INDEX_DELTA,
     area_jacobi_matrix,
     ejiri_micallef_r,
     energy_quadratic_matrix,
     negative_index_count,
 )
-from .verify import run_verification
+from .verify import DEFAULT_VERIFY_K, DEFAULT_VERIFY_TOL, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -64,7 +66,7 @@ class Option(NamedTuple):
 _SURFACE = (Option("surface", str, "clifford-torus", "catalog name or mesh file path"),
             Option("n", int, None, "ambient sphere dimension"),
             Option("res", int, None, "mesh resolution (catalog semantics)"))
-_K = Option("k", int, 8, "number of eigenpairs")
+_K = Option("k", int, DEFAULT_CERTIFICATE_K, "number of eigenpairs")
 _SEED = Option("seed", int, 0, "random seed")
 _OUT = Option("out", str, None, "output path (CSV or JSON)")
 
@@ -72,11 +74,12 @@ _OUT = Option("out", str, None, "output path (CSV or JSON)")
 OPTIONS = {
     "catalog": (),
     "spectrum": _SURFACE + (_K, _SEED, _OUT),
-    "verify": _SURFACE + (Option("k", int, 12, "number of eigenpairs; 12 spans the "
-                                 "lambda = 4 cluster of the Clifford torus"),
-                          _SEED, Option("tol", float, 0.02, "discretization tolerance"), _OUT),
-    "index": _SURFACE + (Option("delta", float, 0.1, "negative-eigenvalue separation"),
-                         _SEED, _OUT),
+    "verify": _SURFACE + (Option("k", int, DEFAULT_VERIFY_K, "number of eigenpairs; the "
+                                 "default spans the lambda = 4 cluster of the Clifford torus"),
+                          _SEED, Option("tol", float, DEFAULT_VERIFY_TOL,
+                                        "discretization tolerance"), _OUT),
+    "index": _SURFACE + (Option("delta", float, DEFAULT_INDEX_DELTA,
+                                "negative-eigenvalue separation"), _SEED, _OUT),
     "certificate": _SURFACE + (_K, _SEED, _OUT, Option(
         "synthetic_lambda", float, None, "override the first eigenvalue (plumbing exercise)")),
 }

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -355,10 +356,11 @@ def write_off(mesh, path):
             fh.write(f"3 {tri[0]} {tri[1]} {tri[2]}\n")
 
 
-def read_off(path, name=None):
+def read_off(path):
     """Read an extended OFF file; the mesh must pass validate_mesh (MeshError).
 
-    A file that does not parse as nOFF raises ParameterError.
+    The mesh is named after the file's stem. A file that does not parse as
+    nOFF raises ParameterError.
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
@@ -380,6 +382,6 @@ def read_off(path, name=None):
         raise ParameterError(f"{path}: malformed OFF data ({exc})") from exc
     if verts.shape != (nv, dim) or len(faces) != nf:
         raise ParameterError(f"{path}: truncated OFF data")
-    mesh = SurfaceMesh(n=dim - 1, vertices=verts, faces=faces, name=name or "off-mesh")
+    mesh = SurfaceMesh(n=dim - 1, vertices=verts, faces=faces, name=Path(path).stem)
     validate_mesh(mesh)
     return mesh

@@ -201,26 +201,17 @@ def first_nonzero_cluster(pairs):
     return None
 
 
-@per_mesh
-def _dissection_nodes(mesh):
-    """The nodes of the mesh graph's nested dissection (see _dissect), held.
-    Its edges are the held mesh_edges, so a mesh that is not closed and
-    oriented raises MeshError."""
-    return _dissect(mesh.vertices, mesh_edges(mesh))
-
-
 def dissection_order(mesh):
-    """The held nested-dissection vertex order of the mesh."""
-    return _dissection_nodes(mesh)[0]
+    """The nested-dissection vertex order of the mesh, that of its held tree."""
+    return dissection_tree(mesh).order
 
 
 @per_mesh
 def dissection_tree(mesh):
-    """The nested-dissection tree of the mesh graph with the updates of its
-    nodes (see nested_dissection), held. Only an inertia count needs the
-    updates, so a mesh that is only factored holds its nodes alone."""
-    nodes = _dissection_nodes(mesh)
-    return DissectionTree(*nodes, *_node_updates(nodes, mesh_edges(mesh)))
+    """The nested-dissection tree of the mesh graph (see nested_dissection),
+    held. Its edges are the held mesh_edges, so a mesh that is not closed
+    and oriented raises MeshError."""
+    return nested_dissection(mesh.vertices, mesh_edges(mesh))
 
 
 class DissectionTree(NamedTuple):
@@ -256,13 +247,6 @@ def nested_dissection(points, edges):
     after the subtree below it. No edge joins two subtrees that are not
     nested, so the update of a node lies in the pivots of its ancestors.
     """
-    nodes = _dissect(points, edges)
-    return DissectionTree(*nodes, *_node_updates(nodes, np.asarray(edges)))
-
-
-def _dissect(points, edges):
-    """The order and the nodes (start, first, stop, parent) of
-    nested_dissection, without the updates."""
     x = np.asarray(points, dtype=float)
     V = x.shape[0]
     edges = np.asarray(edges)
@@ -314,7 +298,8 @@ def _dissect(points, edges):
         a, b = np.compress(keep, a), np.compress(keep, b)
         depth += 1
     order = np.argsort(key, kind="stable")
-    return _dissection_tree_nodes(order, np.take(key, order), np.take(level, order), depth)
+    nodes = _dissection_tree_nodes(order, np.take(key, order), np.take(level, order), depth)
+    return DissectionTree(*nodes, *_node_updates(nodes, edges))
 
 
 def _dissection_tree_nodes(order, key, level, depth):
@@ -418,19 +403,35 @@ def _factor_shifted(A, M, sigma, order):
     return lu, perm
 
 
-def _inverse_operator(lu, perm):
+def _shift_invert_lanczos(A, M, sigma, factor, k, which, seed, vectors=False):
+    """k eigenvalues of A w = mu M w by shift-invert Lanczos at sigma, ascending.
+
+    ``factor`` is the (factor, DOF permutation) of _factor_shifted for the
+    same pencil and shift, the OPinv of eigsh; the starting vector is drawn
+    from ``seed``. With ``vectors`` the M-orthonormal Ritz vectors are
+    returned as well, as (values, vectors). An ARPACK failure raises
+    SolverError. Private, so that a tracer of the public functions names
+    the Lanczos run after the function that asked for it.
+    """
+    lu, perm = factor
+
     def solve(b):
         x = np.empty_like(b)
         x[perm] = lu.solve(b[perm])
         return x
 
-    return spla.LinearOperator(lu.shape, matvec=solve, dtype=float)
-
-
-def shift_invert_operator(A, M, sigma, order):
-    """(A - sigma M)^-1 as a LinearOperator, the OPinv of eigsh(sigma=sigma),
-    factored once (see _factor_shifted)."""
-    return _inverse_operator(*_factor_shifted(A, M, sigma, order))
+    v0 = np.random.default_rng(seed).standard_normal(A.shape[0])
+    try:
+        result = spla.eigsh(A, k=k, M=M, sigma=sigma, which=which, v0=v0, maxiter=5000,
+                            return_eigenvectors=vectors,
+                            OPinv=spla.LinearOperator(lu.shape, matvec=solve, dtype=float))
+    except (spla.ArpackNoConvergence, RuntimeError) as exc:
+        raise SolverError(f"eigensolver at shift {sigma:g} failed: {exc}") from exc
+    if not vectors:
+        return np.sort(result)
+    vals, vecs = result
+    ascending = np.argsort(vals)
+    return vals[ascending], vecs[:, ascending]
 
 
 def count_eigenvalues_below(A, M, shift, tree):
@@ -539,15 +540,16 @@ def solve_smallest_eigenpairs(S, M, k, order, seed=0):
 
     Shift-invert Lanczos below the spectrum, factored in the vertex
     ``order`` (see dissection_order); deterministic via a seeded starting
-    vector. Raises SolverError if the factor has a negative pivot (the
-    shift is not below the spectrum), and (carrying the best residual) on
-    failure of the residual contract.
+    vector. The Ritz vectors are M-orthonormalized as one block in index
+    order, by the Cholesky factor of their M-Gram matrix, and each is signed
+    so that its largest-magnitude entry is positive. Raises SolverError if
+    the factor has a negative pivot (the shift is not below the spectrum),
+    if the block is degenerate, and (carrying the best residual) on failure
+    of the residual contract.
     """
     V = S.shape[0]
     if not (1 <= k <= V - 1):
         raise ContractError(f"k={k} out of range for dimension {V}")
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(V)
     sigma = -0.1  # S is PSD, so S - sigma M is SPD for sigma < 0
     lu, perm = _factor_shifted(S, M, sigma, order)
     # the pivots of the factor it solves with; lu.U copies it, which for a
@@ -556,37 +558,24 @@ def solve_smallest_eigenpairs(S, M, k, order, seed=0):
     if below:
         raise SolverError(f"shift {sigma:g} is not below the spectrum: "
                           f"{below} eigenvalues below it")
-    OPinv = _inverse_operator(lu, perm)
-    try:
-        vals, vecs = spla.eigsh(S, k=k, M=M, sigma=sigma, which="LM", v0=v0,
-                                maxiter=5000, OPinv=OPinv)
-    except (spla.ArpackNoConvergence, RuntimeError) as exc:
-        raise SolverError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    # deterministic signs and exact M-orthonormalization in index order
-    pairs = []
-    basis = []
-    for j in range(k):
-        v = vecs[:, j]
-        for b in basis:
-            v = v - (b @ (M @ v)) * b
-        nrm = np.sqrt(v @ (M @ v))
-        if nrm <= 0:
-            raise SolverError("degenerate eigenvector block")
-        v = v / nrm
-        pivot = int(np.argmax(np.abs(v)))
-        if v[pivot] < 0:
-            v = -v
-        basis.append(v)
-        res = np.linalg.norm(S @ v - vals[j] * (M @ v)) / np.linalg.norm(M @ v)
-        pairs.append(EigenPair(lam=float(max(vals[j], 0.0) if abs(vals[j]) < EIG_TOL else vals[j]),
-                               field=v, residual=float(res)))
-    worst = max(p.residual for p in pairs)
+    vals, vecs = _shift_invert_lanczos(S, M, sigma, (lu, perm), k, "LM", seed,
+                                       vectors=True)
+    # exact M-orthonormalization in index order: vecs = W L^T with W'MW = I
+    L, info = lapack.dpotrf(vecs.T @ (M @ vecs), lower=1, clean=0)
+    if info != 0:
+        raise SolverError("degenerate eigenvector block")
+    W = blas.dtrsm(1.0, L, vecs, side=1, lower=1, trans_a=1)
+    pivot = np.argmax(np.abs(W), axis=0)
+    W *= np.where(W[pivot, np.arange(k)] < 0.0, -1.0, 1.0)
+    MW = M @ W
+    residuals = np.linalg.norm(S @ W - MW * vals, axis=0) / np.linalg.norm(MW, axis=0)
+    worst = float(np.max(residuals))
     if worst > EIG_TOL:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds tol {EIG_TOL:.1e}",
                           best_residual=worst)
-    return pairs
+    return [EigenPair(lam=float(max(lam, 0.0) if abs(lam) < EIG_TOL else lam),
+                      field=w, residual=float(res))
+            for lam, w, res in zip(vals, W.T, residuals)]
 
 
 def write_spectrum_csv(pairs, path):

@@ -18,14 +18,15 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ContractError, ParameterError, SolverError, UnsupportedSurfaceError
 from .mesh import face_areas, per_mesh, sphere_tangent_frames
 from .mobius import check_sphere_tangent, moebius_basis, split_tangent_normal
 from .operators import (
     DissectionTree,
+    _factor_shifted,
     _p1_gram,
+    _shift_invert_lanczos,
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
@@ -33,7 +34,6 @@ from .operators import (
     face_centroids_on_sphere,
     gradient_gram,
     lumped_gram,
-    shift_invert_operator,
 )
 
 DEFAULT_INDEX_DELTA = 0.1
@@ -297,16 +297,9 @@ def negative_index_count(form, delta=DEFAULT_INDEX_DELTA, seed=0):
                           f"{delta:g}; shift-invert Lanczos needs fewer than {dim}")
     vals = np.empty(0)
     if wanted:
-        OPinv = shift_invert_operator(form.Q, form.M, delta, form.tree.order)
-        v0 = np.random.default_rng(seed).standard_normal(dim)
-        try:
-            vals = spla.eigsh(form.Q, k=wanted, M=form.M, sigma=delta, which="SA",
-                              v0=v0, maxiter=5000, return_eigenvectors=False,
-                              OPinv=OPinv)
-        except (spla.ArpackNoConvergence, RuntimeError) as exc:
-            raise SolverError(f"index eigensolver failed: {exc}") from exc
-        del OPinv   # free the factor before the count at -delta
-        vals = np.sort(vals)
+        vals = _shift_invert_lanczos(
+            form.Q, form.M, delta, _factor_shifted(form.Q, form.M, delta, form.tree.order),
+            wanted, "SA", seed)
     if vals.size and not vals[-1] < delta:
         raise SolverError(
             f"{form.kind} index: Lanczos returned {vals[-1]:.6g}, not below "

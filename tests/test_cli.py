@@ -77,6 +77,14 @@ def test_verify_fails_on_jittered_mesh(tmp_path, sphere2):
     assert run(["verify", "--surface", str(path)]) == EXIT_VERIFICATION
 
 
+def test_mesh_file_is_reported_by_its_name(tmp_path, sphere2):
+    path = tmp_path / "jittered.off"
+    out = tmp_path / "index.json"
+    write_off(jitter_vertices(sphere2, 0.05, seed=1), path)
+    assert run(["index", "--surface", str(path), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["surface"] == "jittered"
+
+
 @pytest.mark.parametrize("command", ["index", "certificate"])
 def test_invalid_off_mesh_is_usage_error(tmp_path, clifford16, command):
     # a mesh read from a file is validated: vertices off the unit sphere and

@@ -9,6 +9,7 @@ from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, bui
 from spherevar.errors import ContractError, SolverError
 from spherevar.mesh import mesh_edges, total_area
 from spherevar.operators import (
+    _factor_shifted,
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
@@ -17,7 +18,6 @@ from spherevar.operators import (
     eigen_clusters,
     integrate,
     nested_dissection,
-    shift_invert_operator,
     solve_smallest_eigenpairs,
     surface_gradient,
     vertex_weights,
@@ -125,6 +125,16 @@ def test_eigensolver_k_range(clifford16):
         solve_smallest_eigenpairs(S, M, k=0, order=dissection_order(clifford16))
 
 
+@pytest.mark.parametrize("name", ["clifford64", "sphere4"])
+def test_eigenfields_are_mass_orthonormal_with_positive_peaks(request, name):
+    mesh = request.getfixturevalue(name)
+    fields = np.stack([p.field for p in request.getfixturevalue(name + "_pairs")], axis=1)
+    k = fields.shape[1]
+    gram = fields.T @ (assemble_mass(mesh) @ fields)
+    assert np.max(np.abs(gram - np.eye(k))) <= 1e-12
+    assert np.all(fields[np.argmax(np.abs(fields), axis=0), np.arange(k)] > 0.0)
+
+
 def test_eigen_clusters(clifford64_pairs):
     clusters = eigen_clusters(clifford64_pairs)
     assert len(clusters[0]) == 1          # zero mode
@@ -163,15 +173,25 @@ def test_dissection_order_is_a_repeatable_permutation(build):
     assert np.array_equal(order, dissection_order(build()))
 
 
+def test_dissection_order_is_read_through_the_held_tree():
+    # the order is the held tree's, so a mesh that is only factored holds
+    # one dissection value
+    mesh = build_clifford_torus(16)
+    order = dissection_order(mesh)
+    assert dissection_tree.__wrapped__ in mesh._memo
+    assert order is dissection_tree(mesh).order
+
+
 def test_shift_invert_operator_solves_the_shifted_system(clifford16, rng):
     S = assemble_stiffness(clifford16)
     M = assemble_mass(clifford16)
     b = rng.standard_normal(clifford16.num_vertices)
     # below the spectrum, and between the clusters 2 (x4) and 4 (x4)
     for shift, below in ((-0.1, 0), (3.0, 5)):
-        op = shift_invert_operator(S, M, shift, dissection_order(clifford16))
+        lu, perm = _factor_shifted(S, M, shift, dissection_order(clifford16))
         assert count_eigenvalues_below(S, M, shift, dissection_tree(clifford16)) == below
-        x = op @ b
+        x = np.empty_like(b)
+        x[perm] = lu.solve(b[perm])
         assert np.linalg.norm((S - shift * M) @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
