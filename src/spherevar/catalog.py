@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ParameterError, UnsupportedSurfaceError
-from .mesh import Chart, SurfaceMesh, validate_mesh
+from .mesh import Chart, SurfaceMesh, frames_from_projectors, validate_mesh
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -66,8 +66,6 @@ def _sphere_chart(vertices3, n):
     V = vertices3.shape[0]
     d = n + 1
     # tangent plane at x: orthogonal complement of x inside span(e0, e1, e2)
-    from .mesh import frames_from_projectors
-
     proj = np.zeros((V, d, d))
     proj[:, :3, :3] = np.eye(3)[None] - np.einsum("vi,vj->vij", vertices3, vertices3)
     frames = frames_from_projectors(proj, 2)
@@ -181,7 +179,6 @@ class MinimalityResidual(NamedTuple):
     """Defect of the minimal-immersion equation -Delta u = 2u."""
 
     value: float         # mass-weighted relative L2 norm of (lumped-inverse S u - 2u)
-    gradsq_max: float    # max over faces of | |grad u|^2 - 2 |
 
 
 def minimality_residual(mesh):
@@ -189,19 +186,16 @@ def minimality_residual(mesh):
 
     The weak Laplacian S u is converted to a strong (pointwise) form with the
     lumped-mass inverse and compared against 2u in the mass-weighted norm
-    relative to |2u|; the face-wise check compares the squared gradient of
-    the coordinate interpolants against 2.
+    relative to |2u|.
     """
-    from .operators import assemble_stiffness, coordinate_gradient_sq, vertex_weights
+    from .operators import assemble_stiffness, vertex_weights
 
     w = vertex_weights(mesh)
     u = mesh.vertices
     r = (assemble_stiffness(mesh) @ u) / w[:, None] - 2.0 * u
     value = float(np.sqrt(np.einsum("v,vd->", w, r * r)
                           / np.einsum("v,vd->", w, 4.0 * u * u)))
-    gradsq = coordinate_gradient_sq(mesh).sum(axis=0)
-    gradsq_max = float(np.max(np.abs(gradsq - 2.0)))
-    return MinimalityResidual(value, gradsq_max)
+    return MinimalityResidual(value)
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ParameterError, SolverError, UnsupportedSurfaceError
-from .mesh import contained_in_geodesic_s2, mesh_size, per_mesh
+from .mesh import contained_in_geodesic_s2, mesh_size
 from .mobius import (
     moebius_basis,
     moebius_normal,
@@ -30,6 +30,7 @@ from .operators import (
     first_nonzero_cluster,
     lumped_gram,
     solve_smallest_eigenpairs,
+    stiffness_on_mass_pattern,
     vertex_weights,
 )
 from .secondvar import energy_form_coordinate, moebius_energy_gram
@@ -64,50 +65,15 @@ def threshold_chain_check(n, num_samples=10000):
     return True
 
 
-def canonical_variation_weights(mesh):
-    """S on the CSR pattern of M, and the weights xi_i(v) . xi_i(w) there, (n+1, nnz).
-
-    D^2E(f xi_i) = sum_vw f_v f_w (S - 2M)_vw xi_i(v) . xi_i(w). The pattern
-    of M holds every entry of S, so S and M weighted entrywise by row i of
-    the weights are matrices on that one pattern. Not held: the held P and
-    each certificate read it once.
-    """
-    M = assemble_mass(mesh)
-    row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    stiffness = np.asarray(assemble_stiffness(mesh)[row, M.indices]).ravel()
-    weights = np.stack([np.einsum("ed,ed->e", np.take(xi, row, axis=0),
-                                  np.take(xi, M.indices, axis=0))
-                        for xi in moebius_basis(mesh)])
-    return stiffness, weights
-
-
-def _on_mass_pattern(mesh, values):
-    """The sparse matrix with the given (nnz,) values on the CSR pattern of M."""
-    M = assemble_mass(mesh)
-    return sp.csr_matrix((values, M.indices, M.indptr), shape=M.shape)
-
-
-@per_mesh
-def canonical_variation_matrix(mesh):
-    """The matrix P with f' P f = sum_i D^2E(f xi_i), held.
-
-    P is S - 2M weighted entrywise by sum_i xi_i(v) . xi_i(w), accumulated
-    over the Moebius basis (canonical_variation_weights).
-    """
-    stiffness, weights = canonical_variation_weights(mesh)
-    weight = np.zeros(stiffness.size)
-    for w in weights:
-        weight += w
-    return _on_mass_pattern(mesh, (stiffness - 2.0 * assemble_mass(mesh).data) * weight)
-
-
 def prop1_sum(mesh, f):
     """Sum of canonical-variation energies vs n*int|grad f|^2 - (2n-4)*int f^2.
 
     f is one function (V,), which gives two floats (lhs, rhs), or a batch
-    (V, m) of functions, which gives two length-m arrays from one product
-    with each matrix. The identity holds for every smooth f on a minimal
-    surface, so the gap is pure discretization error.
+    (V, m) of functions, which gives two length-m arrays. The lhs sums the
+    n+1 canonical energies of each function (canonical_variation_values),
+    the rhs takes one product with S and one with M. The identity holds for
+    every smooth f on a minimal surface, so the gap is pure discretization
+    error.
     """
     f = np.asarray(f, dtype=float)
 
@@ -115,27 +81,26 @@ def prop1_sum(mesh, f):
         return np.einsum("v...,v...->...", f, A @ f)
 
     n = mesh.n
-    lhs = form(canonical_variation_matrix(mesh))
+    lhs = canonical_variation_values(mesh, f.reshape(f.shape[0], -1))[0].sum(axis=1)
     rhs = n * form(assemble_stiffness(mesh)) - (2 * n - 4) * form(assemble_mass(mesh))
     if f.ndim == 1:
-        return float(lhs), float(rhs)
+        return float(lhs[0]), float(rhs)
     return lhs, rhs
 
 
 def el_soufi_lower_bound_check(mesh):
     """Negative definiteness of the Moebius-span energy Gram matrix.
 
-    Returns (matrix, negative_definite, claim_valid): the held (n+1)x(n+1)
-    matrix of energy-form values on pairs of Moebius fields
-    (moebius_energy_gram), whether all its eigenvalues are negative, and
-    whether the lower bound ind_E >= n+1 may be claimed (the surface must
-    not sit in a geodesic S^2).
+    Returns (eigenvalues, negative_definite, claim_valid): the ascending
+    eigenvalues of the held (n+1)x(n+1) matrix of energy-form values on
+    pairs of Moebius fields (moebius_energy_gram), whether all of them are
+    negative, and whether the lower bound ind_E >= n+1 may be claimed (the
+    surface must not sit in a geodesic S^2).
     """
-    B = moebius_energy_gram(mesh)
-    evals = np.linalg.eigvalsh(B)
+    evals = np.linalg.eigvalsh(moebius_energy_gram(mesh))
     negative_definite = bool(evals[-1] < 0.0)
     claim_valid = not contained_in_geodesic_s2(mesh)
-    return B, negative_definite, claim_valid
+    return evals, negative_definite, claim_valid
 
 
 @dataclass
@@ -174,19 +139,24 @@ class CertificateReport:
 def canonical_variation_values(mesh, F):
     """D^2E(f xi_i) and int |f xi_i^N|^2 of every column f of F (V, m), each (m, n+1).
 
-    The energies are f' S_i f - 2 f' M_i f, with S_i and M_i the matrices S
-    and M weighted entrywise by the weights of xi_i, one sparse product of
-    each with F. The two parts are summed apart, as the coordinate form sums
-    them: S - 2M formed entrywise rounds alike on every vertex of a regular
-    grid, which shifts f' (S - 2M) f by about 100 times the rounding of the
-    separate sums. The normal masses are sums over vertices of f(v)^2 times
-    the per-vertex density w_v |xi_i^N(v)|^2, one product for all of F.
+    D^2E(f xi_i) = sum_vw f_v f_w (S - 2M)_vw xi_i(v) . xi_i(w). The pattern
+    of M holds every entry of S, so the energies are f' S_i f - 2 f' M_i f,
+    with S_i and M_i the matrices S and M on that pattern weighted entrywise
+    by xi_i(v) . xi_i(w), one sparse product of each with F. The two parts
+    are summed apart, as the coordinate form sums them: S - 2M formed
+    entrywise rounds alike on every vertex of a regular grid, which shifts
+    f' (S - 2M) f by about 100 times the rounding of the separate sums. The
+    normal masses are sums over vertices of f(v)^2 times the per-vertex
+    density w_v |xi_i^N(v)|^2, one product for all of F.
     """
-    stiffness, weights = canonical_variation_weights(mesh)
+    M = assemble_mass(mesh)
+    row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    stiffness = stiffness_on_mass_pattern(mesh)
     d2e = np.empty((F.shape[1], mesh.n + 1))
-    for i, w in enumerate(weights):
-        S_i, M_i = (_on_mass_pattern(mesh, values * w)
-                    for values in (stiffness, assemble_mass(mesh).data))
+    for i, xi in enumerate(moebius_basis(mesh)):
+        w = np.einsum("ed,ed->e", np.take(xi, row, axis=0), np.take(xi, M.indices, axis=0))
+        S_i, M_i = (sp.csr_matrix((values * w, M.indices, M.indptr), shape=M.shape)
+                    for values in (stiffness, M.data))
         d2e[:, i] = (np.einsum("vm,vm->m", F, S_i @ F)
                      - 2.0 * np.einsum("vm,vm->m", F, M_i @ F))
     normal = moebius_normal(mesh)
@@ -195,7 +165,10 @@ def canonical_variation_values(mesh, F):
 
 
 def certificate_members(mesh, F, lam):
-    """Selection + projection + evaluation for each eigenfunction, a column of F (V, m)."""
+    """Selection + projection + evaluation for each eigenfunction, a column of F (V, m).
+
+    Each member is a dict keyed by the CertificateReport fields it fills.
+    """
     n = mesh.n
     basis = moebius_basis(mesh)
     normals = moebius_normal(mesh)
@@ -207,13 +180,10 @@ def certificate_members(mesh, F, lam):
         if np.any(usable):
             ratios = np.where(usable, d2e / np.maximum(normal_mass, mass_floor), np.inf)
             i0 = int(np.argmin(ratios))
-            ratio_defined = True
         else:
             i0 = int(np.argmin(d2e))
-            ratio_defined = False
         X0 = f[:, None] * basis[i0]
         X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, X0)
-        d2e_value = energy_form_coordinate(mesh, X_perp)
 
         # proof decomposition: D^2E(X) = D^2E(f xi_i0) - 2 int |a_j xi_j^N|^2
         #                                + 4 int f xi_i0^N . (a_j xi_j^N)
@@ -222,12 +192,13 @@ def certificate_members(mesh, F, lam):
                          + 4.0 * (lumped_gram(mesh, f[None, :, None] * normals[[i0]],
                                               normals)[0] @ a))
         members.append({
-            "d2e": d2e, "normal_mass": normal_mass, "i0": i0,
-            "ratio_defined": ratio_defined, "a": a, "residuals": residuals,
-            "degenerate": degenerate, "d2e_value": d2e_value,
-            "decomposition": decomposition,
-            "pigeonhole": float(np.sum(d2e - coeff * normal_mass)),
-            "prop_ok": bool(lam <= 1.0 and d2e[i0] < -1.5 * normal_mass[i0]),
+            "i0": i0, "a": a, "d2e_canonical": d2e, "normal_mass": normal_mass,
+            "d2e_value": energy_form_coordinate(mesh, X_perp),
+            "decomposition_value": decomposition,
+            "pigeonhole_sum": float(np.sum(d2e - coeff * normal_mass)),
+            "orthogonality_residuals": residuals,
+            "proposition_applicable": bool(lam <= 1.0 and d2e[i0] < -1.5 * normal_mass[i0]),
+            "degenerate_gram": degenerate,
         })
     return members
 
@@ -254,8 +225,7 @@ def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0, synthetic_lambda=No
     members = certificate_members(
         mesh, np.stack([p.field for p in first], axis=1), lam_used)
     main = members[0]
-
-    residual_ok = bool(np.max(main["residuals"]) <= ORTHOGONALITY_TOL)
+    residual_ok = bool(np.max(main["orthogonality_residuals"]) <= ORTHOGONALITY_TOL)
     verdict = "negative" if (main["d2e_value"] < 0.0 and residual_ok) else "nonnegative"
 
     return CertificateReport(
@@ -268,20 +238,11 @@ def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0, synthetic_lambda=No
         hypothesis_met=bool(lam_used < thr),
         synthetic=synthetic_lambda is not None,
         lambda_used=lam_used,
-        i0=main["i0"],
-        a=main["a"],
-        d2e_canonical=main["d2e"],
-        normal_mass=main["normal_mass"],
-        d2e_value=main["d2e_value"],
-        decomposition_value=main["decomposition"],
-        pigeonhole_sum=main["pigeonhole"],
-        orthogonality_residuals=main["residuals"],
-        proposition_applicable=main["prop_ok"],
         verdict=verdict,
-        degenerate_gram=main["degenerate"],
         cluster_members=[
             {"i0": m["i0"], "d2e_value": float(m["d2e_value"]),
-             "max_residual": float(np.max(m["residuals"]))}
+             "max_residual": float(np.max(m["orthogonality_residuals"]))}
             for m in members
         ],
+        **main,
     )

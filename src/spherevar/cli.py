@@ -237,11 +237,10 @@ def cmd_index(cfg):
     energy_count, report["counts"]["energy"] = _index_count(
         energy_quadratic_matrix(mesh), cfg, "energy index", "frame-coordinate energy pencil")
 
-    B, negdef, claim_valid = el_soufi_lower_bound_check(mesh)
+    evals, negdef, claim_valid = el_soufi_lower_bound_check(mesh)
     lower = mesh.n + 1
     report["el_soufi"] = {
-        "moebius_energy_matrix_eigenvalues":
-            [float(v) for v in np.linalg.eigvalsh(B)],
+        "moebius_energy_matrix_eigenvalues": [float(v) for v in evals],
         "negative_definite": negdef,
         "claim_valid": claim_valid,
         "lower_bound": lower if claim_valid else None,

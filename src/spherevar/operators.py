@@ -76,6 +76,13 @@ def assemble_mass(mesh):
     return _p1_gram(mesh, areas)
 
 
+def stiffness_on_mass_pattern(mesh):
+    """The entries of S on the CSR pattern of M, (nnz,); that pattern holds every entry of S."""
+    M = assemble_mass(mesh)
+    row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    return np.asarray(assemble_stiffness(mesh)[row, M.indices]).ravel()
+
+
 def _p1_gram(mesh, areas):
     """Gram matrix of the P1 hat functions, each face counted with its
     entry of ``areas``: area / 6 on the diagonal, area / 12 off it."""

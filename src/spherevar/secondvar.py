@@ -34,6 +34,7 @@ from .operators import (
     face_centroids_on_sphere,
     gradient_gram,
     lumped_gram,
+    stiffness_on_mass_pattern,
 )
 
 DEFAULT_INDEX_DELTA = 0.1
@@ -246,14 +247,12 @@ def energy_quadratic_matrix(mesh):
     DOF dimension is n * V; the frame (sphere_tangent_frames) removes the
     radial directions, so the pencil has no artificial zero modes. Q is the
     congruence of S - 2M and the pencil's mass that of M, both taken on the
-    pattern of M, which holds every entry of S. Both are exactly symmetric,
-    because S and M are.
+    pattern of M, which holds every entry of S (stiffness_on_mass_pattern).
+    Both are exactly symmetric, because S and M are.
     """
-    M = assemble_mass(mesh)
-    A = assemble_stiffness(mesh) - 2.0 * M
-    entries = M.tocoo()
+    entries = assemble_mass(mesh).tocoo()
     Q, MQ = _frame_block_matrices(sphere_tangent_frames(mesh), entries,
-                                  np.asarray(A[entries.row, entries.col]).ravel(),
+                                  stiffness_on_mass_pattern(mesh) - 2.0 * entries.data,
                                   entries.data)
     return QuadraticFormMatrix(Q=Q, M=MQ, kind="energy", tree=dissection_tree(mesh))
 

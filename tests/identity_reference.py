@@ -10,8 +10,8 @@ one function f from the per-face covariant derivatives of each f xi_i.
 These are the references the contraction is tested against.
 certificate_member_reference evaluates the certificate for one
 eigenfunction, building its n+1 canonical variations f xi_i as fields;
-certificates.certificate_members evaluates a whole cluster from the held
-weights of the canonical variation matrix.
+certificates.certificate_members evaluates a whole cluster from the
+canonical energies of certificates.canonical_variation_values.
 """
 
 import numpy as np
@@ -144,10 +144,8 @@ def certificate_member_reference(mesh, f, lam):
     if np.any(usable):
         ratios = np.where(usable, d2e / np.maximum(normal_mass, mass_floor), np.inf)
         i0 = int(np.argmin(ratios))
-        ratio_defined = True
     else:
         i0 = int(np.argmin(d2e))
-        ratio_defined = False
     X0 = f[:, None] * basis[i0]
     X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, X0)
     d2e_value = energy_form_coordinate(mesh, X_perp)
@@ -156,10 +154,10 @@ def certificate_member_reference(mesh, f, lam):
                      + 4.0 * (lumped_gram(mesh, f_normals[[i0]], normals)[0] @ a))
     coeff = (n * lam - 2 * n + 4) / (n - 2)
     return {
-        "d2e": d2e, "normal_mass": normal_mass, "i0": i0,
-        "ratio_defined": ratio_defined, "a": a, "residuals": residuals,
-        "degenerate": degenerate, "d2e_value": d2e_value,
-        "decomposition": decomposition,
-        "pigeonhole": float(np.sum(d2e - coeff * normal_mass)),
-        "prop_ok": bool(lam <= 1.0 and d2e[i0] < -1.5 * normal_mass[i0]),
+        "i0": i0, "a": a, "d2e_canonical": d2e, "normal_mass": normal_mass,
+        "d2e_value": d2e_value, "decomposition_value": decomposition,
+        "pigeonhole_sum": float(np.sum(d2e - coeff * normal_mass)),
+        "orthogonality_residuals": residuals,
+        "proposition_applicable": bool(lam <= 1.0 and d2e[i0] < -1.5 * normal_mass[i0]),
+        "degenerate_gram": degenerate,
     }

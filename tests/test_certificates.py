@@ -1,5 +1,7 @@
 """Certificate pipeline, proof identities, and the eigenvalue threshold."""
 
+import math
+
 import numpy as np
 import pytest
 from identity_reference import (
@@ -13,6 +15,7 @@ from identity_reference import (
 from spherevar.catalog import build_product_torus
 from spherevar.certificates import (
     build_certificate,
+    canonical_variation_values,
     certificate_members,
     el_soufi_lower_bound_check,
     prop1_sum,
@@ -123,8 +126,8 @@ def test_mixed_gradient_identity_any_function(clifford64, rng):
 
 
 def test_el_soufi_check(clifford64, sphere4):
-    B, negdef, claim_valid = el_soufi_lower_bound_check(clifford64)
-    assert B.shape == (4, 4)
+    evals, negdef, claim_valid = el_soufi_lower_bound_check(clifford64)
+    assert evals.shape == (4,)
     assert negdef
     assert claim_valid
     _, _, sphere_claim = el_soufi_lower_bound_check(sphere4)
@@ -210,6 +213,35 @@ def test_prop1_batch_matches_loop_reference(mesh_name, request):
 
 
 @pytest.mark.parametrize("mesh_name", ["clifford64", "s5-torus32"])
+def test_prop1_lhs_sums_the_canonical_energies(mesh_name, request):
+    if mesh_name == "s5-torus32":
+        mesh = build_product_torus(32, n=5)
+    else:
+        mesh = request.getfixturevalue(mesh_name)
+    rng = np.random.default_rng(5)
+    F = np.stack([random_polynomial_scalar(mesh, rng) for _ in range(3)], axis=1)
+    lhs, _ = prop1_sum(mesh, F)
+    assert np.array_equal(lhs, canonical_variation_values(mesh, F)[0].sum(axis=1))
+    one_lhs, _ = prop1_sum(mesh, F[:, 0])
+    assert one_lhs == canonical_variation_values(mesh, F[:, :1])[0].sum()
+
+
+def test_prop1_lhs_near_exactly_summed_reference(clifford64):
+    # the lhs against math.fsum of every product c A_vw f_v xi_i^d(v) f_w xi_i^d(w),
+    # with A = S, c = 1 and A = M, c = -2
+    mesh = clifford64
+    f = random_polynomial_scalar(mesh, np.random.default_rng(3))
+    lhs, _ = prop1_sum(mesh, f)
+    products = []
+    for c, A in ((1.0, assemble_stiffness(mesh).tocoo()), (-2.0, assemble_mass(mesh).tocoo())):
+        for xi in moebius_basis(mesh):
+            g = f[:, None] * xi
+            products.extend((c * A.data[:, None] * g[A.row] * g[A.col]).ravel())
+    exact = math.fsum(products)
+    assert abs(lhs - exact) <= 5e-14 * abs(exact)
+
+
+@pytest.mark.parametrize("mesh_name", ["clifford64", "s5-torus32"])
 @pytest.mark.parametrize("lam", [None, 0.1], ids=["lambda1", "synthetic"])
 def test_certificate_members_match_per_member_reference(mesh_name, lam, request):
     # the whole first cluster in one pass; the selection, projection and
@@ -230,16 +262,16 @@ def test_certificate_members_match_per_member_reference(mesh_name, lam, request)
     for member, j in zip(members, first):
         reference = certificate_member_reference(mesh, pairs[j].field, lam)
         assert member.keys() == reference.keys()
-        for key in ("i0", "ratio_defined", "degenerate", "d2e_value", "prop_ok"):
+        for key in ("i0", "degenerate_gram", "d2e_value", "proposition_applicable"):
             assert member[key] == reference[key], key
-        for key in ("a", "residuals"):
+        for key in ("a", "orthogonality_residuals"):
             assert np.array_equal(member[key], reference[key]), key
-        scale = np.sum(np.abs(reference["d2e"])) + np.sum(reference["normal_mass"])
-        for key in ("d2e", "normal_mass", "decomposition", "pigeonhole"):
+        scale = np.sum(np.abs(reference["d2e_canonical"])) + np.sum(reference["normal_mass"])
+        for key in ("d2e_canonical", "normal_mass", "decomposition_value", "pigeonhole_sum"):
             assert np.max(np.abs(member[key] - reference[key])) <= 1e-12 * scale, key
     if mesh.n == 5:
         # xi_4 = e_4 and xi_5 = e_5 on the equatorial torus: their ratios tie
         # exactly, and the argmin keeps the first
-        assert all(m["d2e"][4] == m["d2e"][5] for m in members)
+        assert all(m["d2e_canonical"][4] == m["d2e_canonical"][5] for m in members)
         assert all(m["normal_mass"][4] == m["normal_mass"][5] for m in members)
         assert [m["i0"] for m in members] == [4, 4, 4, 4]

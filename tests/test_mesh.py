@@ -22,7 +22,6 @@ from spherevar.mesh import (
     SurfaceMesh,
 )
 from spherevar.catalog import build_equatorial_sphere, build_product_torus
-from spherevar.certificates import canonical_variation_matrix
 from spherevar.mobius import (
     moebius_basis,
     moebius_gram,
@@ -47,8 +46,7 @@ HELD = [face_gram, face_areas, face_orthonormal_basis, mesh_edges, sphere_tangen
         surface_tangent_frames, vertex_weights, face_centroids_on_sphere,
         assemble_stiffness, assemble_mass, dissection_tree, dissection_order,
         coordinate_gradient_sq, moebius_basis, moebius_gram, moebius_tangential,
-        moebius_normal, moebius_normal_gram, moebius_energy_gram, moebius_covariant_load,
-        canonical_variation_matrix]
+        moebius_normal, moebius_normal_gram, moebius_energy_gram, moebius_covariant_load]
 
 
 def test_validate_catalog_meshes(sphere4, clifford64, torus_s4):

@@ -20,7 +20,7 @@ from spherevar.errors import (
     SolverError,
     UnsupportedSurfaceError,
 )
-from spherevar.mesh import face_areas, face_orthonormal_basis, total_area
+from spherevar.mesh import face_areas, face_orthonormal_basis, sphere_tangent_frames, total_area
 from spherevar.mobius import (
     moebius_basis,
     moebius_field,
@@ -40,6 +40,7 @@ from spherevar.operators import (
 from spherevar.sampling import random_bandlimited_field
 from spherevar.secondvar import (
     DEFAULT_INDEX_DELTA,
+    _frame_block_matrices,
     area_jacobi_form,
     area_jacobi_matrix,
     covariant_gradient_inner,
@@ -340,3 +341,19 @@ def test_covariant_load_pairs_like_covariant_gradient_inner(mesh):
             ref = covariant_gradient_inner(mesh, X, xi)
             bound = np.sqrt(covariant_gradient_inner(mesh, X) * covariant_gradient_inner(mesh, xi))
             assert abs(np.einsum("vd,vd->", X, C_xi) - ref) <= 1e-12 * bound
+
+
+@pytest.mark.parametrize("mesh_name", ["clifford64", "sphere4", "torus_s4"])
+def test_energy_pencil_matches_entrywise_reference(mesh_name, request):
+    # Q from (S - 2M) read on the COO pattern of M, the pencil mass from M
+    mesh = request.getfixturevalue(mesh_name)
+    M = assemble_mass(mesh)
+    entries = M.tocoo()
+    S_minus_2M = assemble_stiffness(mesh) - 2.0 * M
+    references = _frame_block_matrices(
+        sphere_tangent_frames(mesh), entries,
+        np.asarray(S_minus_2M[entries.row, entries.col]).ravel(), entries.data)
+    form = energy_quadratic_matrix(mesh)
+    for matrix, reference in zip((form.Q, form.M), references):
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(matrix, part), getattr(reference, part)), part

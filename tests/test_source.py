@@ -23,6 +23,14 @@ def unused_imports(source):
     return sorted(imported - read)
 
 
+def per_mesh_functions(source):
+    """Names of the functions in source decorated @per_mesh."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef)
+                  and any(isinstance(d, ast.Name) and d.id == "per_mesh"
+                          for d in node.decorator_list))
+
+
 def test_unused_imports_finds_a_planted_name():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "from typing import Optional\n\ndef f(x):\n    from .a import b, c\n"
@@ -33,3 +41,18 @@ def test_unused_imports_finds_a_planted_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_package_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_per_mesh_functions_finds_a_planted_name():
+    source = ("@per_mesh\ndef a(mesh):\n    pass\n\n@other\ndef b(mesh):\n    pass\n\n"
+              "def c(mesh):\n    @per_mesh\n    def d(mesh):\n        pass\n")
+    assert per_mesh_functions(source) == ["a", "d"]
+
+
+def test_every_held_function_is_in_the_held_list():
+    # HELD may also list functions that return a held value, as dissection_order does
+    from test_mesh import HELD
+
+    declared = {(f"spherevar.{path.stem}", name)
+                for path in MODULES for name in per_mesh_functions(path.read_text())}
+    assert sorted(declared - {(f.__module__, f.__name__) for f in HELD}) == []
