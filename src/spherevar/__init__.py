@@ -43,7 +43,6 @@ from .operators import (
     integrate,
     nested_dissection,
     solve_smallest_eigenpairs,
-    surface_gradient,
 )
 from .secondvar import (
     area_jacobi_form,

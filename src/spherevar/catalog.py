@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedSurfaceError
 from .mesh import Chart, SurfaceMesh, frames_from_projectors, validate_mesh
+from .operators import assemble_stiffness, vertex_weights
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -188,8 +189,6 @@ def minimality_residual(mesh):
     lumped-mass inverse and compared against 2u in the mass-weighted norm
     relative to |2u|.
     """
-    from .operators import assemble_stiffness, vertex_weights
-
     w = vertex_weights(mesh)
     u = mesh.vertices
     r = (assemble_stiffness(mesh) @ u) / w[:, None] - 2.0 * u

@@ -167,8 +167,6 @@ def cmd_catalog(cfg):
 
 
 def cmd_spectrum(cfg):
-    if cfg["k"] < 1:
-        raise ParameterError(f"k={cfg['k']} must be at least 1")
     mesh = build_surface(cfg)
     pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh),
                                       k=cfg["k"], order=dissection_order(mesh),

@@ -155,13 +155,27 @@ def face_areas(mesh):
 
 
 @per_mesh
-def face_orthonormal_basis(mesh):
-    """Orthonormal in-plane directions (d1, d2) per face, each (F, n+1), read-only."""
-    u, w = face_corner_vectors(mesh)
-    d1 = u / np.linalg.norm(u, axis=1, keepdims=True)
-    w_perp = w - np.einsum("fd,fd->f", w, d1)[:, None] * d1
-    d2 = w_perp / np.linalg.norm(w_perp, axis=1, keepdims=True)
-    return d1, d2
+def face_derivatives(mesh):
+    """Derivatives of P1 fields along two orthonormal in-plane directions, (2F, V) CSR, held.
+
+    Row 2f + k holds, on the three corners of face f, the coefficients of
+    the derivative along d_k: d_1 = u / |u| and d_2 the unit part of w
+    orthogonal to u, with u = B - A, w = C - A. With du, dw the differences
+    of a field along u and w, the two derivatives are du / |u| and
+    (guu dw - guw du) / sqrt(det guu). The derivative of the position along
+    d_k is d_k, so ``face_derivatives(mesh) @ mesh.vertices`` holds the
+    directions themselves. A face with det <= 0 raises MeshError.
+    """
+    guu, _, guw, det = face_gram(mesh)
+    if np.any(det <= 0.0):
+        raise MeshError("degenerate face in gradient computation")
+    # (F, 2, 3): the coefficients of corners A, B, C in each derivative
+    coeffs = np.stack([np.outer(1.0 / np.sqrt(guu), [-1.0, 1.0, 0.0]),
+                       np.stack([guw - guu, -guw, guu], axis=1) / np.sqrt(det * guu)[:, None]],
+                      axis=1)
+    columns = np.repeat(mesh.faces, 2, axis=0)
+    return sp.csr_matrix((coeffs.ravel(), columns.ravel(), np.arange(0, coeffs.size + 1, 3)),
+                         shape=(2 * mesh.num_faces, mesh.num_vertices))
 
 
 def edge_lengths(mesh):
@@ -316,8 +330,8 @@ def surface_tangent_frames(mesh):
     d = mesh.n + 1
     V = mesh.num_vertices
     areas = face_areas(mesh)
-    b1, b2 = face_orthonormal_basis(mesh)
-    face_proj = np.einsum("fi,fj->fij", b1, b1) + np.einsum("fi,fj->fij", b2, b2)
+    directions = (face_derivatives(mesh) @ x).reshape(mesh.num_faces, 2, d)
+    face_proj = np.einsum("fki,fkj->fij", directions, directions)
     acc = np.zeros((V, d, d))
     for corner in range(3):
         np.add.at(acc, mesh.faces[:, corner], areas[:, None, None] * face_proj)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .mesh import mesh_edges, per_mesh, surface_tangent_frames
-from .operators import coordinate_gradient_sq, lumped_gram
+from .mesh import face_derivatives, mesh_edges, per_mesh, surface_tangent_frames
+from .operators import lumped_gram
 
 SPHERE_TANGENCY_TOL = 1e-10
 GRAM_SINGULAR_REL = 1e-12
@@ -133,7 +133,9 @@ def pointwise_identity_report(mesh):
     d = mesh.n + 1
     basis = moebius_basis(mesh)
     tangential = moebius_tangential(mesh)
-    gradsq = coordinate_gradient_sq(mesh)
+    # |grad x_i|^2 per face is sum_k (d_k)_i^2 over the in-plane directions d_k
+    directions = (face_derivatives(mesh) @ x).reshape(mesh.num_faces, 2, d)
+    gradsq = np.einsum("fki,fki->if", directions, directions)
     tri = mesh.faces
 
     # every edge {a, b} once, with its unit-sphere midpoint

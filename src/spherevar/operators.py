@@ -1,8 +1,8 @@
 """P1 finite-element operators on a SurfaceMesh.
 
 Cotangent stiffness, consistent mass, barycentric quadrature weights,
-per-face gradients of linear interpolants, quadrature, lumped L2 products
-of vector fields, the low end of the Laplace-Beltrami eigenproblem
+face centroids on the sphere, quadrature, lumped L2 products of vector
+fields, the low end of the Laplace-Beltrami eigenproblem
 S f = lambda M f, the nested dissection of the mesh graph, the SuperLU
 factorizations behind every shift-invert eigensolve, and the dense-front
 inertia count.
@@ -18,13 +18,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
-from .errors import ContractError, MeshError, SolverError
+from .errors import ContractError, MeshError, ParameterError, SolverError
 from .mesh import (
     edge_lengths,
     face_areas,
-    face_corner_vectors,
     face_corners,
-    face_gram,
     mesh_edges,
     per_mesh,
 )
@@ -138,36 +136,6 @@ def lumped_gram(mesh, X, Y=None):
         lower = np.tril_indices(len(G), -1)
         G[lower] = G.T[lower]
     return G
-
-
-def gradient_gram(mesh):
-    """The held face Gram data, checked for the division the gradients make."""
-    gram = face_gram(mesh)
-    if np.any(gram.det <= 0.0):
-        raise MeshError("degenerate face in gradient computation")
-    return gram
-
-
-def surface_gradient(mesh, f):
-    """Per-face constant gradient of the linear interpolant, shape (F, n+1)."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (mesh.num_vertices,):
-        raise ContractError("scalar field length must equal vertex count")
-    u, w = face_corner_vectors(mesh)
-    guu, gww, guw, det = gradient_gram(mesh)
-    tri = mesh.faces
-    du = f[tri[:, 1]] - f[tri[:, 0]]
-    dw = f[tri[:, 2]] - f[tri[:, 0]]
-    c1 = (gww * du - guw * dw) / det
-    c2 = (guu * dw - guw * du) / det
-    return c1[:, None] * u + c2[:, None] * w
-
-
-@per_mesh
-def coordinate_gradient_sq(mesh):
-    """|grad x_i|^2 per face of each coordinate function x_i, (n+1, F), read-only."""
-    return np.stack([np.einsum("fd,fd->f", g, g)
-                     for g in (surface_gradient(mesh, x) for x in mesh.vertices.T)])
 
 
 @per_mesh
@@ -549,14 +517,15 @@ def solve_smallest_eigenpairs(S, M, k, order, seed=0):
     ``order`` (see dissection_order); deterministic via a seeded starting
     vector. The Ritz vectors are M-orthonormalized as one block in index
     order, by the Cholesky factor of their M-Gram matrix, and each is signed
-    so that its largest-magnitude entry is positive. Raises SolverError if
+    so that its largest-magnitude entry is positive. A k outside
+    1 <= k <= V - 1 raises ParameterError. Raises SolverError if
     the factor has a negative pivot (the shift is not below the spectrum),
     if the block is degenerate, and (carrying the best residual) on failure
     of the residual contract.
     """
     V = S.shape[0]
     if not (1 <= k <= V - 1):
-        raise ContractError(f"k={k} out of range for dimension {V}")
+        raise ParameterError(f"k={k} out of range: need 1 <= k <= {V - 1}")
     sigma = -0.1  # S is PSD, so S - sigma M is SPD for sigma < 0
     lu, perm = _factor_shifted(S, M, sigma, order)
     # the pivots of the factor it solves with; lu.U copies it, which for a

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mobius import moebius_field
+
 FIELD_TERMS = 3
 
 
@@ -24,8 +26,6 @@ def random_polynomial_scalar(mesh, rng):
 
 def random_bandlimited_field(mesh, rng):
     """Random sphere-tangent field sum_m f_m(x) * xi_{v_m}(x), FIELD_TERMS terms."""
-    from .mobius import moebius_field
-
     X = np.zeros_like(mesh.vertices)
     d = mesh.n + 1
     for _ in range(FIELD_TERMS):

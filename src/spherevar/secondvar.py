@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError, SolverError, UnsupportedSurfaceError
-from .mesh import face_areas, per_mesh, sphere_tangent_frames
+from .mesh import face_areas, face_derivatives, per_mesh, sphere_tangent_frames
 from .mobius import check_sphere_tangent, moebius_basis, split_tangent_normal
 from .operators import (
     DissectionTree,
@@ -32,7 +32,6 @@ from .operators import (
     count_eigenvalues_below,
     dissection_tree,
     face_centroids_on_sphere,
-    gradient_gram,
     lumped_gram,
     stiffness_on_mass_pattern,
 )
@@ -116,52 +115,25 @@ def moebius_covariant_load(mesh):
     sum_v X(v) . (C xi_j)(v) = covariant_gradient_inner(mesh, X, xi_j) for
     every field X (V, n+1). The projection orthogonal to the face centroid
     is symmetric and idempotent, so on each face <D X, D xi_j> is the
-    unprojected difference of X along direction k dotted with (D xi_j)_k.
-    C xi_j scatters area * (D xi_j)_k, times the coefficient of each corner
-    in that difference, to the three corners, as a P1 load is assembled.
+    unprojected derivative of X along each direction dotted with
+    (D xi_j)_k, and C xi_j = D' (area * D xi_j) with D the face derivatives.
     """
-    guu, _, guw, det = gradient_gram(mesh)
-    areas = face_areas(mesh)
-    tri = mesh.faces
-    d, V = mesh.n + 1, mesh.num_vertices
-    # the differences of covariant_face_derivatives are du / |u| and
-    # (guu dw - guw du) / sqrt(det guu), with du = X_1 - X_0, dw = X_2 - X_0;
-    # the coefficients of each sum to zero over the corners
-    first = (areas / np.sqrt(guu))[:, None]
-    second = (areas / np.sqrt(det * guu))[:, None]
-    scatter = sp.csr_matrix((np.ones(tri.size), (tri.ravel(), np.arange(tri.size))),
-                            shape=(V, tri.size))
-    corners = np.empty((tri.shape[0], 3, d))
-    load = np.empty((d, V, d))
-    for j, xi in enumerate(moebius_basis(mesh)):
-        D = covariant_face_derivatives(mesh, xi)
-        weighted = second * D[:, 1]
-        corners[:, 1] = first * D[:, 0] - guw[:, None] * weighted
-        corners[:, 2] = guu[:, None] * weighted
-        corners[:, 0] = -corners[:, 1] - corners[:, 2]
-        load[j] = scatter @ corners.reshape(-1, d)
-    return load
+    D = face_derivatives(mesh)
+    areas = face_areas(mesh)[:, None, None]
+    d = mesh.n + 1
+    return np.stack([D.T @ (areas * covariant_face_derivatives(mesh, xi)).reshape(-1, d)
+                     for xi in moebius_basis(mesh)])
 
 
 def covariant_face_derivatives(mesh, X):
     """Per-face sphere-covariant derivatives of a field X (V, n+1), (F, 2, n+1).
 
     Entry [:, k] is the derivative of the linear interpolant of X along the
-    k-th orthonormal in-plane direction (face_orthonormal_basis), projected
-    orthogonal to the face centroid on the sphere. With u = B - A,
-    w = C - A and du, dw the differences of X along them, the two
-    derivatives are du / |u| and (guu dw - guw du) / sqrt(det guu).
+    k-th orthonormal in-plane direction (face_derivatives), projected
+    orthogonal to the face centroid on the sphere.
     """
-    X = np.asarray(X, dtype=float)
-    guu, _, guw, det = gradient_gram(mesh)
+    D = (face_derivatives(mesh) @ np.asarray(X, dtype=float)).reshape(mesh.num_faces, 2, -1)
     centroid = face_centroids_on_sphere(mesh)
-    tri = mesh.faces
-    X0 = np.take(X, tri[:, 0], axis=0)
-    du = np.take(X, tri[:, 1], axis=0) - X0   # (F, n+1)
-    dw = np.take(X, tri[:, 2], axis=0) - X0
-    D = np.empty((tri.shape[0], 2, X.shape[1]))
-    D[:, 0] = du / np.sqrt(guu)[:, None]
-    D[:, 1] = (guu[:, None] * dw - guw[:, None] * du) / np.sqrt(det * guu)[:, None]
     D -= np.einsum("fkc,fc->fk", D, centroid)[:, :, None] * centroid[:, None, :]
     return D
 
@@ -287,8 +259,11 @@ def negative_index_count(form, delta=DEFAULT_INDEX_DELTA, seed=0):
     is the inertia of Q + delta M, counted on the fronts. Raises
     SolverError if an eigenvalue sits on +-delta (a singular front), if a
     Lanczos value is not below +delta, or if the Lanczos values below
-    -delta are not as many as that count.
+    -delta are not as many as that count. A delta that is not positive
+    raises ParameterError.
     """
+    if not delta > 0.0:
+        raise ParameterError(f"delta={delta:g} must be positive")
     dim = form.Q.shape[0]
     wanted = count_eigenvalues_below(form.Q, form.M, delta, form.tree)
     if wanted >= dim:

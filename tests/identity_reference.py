@@ -12,11 +12,13 @@ certificate_member_reference evaluates the certificate for one
 eigenfunction, building its n+1 canonical variations f xi_i as fields;
 certificates.certificate_members evaluates a whole cluster from the
 canonical energies of certificates.canonical_variation_values.
+surface_gradient is the per-face gradient of a linear interpolant from the
+inverse of the face Gram matrix, the reference for mesh.face_derivatives.
 """
 
 import numpy as np
 
-from spherevar.errors import ContractError
+from spherevar.errors import ContractError, MeshError
 from spherevar.mobius import (
     moebius_basis,
     moebius_normal,
@@ -25,7 +27,7 @@ from spherevar.mobius import (
     project_orthogonal_to_moebius,
     split_tangent_normal,
 )
-from spherevar.mesh import face_areas
+from spherevar.mesh import face_areas, face_corner_vectors, face_gram
 from spherevar.operators import integrate, lumped_gram, vertex_weights
 from spherevar.secondvar import (
     covariant_face_derivatives,
@@ -43,6 +45,29 @@ def field_inner(weights, X, Y):
 
 def field_norm(weights, X):
     return float(np.sqrt(max(field_inner(weights, X, X), 0.0)))
+
+
+def gradient_gram(mesh):
+    """The held face Gram data, checked for the division the gradients make."""
+    gram = face_gram(mesh)
+    if np.any(gram.det <= 0.0):
+        raise MeshError("degenerate face in gradient computation")
+    return gram
+
+
+def surface_gradient(mesh, f):
+    """Per-face constant gradient of the linear interpolant, shape (F, n+1)."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (mesh.num_vertices,):
+        raise ContractError("scalar field length must equal vertex count")
+    u, w = face_corner_vectors(mesh)
+    guu, gww, guw, det = gradient_gram(mesh)
+    tri = mesh.faces
+    du = f[tri[:, 1]] - f[tri[:, 0]]
+    dw = f[tri[:, 2]] - f[tri[:, 0]]
+    c1 = (gww * du - guw * dw) / det
+    c2 = (guu * dw - guw * du) / det
+    return c1[:, None] * u + c2[:, None] * w
 
 
 def _combination(basis, a):

@@ -43,9 +43,18 @@ def test_spectrum_writes_csv(tmp_path, capsys):
     assert "lambda1" in stdout and "threshold" in stdout
 
 
-def test_spectrum_k_zero_is_usage_error():
-    assert run(["spectrum", "--surface", "clifford-torus", "--res", "16",
-                "--k", "0"]) == EXIT_USAGE
+# k must lie in 1..V-1; the Clifford torus at res 16 has V = 256 vertices
+@pytest.mark.parametrize("command", ["spectrum", "verify", "certificate"])
+@pytest.mark.parametrize("k", ["0", "256"])
+def test_k_out_of_range_is_usage_error(tmp_path, command, k):
+    assert run([command, "--surface", "clifford-torus", "--res", "16", "--k", k,
+                "--out", str(tmp_path / "out")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("delta", ["-0.1", "0"])
+def test_index_nonpositive_delta_is_usage_error(delta):
+    assert run(["index", "--surface", "clifford-torus", "--res", "16",
+                "--delta", delta]) == EXIT_USAGE
 
 
 def test_unknown_surface_is_usage_error():

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from identity_reference import surface_gradient
 
 from spherevar.errors import MeshError, ParameterError
 from spherevar.mesh import (
     contained_in_geodesic_s2,
     face_areas,
+    face_corner_vectors,
+    face_derivatives,
     face_gram,
-    face_orthonormal_basis,
     jitter_vertices,
     mesh_edges,
     mesh_size,
@@ -32,21 +34,19 @@ from spherevar.mobius import (
 from spherevar.operators import (
     assemble_mass,
     assemble_stiffness,
-    coordinate_gradient_sq,
     dissection_order,
     dissection_tree,
     face_centroids_on_sphere,
-    gradient_gram,
     vertex_weights,
 )
 from spherevar.secondvar import moebius_covariant_load, moebius_energy_gram
 
 # every function whose value is held on the mesh (per_mesh)
-HELD = [face_gram, face_areas, face_orthonormal_basis, mesh_edges, sphere_tangent_frames,
+HELD = [face_gram, face_areas, face_derivatives, mesh_edges, sphere_tangent_frames,
         surface_tangent_frames, vertex_weights, face_centroids_on_sphere,
         assemble_stiffness, assemble_mass, dissection_tree, dissection_order,
-        coordinate_gradient_sq, moebius_basis, moebius_gram, moebius_tangential,
-        moebius_normal, moebius_normal_gram, moebius_energy_gram, moebius_covariant_load]
+        moebius_basis, moebius_gram, moebius_tangential, moebius_normal,
+        moebius_normal_gram, moebius_energy_gram, moebius_covariant_load]
 
 
 def test_validate_catalog_meshes(sphere4, clifford64, torus_s4):
@@ -189,6 +189,69 @@ def test_surface_frames_without_chart_close_to_analytic(clifford16):
     assert np.max(np.abs(p1 - p2)) < 0.05
 
 
+def face_directions(mesh):
+    """The in-plane directions (d_1, d_2) of every face, (F, 2, n+1), read
+    from face_derivatives as the derivatives of the position."""
+    return (face_derivatives(mesh) @ mesh.vertices).reshape(mesh.num_faces, 2, -1)
+
+
+def face_gradient_edge_error(mesh, f):
+    """Worst gap between g . (x_b - x_a) and f_b - f_a over the three edges
+    of every face, g = sum_k (D f)_k d_k the face gradient of f."""
+    derivatives = (face_derivatives(mesh) @ f).reshape(mesh.num_faces, 2)
+    g = np.einsum("fk,fki->fi", derivatives, face_directions(mesh))
+    x, tri = mesh.vertices, mesh.faces
+    return max(float(np.max(np.abs(np.einsum("fd,fd->f", g, x[tri[:, b]] - x[tri[:, a]])
+                                   - (f[tri[:, b]] - f[tri[:, a]]))))
+               for a, b in ((0, 1), (1, 2), (2, 0)))
+
+
+OPERATOR_MESHES = ["clifford64", "s5-torus32", "sphere4", "jittered"]
+
+
+def operator_mesh(name, request):
+    if name == "s5-torus32":
+        return build_product_torus(32, n=5)
+    if name == "jittered":   # no chart
+        return jitter_vertices(request.getfixturevalue("sphere4"), 0.01, seed=3)
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", OPERATOR_MESHES)
+def test_face_directions_are_orthonormal_in_the_face_plane(name, request):
+    mesh = operator_mesh(name, request)
+    directions = face_directions(mesh)
+    gram = np.einsum("fki,fli->fkl", directions, directions)
+    assert np.max(np.abs(gram - np.eye(2))) <= 1e-14
+    # an orthonormal basis of span(u, w) per face, (F, n+1, 2)
+    plane = np.linalg.qr(np.stack(face_corner_vectors(mesh), axis=2))[0]
+    inside = np.einsum("fik,fjk,flj->fli", plane, plane, directions)
+    assert np.max(np.abs(directions - inside)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", OPERATOR_MESHES)
+def test_face_gradient_reproduces_edge_differences(name, request):
+    mesh = operator_mesh(name, request)
+    f = np.random.default_rng(5).standard_normal(mesh.num_vertices)
+    assert face_gradient_edge_error(mesh, f) <= 1e-12
+
+
+@pytest.mark.parametrize("name", OPERATOR_MESHES)
+def test_face_derivatives_match_gram_inverse_gradient(name, request):
+    mesh = operator_mesh(name, request)
+    f = np.random.default_rng(6).standard_normal(mesh.num_vertices)
+    derivatives = (face_derivatives(mesh) @ f).reshape(mesh.num_faces, 2)
+    reference = np.einsum("fi,fki->fk", surface_gradient(mesh, f), face_directions(mesh))
+    assert np.max(np.abs(derivatives - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_face_derivatives_reject_a_zero_area_face():
+    verts = np.eye(4)[[0, 1, 2, 0]]   # vertex 3 sits on vertex 0
+    faces = np.array([[0, 1, 2], [0, 1, 3]])
+    with pytest.raises(MeshError):
+        face_derivatives(SurfaceMesh(n=3, vertices=verts, faces=faces))
+
+
 def test_off_round_trip_bit_exact(tmp_path, clifford16):
     path = tmp_path / "mesh.off"
     write_off(clifford16, path)
@@ -230,7 +293,6 @@ def test_mesh_arrays_and_held_geometry_are_read_only(clifford16):
         clifford16.chart.unit_normal[0, 0] = 0.0
     assert face_areas(clifford16) is face_areas(clifford16)
     assert vertex_weights(clifford16) is vertex_weights(clifford16)
-    assert gradient_gram(clifford16) is gradient_gram(clifford16)
     # a held value is computed once per mesh and never shared with another mesh
     jittered = jitter_vertices(clifford16, 0.01, seed=2)
     for held in HELD:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from test_mesh import face_gradient_edge_error
 
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
-from spherevar.errors import ContractError, SolverError
+from spherevar.errors import ContractError, ParameterError, SolverError
 from spherevar.mesh import mesh_edges, total_area
 from spherevar.operators import (
     _factor_shifted,
@@ -19,7 +20,6 @@ from spherevar.operators import (
     integrate,
     nested_dissection,
     solve_smallest_eigenpairs,
-    surface_gradient,
     vertex_weights,
     write_spectrum_csv,
     EigenPair,
@@ -69,17 +69,10 @@ def test_vertex_weights_sum_to_area(sphere4):
 
 
 def test_gradient_exact_on_linear_functions(clifford16):
-    # P1 gradients reproduce the tangential part of a linear ambient function
+    # the face gradient from the P1 face derivatives reproduces a linear
+    # ambient function along every face edge
     v = np.array([0.3, -1.2, 0.7, 0.4])
-    f = clifford16.vertices @ v
-    g = surface_gradient(clifford16, f)
-    # check against the finite difference along every face edge
-    tri = clifford16.faces
-    x = clifford16.vertices
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        edge = x[tri[:, b]] - x[tri[:, a]]
-        df = f[tri[:, b]] - f[tri[:, a]]
-        assert np.max(np.abs(np.einsum("fd,fd->f", g, edge) - df)) < 1e-12
+    assert face_gradient_edge_error(clifford16, clifford16.vertices @ v) < 1e-12
 
 
 def test_rayleigh_quotient_of_coordinate(clifford64):
@@ -121,7 +114,7 @@ def test_eigensolver_deterministic(clifford16):
 def test_eigensolver_k_range(clifford16):
     S = assemble_stiffness(clifford16)
     M = assemble_mass(clifford16)
-    with pytest.raises(ContractError):
+    with pytest.raises(ParameterError):
         solve_smallest_eigenpairs(S, M, k=0, order=dissection_order(clifford16))
 
 

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from identity_reference import field_inner
+from identity_reference import field_inner, surface_gradient
 
 from spherevar.catalog import (
     build_by_name,
@@ -20,7 +20,7 @@ from spherevar.errors import (
     SolverError,
     UnsupportedSurfaceError,
 )
-from spherevar.mesh import face_areas, face_orthonormal_basis, sphere_tangent_frames, total_area
+from spherevar.mesh import face_areas, face_corner_vectors, sphere_tangent_frames, total_area
 from spherevar.mobius import (
     moebius_basis,
     moebius_field,
@@ -34,7 +34,6 @@ from spherevar.operators import (
     count_eigenvalues_below,
     face_centroids_on_sphere,
     nested_dissection,
-    surface_gradient,
     vertex_weights,
 )
 from spherevar.sampling import random_bandlimited_field
@@ -199,6 +198,13 @@ def test_index_count_eigenvalue_on_cutoff_raises(on_cutoff):
         negative_index_count(form, delta=0.1)
 
 
+@pytest.mark.parametrize("delta", [-0.1, 0.0])
+def test_index_count_nonpositive_delta_raises(delta):
+    form = _diagonal_form([-3.0, -1.0, 0.05, 1.0, 2.0, 3.0])
+    with pytest.raises(ParameterError, match="positive"):
+        negative_index_count(form, delta=delta)
+
+
 def test_index_count_small_diagonal_pencil():
     form = _diagonal_form([-3.0, -1.0, 0.05, -0.02, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     result = negative_index_count(form, delta=0.1)
@@ -274,7 +280,10 @@ def test_ejiri_micallef_parameter_errors():
 def _covariant_gradient_inner_by_components(mesh, X, Y):
     """int <D X, D Y> from surface_gradient per component, projected on the
     in-plane directions and then orthogonal to the face centroid."""
-    d1, d2 = face_orthonormal_basis(mesh)
+    u, w = face_corner_vectors(mesh)
+    d1 = u / np.linalg.norm(u, axis=1, keepdims=True)
+    w_perp = w - np.einsum("fd,fd->f", w, d1)[:, None] * d1
+    d2 = w_perp / np.linalg.norm(w_perp, axis=1, keepdims=True)
     centroid = face_centroids_on_sphere(mesh)
     gX = np.stack([surface_gradient(mesh, X[:, c]) for c in range(X.shape[1])], axis=1)
     gY = np.stack([surface_gradient(mesh, Y[:, c]) for c in range(Y.shape[1])], axis=1)

@@ -31,6 +31,21 @@ def per_mesh_functions(source):
                           for d in node.decorator_list))
 
 
+def imports_package(node):
+    """True for an import statement that reads from spherevar, relatively or by name."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "spherevar"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "spherevar" for alias in node.names)
+
+
+def package_imports_in_functions(source):
+    """Names of the functions in source whose bodies import from the package."""
+    return sorted(node.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef)
+                  and any(imports_package(inner) for inner in ast.walk(node)))
+
+
 def test_unused_imports_finds_a_planted_name():
     source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
               "from typing import Optional\n\ndef f(x):\n    from .a import b, c\n"
@@ -56,3 +71,17 @@ def test_every_held_function_is_in_the_held_list():
     declared = {(f"spherevar.{path.stem}", name)
                 for path in MODULES for name in per_mesh_functions(path.read_text())}
     assert sorted(declared - {(f.__module__, f.__name__) for f in HELD}) == []
+
+
+def test_package_imports_in_functions_finds_a_planted_name():
+    source = ("from .a import b\n\ndef f():\n    from .c import d\n    return d\n\n"
+              "def g():\n    import numpy\n    return numpy\n\n"
+              "def h():\n    from spherevar.mesh import read_off\n    return read_off\n\n"
+              "def i():\n    import spherevar.mobius\n    return spherevar\n")
+    assert package_imports_in_functions(source) == ["f", "h", "i"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_package_module_imports_the_package_at_module_top(path):
+    # function-local imports hide the module graph; none breaks a cycle here
+    assert package_imports_in_functions(path.read_text()) == []
