@@ -208,8 +208,11 @@ def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0, synthetic_lambda=No
 
     All first-eigenvalue cluster members are processed; the reported fields
     come from the lowest-index member. With synthetic_lambda the eigenvalue
-    is overridden (plumbing exercise) and the report is tagged synthetic.
+    is overridden (plumbing exercise) and the report is tagged synthetic; a
+    synthetic_lambda that is not finite raises ParameterError.
     """
+    if synthetic_lambda is not None and not np.isfinite(synthetic_lambda):
+        raise ParameterError(f"synthetic_lambda={synthetic_lambda:g} must be finite")
     if contained_in_geodesic_s2(mesh):
         raise UnsupportedSurfaceError(
             "certificate pipeline requires a surface not contained in a geodesic S^2")

@@ -336,13 +336,20 @@ def _node_updates(nodes, edges):
     return np.searchsorted(pairs // V, np.arange(start.size + 1)), pairs % V
 
 
-def _shifted_in_order(A, M, sigma, order):
-    """A - sigma M as COO (data, (row, col)) in elimination order.
+def _shifted_in_elimination_order(A, M, sigma, order, upper):
+    """K = A - sigma M permuted to elimination order, with 32-bit indices.
 
     The vertex order is expanded to the per-vertex DOF blocks (DOF
     v * block + j belongs to vertex v, and sits at position p * block + j
-    when v is at position p). Returns the triplet, the DOF at each position
-    and the block size.
+    when v is at position p). With ``upper`` the result is the upper
+    triangle of K grouped by row, a CSR matrix (the input of the fronts);
+    without, all of K grouped by column, a CSC matrix (the input of
+    SuperLU). Indices ascend within each row or column, and exact zeros are
+    not stored. Where A and M have one CSR pattern K's data is one axpy on
+    it; otherwise K is on the union of their patterns. The rows are
+    gathered into elimination order and the columns renumbered; no COO
+    triplet is formed. Returns the matrix, the DOF at each position and the
+    block size.
     """
     order = np.asarray(order)
     block, rest = divmod(A.shape[0], order.size)
@@ -350,23 +357,41 @@ def _shifted_in_order(A, M, sigma, order):
         raise ContractError(
             f"pencil dimension {A.shape[0]} is not a multiple of {order.size} vertices")
     perm = (order[:, None] * block + np.arange(block)).ravel()
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    K = (A - sigma * M).tocoo()
-    return (K.data, (inv[K.row], inv[K.col])), perm, block
+    A, M = A.tocsr(), M.tocsr()
+    if (A.has_canonical_format and M.has_canonical_format
+            and np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)):
+        K = sp.csr_matrix((A.data - sigma * M.data, A.indices, A.indptr), shape=A.shape)
+    else:
+        K = (A - sigma * M).tocsr()
+    K = K[perm]   # rows in elimination order: new arrays, so K can be edited
+    K.eliminate_zeros()
+    position = np.empty(perm.size, dtype=K.indices.dtype)
+    position[perm] = np.arange(perm.size)
+    K.indices = position[K.indices]
+    if not upper:
+        return K.tocsc(), perm, block
+    row = np.repeat(np.arange(perm.size, dtype=K.indices.dtype), np.diff(K.indptr))
+    keep = K.indices >= row
+    indptr = np.zeros_like(K.indptr)
+    np.cumsum(np.bincount(row[keep], minlength=perm.size), out=indptr[1:])
+    U = sp.csr_matrix((K.data[keep], K.indices[keep], indptr), shape=K.shape)
+    U.sort_indices()
+    return U, perm, block
 
 
 def _factor_shifted(A, M, sigma, order):
     """SuperLU factor of A - sigma M in dissection order, pivots on the diagonal.
 
-    The matrix is permuted once to the elimination order and factored with
-    SuperLU in symmetric mode without column reordering, so U's diagonal
-    holds the pivots of a symmetric LDL^T. Returns (factor, DOF
-    permutation). A singular A - sigma M, i.e. an eigenvalue on sigma,
-    raises SolverError.
+    _shifted_in_elimination_order writes the matrix once, grouped by column
+    in elimination order, and SuperLU factors it in symmetric mode without
+    column reordering, so U's diagonal holds the pivots of a symmetric
+    LDL^T. That CSC matrix, about one pencil in size, is the only transient
+    beside the factor, and is freed on return; the factor (123 MiB for the
+    energy pencil of the Clifford torus at res 128, against a 23 MiB
+    pencil) is what the caller holds. Returns (factor, DOF permutation). A
+    singular A - sigma M, i.e. an eigenvalue on sigma, raises SolverError.
     """
-    triplet, perm, _ = _shifted_in_order(A, M, sigma, order)
-    K = sp.csc_matrix(triplet, shape=A.shape)
+    K, perm, _ = _shifted_in_elimination_order(A, M, sigma, order, upper=False)
     try:
         lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -423,15 +448,16 @@ def count_eigenvalues_below(A, M, shift, tree):
     the Schur complement F22 - F21 F11^-1 F12 goes to the parent front. By
     inertia additivity the counts sum to that of K. A singular F11, as from
     an eigenvalue on the shift, raises SolverError. K is read from its
-    upper triangle in elimination order; an entry of K between two vertices
-    that no mesh edge joins raises ContractError.
+    upper triangle grouped by row in elimination order, as
+    _shifted_in_elimination_order writes it (about half a pencil); an entry
+    of K between two vertices that no mesh edge joins raises ContractError.
+    The peak memory is that upper triangle and the live fronts: the dense
+    matrix of the front being eliminated, its LAPACK factor and the Schur
+    complements that wait for their parents.
     """
-    (data, (row, col)), _, block = _shifted_in_order(A, M, shift, tree.order)
-    keep = row <= col
     # each row of the upper triangle goes to the lower triangle of the one
     # front that pivots on it
-    K = sp.csr_matrix((data[keep], (row[keep], col[keep])), shape=A.shape)
-    rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    K, _, block = _shifted_in_elimination_order(A, M, shift, tree.order, upper=True)
     # a front is a node with more than FRONT_MERGE_DOFS DOFs in its subtree,
     # pivoting on its own vertices, or a largest subtree of at most that
     # many, pivoting on all of them
@@ -453,7 +479,7 @@ def count_eigenvalues_below(A, M, shift, tree):
             raise ContractError("the pencil has an entry between vertices that no "
                                 "mesh edge joins")
         F = np.zeros((dofs.size,) * 2, order="F")
-        F[at, rows[lo:hi] - a] = K.data[lo:hi]
+        F[at, np.repeat(np.arange(b - a), np.diff(K.indptr[a:b + 1]))] = K.data[lo:hi]
         while pending and pending[-1][0] == s:
             _, child, update = pending.pop()
             _extend_add(F, local[child], update)

@@ -189,25 +189,29 @@ class QuadraticFormMatrix(NamedTuple):
     tree: DissectionTree       # elimination order and tree (dissection_tree)
 
 
-def _frame_block_matrices(frames, entries, *values):
+def _frame_block_matrices(frames, pattern, *values):
     """Congruences of scalar matrices to per-vertex frame coordinates.
 
-    Each scalar matrix is given by its values on the COO pattern entries.
-    For one with entries A_vw, the block at (v, w) is A_vw * F_v F_w^T where
-    F_v is the (count, n+1) frame at vertex v; the frame products F_v F_w^T
-    are formed once for all of them. Exact zeros, from frame vectors with
-    disjoint support, are not stored.
+    Each scalar matrix is given by its values on the CSR pattern of
+    ``pattern`` (canonical). For one with entries A_vw, the block at (v, w)
+    is A_vw * F_v F_w^T where F_v is the (count, n+1) frame at vertex v; the
+    frame products F_v F_w^T are formed once for all of them. Each matrix is
+    the BSR matrix of its blocks on that pattern, written straight into CSR
+    by scipy's bsr_tocsr: row v * count + k holds row k of the blocks of
+    row v in turn, so no COO triplet is formed. Exact zeros, from frame
+    vectors with disjoint support, are not stored.
     """
     count = frames.shape[1]
-    products = np.einsum("eki,eli->ekl", frames[entries.row], frames[entries.col])
-    k_idx, l_idx = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
-    rows = (entries.row[:, None, None] * count + k_idx[None]).ravel()
-    cols = (entries.col[:, None, None] * count + l_idx[None]).ravel()
-    dim = entries.shape[0] * count
+    row = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    products = np.einsum("eki,eli->ekl", frames[row], frames[pattern.indices])
+    dim = pattern.shape[0] * count
     matrices = []
-    for data in values:
-        blocks = (products * data[:, None, None]).ravel()
-        matrix = sp.coo_matrix((blocks, (rows, cols)), shape=(dim, dim)).tocsr()
+    for k, data in enumerate(values):
+        # the last matrix scales the products in place
+        blocks = np.multiply(products, data[:, None, None],
+                             out=products if k == len(values) - 1 else None)
+        matrix = sp.bsr_matrix((blocks, pattern.indices, pattern.indptr),
+                               shape=(dim, dim)).tocsr()
         matrix.eliminate_zeros()
         matrices.append(matrix)
     return matrices
@@ -222,10 +226,9 @@ def energy_quadratic_matrix(mesh):
     pattern of M, which holds every entry of S (stiffness_on_mass_pattern).
     Both are exactly symmetric, because S and M are.
     """
-    entries = assemble_mass(mesh).tocoo()
-    Q, MQ = _frame_block_matrices(sphere_tangent_frames(mesh), entries,
-                                  stiffness_on_mass_pattern(mesh) - 2.0 * entries.data,
-                                  entries.data)
+    M = assemble_mass(mesh)
+    Q, MQ = _frame_block_matrices(sphere_tangent_frames(mesh), M,
+                                  stiffness_on_mass_pattern(mesh) - 2.0 * M.data, M.data)
     return QuadraticFormMatrix(Q=Q, M=MQ, kind="energy", tree=dissection_tree(mesh))
 
 
@@ -259,11 +262,11 @@ def negative_index_count(form, delta=DEFAULT_INDEX_DELTA, seed=0):
     is the inertia of Q + delta M, counted on the fronts. Raises
     SolverError if an eigenvalue sits on +-delta (a singular front), if a
     Lanczos value is not below +delta, or if the Lanczos values below
-    -delta are not as many as that count. A delta that is not positive
-    raises ParameterError.
+    -delta are not as many as that count. A delta that is not positive and
+    finite raises ParameterError.
     """
-    if not delta > 0.0:
-        raise ParameterError(f"delta={delta:g} must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ParameterError(f"delta={delta:g} must be positive and finite")
     dim = form.Q.shape[0]
     wanted = count_eigenvalues_below(form.Q, form.M, delta, form.tree)
     if wanted >= dim:

@@ -18,6 +18,7 @@ import numpy as np
 
 from .catalog import minimality_residual
 from .certificates import prop1_sum
+from .errors import ParameterError
 from .mesh import mesh_size
 from .mobius import (
     moebius_basis,
@@ -165,7 +166,12 @@ def _prop1_gaps(mesh, fields):
 
 
 def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0, k=DEFAULT_VERIFY_K):
-    """Run every identity check; the minimality gate short-circuits failures."""
+    """Run every identity check; the minimality gate short-circuits failures.
+
+    A tol that is not positive and finite raises ParameterError.
+    """
+    if not 0.0 < tol < np.inf:
+        raise ParameterError(f"tol={tol:g} must be positive and finite")
     report = VerificationReport(
         surface=mesh.name, n=mesh.n,
         mesh_size=mesh_size(mesh), tolerance=tol,

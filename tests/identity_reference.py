@@ -14,9 +14,15 @@ certificates.certificate_members evaluates a whole cluster from the
 canonical energies of certificates.canonical_variation_values.
 surface_gradient is the per-face gradient of a linear interpolant from the
 inverse of the face Gram matrix, the reference for mesh.face_derivatives.
+frame_block_reference and shifted_in_order_reference build the index
+pencils and their shifted matrices through COO triplets, the references for
+the CSR assembly of secondvar.energy_quadratic_matrix and the
+elimination-order builder behind operators.count_eigenvalues_below and
+operators._factor_shifted.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from spherevar.errors import ContractError, MeshError
 from spherevar.mobius import (
@@ -68,6 +74,46 @@ def surface_gradient(mesh, f):
     c1 = (gww * du - guw * dw) / det
     c2 = (guu * dw - guw * du) / det
     return c1[:, None] * u + c2[:, None] * w
+
+
+def frame_block_reference(frames, entries, *values):
+    """Frame congruences of scalar matrices, scattered from COO triplets.
+
+    Each scalar matrix is given by its values on the COO pattern entries;
+    the block at (v, w) is A_vw * F_v F_w^T. The triplets of every block
+    entry are summed into CSR, and exact zeros are dropped.
+    """
+    count = frames.shape[1]
+    products = np.einsum("eki,eli->ekl", frames[entries.row], frames[entries.col])
+    k_idx, l_idx = np.meshgrid(np.arange(count), np.arange(count), indexing="ij")
+    rows = (entries.row[:, None, None] * count + k_idx[None]).ravel()
+    cols = (entries.col[:, None, None] * count + l_idx[None]).ravel()
+    dim = entries.shape[0] * count
+    matrices = []
+    for data in values:
+        blocks = (products * data[:, None, None]).ravel()
+        matrix = sp.coo_matrix((blocks, (rows, cols)), shape=(dim, dim)).tocsr()
+        matrix.eliminate_zeros()
+        matrices.append(matrix)
+    return matrices
+
+
+def shifted_in_order_reference(A, M, sigma, order):
+    """A - sigma M in elimination order through one COO triplet.
+
+    The DOF at position p * block + j is order[p] * block + j. Returns the
+    upper triangle as CSR and the whole matrix as CSC, each built from the
+    permuted triplet.
+    """
+    block = A.shape[0] // np.size(order)
+    perm = (np.asarray(order)[:, None] * block + np.arange(block)).ravel()
+    position = np.empty_like(perm)
+    position[perm] = np.arange(perm.size)
+    K = (A - sigma * M).tocoo()
+    row, col = position[K.row], position[K.col]
+    keep = row <= col
+    upper = sp.csr_matrix((K.data[keep], (row[keep], col[keep])), shape=A.shape)
+    return upper, sp.csc_matrix((K.data, (row, col)), shape=A.shape)
 
 
 def _combination(basis, a):

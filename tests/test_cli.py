@@ -57,6 +57,28 @@ def test_index_nonpositive_delta_is_usage_error(delta):
                 "--delta", delta]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("delta", ["inf", "nan"])
+def test_index_nonfinite_delta_is_usage_error(delta):
+    assert run(["index", "--surface", "clifford-torus", "--res", "16",
+                "--delta", delta]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_verify_tol_not_positive_and_finite_is_usage_error(tmp_path, tol):
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--surface", "clifford-torus", "--res", "8", "--tol", tol,
+                "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+def test_certificate_nonfinite_synthetic_lambda_is_usage_error(tmp_path, lam):
+    out = tmp_path / "certificate.json"
+    assert run(["certificate", "--surface", "clifford-torus", "--res", "16",
+                "--synthetic-lambda", lam, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_unknown_surface_is_usage_error():
     assert run(["spectrum", "--surface", "nonexistent-surface"]) == EXIT_USAGE
 

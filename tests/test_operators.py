@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from identity_reference import shifted_in_order_reference
 from test_mesh import face_gradient_edge_error
 
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
 from spherevar.errors import ContractError, ParameterError, SolverError
-from spherevar.mesh import mesh_edges, total_area
+from spherevar.mesh import jitter_vertices, mesh_edges, read_off, total_area, write_off
 from spherevar.operators import (
     _factor_shifted,
+    _shifted_in_elimination_order,
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
@@ -24,6 +26,7 @@ from spherevar.operators import (
     write_spectrum_csv,
     EigenPair,
 )
+from spherevar.secondvar import area_jacobi_matrix, energy_quadratic_matrix
 
 
 def test_stiffness_kernel_and_psd(clifford64, rng):
@@ -281,6 +284,45 @@ def test_front_count_rejects_an_entry_off_the_mesh_graph(clifford16):
     with pytest.raises(ContractError, match="no mesh edge"):
         count_eigenvalues_below(S + far, assemble_mass(clifford16), -0.1,
                                 dissection_tree(clifford16))
+
+
+def _pencil(kind, mesh):
+    """(A, M, vertex order) of the energy, area Jacobi or Laplace pencil."""
+    if kind == "laplace":
+        return assemble_stiffness(mesh), assemble_mass(mesh), dissection_order(mesh)
+    form = (energy_quadratic_matrix if kind == "energy" else area_jacobi_matrix)(mesh)
+    return form.Q, form.M, form.tree.order
+
+
+@pytest.mark.parametrize("mesh_name, kind", [
+    ("clifford64", "energy"), ("s5-torus32", "energy"), ("clifford64", "area"),
+    ("sphere4", "area"), ("clifford64", "laplace"), ("jittered-off-sphere", "energy"),
+], ids=["clifford64-energy", "s5-torus32-energy", "clifford64-area", "sphere4-area",
+        "clifford64-laplace", "jittered-off-sphere-energy"])
+def test_elimination_order_matches_coo_route(mesh_name, kind, request, tmp_path):
+    # the upper CSR of the fronts and the CSC of SuperLU equal, entry for
+    # entry, the matrices built from the permuted COO triplet of A - sigma M
+    if mesh_name == "s5-torus32":
+        mesh = build_product_torus(32, n=5)
+    elif mesh_name == "jittered-off-sphere":   # no chart, vertices from a file
+        path = tmp_path / "jittered.off"
+        write_off(jitter_vertices(request.getfixturevalue("sphere4"), 0.01, seed=3), path)
+        mesh = read_off(path)
+    else:
+        mesh = request.getfixturevalue(mesh_name)
+    A, M, order = _pencil(kind, mesh)
+    # the energy and area pencils share M's pattern; on the torus grid S does not
+    assert (A.nnz < M.nnz) == (kind == "laplace")
+    block = A.shape[0] // order.size
+    for sigma in (0.1, -0.1):
+        references = shifted_in_order_reference(A, M, sigma, order)
+        for upper, reference in zip((True, False), references):
+            matrix, perm, size = _shifted_in_elimination_order(A, M, sigma, order, upper)
+            assert matrix.format == reference.format and size == block
+            assert np.array_equal(perm, (order[:, None] * block + np.arange(block)).ravel())
+            assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(matrix, part), getattr(reference, part)), part
 
 
 def test_nested_dissection_of_a_graph_without_edges():

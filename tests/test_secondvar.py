@@ -1,12 +1,14 @@
 """Second-variation forms, index counts, and the index-gap formula."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from identity_reference import field_inner, surface_gradient
+from identity_reference import field_inner, frame_block_reference, surface_gradient
 
 from spherevar.catalog import (
     build_by_name,
@@ -39,7 +41,6 @@ from spherevar.operators import (
 from spherevar.sampling import random_bandlimited_field
 from spherevar.secondvar import (
     DEFAULT_INDEX_DELTA,
-    _frame_block_matrices,
     area_jacobi_form,
     area_jacobi_matrix,
     covariant_gradient_inner,
@@ -179,6 +180,34 @@ def test_front_count_matches_superlu_pivots(surface, res, build):
         pivots = int(np.count_nonzero(lu.U.diagonal() < 0.0))
         del lu
         assert count_eigenvalues_below(form.Q, form.M, shift, form.tree) == pivots
+
+
+# tracemalloc peaks measured on clifford64, in pencil sizes (the CSR bytes
+# of Q and M): 1.45 for the assembly and 1.65 for the count at +delta; the
+# same work routed through COO triplets peaks at 2.80 and 3.17
+ASSEMBLY_PEAK_PENCILS = 1.6
+COUNT_PEAK_PENCILS = 2.0
+
+
+def _traced_peak(call):
+    """Peak of the memory traced while ``call()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_energy_pencil_and_count_peak_memory(clifford64):
+    form = energy_quadratic_matrix(clifford64)   # holds frames, S, M and the tree
+    pencil = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                 for m in (form.Q, form.M))
+    assembly = _traced_peak(lambda: energy_quadratic_matrix(clifford64))
+    count = _traced_peak(lambda: count_eigenvalues_below(
+        form.Q, form.M, DEFAULT_INDEX_DELTA, form.tree))
+    assert assembly <= ASSEMBLY_PEAK_PENCILS * pencil, assembly / pencil
+    assert count <= COUNT_PEAK_PENCILS * pencil, count / pencil
 
 
 def _diagonal_form(mus):
@@ -354,12 +383,13 @@ def test_covariant_load_pairs_like_covariant_gradient_inner(mesh):
 
 @pytest.mark.parametrize("mesh_name", ["clifford64", "sphere4", "torus_s4"])
 def test_energy_pencil_matches_entrywise_reference(mesh_name, request):
-    # Q from (S - 2M) read on the COO pattern of M, the pencil mass from M
+    # Q from (S - 2M) read on the COO pattern of M, the pencil mass from M,
+    # each scattered from COO triplets
     mesh = request.getfixturevalue(mesh_name)
     M = assemble_mass(mesh)
     entries = M.tocoo()
     S_minus_2M = assemble_stiffness(mesh) - 2.0 * M
-    references = _frame_block_matrices(
+    references = frame_block_reference(
         sphere_tangent_frames(mesh), entries,
         np.asarray(S_minus_2M[entries.row, entries.col]).ravel(), entries.data)
     form = energy_quadratic_matrix(mesh)
