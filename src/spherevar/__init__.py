@@ -38,7 +38,6 @@ from .operators import (
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
-    dissection_order,
     dissection_tree,
     integrate,
     nested_dissection,

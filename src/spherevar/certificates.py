@@ -26,7 +26,7 @@ from .mobius import (
 from .operators import (
     assemble_mass,
     assemble_stiffness,
-    dissection_order,
+    dissection_tree,
     first_nonzero_cluster,
     lumped_gram,
     solve_smallest_eigenpairs,
@@ -217,7 +217,7 @@ def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0, synthetic_lambda=No
         raise UnsupportedSurfaceError(
             "certificate pipeline requires a surface not contained in a geodesic S^2")
     pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=k,
-                                      order=dissection_order(mesh), seed=seed)
+                                      tree=dissection_tree(mesh), seed=seed)
     first = first_nonzero_cluster(pairs)
     if first is None:
         raise SolverError("k too small: no nonzero eigenvalue cluster resolved")

@@ -34,7 +34,7 @@ from .mesh import mesh_size, read_off
 from .operators import (
     assemble_mass,
     assemble_stiffness,
-    dissection_order,
+    dissection_tree,
     first_nonzero_cluster,
     solve_smallest_eigenpairs,
     write_spectrum_csv,
@@ -169,7 +169,7 @@ def cmd_catalog(cfg):
 def cmd_spectrum(cfg):
     mesh = build_surface(cfg)
     pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh),
-                                      k=cfg["k"], order=dissection_order(mesh),
+                                      k=cfg["k"], tree=dissection_tree(mesh),
                                       seed=cfg["seed"])
     out = cfg["out"] or "spectrum.csv"
     write_spectrum_csv(pairs, out)

@@ -264,10 +264,6 @@ def validate_mesh(mesh):
     return True
 
 
-def total_area(mesh):
-    return float(face_areas(mesh).sum())
-
-
 def contained_in_geodesic_s2(mesh):
     """True iff the vertices span a linear subspace of dimension <= 3.
 

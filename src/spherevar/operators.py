@@ -176,11 +176,6 @@ def first_nonzero_cluster(pairs):
     return None
 
 
-def dissection_order(mesh):
-    """The nested-dissection vertex order of the mesh, that of its held tree."""
-    return dissection_tree(mesh).order
-
-
 @per_mesh
 def dissection_tree(mesh):
     """The nested-dissection tree of the mesh graph (see nested_dissection),
@@ -384,11 +379,12 @@ def _factor_shifted(A, M, sigma, order):
 
     _shifted_in_elimination_order writes the matrix once, grouped by column
     in elimination order, and SuperLU factors it in symmetric mode without
-    column reordering, so U's diagonal holds the pivots of a symmetric
-    LDL^T. That CSC matrix, about one pencil in size, is the only transient
-    beside the factor, and is freed on return; the factor (123 MiB for the
-    energy pencil of the Clifford torus at res 128, against a 23 MiB
-    pencil) is what the caller holds. Returns (factor, DOF permutation). A
+    column reordering. That CSC matrix, about one pencil in size, is the
+    only transient beside the factor, and is freed on return; the factor
+    (123 MiB for the energy pencil of the Clifford torus at res 128,
+    against a 23 MiB pencil) lives as long as the Lanczos run that solves
+    with it. The factor is only solved with: every inertia count is
+    count_eigenvalues_below's. Returns (factor, DOF permutation). A
     singular A - sigma M, i.e. an eigenvalue on sigma, raises SolverError.
     """
     K, perm, _ = _shifted_in_elimination_order(A, M, sigma, order, upper=False)
@@ -403,17 +399,17 @@ def _factor_shifted(A, M, sigma, order):
     return lu, perm
 
 
-def _shift_invert_lanczos(A, M, sigma, factor, k, which, seed, vectors=False):
+def _shift_invert_lanczos(A, M, sigma, order, k, which, seed, vectors=False):
     """k eigenvalues of A w = mu M w by shift-invert Lanczos at sigma, ascending.
 
-    ``factor`` is the (factor, DOF permutation) of _factor_shifted for the
-    same pencil and shift, the OPinv of eigsh; the starting vector is drawn
-    from ``seed``. With ``vectors`` the M-orthonormal Ritz vectors are
-    returned as well, as (values, vectors). An ARPACK failure raises
+    A - sigma M is factored by _factor_shifted in the vertex ``order``, and
+    the factor, the OPinv of eigsh, is freed on return; the starting vector
+    is drawn from ``seed``. With ``vectors`` the M-orthonormal Ritz vectors
+    are returned as well, as (values, vectors). An ARPACK failure raises
     SolverError. Private, so that a tracer of the public functions names
     the Lanczos run after the function that asked for it.
     """
-    lu, perm = factor
+    lu, perm = _factor_shifted(A, M, sigma, order)
 
     def solve(b):
         x = np.empty_like(b)
@@ -536,32 +532,29 @@ def _eliminate_pivots(F, pivots, shift):
     return int(count), (F22 - F21 @ X if F21.size else None)
 
 
-def solve_smallest_eigenpairs(S, M, k, order, seed=0):
+def solve_smallest_eigenpairs(S, M, k, tree, seed=0):
     """k smallest eigenpairs of S f = lambda M f, mass-orthonormal, ascending.
 
-    Shift-invert Lanczos below the spectrum, factored in the vertex
-    ``order`` (see dissection_order); deterministic via a seeded starting
-    vector. The Ritz vectors are M-orthonormalized as one block in index
-    order, by the Cholesky factor of their M-Gram matrix, and each is signed
-    so that its largest-magnitude entry is positive. A k outside
+    Shift-invert Lanczos below the spectrum, factored in the order of the
+    dissection ``tree`` (see dissection_tree); deterministic via a seeded
+    starting vector. The Ritz vectors are M-orthonormalized as one block in
+    index order, by the Cholesky factor of their M-Gram matrix, and each is
+    signed so that its largest-magnitude entry is positive. A k outside
     1 <= k <= V - 1 raises ParameterError. Raises SolverError if
-    the factor has a negative pivot (the shift is not below the spectrum),
-    if the block is degenerate, and (carrying the best residual) on failure
-    of the residual contract.
+    count_eigenvalues_below finds eigenvalues below the shift (checked on
+    the tree's fronts before anything is factored), if the block is
+    degenerate, and (carrying the best residual) on failure of the residual
+    contract.
     """
     V = S.shape[0]
     if not (1 <= k <= V - 1):
         raise ParameterError(f"k={k} out of range: need 1 <= k <= {V - 1}")
     sigma = -0.1  # S is PSD, so S - sigma M is SPD for sigma < 0
-    lu, perm = _factor_shifted(S, M, sigma, order)
-    # the pivots of the factor it solves with; lu.U copies it, which for a
-    # scalar pencil costs less than a second factorization would
-    below = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    below = count_eigenvalues_below(S, M, sigma, tree)
     if below:
         raise SolverError(f"shift {sigma:g} is not below the spectrum: "
                           f"{below} eigenvalues below it")
-    vals, vecs = _shift_invert_lanczos(S, M, sigma, (lu, perm), k, "LM", seed,
-                                       vectors=True)
+    vals, vecs = _shift_invert_lanczos(S, M, sigma, tree.order, k, "LM", seed, vectors=True)
     # exact M-orthonormalization in index order: vecs = W L^T with W'MW = I
     L, info = lapack.dpotrf(vecs.T @ (M @ vecs), lower=1, clean=0)
     if info != 0:

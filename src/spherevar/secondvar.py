@@ -24,7 +24,6 @@ from .mesh import face_areas, face_derivatives, per_mesh, sphere_tangent_frames
 from .mobius import check_sphere_tangent, moebius_basis, split_tangent_normal
 from .operators import (
     DissectionTree,
-    _factor_shifted,
     _p1_gram,
     _shift_invert_lanczos,
     assemble_mass,
@@ -94,17 +93,13 @@ def energy_form_coordinate(mesh, X, Y=None):
 def moebius_energy_gram(mesh):
     """(n+1)x(n+1) matrix B_ij = D^2E(xi_i, xi_j) on the Moebius basis, read-only.
 
-    One stiffness and one mass product over the stacked basis. Entry (i, j)
-    with i <= j is summed as energy_form_coordinate(mesh, xi_i, xi_j) sums
-    it and mirrored below the diagonal, so B is exactly symmetric.
+    One energy_form_coordinate call over the pairs i <= j, mirrored below
+    the diagonal, so B is exactly symmetric.
     """
     basis = moebius_basis(mesh)
-    S_xi, M_xi = (_apply_to_stack(A, basis)
-                  for A in (assemble_stiffness(mesh), assemble_mass(mesh)))
+    i, j = np.triu_indices(mesh.n + 1)
     B = np.empty((mesh.n + 1, mesh.n + 1))
-    for i, j in zip(*np.triu_indices(mesh.n + 1)):
-        B[i, j] = B[j, i] = (np.einsum("vd,vd->", basis[i], S_xi[j])
-                             - 2.0 * np.einsum("vd,vd->", basis[i], M_xi[j]))
+    B[i, j] = B[j, i] = energy_form_coordinate(mesh, basis[i], basis[j])
     return B
 
 
@@ -274,9 +269,8 @@ def negative_index_count(form, delta=DEFAULT_INDEX_DELTA, seed=0):
                           f"{delta:g}; shift-invert Lanczos needs fewer than {dim}")
     vals = np.empty(0)
     if wanted:
-        vals = _shift_invert_lanczos(
-            form.Q, form.M, delta, _factor_shifted(form.Q, form.M, delta, form.tree.order),
-            wanted, "SA", seed)
+        vals = _shift_invert_lanczos(form.Q, form.M, delta, form.tree.order, wanted, "SA",
+                                     seed)
     if vals.size and not vals[-1] < delta:
         raise SolverError(
             f"{form.kind} index: Lanczos returned {vals[-1]:.6g}, not below "

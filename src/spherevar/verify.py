@@ -32,7 +32,7 @@ from .mobius import (
 from .operators import (
     assemble_mass,
     assemble_stiffness,
-    dissection_order,
+    dissection_tree,
     integrate,
     solve_smallest_eigenpairs,
     vertex_weights,
@@ -230,7 +230,7 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0, k=DEFAULT_VERIFY_K):
     for j in range(NUM_RANDOM_F):
         randoms[:, j] = random_polynomial_scalar(mesh, rng)
     pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=k,
-                                      order=dissection_order(mesh), seed=seed)
+                                      tree=dissection_tree(mesh), seed=seed)
     low = [p for p in pairs if p.lam <= EIGENVALUE_CAP]
     gaps = _prop1_gaps(mesh, np.hstack([randoms] + [p.field[:, None] for p in low]))
     for name, part in (("prop1-random", gaps[:NUM_RANDOM_F]),

@@ -8,7 +8,7 @@ from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, bui
 from spherevar.operators import (
     assemble_mass,
     assemble_stiffness,
-    dissection_order,
+    dissection_tree,
     solve_smallest_eigenpairs,
 )
 
@@ -41,13 +41,13 @@ def torus_s4():
 @pytest.fixture(scope="session")
 def clifford64_pairs(clifford64):
     return solve_smallest_eigenpairs(assemble_stiffness(clifford64), assemble_mass(clifford64),
-                                     k=12, order=dissection_order(clifford64), seed=0)
+                                     k=12, tree=dissection_tree(clifford64), seed=0)
 
 
 @pytest.fixture(scope="session")
 def sphere4_pairs(sphere4):
     return solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
-                                     k=10, order=dissection_order(sphere4), seed=0)
+                                     k=10, tree=dissection_tree(sphere4), seed=0)
 
 
 @pytest.fixture

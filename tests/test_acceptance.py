@@ -33,7 +33,7 @@ from spherevar.mobius import (
 from spherevar.operators import (
     assemble_mass,
     assemble_stiffness,
-    dissection_order,
+    dissection_tree,
     eigen_clusters,
     integrate,
     solve_smallest_eigenpairs,
@@ -87,7 +87,7 @@ def clifford128():
 @pytest.fixture(scope="module")
 def clifford64_pairs_acc(clifford64):
     return solve_smallest_eigenpairs(assemble_stiffness(clifford64), assemble_mass(clifford64),
-                                     k=12, order=dissection_order(clifford64), seed=0)
+                                     k=12, tree=dissection_tree(clifford64), seed=0)
 
 
 def test_criterion_1_spectrum_fidelity(clifford64_pairs_acc, sphere4_pairs):

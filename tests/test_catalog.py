@@ -15,7 +15,8 @@ from spherevar.catalog import (
     minimality_residual,
 )
 from spherevar.errors import ParameterError, UnsupportedSurfaceError
-from spherevar.mesh import jitter_vertices, total_area
+from spherevar.mesh import jitter_vertices
+from spherevar.operators import integrate
 
 
 def test_sphere_parameter_errors():
@@ -81,7 +82,7 @@ def test_product_torus_n3_matches_clifford(clifford16):
 
 def test_area_convergence_rate():
     # sphere area error shrinks ~4x per subdivision (second-order)
-    areas = [total_area(build_equatorial_sphere(3, r)) for r in (2, 3, 4)]
+    areas = [integrate(build_equatorial_sphere(3, r), 1.0) for r in (2, 3, 4)]
     errs = [abs(a - 4 * np.pi) for a in areas]
     ratio = errs[0] / errs[1]
     assert 3.0 <= ratio <= 5.0

@@ -23,14 +23,14 @@ from spherevar.certificates import (
     threshold_chain_check,
 )
 from spherevar.errors import ContractError, ParameterError, UnsupportedSurfaceError
-from spherevar.mesh import total_area
 from spherevar.mobius import moebius_basis
 from spherevar.operators import (
     EigenPair,
     assemble_mass,
     assemble_stiffness,
-    dissection_order,
+    dissection_tree,
     eigen_clusters,
+    integrate,
     solve_smallest_eigenpairs,
 )
 from spherevar.sampling import random_polynomial_scalar
@@ -59,7 +59,7 @@ def test_prop1_constant_function(clifford64):
     f = np.ones(clifford64.num_vertices)
     lhs, rhs = prop1_sum(clifford64, f)
     # gradient term vanishes: rhs = -(2n-4) * area = -2 * 2pi^2
-    assert rhs == pytest.approx(-2.0 * total_area(clifford64), rel=1e-10)
+    assert rhs == pytest.approx(-2.0 * integrate(clifford64, 1.0), rel=1e-10)
     assert lhs == pytest.approx(rhs, rel=0.02)
 
 
@@ -250,7 +250,7 @@ def test_certificate_members_match_per_member_reference(mesh_name, lam, request)
     if mesh_name == "s5-torus32":
         mesh = build_product_torus(32, n=5)
         pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=8,
-                                          order=dissection_order(mesh), seed=0)
+                                          tree=dissection_tree(mesh), seed=0)
     else:
         mesh = request.getfixturevalue(mesh_name)
         pairs = request.getfixturevalue(mesh_name + "_pairs")

@@ -18,7 +18,6 @@ from spherevar.mesh import (
     read_off,
     sphere_tangent_frames,
     surface_tangent_frames,
-    total_area,
     validate_mesh,
     write_off,
     SurfaceMesh,
@@ -34,9 +33,9 @@ from spherevar.mobius import (
 from spherevar.operators import (
     assemble_mass,
     assemble_stiffness,
-    dissection_order,
     dissection_tree,
     face_centroids_on_sphere,
+    integrate,
     vertex_weights,
 )
 from spherevar.secondvar import moebius_covariant_load, moebius_energy_gram
@@ -44,7 +43,7 @@ from spherevar.secondvar import moebius_covariant_load, moebius_energy_gram
 # every function whose value is held on the mesh (per_mesh)
 HELD = [face_gram, face_areas, face_derivatives, mesh_edges, sphere_tangent_frames,
         surface_tangent_frames, vertex_weights, face_centroids_on_sphere,
-        assemble_stiffness, assemble_mass, dissection_tree, dissection_order,
+        assemble_stiffness, assemble_mass, dissection_tree,
         moebius_basis, moebius_gram, moebius_tangential, moebius_normal,
         moebius_normal_gram, moebius_energy_gram, moebius_covariant_load]
 
@@ -60,8 +59,8 @@ def test_face_areas_positive(clifford64):
 
 def test_total_area_oracles(sphere4, clifford64):
     # area oracles: 4*pi for the unit 2-sphere, 2*pi^2 for the square torus
-    assert total_area(sphere4) == pytest.approx(4 * np.pi, rel=0.01)
-    assert total_area(clifford64) == pytest.approx(2 * np.pi ** 2, rel=0.005)
+    assert integrate(sphere4, 1.0) == pytest.approx(4 * np.pi, rel=0.01)
+    assert integrate(clifford64, 1.0) == pytest.approx(2 * np.pi ** 2, rel=0.005)
 
 
 def test_mesh_size_decreases_under_refinement(clifford16, clifford64):

@@ -11,7 +11,6 @@ from identity_reference import field_inner, field_norm
 
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
 from spherevar.errors import ContractError
-from spherevar.mesh import total_area
 from spherevar.mobius import (
     check_sphere_tangent,
     moebius_basis,
@@ -23,7 +22,7 @@ from spherevar.mobius import (
     split_tangent_normal,
     sum_normal_sq,
 )
-from spherevar.operators import lumped_gram, vertex_weights
+from spherevar.operators import integrate, lumped_gram, vertex_weights
 from spherevar.sampling import random_polynomial_scalar
 
 SMALL_TORUS = build_clifford_torus(8)
@@ -109,14 +108,14 @@ def test_sum_normal_sq_is_n_minus_2(clifford64, torus_s4):
 
 def test_gram_matrix_clifford(clifford64):
     G = moebius_gram(clifford64)
-    area = total_area(clifford64)
+    area = integrate(clifford64, 1.0)
     assert np.allclose(G, np.diag(np.full(4, 0.75 * area)), atol=0.01 * area)
     assert abs(np.trace(G) - 3 * area) < 1e-9 * area
 
 
 def test_gram_matrix_equator_in_s3(sphere4):
     G = moebius_gram(sphere4)
-    area = total_area(sphere4)
+    area = integrate(sphere4, 1.0)
     # x4 = 0 on the equator, so xi_4 = e4 has |xi_4|^2 = 1 everywhere
     assert G[3, 3] == pytest.approx(area, rel=1e-12)
     assert abs(np.trace(G) - 3 * area) < 1e-9 * area

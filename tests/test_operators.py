@@ -8,15 +8,15 @@ from identity_reference import shifted_in_order_reference
 from test_mesh import face_gradient_edge_error
 
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
+from spherevar import operators
 from spherevar.errors import ContractError, ParameterError, SolverError
-from spherevar.mesh import jitter_vertices, mesh_edges, read_off, total_area, write_off
+from spherevar.mesh import jitter_vertices, mesh_edges, read_off, write_off
 from spherevar.operators import (
     _factor_shifted,
     _shifted_in_elimination_order,
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
-    dissection_order,
     dissection_tree,
     eigen_clusters,
     integrate,
@@ -48,7 +48,7 @@ def test_mass_modes_agree_on_total(clifford64):
 
 def test_integrate_variants(sphere4, clifford64):
     # constants integrate to the area, per-face densities likewise
-    area = total_area(clifford64)
+    area = integrate(clifford64, 1.0)
     assert integrate(clifford64, 1.0) == pytest.approx(area, rel=1e-12)
     assert integrate(clifford64, np.ones(clifford64.num_vertices)) == pytest.approx(area)
     assert integrate(clifford64, np.ones(clifford64.num_faces)) == pytest.approx(area)
@@ -58,7 +58,7 @@ def test_integrate_variants(sphere4, clifford64):
 def test_integrate_symmetry_oracles(clifford64):
     x1 = clifford64.vertices[:, 0]
     assert abs(integrate(clifford64, x1)) < 1e-10
-    area = total_area(clifford64)
+    area = integrate(clifford64, 1.0)
     assert integrate(clifford64, x1 * x1) == pytest.approx(area / 4, rel=0.01)
 
 
@@ -68,7 +68,7 @@ def test_integrate_shape_error(clifford16):
 
 
 def test_vertex_weights_sum_to_area(sphere4):
-    assert vertex_weights(sphere4).sum() == pytest.approx(total_area(sphere4), rel=1e-12)
+    assert vertex_weights(sphere4).sum() == pytest.approx(integrate(sphere4, 1.0), rel=1e-12)
 
 
 def test_gradient_exact_on_linear_functions(clifford16):
@@ -106,9 +106,9 @@ def test_eigensolver_sphere_spectrum(sphere4_pairs):
 def test_eigensolver_deterministic(clifford16):
     S = assemble_stiffness(clifford16)
     M = assemble_mass(clifford16)
-    order = dissection_order(clifford16)
-    a = solve_smallest_eigenpairs(S, M, k=5, order=order, seed=3)
-    b = solve_smallest_eigenpairs(S, M, k=5, order=order, seed=3)
+    tree = dissection_tree(clifford16)
+    a = solve_smallest_eigenpairs(S, M, k=5, tree=tree, seed=3)
+    b = solve_smallest_eigenpairs(S, M, k=5, tree=tree, seed=3)
     for pa, pb in zip(a, b):
         assert pa.lam == pb.lam
         assert np.array_equal(pa.field, pb.field)
@@ -118,7 +118,7 @@ def test_eigensolver_k_range(clifford16):
     S = assemble_stiffness(clifford16)
     M = assemble_mass(clifford16)
     with pytest.raises(ParameterError):
-        solve_smallest_eigenpairs(S, M, k=0, order=dissection_order(clifford16))
+        solve_smallest_eigenpairs(S, M, k=0, tree=dissection_tree(clifford16))
 
 
 @pytest.mark.parametrize("name", ["clifford64", "sphere4"])
@@ -142,7 +142,7 @@ def test_eigensolver_returns_whole_clusters(sphere4, seed):
     # 0 | 2 (x3) | 6 (x5) | 12: eigsh at a loose tol (1e-10) returns 12 twice
     # in place of one copy of 6, with every residual under 1e-8
     pairs = solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
-                                      k=10, order=dissection_order(sphere4), seed=seed)
+                                      k=10, tree=dissection_tree(sphere4), seed=seed)
     assert [len(c) for c in eigen_clusters(pairs)] == [1, 3, 5, 1]
 
 
@@ -164,18 +164,9 @@ def test_spectrum_csv_format(tmp_path):
 ], ids=["clifford-torus", "equatorial-sphere", "torus-in-s5"])
 def test_dissection_order_is_a_repeatable_permutation(build):
     mesh = build()
-    order = dissection_order(mesh)
+    order = dissection_tree(mesh).order
     assert np.array_equal(np.sort(order), np.arange(mesh.num_vertices))
-    assert np.array_equal(order, dissection_order(build()))
-
-
-def test_dissection_order_is_read_through_the_held_tree():
-    # the order is the held tree's, so a mesh that is only factored holds
-    # one dissection value
-    mesh = build_clifford_torus(16)
-    order = dissection_order(mesh)
-    assert dissection_tree.__wrapped__ in mesh._memo
-    assert order is dissection_tree(mesh).order
+    assert np.array_equal(order, dissection_tree(build()).order)
 
 
 def test_shift_invert_operator_solves_the_shifted_system(clifford16, rng):
@@ -184,7 +175,7 @@ def test_shift_invert_operator_solves_the_shifted_system(clifford16, rng):
     b = rng.standard_normal(clifford16.num_vertices)
     # below the spectrum, and between the clusters 2 (x4) and 4 (x4)
     for shift, below in ((-0.1, 0), (3.0, 5)):
-        lu, perm = _factor_shifted(S, M, shift, dissection_order(clifford16))
+        lu, perm = _factor_shifted(S, M, shift, dissection_tree(clifford16).order)
         assert count_eigenvalues_below(S, M, shift, dissection_tree(clifford16)) == below
         x = np.empty_like(b)
         x[perm] = lu.solve(b[perm])
@@ -196,7 +187,20 @@ def test_eigensolver_rejects_shift_inside_spectrum(clifford16):
     S = assemble_stiffness(clifford16)
     M = assemble_mass(clifford16)
     with pytest.raises(SolverError, match="not below the spectrum"):
-        solve_smallest_eigenpairs(S - M, M, k=5, order=dissection_order(clifford16))
+        solve_smallest_eigenpairs(S - M, M, k=5, tree=dissection_tree(clifford16))
+
+
+def test_eigensolver_checks_the_shift_before_and_without_superlu(clifford16, monkeypatch):
+    # the shift is certified by the dense-front inertia count, not by the
+    # factor it certifies: with SuperLU unavailable the check still fires
+    def no_factor(*args):
+        raise AssertionError("the shift check factored the pencil")
+
+    monkeypatch.setattr(operators, "_factor_shifted", no_factor)
+    S = assemble_stiffness(clifford16)
+    M = assemble_mass(clifford16)
+    with pytest.raises(SolverError, match="not below the spectrum"):
+        solve_smallest_eigenpairs(S - M, M, k=5, tree=dissection_tree(clifford16))
 
 
 def test_inertia_count_matches_dense_spectrum(clifford16):
@@ -219,7 +223,7 @@ def test_dissection_tree_matches_graph_reference(build):
     mesh = build()
     tree = dissection_tree(mesh)
     V = mesh.num_vertices
-    assert tree.order is dissection_order(mesh)
+    assert tree is dissection_tree(mesh)
     # the pivots of the nodes are consecutive runs that cover every position
     assert tree.start[0] == 0 and tree.stop[-1] == V
     assert np.array_equal(tree.start[1:], tree.stop[:-1])
@@ -289,7 +293,7 @@ def test_front_count_rejects_an_entry_off_the_mesh_graph(clifford16):
 def _pencil(kind, mesh):
     """(A, M, vertex order) of the energy, area Jacobi or Laplace pencil."""
     if kind == "laplace":
-        return assemble_stiffness(mesh), assemble_mass(mesh), dissection_order(mesh)
+        return assemble_stiffness(mesh), assemble_mass(mesh), dissection_tree(mesh).order
     form = (energy_quadratic_matrix if kind == "energy" else area_jacobi_matrix)(mesh)
     return form.Q, form.M, form.tree.order
 

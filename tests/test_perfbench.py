@@ -41,7 +41,7 @@ def test_tracer_names_each_lanczos_run_after_its_caller(monkeypatch):
         secondvar.negative_index_count(secondvar.energy_quadratic_matrix(mesh))
         operators.solve_smallest_eigenpairs(
             operators.assemble_stiffness(mesh), operators.assemble_mass(mesh), k=6,
-            order=operators.dissection_order(mesh))
+            tree=operators.dissection_tree(mesh))
     finally:
         tracer.uninstall()
     eigsh = [s for s in tracer.spans if s.name.endswith(".eigsh")]

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spherevar"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 # __init__ imports names to re-export them, not to use them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -29,6 +30,13 @@ def per_mesh_functions(source):
                   if isinstance(node, ast.FunctionDef)
                   and any(isinstance(d, ast.Name) and d.id == "per_mesh"
                           for d in node.decorator_list))
+
+
+def factor_reads(source):
+    """Attributes named U or L that source reads, with their line numbers:
+    the triangular factors of a SuperLU object."""
+    return sorted((node.attr, node.lineno) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ("U", "L"))
 
 
 def imports_package(node):
@@ -65,12 +73,24 @@ def test_per_mesh_functions_finds_a_planted_name():
 
 
 def test_every_held_function_is_in_the_held_list():
-    # HELD may also list functions that return a held value, as dissection_order does
+    # HELD may list more than the per_mesh functions, never fewer
     from test_mesh import HELD
 
     declared = {(f"spherevar.{path.stem}", name)
                 for path in MODULES for name in per_mesh_functions(path.read_text())}
     assert sorted(declared - {(f.__module__, f.__name__) for f in HELD}) == []
+
+
+def test_factor_reads_finds_a_planted_name():
+    source = ("lu = splu(K)\nd = lu.U.diagonal()\nL, info = dpotrf(A)\n"
+              "lower = lu.L\nt = L.T\n")
+    assert factor_reads(source) == [("L", 4), ("U", 2)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_package_module_reads_no_superlu_factor(path):
+    # SuperLU only solves: every inertia count is count_eigenvalues_below's
+    assert factor_reads(path.read_text()) == []
 
 
 def test_package_imports_in_functions_finds_a_planted_name():

@@ -22,7 +22,7 @@ from spherevar.operators import (
     EigenPair,
     assemble_mass,
     assemble_stiffness,
-    dissection_order,
+    dissection_tree,
     integrate,
     solve_smallest_eigenpairs,
     vertex_weights,
@@ -111,7 +111,7 @@ def test_contracted_identities_match_per_draw_reference(mesh):
     # ||xi_i|| ||a_j xi_j||, the scale the checks divide by, and random
     # polynomials f, where none of them vanish, are checked as well.
     pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=12,
-                                      order=dissection_order(mesh), seed=0)
+                                      tree=dissection_tree(mesh), seed=0)
     nonconstant = [p for p in pairs if 1e-6 < p.lam <= 6.0]
     assert len(nonconstant) == 8
     rng = np.random.default_rng(11)
@@ -145,7 +145,7 @@ def test_batched_identity_matrices_match_per_eigenpair_reference(mesh):
     # of f xi_i for one f. Each gap is taken relative to max|f| max_i G_ii,
     # which bounds every entry of L, T and N.
     pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=12,
-                                      order=dissection_order(mesh), seed=0)
+                                      tree=dissection_tree(mesh), seed=0)
     rng = np.random.default_rng(13)
     fields = [p.field for p in pairs if 1e-6 < p.lam <= EIGENVALUE_CAP]
     fields += [random_polynomial_scalar(mesh, rng) for _ in range(2)]
@@ -191,7 +191,7 @@ def _moebius_span_reference_errors(mesh, seed, k=12):
 
     randoms = [random_polynomial_scalar(mesh, rng) for _ in range(NUM_RANDOM_F)]
     pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=k,
-                                      order=dissection_order(mesh), seed=seed)
+                                      tree=dissection_tree(mesh), seed=seed)
     return {"d2e-moebius-fields": d2e_worst,
             "prop1-random": prop1_worst(randoms),
             "prop1-eigen": prop1_worst([p.field for p in pairs if p.lam <= EIGENVALUE_CAP])}
