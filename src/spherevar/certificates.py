@@ -47,22 +47,19 @@ def threshold(n):
     return (n - 2) / (2 * n)
 
 
-def threshold_chain_check(n, num_samples=10000):
-    """Exact rational check of (n*l - 2n + 4)/(n - 2) < -3/2  <=>  l < (n-2)/(2n).
+def threshold_chain_check(n):
+    """Exact proof of (n*l - 2n + 4)/(n - 2) < -3/2  <=>  l < (n-2)/(2n).
 
-    Samples rational lambdas on a grid straddling the threshold; returns True
-    iff the equivalence holds at every sample.
+    The left side is linear in l with slope n/(n-2) and equals -3/2 at
+    l = (n-2)/(2n); both are exact Fractions, and a positive slope with
+    that root makes the equivalence hold for every l. Returns True iff it
+    does.
     """
     if n < 3:
         raise ParameterError("threshold chain needs n >= 3")
-    thr = Fraction(n - 2, 2 * n)
-    for k in range(num_samples):
-        lam = Fraction(k, num_samples) * 2 * thr  # spans [0, 2*threshold)
-        lhs = (n * lam - 2 * n + 4) / Fraction(n - 2) < Fraction(-3, 2)
-        rhs = lam < thr
-        if lhs != rhs:
-            return False
-    return True
+    slope = Fraction(n, n - 2)
+    root = (Fraction(-3, 2) - Fraction(4 - 2 * n, n - 2)) / slope
+    return slope > 0 and root == Fraction(n - 2, 2 * n)
 
 
 def prop1_sum(mesh, f):
@@ -125,7 +122,7 @@ class CertificateReport:
     pigeonhole_sum: float            # sum_i [D^2E(f xi_i) - c(lambda) int |f xi_i^N|^2]
     orthogonality_residuals: np.ndarray
     proposition_applicable: bool     # lambda <= 1 and the -3/2 gap condition
-    verdict: str                     # negative | nonnegative | hypothesis-not-met
+    verdict: str                     # negative | nonnegative
     degenerate_gram: bool
     cluster_members: list = field(default_factory=list)
 

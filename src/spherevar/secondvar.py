@@ -60,30 +60,35 @@ def _field_stack(mesh, X):
 
 
 def coordinate_form_parts(mesh, X, Y=None):
-    """Stiffness and mass parts sum_i X^i' S Y^i and sum_i X^i' M Y^i of D^2E.
+    """Stiffness and mass parts sum_i X_a^i' S Y_b^i and sum_i X_a^i' M Y_b^i of D^2E.
 
-    X (and Y, of the same shape) is one field (V, n+1), which gives two
-    floats, or a stack (m, V, n+1) of fields, which gives two length-m
-    arrays from one stiffness and one mass product; each entry is summed as
-    for that field alone.
+    X is a stack (m, V, n+1) of fields and Y one (p, V, n+1); one field
+    (V, n+1) is a stack of one. The parts are two (m, p) matrices, from one
+    stiffness and one mass product over the fields of Y, each entry summed
+    as for that pair alone; two single fields give two floats. Without Y
+    the matrices are Gram matrices of X, each entry a <= b mirrored, so
+    they are exactly symmetric.
     """
     Xs = _field_stack(mesh, X)
     Ys = Xs if Y is None else _field_stack(mesh, Y)
-    if Xs.shape != Ys.shape:
-        raise ContractError("the two arguments of the form differ in shape")
-    parts = tuple(np.array([np.einsum("vd,vd->", x, ay)
-                            for x, ay in zip(Xs, _apply_to_stack(A, Ys))])
-                  for A in (assemble_stiffness(mesh), assemble_mass(mesh)))
-    if np.ndim(X) == 3:
-        return parts
-    return tuple(float(part[0]) for part in parts)
+    parts = []
+    for A in (assemble_stiffness(mesh), assemble_mass(mesh)):
+        AY = _apply_to_stack(A, Ys)
+        G = np.array([[np.einsum("vd,vd->", x, ay) for ay in AY] for x in Xs])
+        if Y is None:
+            lower = np.tril_indices(len(G), -1)
+            G[lower] = G.T[lower]
+        parts.append(G)
+    if np.ndim(X) == 2 and (Y is None or np.ndim(Y) == 2):
+        return tuple(float(G[0, 0]) for G in parts)
+    return tuple(parts)
 
 
 def energy_form_coordinate(mesh, X, Y=None):
     """D^2E as a bilinear form: sum_i (X^i' S Y^i - 2 X^i' M Y^i).
 
-    A stack (m, V, n+1) of fields gives the m values as an array (see
-    coordinate_form_parts).
+    Stacks of fields give the (m, p) matrix of D^2E on every pair, a Gram
+    matrix without Y (see coordinate_form_parts).
     """
     stiffness, mass = coordinate_form_parts(mesh, X, Y)
     return stiffness - 2.0 * mass
@@ -91,16 +96,8 @@ def energy_form_coordinate(mesh, X, Y=None):
 
 @per_mesh
 def moebius_energy_gram(mesh):
-    """(n+1)x(n+1) matrix B_ij = D^2E(xi_i, xi_j) on the Moebius basis, read-only.
-
-    One energy_form_coordinate call over the pairs i <= j, mirrored below
-    the diagonal, so B is exactly symmetric.
-    """
-    basis = moebius_basis(mesh)
-    i, j = np.triu_indices(mesh.n + 1)
-    B = np.empty((mesh.n + 1, mesh.n + 1))
-    B[i, j] = B[j, i] = energy_form_coordinate(mesh, basis[i], basis[j])
-    return B
+    """(n+1)x(n+1) Gram matrix B_ij = D^2E(xi_i, xi_j) of the Moebius basis, read-only."""
+    return energy_form_coordinate(mesh, moebius_basis(mesh))
 
 
 @per_mesh

@@ -208,7 +208,7 @@ def certificate_member_reference(mesh, f, lam):
     basis = moebius_basis(mesh)
     normals = moebius_normal(mesh)
     f_normals = f[None, :, None] * normals
-    d2e = energy_form_coordinate(mesh, f[None, :, None] * basis)
+    d2e = np.diag(energy_form_coordinate(mesh, f[None, :, None] * basis))
     normal_mass = np.diag(lumped_gram(mesh, f_normals))
     mass_floor = 1e-12 * max(float(np.max(normal_mass)), 1.0)
     usable = normal_mass > mass_floor

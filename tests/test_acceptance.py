@@ -215,7 +215,7 @@ def test_criterion_7_certificate_plumbing(clifford64):
     scale = float(np.sum(np.abs(cert.d2e_canonical)) + np.sum(cert.normal_mass))
     pig_err = abs(cert.pigeonhole_sum) / scale
     thr_ok = threshold(3) == 1.0 / 6.0
-    chain_ok = threshold_chain_check(3, num_samples=10000)
+    chain_ok = threshold_chain_check(3)
     ok = res_ok and dec_err <= 0.02 and pig_err <= 0.02 and thr_ok and chain_ok
     report(7, "certificate-plumbing", ok,
            f"maxres={np.max(cert.orthogonality_residuals):.1e} "

@@ -1,6 +1,7 @@
 """Certificate pipeline, proof identities, and the eigenvalue threshold."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,8 +52,16 @@ def test_threshold_parameter_errors():
 
 
 def test_threshold_chain_exact():
+    # brute-force reference: the equivalence at rational lambdas on a grid
+    # spanning [0, 2 * threshold), the threshold itself included
     for n in (3, 4, 5, 7):
-        assert threshold_chain_check(n, num_samples=1000)
+        thr = Fraction(n - 2, 2 * n)
+        for k in range(1000):
+            lam = Fraction(k, 1000) * 2 * thr
+            assert ((n * lam - 2 * n + 4) / Fraction(n - 2) < Fraction(-3, 2)) == (lam < thr)
+        assert threshold_chain_check(n)
+    with pytest.raises(ParameterError):
+        threshold_chain_check(2)
 
 
 def test_prop1_constant_function(clifford64):

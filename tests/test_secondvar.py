@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from identity_reference import field_inner, frame_block_reference, surface_gradient
 
+from spherevar import secondvar
 from spherevar.catalog import (
     build_by_name,
     build_clifford_torus,
@@ -44,6 +45,7 @@ from spherevar.secondvar import (
     DEFAULT_INDEX_DELTA,
     area_jacobi_form,
     area_jacobi_matrix,
+    coordinate_form_parts,
     covariant_gradient_inner,
     ejiri_micallef_r,
     energy_form_coordinate,
@@ -357,11 +359,45 @@ def test_held_moebius_grams_match_pairwise_reference(mesh_name, request):
     for held, ref in ((moebius_energy_gram(mesh), B_ref), (moebius_normal_gram(mesh), N_ref)):
         assert np.max(np.abs(held - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(moebius_energy_gram(mesh), moebius_energy_gram(mesh).T)
-    # a stack of fields gives each field's value, summed as for that field alone
+    # a stack of fields gives its Gram matrix, each entry a <= b summed as for
+    # that pair alone and mirrored
     directions = np.random.default_rng(5).standard_normal((3, d))
     stack = np.stack([moebius_field(mesh, v) for v in directions])
-    assert np.array_equal(energy_form_coordinate(mesh, stack),
-                          [energy_form_coordinate(mesh, X) for X in stack])
+    gram = [[energy_form_coordinate(mesh, stack[min(a, b)], stack[max(a, b)])
+             for b in range(3)] for a in range(3)]
+    assert np.array_equal(energy_form_coordinate(mesh, stack), gram)
+
+
+def test_coordinate_form_parts_pairs_two_stacks(clifford16):
+    rng = np.random.default_rng(11)
+    X = np.stack([random_bandlimited_field(clifford16, rng) for _ in range(3)])
+    Y = np.stack([random_bandlimited_field(clifford16, rng) for _ in range(2)])
+    parts = coordinate_form_parts(clifford16, X, Y)
+    for k, part in enumerate(parts):
+        assert part.shape == (3, 2)
+        assert np.array_equal(part, [[coordinate_form_parts(clifford16, x, y)[k] for y in Y]
+                                     for x in X])
+    assert np.array_equal(energy_form_coordinate(clifford16, X, Y), parts[0] - 2.0 * parts[1])
+
+
+def test_moebius_energy_gram_applies_each_operator_once_to_the_basis(monkeypatch):
+    mesh = build_product_torus(32, n=5)
+    applied, checked = [], []
+    apply_to_stack, check_tangent = secondvar._apply_to_stack, secondvar.check_sphere_tangent
+
+    def record_apply(A, X):
+        applied.append(X.shape[0])
+        return apply_to_stack(A, X)
+
+    def record_check(mesh, X):
+        checked.append(X.shape)
+        return check_tangent(mesh, X)
+
+    monkeypatch.setattr(secondvar, "_apply_to_stack", record_apply)
+    monkeypatch.setattr(secondvar, "check_sphere_tangent", record_check)
+    moebius_energy_gram(mesh)
+    assert applied == [6, 6]
+    assert checked == [(mesh.num_vertices, 6)] * 6
 
 
 @pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(32, n=5),
