@@ -34,7 +34,7 @@ from .mobius import (
     split_tangent_normal,
 )
 from .operators import (
-    EigenPair,
+    Spectrum,
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,

@@ -9,7 +9,7 @@ torus a grid size (points per circle).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -176,25 +176,19 @@ def _product_torus_entry(n=4, res=64):
     return build_product_torus(res, n=n)
 
 
-class MinimalityResidual(NamedTuple):
-    """Defect of the minimal-immersion equation -Delta u = 2u."""
-
-    value: float         # mass-weighted relative L2 norm of (lumped-inverse S u - 2u)
-
-
 def minimality_residual(mesh):
-    """Check the discrete minimal-immersion equation coordinatewise.
+    """Defect of the discrete minimal-immersion equation -Delta u = 2u.
 
     The weak Laplacian S u is converted to a strong (pointwise) form with the
-    lumped-mass inverse and compared against 2u in the mass-weighted norm
-    relative to |2u|.
+    lumped-mass inverse and compared against 2u coordinatewise: the
+    mass-weighted L2 norm of (lumped-inverse S u - 2u) relative to |2u|, a
+    float.
     """
     w = vertex_weights(mesh)
     u = mesh.vertices
     r = (assemble_stiffness(mesh) @ u) / w[:, None] - 2.0 * u
-    value = float(np.sqrt(np.einsum("v,vd->", w, r * r)
-                          / np.einsum("v,vd->", w, 4.0 * u * u)))
-    return MinimalityResidual(value)
+    return float(np.sqrt(np.einsum("v,vd->", w, r * r)
+                         / np.einsum("v,vd->", w, 4.0 * u * u)))
 
 
 @dataclass

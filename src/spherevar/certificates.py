@@ -213,17 +213,18 @@ def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0, synthetic_lambda=No
     if contained_in_geodesic_s2(mesh):
         raise UnsupportedSurfaceError(
             "certificate pipeline requires a surface not contained in a geodesic S^2")
-    pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=k,
-                                      tree=dissection_tree(mesh), seed=seed)
-    first = first_nonzero_cluster(pairs)
+    spectrum = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=k,
+                                         tree=dissection_tree(mesh), seed=seed)
+    first = first_nonzero_cluster(spectrum.values)
     if first is None:
         raise SolverError("k too small: no nonzero eigenvalue cluster resolved")
-    lambda1 = float(np.mean([p.lam for p in first]))
+    lambda1 = float(np.mean(spectrum.values[first]))
     lam_used = float(synthetic_lambda) if synthetic_lambda is not None else lambda1
     thr = threshold(mesh.n)
 
+    # C order: the einsum sums of certificate_members follow the memory layout
     members = certificate_members(
-        mesh, np.stack([p.field for p in first], axis=1), lam_used)
+        mesh, np.ascontiguousarray(spectrum.fields[:, first]), lam_used)
     main = members[0]
     residual_ok = bool(np.max(main["orthogonality_residuals"]) <= ORTHOGONALITY_TOL)
     verdict = "negative" if (main["d2e_value"] < 0.0 and residual_ok) else "nonnegative"

@@ -2,7 +2,8 @@
 
 Configuration precedence: command-line flags > key=value config file >
 built-in defaults. Exit codes: 0 success / all checks pass, 1 verification
-failure, 2 usage or configuration error, 3 numerical failure.
+failure, 2 usage or configuration error (an unreadable input or unwritable
+output file included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -168,16 +169,16 @@ def cmd_catalog(cfg):
 
 def cmd_spectrum(cfg):
     mesh = build_surface(cfg)
-    pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh),
-                                      k=cfg["k"], tree=dissection_tree(mesh),
-                                      seed=cfg["seed"])
+    spectrum = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh),
+                                         k=cfg["k"], tree=dissection_tree(mesh),
+                                         seed=cfg["seed"])
     out = cfg["out"] or "spectrum.csv"
-    write_spectrum_csv(pairs, out)
-    first = first_nonzero_cluster(pairs)
+    write_spectrum_csv(spectrum, out)
+    first = first_nonzero_cluster(spectrum.values)
     print(f"surface={mesh.name} n={mesh.n} V={mesh.num_vertices} h={mesh_size(mesh):.4f}")
-    print(f"wrote {len(pairs)} eigenpairs to {out}")
+    print(f"wrote {spectrum.values.size} eigenpairs to {out}")
     if first is not None:
-        lam1 = float(np.mean([p.lam for p in first]))
+        lam1 = float(np.mean(spectrum.values[first]))
         thr = threshold(mesh.n) if mesh.n >= 3 else float("nan")
         rel = "<" if lam1 < thr else ">="
         print(f"lambda1 = {lam1:.6f} (multiplicity {len(first)})")
@@ -332,7 +333,8 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(resolve_config(args))
-    except (ParameterError, UnsupportedSurfaceError, MeshError) as exc:
+    except (ParameterError, UnsupportedSurfaceError, MeshError, OSError) as exc:
+        # inputs are read into ParameterError: an OSError is an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverError, ContractError) as exc:

@@ -121,13 +121,12 @@ def project_orthogonal_to_moebius(mesh, X):
 
 
 def pointwise_identity_report(mesh):
-    """Max pointwise errors of the Moebius-field identities, per coordinate.
+    """Worst pointwise errors of the Moebius-field identities, a dict of floats.
 
-    Returns a dict with, for each coordinate index i:
-      norm_sq       | |xi_i|^2 - (1 - x_i^2) |            (algebraic, ~machine)
-      tangential_sq | |xi_i^T|^2 - |grad x_i|^2 |          (discretization)
-      covariant     | FD of xi_i along an edge + x_i * edge | / |edge|
-    plus the aggregate sum_sq error | sum_i |xi_i|^2 - n |.
+      norm_sq       max_i | |xi_i|^2 - (1 - x_i^2) |        (algebraic, ~machine)
+      sum_sq        | sum_i |xi_i|^2 - n |                  (algebraic, ~machine)
+      tangential_sq max_i | |xi_i^T|^2 - |grad x_i|^2 |     (discretization)
+      covariant     max_i | FD of xi_i along an edge + x_i * edge | / |edge|
     """
     x = mesh.vertices
     d = mesh.n + 1
@@ -146,34 +145,32 @@ def pointwise_identity_report(mesh):
     edge = q - p
     edge_len = np.linalg.norm(edge, axis=1)
 
-    report = {}
+    errors = []   # (norm_sq, tangential_sq, covariant) of each coordinate
     norm_sq_all = np.zeros(mesh.num_vertices)
     for i in range(d):
         xi = basis[i]
         sq = np.einsum("vd,vd->v", xi, xi)
         norm_sq_all += sq
-        err_norm = float(np.max(np.abs(sq - (1.0 - x[:, i] ** 2))))
+        err_norm = np.max(np.abs(sq - (1.0 - x[:, i] ** 2)))
 
         tansq = np.einsum("vd,vd->v", tangential[i], tangential[i])
         # compare per face: analytic tangential norm at the centroid vs the
         # P1 gradient of the coordinate function on the same face
         tansq_face = tansq[tri].mean(axis=1)
-        err_tan = float(np.max(np.abs(tansq_face - gradsq[i])))
+        err_tan = np.max(np.abs(tansq_face - gradsq[i]))
 
         # finite difference of xi_i along each edge, projected to the sphere
         # tangent space at the midpoint, against -x_i * edge
         delta = basis[i][b] - basis[i][a]
         delta -= np.einsum("ed,ed->e", delta, mid_hat)[:, None] * mid_hat
         target = -mid_hat[:, i][:, None] * edge
-        err_cov = float(np.max(np.linalg.norm(delta - target, axis=1) / edge_len))
-
-        report[i] = {
-            "norm_sq": err_norm,
-            "tangential_sq": err_tan,
-            "covariant": err_cov,
-        }
-    report["sum_sq"] = float(np.max(np.abs(norm_sq_all - mesh.n)))
-    return report
+        err_cov = np.max(np.linalg.norm(delta - target, axis=1) / edge_len)
+        errors.append((err_norm, err_tan, err_cov))
+    norm_sq, tangential_sq, covariant = np.max(errors, axis=0).tolist()
+    return {"norm_sq": norm_sq,
+            "sum_sq": float(np.max(np.abs(norm_sq_all - mesh.n))),
+            "tangential_sq": tangential_sq,
+            "covariant": covariant}
 
 
 def sum_normal_sq(mesh):

@@ -10,7 +10,6 @@ inertia count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -146,34 +145,30 @@ def face_centroids_on_sphere(mesh):
     return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
-@dataclass
-class EigenPair:
-    """Generalized eigenpair of (S, M), with the field mass-normalized."""
+class Spectrum(NamedTuple):
+    """The low end of S f = lambda M f: eigenvalues ascending, each column of
+    ``fields`` its mass-normalized eigenfunction."""
 
-    lam: float
-    field: np.ndarray
-    residual: float
-
-
-def eigen_clusters(pairs):
-    """Group eigenpairs whose eigenvalues agree within CLUSTER_REL_TOL (chained)."""
-    clusters = []
-    for k, p in enumerate(pairs):
-        scale = max(abs(p.lam), 1.0)
-        if clusters and abs(p.lam - pairs[clusters[-1][-1]].lam) <= CLUSTER_REL_TOL * scale:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    return clusters
+    values: np.ndarray      # (k,)
+    fields: np.ndarray      # (V, k)
+    residuals: np.ndarray   # (k,) relative residuals |S f - lambda M f| / |M f|
 
 
-def first_nonzero_cluster(pairs):
-    """The eigenpairs of lambda_1: the first eigen_clusters group above
-    KERNEL_TOL, or None when the pairs do not reach it."""
-    for cluster in eigen_clusters(pairs):
-        if pairs[cluster[0]].lam > KERNEL_TOL:
-            return [pairs[j] for j in cluster]
-    return None
+def eigen_clusters(values):
+    """Index arrays of the runs of ascending values that agree within
+    CLUSTER_REL_TOL (chained): a value joins the run before it when it is
+    within CLUSTER_REL_TOL * max(|value|, 1) of its predecessor."""
+    values = np.asarray(values, dtype=float)
+    if not values.size:
+        return []
+    joined = np.abs(np.diff(values)) <= CLUSTER_REL_TOL * np.maximum(np.abs(values[1:]), 1.0)
+    return np.split(np.arange(values.size), np.flatnonzero(~joined) + 1)
+
+
+def first_nonzero_cluster(values):
+    """The indices of lambda_1: the first eigen_clusters run above
+    KERNEL_TOL, or None when the values do not reach it."""
+    return next((run for run in eigen_clusters(values) if values[run[0]] > KERNEL_TOL), None)
 
 
 @per_mesh
@@ -533,28 +528,39 @@ def _eliminate_pivots(F, pivots, shift):
 
 
 def solve_smallest_eigenpairs(S, M, k, tree, seed=0):
-    """k smallest eigenpairs of S f = lambda M f, mass-orthonormal, ascending.
+    """The k smallest eigenpairs of S f = lambda M f, a Spectrum.
 
     Shift-invert Lanczos below the spectrum, factored in the order of the
     dissection ``tree`` (see dissection_tree); deterministic via a seeded
     starting vector. The Ritz vectors are M-orthonormalized as one block in
     index order, by the Cholesky factor of their M-Gram matrix, and each is
-    signed so that its largest-magnitude entry is positive. A k outside
-    1 <= k <= V - 1 raises ParameterError. Raises SolverError if
-    count_eigenvalues_below finds eigenvalues below the shift (checked on
-    the tree's fronts before anything is factored), if the block is
-    degenerate, and (carrying the best residual) on failure of the residual
-    contract.
+    signed so that its largest-magnitude entry is positive; eigenvalues
+    within EIG_TOL of 0 are clamped to at least 0. A k outside
+    1 <= k <= V - 1 raises ParameterError.
+
+    Lanczos can return a later eigenvalue twice in place of one it missed,
+    every residual small, so one count_eigenvalues_below certifies the
+    values: every eigen_clusters run but the last, which k may cut, is
+    whole, so if the last run starts at index j, exactly j eigenvalues lie
+    below the gap before it (below the shift when j = 0). Raises
+    SolverError if a value is not above the shift, if that count differs,
+    if the block is degenerate, and (carrying the best residual) on failure
+    of the residual contract.
     """
     V = S.shape[0]
     if not (1 <= k <= V - 1):
         raise ParameterError(f"k={k} out of range: need 1 <= k <= {V - 1}")
     sigma = -0.1  # S is PSD, so S - sigma M is SPD for sigma < 0
-    below = count_eigenvalues_below(S, M, sigma, tree)
-    if below:
-        raise SolverError(f"shift {sigma:g} is not below the spectrum: "
-                          f"{below} eigenvalues below it")
     vals, vecs = _shift_invert_lanczos(S, M, sigma, tree.order, k, "LM", seed, vectors=True)
+    if vals[0] <= sigma:
+        raise SolverError(f"shift {sigma:g} is not below the spectrum: "
+                          f"Lanczos returned {vals[0]:g}")
+    values = np.where(np.abs(vals) < EIG_TOL, np.maximum(vals, 0.0), vals)
+    j = int(eigen_clusters(values)[-1][0])
+    cut = 0.5 * (values[j - 1] + values[j]) if j else sigma
+    below = count_eigenvalues_below(S, M, cut, tree)
+    if below != j:
+        raise SolverError(f"{below} eigenvalues lie below {cut:g}, Lanczos returned {j}")
     # exact M-orthonormalization in index order: vecs = W L^T with W'MW = I
     L, info = lapack.dpotrf(vecs.T @ (M @ vecs), lower=1, clean=0)
     if info != 0:
@@ -568,14 +574,13 @@ def solve_smallest_eigenpairs(S, M, k, tree, seed=0):
     if worst > EIG_TOL:
         raise SolverError(f"eigenpair residual {worst:.3e} exceeds tol {EIG_TOL:.1e}",
                           best_residual=worst)
-    return [EigenPair(lam=float(max(lam, 0.0) if abs(lam) < EIG_TOL else lam),
-                      field=w, residual=float(res))
-            for lam, w, res in zip(vals, W.T, residuals)]
+    return Spectrum(values, W, residuals)
 
 
-def write_spectrum_csv(pairs, path):
+def write_spectrum_csv(spectrum, path):
     """CSV with header index,lambda,residual at 17 significant digits."""
     with open(path, "w") as fh:
         fh.write("index,lambda,residual\n")
-        for idx, p in enumerate(pairs):
-            fh.write(f"{idx},{p.lam:.17g},{p.residual:.17g}\n")
+        for idx, (lam, res) in enumerate(zip(spectrum.values.tolist(),
+                                             spectrum.residuals.tolist())):
+            fh.write(f"{idx},{lam:.17g},{res:.17g}\n")

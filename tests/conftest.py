@@ -39,13 +39,13 @@ def torus_s4():
 
 
 @pytest.fixture(scope="session")
-def clifford64_pairs(clifford64):
+def clifford64_spectrum(clifford64):
     return solve_smallest_eigenpairs(assemble_stiffness(clifford64), assemble_mass(clifford64),
                                      k=12, tree=dissection_tree(clifford64), seed=0)
 
 
 @pytest.fixture(scope="session")
-def sphere4_pairs(sphere4):
+def sphere4_spectrum(sphere4):
     return solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
                                      k=10, tree=dissection_tree(sphere4), seed=0)
 

@@ -124,13 +124,12 @@ def _pointwise_dot(X, Y):
     return np.einsum("vd,vd->v", X, Y)
 
 
-def identity_55(mesh, eigenpair, a, i):
-    """int f xi_i . (a_j xi_j) vs -2/(4-lambda) int f xi_i^T . (a_j xi_j)^T."""
-    lam = eigenpair.lam
+def identity_55(mesh, f, lam, a, i):
+    """int f xi_i . (a_j xi_j) vs -2/(4-lambda) int f xi_i^T . (a_j xi_j)^T,
+    for an eigenfunction f of eigenvalue lam."""
     if abs(lam - 4.0) < LAMBDA_SINGULAR_TOL:
         raise ContractError("eigenvalue at the singular denominator lambda = 4")
     basis = moebius_basis(mesh)
-    f = eigenpair.field
     combo = _combination(basis, a)
     lhs = integrate(mesh, f * _pointwise_dot(basis[i], combo))
     xi_t = moebius_tangential(mesh)[i]
@@ -139,18 +138,17 @@ def identity_55(mesh, eigenpair, a, i):
     return lhs, rhs
 
 
-def identity_normal(mesh, eigenpair, a, i):
-    """Normal-part identity; returns (lhs, rhs_tangential, rhs_total).
+def identity_normal(mesh, f, lam, a, i):
+    """Normal-part identity for an eigenfunction f of eigenvalue lam; returns
+    (lhs, rhs_tangential, rhs_total).
 
     lhs = int f xi_i^N . (a_j xi_j)^N, compared against
     -(6-lambda)/(4-lambda) * int f xi_i^T . (a_j xi_j)^T and
     (6-lambda)/2 * int f xi_i . (a_j xi_j).
     """
-    lam = eigenpair.lam
     if abs(lam - 4.0) < LAMBDA_SINGULAR_TOL:
         raise ContractError("eigenvalue at the singular denominator lambda = 4")
     basis = moebius_basis(mesh)
-    f = eigenpair.field
     xi_t = moebius_tangential(mesh)[i]
     combo = _combination(basis, a)
     combo_split = split_tangent_normal(mesh, combo)

@@ -85,17 +85,17 @@ def clifford128():
 
 
 @pytest.fixture(scope="module")
-def clifford64_pairs_acc(clifford64):
+def clifford64_spectrum_acc(clifford64):
     return solve_smallest_eigenpairs(assemble_stiffness(clifford64), assemble_mass(clifford64),
                                      k=12, tree=dissection_tree(clifford64), seed=0)
 
 
-def test_criterion_1_spectrum_fidelity(clifford64_pairs_acc, sphere4_pairs):
+def test_criterion_1_spectrum_fidelity(clifford64_spectrum_acc, sphere4_spectrum):
     # oracles: flat-torus spectrum 2(j^2+k^2); spherical harmonics k(k+1)
-    tc = eigen_clusters(clifford64_pairs_acc)
-    ts = eigen_clusters(sphere4_pairs)
-    lam_t = float(np.mean([clifford64_pairs_acc[j].lam for j in tc[1]]))
-    lam_s = float(np.mean([sphere4_pairs[j].lam for j in ts[1]]))
+    tc = eigen_clusters(clifford64_spectrum_acc.values)
+    ts = eigen_clusters(sphere4_spectrum.values)
+    lam_t = float(np.mean(clifford64_spectrum_acc.values[tc[1]]))
+    lam_s = float(np.mean(sphere4_spectrum.values[ts[1]]))
     ok = (abs(lam_t - 2.0) <= 0.02 and len(tc[1]) == 4
           and abs(lam_s - 2.0) <= 0.02 and len(ts[1]) == 3)
     report(1, "spectrum-fidelity", ok,
@@ -122,7 +122,7 @@ def test_criterion_3_moebius_identities(clifford64, sphere4):
     for mesh in (clifford64, sphere4):
         n = mesh.n
         pw = pointwise_identity_report(mesh)
-        worst_alg = max(worst_alg, max(pw[i]["norm_sq"] for i in range(n + 1)))
+        worst_alg = max(worst_alg, pw["norm_sq"])
         s = sum_normal_sq(mesh)
         worst_sum = max(worst_sum, float(np.max(np.abs(s - (n - 2)))) / (n - 2))
         rng = np.random.default_rng(0)
@@ -165,15 +165,16 @@ def test_criterion_4_form_equivalence(clifford64, clifford128):
            f"err64={e64:.2e} err128={e128:.2e} ratio={ratio:.3f}")
 
 
-def test_criterion_5_prop1_identity(clifford64, clifford64_pairs_acc, sphere4, sphere4_pairs):
+def test_criterion_5_prop1_identity(clifford64, clifford64_spectrum_acc, sphere4,
+                                    sphere4_spectrum):
     from spherevar.certificates import prop1_sum
 
     worst = 0.0
-    for mesh, pairs in ((clifford64, clifford64_pairs_acc), (sphere4, sphere4_pairs)):
+    for mesh, spectrum in ((clifford64, clifford64_spectrum_acc), (sphere4, sphere4_spectrum)):
         rng = np.random.default_rng(0)
         area = integrate(mesh, 1.0)
         fields = [random_polynomial_scalar(mesh, rng) for _ in range(50)]
-        fields += [p.field for p in pairs if p.lam <= 6.1]
+        fields += list(spectrum.fields[:, spectrum.values <= 6.1].T)
         for f in fields:
             lhs, rhs = prop1_sum(mesh, f)
             worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + area))
@@ -181,19 +182,19 @@ def test_criterion_5_prop1_identity(clifford64, clifford64_pairs_acc, sphere4, s
     report(5, "prop1-identity", ok, f"worst={worst:.2e}")
 
 
-def test_criterion_6_proof_identities(clifford64, clifford64_pairs_acc):
+def test_criterion_6_proof_identities(clifford64, clifford64_spectrum_acc):
     # eigenvalue identities checked in cross-multiplied form on the contracted
     # integrals that run_verification uses; no lambda = 4 denominator appears
     mesh = clifford64
     basis = moebius_basis(mesh)
     w = vertex_weights(mesh)
-    pairs = [p for p in clifford64_pairs_acc if 1.0 < p.lam < 6.0]
-    assert len(pairs) == 8   # the lambda = 2 and lambda = 4 levels
+    values, fields, _ = clifford64_spectrum_acc
+    levels = (values > 1.0) & (values < 6.0)
+    assert np.count_nonzero(levels) == 8   # the lambda = 2 and lambda = 4 levels
     rng = np.random.default_rng(0)
     worst = 0.0
-    for p in pairs:
-        lam = p.lam
-        matrices = identity_matrices(mesh, p.field)
+    for lam, f in zip(values[levels], fields[:, levels].T):
+        matrices = identity_matrices(mesh, f)
         for t in range(20):
             a = rng.standard_normal(4)
             i = t % 4
@@ -205,7 +206,7 @@ def test_criterion_6_proof_identities(clifford64, clifford64_pairs_acc):
             worst = max(worst, abs(N - (6 - lam) / 2 * L) / scale)
             worst = max(worst, abs(-2 * D + 2 * T) / scale)
     ok = worst <= 0.02
-    report(6, "proof-identities", ok, f"worst={worst:.2e} over {len(pairs)} eigenpairs")
+    report(6, "proof-identities", ok, f"worst={worst:.2e} over {levels.sum()} eigenpairs")
 
 
 def test_criterion_7_certificate_plumbing(clifford64):
@@ -235,7 +236,7 @@ def test_criterion_8_index_bracket(clifford64):
 
 def test_criterion_9_negative_control(tmp_path, sphere2):
     jittered = jitter_vertices(sphere2, 0.05, seed=1)
-    residual = minimality_residual(jittered).value
+    residual = minimality_residual(jittered)
     path = tmp_path / "jittered.off"
     write_off(jittered, path)
     exit_code = cli_main(["verify", "--surface", str(path)])

@@ -90,13 +90,13 @@ def test_area_convergence_rate():
 
 
 def test_minimality_residual_catalog(sphere4, clifford64):
-    assert minimality_residual(sphere4).value <= 0.05
-    assert minimality_residual(clifford64).value <= 0.05
+    assert minimality_residual(sphere4) <= 0.05
+    assert minimality_residual(clifford64) <= 0.05
 
 
 def test_minimality_residual_flags_non_minimal(sphere2):
     jittered = jitter_vertices(sphere2, 0.05, seed=1)
-    assert minimality_residual(jittered).value > 0.5
+    assert minimality_residual(jittered) > 0.5
 
 
 def _subdivide_by_loop(verts, faces):

@@ -26,7 +26,6 @@ from spherevar.certificates import (
 from spherevar.errors import ContractError, ParameterError, UnsupportedSurfaceError
 from spherevar.mobius import moebius_basis
 from spherevar.operators import (
-    EigenPair,
     assemble_mass,
     assemble_stiffness,
     dissection_tree,
@@ -72,47 +71,47 @@ def test_prop1_constant_function(clifford64):
     assert lhs == pytest.approx(rhs, rel=0.02)
 
 
-def test_prop1_first_eigenfunction(clifford64, clifford64_pairs):
-    p = clifford64_pairs[1]
-    lhs, rhs = prop1_sum(clifford64, p.field)
+def test_prop1_first_eigenfunction(clifford64, clifford64_spectrum):
+    lhs, rhs = prop1_sum(clifford64, clifford64_spectrum.fields[:, 1])
     # mass-normalized f: rhs = n*lambda - (2n-4) = 3*2 - 2 = 4
     assert rhs == pytest.approx(4.0, rel=0.01)
     assert lhs == pytest.approx(rhs, rel=0.02)
 
 
-def test_identity_55_zero_coefficients(clifford64, clifford64_pairs):
-    lhs, rhs = identity_55(clifford64, clifford64_pairs[1], np.zeros(4), 0)
+def test_identity_55_zero_coefficients(clifford64, clifford64_spectrum):
+    values, fields, _ = clifford64_spectrum
+    lhs, rhs = identity_55(clifford64, fields[:, 1], values[1], np.zeros(4), 0)
     assert lhs == 0.0
     assert rhs == 0.0
 
 
-def test_identity_55_first_cluster(clifford64, clifford64_pairs, rng):
-    p = clifford64_pairs[1]
+def test_identity_55_first_cluster(clifford64, clifford64_spectrum, rng):
+    values, fields, _ = clifford64_spectrum
     for _ in range(5):
         a = rng.standard_normal(4)
-        lhs, rhs = identity_55(clifford64, p, a, 1)
+        lhs, rhs = identity_55(clifford64, fields[:, 1], values[1], a, 1)
         assert lhs == pytest.approx(rhs, abs=0.02 * (abs(lhs) + abs(rhs) + 0.1))
 
 
-def test_identity_55_sphere_eigenfunction(sphere4, sphere4_pairs, rng):
-    p = sphere4_pairs[1]
+def test_identity_55_sphere_eigenfunction(sphere4, sphere4_spectrum, rng):
+    values, fields, _ = sphere4_spectrum
     a = rng.standard_normal(4)
-    lhs, rhs = identity_55(sphere4, p, a, 0)
+    lhs, rhs = identity_55(sphere4, fields[:, 1], values[1], a, 0)
     assert lhs == pytest.approx(rhs, abs=0.02 * (abs(lhs) + abs(rhs) + 0.1))
 
 
 def test_identity_singular_guard(clifford64):
-    fake = EigenPair(lam=4.0, field=np.zeros(clifford64.num_vertices), residual=0.0)
+    f = np.zeros(clifford64.num_vertices)
     with pytest.raises(ContractError):
-        identity_55(clifford64, fake, np.ones(4), 0)
+        identity_55(clifford64, f, 4.0, np.ones(4), 0)
     with pytest.raises(ContractError):
-        identity_normal(clifford64, fake, np.ones(4), 0)
+        identity_normal(clifford64, f, 4.0, np.ones(4), 0)
 
 
-def test_identity_normal(clifford64, clifford64_pairs):
-    p = clifford64_pairs[1]
+def test_identity_normal(clifford64, clifford64_spectrum):
+    values, fields, _ = clifford64_spectrum
     a = np.eye(4)[1]
-    lhs, rhs_t, rhs_total = identity_normal(clifford64, p, a, 1)
+    lhs, rhs_t, rhs_total = identity_normal(clifford64, fields[:, 1], values[1], a, 1)
     scale = abs(lhs) + abs(rhs_t) + 0.1
     assert lhs == pytest.approx(rhs_t, abs=0.02 * scale)
     assert lhs == pytest.approx(rhs_total, abs=0.02 * scale)
@@ -207,10 +206,10 @@ def _prop1_loop_reference(mesh, f):
 @pytest.mark.parametrize("mesh_name", ["clifford64", "sphere4"])
 def test_prop1_batch_matches_loop_reference(mesh_name, request):
     mesh = request.getfixturevalue(mesh_name)
-    pairs = request.getfixturevalue(mesh_name + "_pairs")
+    spectrum = request.getfixturevalue(mesh_name + "_spectrum")
     rng = np.random.default_rng(7)
     for fields in ([random_polynomial_scalar(mesh, rng) for _ in range(5)],
-                   [p.field for p in pairs]):
+                   list(spectrum.fields.T)):
         lhs, rhs = prop1_sum(mesh, np.stack(fields, axis=1))
         assert lhs.shape == rhs.shape == (len(fields),)
         for j, f in enumerate(fields):
@@ -258,18 +257,20 @@ def test_certificate_members_match_per_member_reference(mesh_name, lam, request)
     # energies and normal masses agree to rounding
     if mesh_name == "s5-torus32":
         mesh = build_product_torus(32, n=5)
-        pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=8,
-                                          tree=dissection_tree(mesh), seed=0)
+        values, fields, _ = solve_smallest_eigenpairs(
+            assemble_stiffness(mesh), assemble_mass(mesh), k=8, tree=dissection_tree(mesh),
+            seed=0)
     else:
         mesh = request.getfixturevalue(mesh_name)
-        pairs = request.getfixturevalue(mesh_name + "_pairs")
-    first = eigen_clusters(pairs)[1]
+        values, fields, _ = request.getfixturevalue(mesh_name + "_spectrum")
+    first = eigen_clusters(values)[1]
     assert len(first) == 4
-    lam = float(np.mean([pairs[j].lam for j in first])) if lam is None else lam
-    members = certificate_members(mesh, np.stack([pairs[j].field for j in first], axis=1), lam)
+    lam = float(np.mean(values[first])) if lam is None else lam
+    # in C order, as build_certificate passes the cluster
+    members = certificate_members(mesh, np.ascontiguousarray(fields[:, first]), lam)
     assert len(members) == len(first)
     for member, j in zip(members, first):
-        reference = certificate_member_reference(mesh, pairs[j].field, lam)
+        reference = certificate_member_reference(mesh, fields[:, j], lam)
         assert member.keys() == reference.keys()
         for key in ("i0", "degenerate_gram", "d2e_value", "proposition_applicable"):
             assert member[key] == reference[key], key

@@ -149,6 +149,26 @@ def test_malformed_off_file_is_usage_error(tmp_path, text):
     assert run(["index", "--surface", str(path)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("case", ["missing-mesh", "directory-mesh", "binary-mesh",
+                                  "spectrum-out", "index-out"])
+def test_unreadable_or_unwritable_file_is_usage_error(tmp_path, capsys, case):
+    # one "error:" line and exit 2, not a traceback; the outputs are written
+    # after the whole computation
+    binary = tmp_path / "binary.off"
+    binary.write_bytes(bytes(range(256)))
+    torus = ["--surface", "clifford-torus", "--res", "8", "--out"]
+    args = {
+        "missing-mesh": ["index", "--surface", str(tmp_path / "missing.off")],
+        "directory-mesh": ["index", "--surface", str(tmp_path)],
+        "binary-mesh": ["index", "--surface", str(binary)],
+        "spectrum-out": ["spectrum", *torus, str(tmp_path / "missing" / "s.csv")],
+        "index-out": ["index", *torus, str(tmp_path / "missing" / "s.json")],
+    }[case]
+    assert run(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_index_report(tmp_path):
     out = tmp_path / "index.json"
     code = run(["index", "--surface", "clifford-torus", "--res", "32",

@@ -1,17 +1,21 @@
 """Discrete operators: stiffness, mass, quadrature, gradients, eigensolver."""
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from identity_reference import shifted_in_order_reference
 from test_mesh import face_gradient_edge_error
 
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
-from spherevar import operators
 from spherevar.errors import ContractError, ParameterError, SolverError
 from spherevar.mesh import jitter_vertices, mesh_edges, read_off, write_off
 from spherevar.operators import (
+    CLUSTER_REL_TOL,
+    Spectrum,
     _factor_shifted,
     _shifted_in_elimination_order,
     assemble_mass,
@@ -19,12 +23,12 @@ from spherevar.operators import (
     count_eigenvalues_below,
     dissection_tree,
     eigen_clusters,
+    first_nonzero_cluster,
     integrate,
     nested_dissection,
     solve_smallest_eigenpairs,
     vertex_weights,
     write_spectrum_csv,
-    EigenPair,
 )
 from spherevar.secondvar import area_jacobi_matrix, energy_quadratic_matrix
 
@@ -85,17 +89,17 @@ def test_rayleigh_quotient_of_coordinate(clifford64):
     assert q == pytest.approx(2.0, rel=0.01)
 
 
-def test_eigensolver_clifford_spectrum(clifford64_pairs):
-    lams = [p.lam for p in clifford64_pairs]
+def test_eigensolver_clifford_spectrum(clifford64_spectrum):
+    lams = clifford64_spectrum.values
     assert lams[0] == pytest.approx(0.0, abs=1e-8)
     for lam in lams[1:5]:
         assert lam == pytest.approx(2.0, rel=0.01)
     assert lams[5] == pytest.approx(4.0, rel=0.02)
-    assert all(p.residual <= 1e-8 for p in clifford64_pairs)
+    assert np.all(clifford64_spectrum.residuals <= 1e-8)
 
 
-def test_eigensolver_sphere_spectrum(sphere4_pairs):
-    lams = [p.lam for p in sphere4_pairs]
+def test_eigensolver_sphere_spectrum(sphere4_spectrum):
+    lams = sphere4_spectrum.values
     for lam in lams[1:4]:
         assert lam == pytest.approx(2.0, rel=0.01)
     # next spherical-harmonic level k(k+1) = 6
@@ -109,9 +113,8 @@ def test_eigensolver_deterministic(clifford16):
     tree = dissection_tree(clifford16)
     a = solve_smallest_eigenpairs(S, M, k=5, tree=tree, seed=3)
     b = solve_smallest_eigenpairs(S, M, k=5, tree=tree, seed=3)
-    for pa, pb in zip(a, b):
-        assert pa.lam == pb.lam
-        assert np.array_equal(pa.field, pb.field)
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.fields, b.fields)
 
 
 def test_eigensolver_k_range(clifford16):
@@ -124,15 +127,15 @@ def test_eigensolver_k_range(clifford16):
 @pytest.mark.parametrize("name", ["clifford64", "sphere4"])
 def test_eigenfields_are_mass_orthonormal_with_positive_peaks(request, name):
     mesh = request.getfixturevalue(name)
-    fields = np.stack([p.field for p in request.getfixturevalue(name + "_pairs")], axis=1)
+    fields = request.getfixturevalue(name + "_spectrum").fields
     k = fields.shape[1]
     gram = fields.T @ (assemble_mass(mesh) @ fields)
     assert np.max(np.abs(gram - np.eye(k))) <= 1e-12
     assert np.all(fields[np.argmax(np.abs(fields), axis=0), np.arange(k)] > 0.0)
 
 
-def test_eigen_clusters(clifford64_pairs):
-    clusters = eigen_clusters(clifford64_pairs)
+def test_eigen_clusters(clifford64_spectrum):
+    clusters = eigen_clusters(clifford64_spectrum.values)
     assert len(clusters[0]) == 1          # zero mode
     assert len(clusters[1]) == 4          # lambda = 2 level
 
@@ -141,20 +144,59 @@ def test_eigen_clusters(clifford64_pairs):
 def test_eigensolver_returns_whole_clusters(sphere4, seed):
     # 0 | 2 (x3) | 6 (x5) | 12: eigsh at a loose tol (1e-10) returns 12 twice
     # in place of one copy of 6, with every residual under 1e-8
-    pairs = solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
-                                      k=10, tree=dissection_tree(sphere4), seed=seed)
-    assert [len(c) for c in eigen_clusters(pairs)] == [1, 3, 5, 1]
+    spectrum = solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
+                                         k=10, tree=dissection_tree(sphere4), seed=seed)
+    assert [len(c) for c in eigen_clusters(spectrum.values)] == [1, 3, 5, 1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eigensolver_rejects_a_missed_eigenvalue(sphere4, monkeypatch, seed):
+    # at tol 1e-10 eigsh returns 12 twice in place of one copy of 6, every
+    # residual under 1e-8; the count below the gap before the last cluster
+    # finds the 6 it missed
+    monkeypatch.setattr(spla, "eigsh", functools.partial(spla.eigsh, tol=1e-10))
+    with pytest.raises(SolverError, match="9 eigenvalues lie below 9.039.*returned 8"):
+        solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
+                                  k=10, tree=dissection_tree(sphere4), seed=seed)
+
+
+def _eigen_clusters_loop(values):
+    """The chained clustering rule one value at a time, the reference for
+    eigen_clusters: a value joins the run before it when it is within
+    CLUSTER_REL_TOL * max(|value|, 1) of its predecessor."""
+    clusters = []
+    for k, lam in enumerate(values):
+        scale = max(abs(lam), 1.0)
+        if clusters and abs(lam - values[clusters[-1][-1]]) <= CLUSTER_REL_TOL * scale:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    return clusters
+
+
+@pytest.mark.parametrize("values, expected, first", [
+    ([0.0, 1.0, 1.0009, 1.0018, 1.5], [[0], [1, 2, 3], [4]], [1, 2, 3]),   # a chain
+    ([5.0, 5.004, 5.006], [[0, 1, 2]], [0, 1, 2]),
+    ([5.0, 5.006], [[0], [1]], [0]),
+    ([0.0, 0.0009], [[0, 1]], None),   # gaps below 1 are held to CLUSTER_REL_TOL
+    ([], [], None),
+], ids=["chain", "joined", "split", "scale-floor", "empty"])
+def test_eigen_clusters_on_crafted_values(values, expected, first):
+    assert _eigen_clusters_loop(values) == expected
+    assert [run.tolist() for run in eigen_clusters(values)] == expected
+    found = first_nonzero_cluster(np.array(values))
+    assert (None if found is None else found.tolist()) == first
 
 
 def test_spectrum_csv_format(tmp_path):
-    pairs = [EigenPair(lam=0.0, field=np.zeros(1), residual=1e-15),
-             EigenPair(lam=2.0123456789012345, field=np.zeros(1), residual=2e-12)]
+    spectrum = Spectrum(values=np.array([0.0, 2.0123456789012345]), fields=np.zeros((1, 2)),
+                        residuals=np.array([1e-15, 2e-12]))
     path = tmp_path / "spec.csv"
-    write_spectrum_csv(pairs, path)
+    write_spectrum_csv(spectrum, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "index,lambda,residual"
     assert lines[2].startswith("1,2.0123456789012")
-    assert float(lines[2].split(",")[1]) == pairs[1].lam
+    assert float(lines[2].split(",")[1]) == spectrum.values[1]
 
 
 @pytest.mark.parametrize("build", [
@@ -184,19 +226,6 @@ def test_shift_invert_operator_solves_the_shifted_system(clifford16, rng):
 
 def test_eigensolver_rejects_shift_inside_spectrum(clifford16):
     # S - M has the eigenvalue -1, below the Laplace shift -0.1
-    S = assemble_stiffness(clifford16)
-    M = assemble_mass(clifford16)
-    with pytest.raises(SolverError, match="not below the spectrum"):
-        solve_smallest_eigenpairs(S - M, M, k=5, tree=dissection_tree(clifford16))
-
-
-def test_eigensolver_checks_the_shift_before_and_without_superlu(clifford16, monkeypatch):
-    # the shift is certified by the dense-front inertia count, not by the
-    # factor it certifies: with SuperLU unavailable the check still fires
-    def no_factor(*args):
-        raise AssertionError("the shift check factored the pencil")
-
-    monkeypatch.setattr(operators, "_factor_shifted", no_factor)
     S = assemble_stiffness(clifford16)
     M = assemble_mass(clifford16)
     with pytest.raises(SolverError, match="not below the spectrum"):

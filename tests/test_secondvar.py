@@ -113,8 +113,8 @@ def test_area_jacobi_constants(clifford64, sphere4):
         -2.0 * integrate(sphere4, 1.0), rel=0.01)
 
 
-def test_area_jacobi_on_first_eigenfunction(clifford64, clifford64_pairs):
-    f = clifford64_pairs[1].field   # mass-normalized, lambda ~ 2
+def test_area_jacobi_on_first_eigenfunction(clifford64, clifford64_spectrum):
+    f = clifford64_spectrum.fields[:, 1]   # mass-normalized, lambda ~ 2
     # J(f) = (lambda - 2 - |A|^2) int f^2 = lambda - 4
     assert area_jacobi_form(clifford64, f) == pytest.approx(-2.0, rel=0.02)
 
@@ -283,11 +283,11 @@ def test_energy_pencil_dimensions(clifford16):
     assert np.all(form.Q.data != 0.0) and np.all(form.M.data != 0.0)
 
 
-def test_area_le_energy_for_normal_fields(clifford64, clifford64_pairs):
+def test_area_le_energy_for_normal_fields(clifford64, clifford64_spectrum):
     # second variation of area <= second variation of energy on f * nu
     nu = clifford64.chart.unit_normal
     for j in (1, 2):
-        f = clifford64_pairs[j].field
+        f = clifford64_spectrum.fields[:, j]
         aj = area_jacobi_form(clifford64, f)
         en = energy_form_coordinate(clifford64, f[:, None] * nu)
         assert aj <= en + 0.02 * (abs(aj) + abs(en))

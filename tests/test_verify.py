@@ -19,7 +19,6 @@ from spherevar.mobius import (
     split_tangent_normal,
 )
 from spherevar.operators import (
-    EigenPair,
     assemble_mass,
     assemble_stiffness,
     dissection_tree,
@@ -110,26 +109,27 @@ def test_contracted_identities_match_per_draw_reference(mesh):
     # (roundoff-sized values), so the gap is taken relative to
     # ||xi_i|| ||a_j xi_j||, the scale the checks divide by, and random
     # polynomials f, where none of them vanish, are checked as well.
-    pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=12,
-                                      tree=dissection_tree(mesh), seed=0)
-    nonconstant = [p for p in pairs if 1e-6 < p.lam <= 6.0]
-    assert len(nonconstant) == 8
+    values, fields, _ = solve_smallest_eigenpairs(
+        assemble_stiffness(mesh), assemble_mass(mesh), k=12, tree=dissection_tree(mesh), seed=0)
+    low = (values > 1e-6) & (values <= 6.0)
+    assert np.count_nonzero(low) == 8
     rng = np.random.default_rng(11)
-    nonconstant += [EigenPair(lam=2.0, field=random_polynomial_scalar(mesh, rng), residual=0.0)
-                    for _ in range(2)]
+    # (eigenvalue, function) pairs; the polynomials stand in at lambda = 2
+    cases = list(zip(values[low], fields[:, low].T))
+    cases += [(2.0, random_polynomial_scalar(mesh, rng)) for _ in range(2)]
     basis = moebius_basis(mesh)
     weights = vertex_weights(mesh)
     worst = 0.0
-    for p in nonconstant:
-        L, T, N, D = identity_matrices(mesh, p.field)
+    for lam, f in cases:
+        L, T, N, D = identity_matrices(mesh, f)
         for t in range(5):
             a = rng.standard_normal(mesh.n + 1)
             i = t % (mesh.n + 1)
             scale = (field_norm(weights, basis[i])
                      * field_norm(weights, np.einsum("j,jvd->vd", a, basis)))
-            ref_L, _ = identity_55(mesh, p, a, i)
-            ref_N, _, _ = identity_normal(mesh, p, a, i)
-            ref_mixed, ref_minus_2T = mixed_gradient_identity(mesh, p.field, a, i)
+            ref_L, _ = identity_55(mesh, f, lam, a, i)
+            ref_N, _, _ = identity_normal(mesh, f, lam, a, i)
+            ref_mixed, ref_minus_2T = mixed_gradient_identity(mesh, f, a, i)
             gaps = (L[i] @ a - ref_L, -2.0 * (T[i] @ a) - ref_minus_2T,
                     N[i] @ a - ref_N, -2.0 * (D[i] @ a) - ref_mixed)
             worst = max(worst, max(abs(g) for g in gaps) / scale)
@@ -144,10 +144,10 @@ def test_batched_identity_matrices_match_per_eigenpair_reference(mesh):
     # functions; the reference contracts the per-face covariant derivatives
     # of f xi_i for one f. Each gap is taken relative to max|f| max_i G_ii,
     # which bounds every entry of L, T and N.
-    pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=12,
-                                      tree=dissection_tree(mesh), seed=0)
+    values, eigenfields, _ = solve_smallest_eigenpairs(
+        assemble_stiffness(mesh), assemble_mass(mesh), k=12, tree=dissection_tree(mesh), seed=0)
     rng = np.random.default_rng(13)
-    fields = [p.field for p in pairs if 1e-6 < p.lam <= EIGENVALUE_CAP]
+    fields = list(eigenfields[:, (values > 1e-6) & (values <= EIGENVALUE_CAP)].T)
     fields += [random_polynomial_scalar(mesh, rng) for _ in range(2)]
     batch = identity_matrices(mesh, np.stack(fields, axis=1))
     d = mesh.n + 1
@@ -190,11 +190,11 @@ def _moebius_span_reference_errors(mesh, seed, k=12):
         return worst
 
     randoms = [random_polynomial_scalar(mesh, rng) for _ in range(NUM_RANDOM_F)]
-    pairs = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=k,
-                                      tree=dissection_tree(mesh), seed=seed)
+    values, fields, _ = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh),
+                                                  k=k, tree=dissection_tree(mesh), seed=seed)
     return {"d2e-moebius-fields": d2e_worst,
             "prop1-random": prop1_worst(randoms),
-            "prop1-eigen": prop1_worst([p.field for p in pairs if p.lam <= EIGENVALUE_CAP])}
+            "prop1-eigen": prop1_worst(fields[:, values <= EIGENVALUE_CAP].T)}
 
 
 @pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(16, n=5)],
