@@ -30,7 +30,6 @@ from .operators import (
     first_nonzero_cluster,
     lumped_gram,
     solve_smallest_eigenpairs,
-    stiffness_on_mass_pattern,
     vertex_weights,
 )
 from .secondvar import energy_form_coordinate, moebius_energy_gram
@@ -136,9 +135,9 @@ class CertificateReport:
 def canonical_variation_values(mesh, F):
     """D^2E(f xi_i) and int |f xi_i^N|^2 of every column f of F (V, m), each (m, n+1).
 
-    D^2E(f xi_i) = sum_vw f_v f_w (S - 2M)_vw xi_i(v) . xi_i(w). The pattern
-    of M holds every entry of S, so the energies are f' S_i f - 2 f' M_i f,
-    with S_i and M_i the matrices S and M on that pattern weighted entrywise
+    D^2E(f xi_i) = sum_vw f_v f_w (S - 2M)_vw xi_i(v) . xi_i(w). S and M
+    share one CSR pattern, so the energies are f' S_i f - 2 f' M_i f, with
+    S_i and M_i the matrices S and M on that pattern weighted entrywise
     by xi_i(v) . xi_i(w), one sparse product of each with F. The two parts
     are summed apart, as the coordinate form sums them: S - 2M formed
     entrywise rounds alike on every vertex of a regular grid, which shifts
@@ -148,7 +147,7 @@ def canonical_variation_values(mesh, F):
     """
     M = assemble_mass(mesh)
     row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    stiffness = stiffness_on_mass_pattern(mesh)
+    stiffness = assemble_stiffness(mesh).data
     d2e = np.empty((F.shape[1], mesh.n + 1))
     for i, xi in enumerate(moebius_basis(mesh)):
         w = np.einsum("ed,ed->e", np.take(xi, row, axis=0), np.take(xi, M.indices, axis=0))
@@ -217,7 +216,7 @@ def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0, synthetic_lambda=No
                                          tree=dissection_tree(mesh), seed=seed)
     first = first_nonzero_cluster(spectrum.values)
     if first is None:
-        raise SolverError("k too small: no nonzero eigenvalue cluster resolved")
+        raise SolverError("k too small: no whole nonzero eigenvalue cluster resolved")
     lambda1 = float(np.mean(spectrum.values[first]))
     lam_used = float(synthetic_lambda) if synthetic_lambda is not None else lambda1
     thr = threshold(mesh.n)

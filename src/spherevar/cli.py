@@ -69,12 +69,12 @@ _SURFACE = (Option("surface", str, "clifford-torus", "catalog name or mesh file 
             Option("res", int, None, "mesh resolution (catalog semantics)"))
 _K = Option("k", int, DEFAULT_CERTIFICATE_K, "number of eigenpairs")
 _SEED = Option("seed", int, 0, "random seed")
-_OUT = Option("out", str, None, "output path (CSV or JSON)")
+_OUT = Option("out", str, None, "output JSON path (default: stdout)")
 
 # the settings each command reads, in --help order
 OPTIONS = {
     "catalog": (),
-    "spectrum": _SURFACE + (_K, _SEED, _OUT),
+    "spectrum": _SURFACE + (_K, _SEED, Option("out", str, "spectrum.csv", "output CSV path")),
     "verify": _SURFACE + (Option("k", int, DEFAULT_VERIFY_K, "number of eigenpairs; the "
                                  "default spans the lambda = 4 cluster of the Clifford torus"),
                           _SEED, Option("tol", float, DEFAULT_VERIFY_TOL,
@@ -137,6 +137,16 @@ def build_surface(cfg):
     return build_by_name(name, n=cfg["n"], res=cfg["res"])
 
 
+def check_output_path(path):
+    """Raise ParameterError unless ``path`` can be written as a file: its
+    directory exists and the path is not a directory itself."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ParameterError(f"cannot write {path!r}: {directory!r} is not a directory")
+    if os.path.isdir(path):
+        raise ParameterError(f"cannot write {path!r}: it is a directory")
+
+
 def _write_json(report, out):
     text = json.dumps(report, indent=2)
     if out:
@@ -172,19 +182,21 @@ def cmd_spectrum(cfg):
     spectrum = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh),
                                          k=cfg["k"], tree=dissection_tree(mesh),
                                          seed=cfg["seed"])
-    out = cfg["out"] or "spectrum.csv"
-    write_spectrum_csv(spectrum, out)
+    write_spectrum_csv(spectrum, cfg["out"])
     first = first_nonzero_cluster(spectrum.values)
     print(f"surface={mesh.name} n={mesh.n} V={mesh.num_vertices} h={mesh_size(mesh):.4f}")
-    print(f"wrote {spectrum.values.size} eigenpairs to {out}")
-    if first is not None:
-        lam1 = float(np.mean(spectrum.values[first]))
-        thr = threshold(mesh.n) if mesh.n >= 3 else float("nan")
+    print(f"wrote {spectrum.values.size} eigenpairs to {cfg['out']}")
+    if first is None:
+        print("no whole nonzero eigenvalue cluster resolved; increase k")
+        return EXIT_OK
+    lam1 = float(np.mean(spectrum.values[first]))
+    print(f"lambda1 = {lam1:.6f} (multiplicity {len(first)})")
+    if mesh.n >= 3:
+        thr = threshold(mesh.n)
         rel = "<" if lam1 < thr else ">="
-        print(f"lambda1 = {lam1:.6f} (multiplicity {len(first)})")
         print(f"threshold (n-2)/(2n) = {thr:.6f}; lambda1 {rel} threshold")
     else:
-        print("no nonzero eigenvalue resolved; increase k")
+        print(f"threshold (n-2)/(2n) needs n >= 3, not n = {mesh.n}")
     return EXIT_OK
 
 
@@ -332,9 +344,13 @@ def main(argv=None):
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(resolve_config(args))
+        cfg = resolve_config(args)
+        if cfg.get("out") is not None:
+            check_output_path(cfg["out"])   # before any work
+        return args.func(cfg)
     except (ParameterError, UnsupportedSurfaceError, MeshError, OSError) as exc:
-        # inputs are read into ParameterError: an OSError is an unwritable --out
+        # inputs are read into ParameterError: an OSError is an --out that
+        # passed check_output_path and still could not be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SolverError, ContractError) as exc:

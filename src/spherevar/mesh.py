@@ -140,18 +140,22 @@ def face_corner_vectors(mesh):
 
 @per_mesh
 def face_gram(mesh):
-    """Gram data of the corner vectors, with its determinant, read-only."""
+    """Gram data of the corner vectors, with its determinant, read-only. It
+    holds the one face check: a face with det <= 0 raises MeshError."""
     u, w = face_corner_vectors(mesh)
     guu = np.einsum("fd,fd->f", u, u)
     gww = np.einsum("fd,fd->f", w, w)
     guw = np.einsum("fd,fd->f", u, w)
-    return FaceGram(guu, gww, guw, guu * gww - guw * guw)
+    det = guu * gww - guw * guw
+    if np.any(det <= 0.0):
+        raise MeshError("degenerate (zero-area) triangle")
+    return FaceGram(guu, gww, guw, det)
 
 
 @per_mesh
 def face_areas(mesh):
     """Triangle areas from the ambient Gram determinant (any codimension), read-only."""
-    return 0.5 * np.sqrt(np.maximum(face_gram(mesh).det, 0.0))
+    return 0.5 * np.sqrt(face_gram(mesh).det)
 
 
 @per_mesh
@@ -164,11 +168,9 @@ def face_derivatives(mesh):
     of a field along u and w, the two derivatives are du / |u| and
     (guu dw - guw du) / sqrt(det guu). The derivative of the position along
     d_k is d_k, so ``face_derivatives(mesh) @ mesh.vertices`` holds the
-    directions themselves. A face with det <= 0 raises MeshError.
+    directions themselves. A face with det <= 0 raises MeshError (face_gram).
     """
     guu, _, guw, det = face_gram(mesh)
-    if np.any(det <= 0.0):
-        raise MeshError("degenerate face in gradient computation")
     # (F, 2, 3): the coefficients of corners A, B, C in each derivative
     coeffs = np.stack([np.outer(1.0 / np.sqrt(guu), [-1.0, 1.0, 0.0]),
                        np.stack([guw - guu, -guw, guu], axis=1) / np.sqrt(det * guu)[:, None]],
@@ -178,16 +180,10 @@ def face_derivatives(mesh):
                          shape=(2 * mesh.num_faces, mesh.num_vertices))
 
 
-def edge_lengths(mesh):
-    """Lengths (L0, L1, L2) opposite to corners 0, 1, 2, each (F,)."""
-    a, b, c = face_corners(mesh)
-    return (np.linalg.norm(c - b, axis=1), np.linalg.norm(a - c, axis=1),
-            np.linalg.norm(b - a, axis=1))
-
-
 def mesh_size(mesh):
-    """Longest edge length h."""
-    return float(max(l.max() for l in edge_lengths(mesh)))
+    """Longest edge length h, over the held edge table (mesh_edges)."""
+    x = mesh.vertices[mesh_edges(mesh)]
+    return float(np.linalg.norm(x[:, 0] - x[:, 1], axis=1).max())
 
 
 def _directed_edges(mesh):
@@ -258,8 +254,7 @@ def validate_mesh(mesh):
     f = mesh.faces
     if f.min() < 0 or f.max() >= mesh.num_vertices:
         raise MeshError("face index out of range")
-    if np.any(face_areas(mesh) <= 0.0):
-        raise MeshError("degenerate (zero-area) triangle")
+    face_gram(mesh)   # raises MeshError on a zero-area triangle
     mesh_edges(mesh)
     return True
 

@@ -17,16 +17,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
-from .errors import ContractError, MeshError, ParameterError, SolverError
-from .mesh import (
-    edge_lengths,
-    face_areas,
-    face_corners,
-    mesh_edges,
-    per_mesh,
-)
+from .errors import ContractError, ParameterError, SolverError
+from .mesh import face_areas, face_corners, face_gram, mesh_edges, per_mesh
 
 EIG_TOL = 1e-8
+EIG_RETRIES = 3             # deflated Lanczos searches for pairs a solve missed
 CLUSTER_REL_TOL = 1e-3
 KERNEL_TOL = 1e-6           # eigenvalues at most this belong to the constants
 DISSECTION_LEAF_SIZE = 16   # parts this small keep their vertex-index order
@@ -34,31 +29,43 @@ FRONT_MERGE_DOFS = 192      # subtrees this small are counted as one dense front
 EXTEND_ADD_COLUMNS = 64     # widest column block of one update added at a time
 
 
+# the (row corner, column corner) of each element entry in scatter order, on
+# which the order of summing one vertex pair's entries, so their bits, depend
+_P1_PAIRS = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)])
+
+
+def _p1_matrix(mesh, element):
+    """The sum of symmetric per-face elements (F, 3, 3) as a P1 matrix, in
+    canonical CSR. Exact zeros are kept, so every P1 matrix of a mesh has
+    one pattern: the vertex pairs that share a face."""
+    i, j = _P1_PAIRS.T
+    f, V = mesh.faces, mesh.num_vertices
+    return sp.coo_matrix((element[:, i, j].T.ravel(), (f[:, i].T.ravel(), f[:, j].T.ravel())),
+                         shape=(V, V)).tocsr()
+
+
+def _p1_mass(mesh, weights):
+    """The P1 mass matrix of per-face weights (F,): each element holds
+    weight / 6 on its diagonal and weight / 12 off it."""
+    w = weights[:, None, None]
+    return _p1_matrix(mesh, np.where(np.eye(3, dtype=bool), w / 6.0, w / 12.0))
+
+
 @per_mesh
 def assemble_stiffness(mesh):
-    """Cotangent-weight stiffness matrix (PSD, constants in the kernel), held.
+    """Cotangent stiffness matrix (PSD, constants in the kernel), held.
 
-    Built intrinsically from edge lengths, so it works in any ambient
-    dimension.
+    Its element is e_i . e_j / (2 sqrt(det)) for the edges w - u, -w, u
+    opposite the corners (u = B - A, w = C - A), read from face_gram.
     """
-    l0, l1, l2 = edge_lengths(mesh)
-    areas = face_areas(mesh)
-    if np.any(areas <= 0.0):
-        raise MeshError("zero-area triangle in stiffness assembly")
-    # cot(angle at corner k) = (sum of adjacent squared lengths - opposite^2) / (4 area)
-    sq0, sq1, sq2 = l0 * l0, l1 * l1, l2 * l2
-    cot0 = (sq1 + sq2 - sq0) / (4.0 * areas)
-    cot1 = (sq2 + sq0 - sq1) / (4.0 * areas)
-    cot2 = (sq0 + sq1 - sq2) / (4.0 * areas)
-    f = mesh.faces
-    V = mesh.num_vertices
-    # half-cotangent weight on the edge opposite each corner
-    rows = np.concatenate([f[:, 1], f[:, 2], f[:, 0], f[:, 2], f[:, 0], f[:, 1]])
-    cols = np.concatenate([f[:, 2], f[:, 1], f[:, 2], f[:, 0], f[:, 1], f[:, 0]])
-    w = np.concatenate([cot0, cot0, cot1, cot1, cot2, cot2]) * 0.5
-    off = sp.coo_matrix((-w, (rows, cols)), shape=(V, V)).tocsr()
-    diag = -np.asarray(off.sum(axis=1)).ravel()
-    return (off + sp.diags(diag)).tocsr()
+    guu, gww, guw, det = face_gram(mesh)
+    scale = 0.5 / np.sqrt(det)
+    # each off-diagonal value is formed once, so the element is exactly symmetric
+    ab, ac, bc = (guw - gww) * scale, (guw - guu) * scale, -guw * scale
+    element = np.stack([np.stack([(guu - 2.0 * guw + gww) * scale, ab, ac], axis=1),
+                        np.stack([ab, gww * scale, bc], axis=1),
+                        np.stack([ac, bc, guu * scale], axis=1)], axis=1)
+    return _p1_matrix(mesh, element)
 
 
 @per_mesh
@@ -67,30 +74,7 @@ def assemble_mass(mesh):
 
     The lumped (barycentric) mass is its row sums, diags(vertex_weights).
     """
-    areas = face_areas(mesh)
-    if np.any(areas <= 0.0):
-        raise MeshError("zero-area triangle in mass assembly")
-    return _p1_gram(mesh, areas)
-
-
-def stiffness_on_mass_pattern(mesh):
-    """The entries of S on the CSR pattern of M, (nnz,); that pattern holds every entry of S."""
-    M = assemble_mass(mesh)
-    row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    return np.asarray(assemble_stiffness(mesh)[row, M.indices]).ravel()
-
-
-def _p1_gram(mesh, areas):
-    """Gram matrix of the P1 hat functions, each face counted with its
-    entry of ``areas``: area / 6 on the diagonal, area / 12 off it."""
-    f = mesh.faces
-    V = mesh.num_vertices
-    rows = np.concatenate([f[:, 0], f[:, 1], f[:, 2],
-                           f[:, 0], f[:, 1], f[:, 0], f[:, 2], f[:, 1], f[:, 2]])
-    cols = np.concatenate([f[:, 0], f[:, 1], f[:, 2],
-                           f[:, 1], f[:, 0], f[:, 2], f[:, 0], f[:, 2], f[:, 1]])
-    vals = np.concatenate([areas / 6.0] * 3 + [areas / 12.0] * 6)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(V, V)).tocsr()
+    return _p1_mass(mesh, face_areas(mesh))
 
 
 @per_mesh
@@ -167,8 +151,11 @@ def eigen_clusters(values):
 
 def first_nonzero_cluster(values):
     """The indices of lambda_1: the first eigen_clusters run above
-    KERNEL_TOL, or None when the values do not reach it."""
-    return next((run for run in eigen_clusters(values) if values[run[0]] > KERNEL_TOL), None)
+    KERNEL_TOL, or None when the values do not reach it. The last run is
+    never lambda_1's: k may cut it, and solve_smallest_eigenpairs certifies
+    every run but that one whole."""
+    runs = eigen_clusters(values)[:-1]
+    return next((run for run in runs if values[run[0]] > KERNEL_TOL), None)
 
 
 @per_mesh
@@ -335,8 +322,9 @@ def _shifted_in_elimination_order(A, M, sigma, order, upper):
     triangle of K grouped by row, a CSR matrix (the input of the fronts);
     without, all of K grouped by column, a CSC matrix (the input of
     SuperLU). Indices ascend within each row or column, and exact zeros are
-    not stored. Where A and M have one CSR pattern K's data is one axpy on
-    it; otherwise K is on the union of their patterns. The rows are
+    not stored. Where A and M have one CSR pattern (as in every pencil the
+    package builds) K's data is one axpy on it; otherwise K is on the union
+    of their patterns. The rows are
     gathered into elimination order and the columns renumbered; no COO
     triplet is formed. Returns the matrix, the DOF at each position and the
     block size.
@@ -394,27 +382,36 @@ def _factor_shifted(A, M, sigma, order):
     return lu, perm
 
 
-def _shift_invert_lanczos(A, M, sigma, order, k, which, seed, vectors=False):
+def _shift_invert_lanczos(A, M, sigma, order, k, which, seed, vectors=False, deflate=None):
     """k eigenvalues of A w = mu M w by shift-invert Lanczos at sigma, ascending.
 
     A - sigma M is factored by _factor_shifted in the vertex ``order``, and
-    the factor, the OPinv of eigsh, is freed on return; the starting vector
-    is drawn from ``seed``. With ``vectors`` the M-orthonormal Ritz vectors
-    are returned as well, as (values, vectors). An ARPACK failure raises
+    the factor, the OPinv of eigsh, is freed on return; the starting vector,
+    and any vector ARPACK restarts from when the Krylov space breaks down
+    (as on an exactly degenerate eigenvalue), are drawn from ``seed``. With
+    ``vectors`` the M-orthonormal Ritz vectors are returned as well, as
+    (values, vectors). ``deflate``, an
+    M-orthonormal block W (V, m) of eigenvectors, is projected off every
+    solve (x - W W'M x), so the operator maps their span to 0 and Lanczos
+    finds the eigenpairs M-orthogonal to it. An ARPACK failure raises
     SolverError. Private, so that a tracer of the public functions names
     the Lanczos run after the function that asked for it.
     """
     lu, perm = _factor_shifted(A, M, sigma, order)
+    MW = None if deflate is None else M @ deflate
 
     def solve(b):
         x = np.empty_like(b)
         x[perm] = lu.solve(b[perm])
+        if MW is not None:
+            x -= deflate @ (MW.T @ x)
         return x
 
-    v0 = np.random.default_rng(seed).standard_normal(A.shape[0])
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(A.shape[0])
     try:
         result = spla.eigsh(A, k=k, M=M, sigma=sigma, which=which, v0=v0, maxiter=5000,
-                            return_eigenvectors=vectors,
+                            return_eigenvectors=vectors, rng=rng,
                             OPinv=spla.LinearOperator(lu.shape, matvec=solve, dtype=float))
     except (spla.ArpackNoConvergence, RuntimeError) as exc:
         raise SolverError(f"eigensolver at shift {sigma:g} failed: {exc}") from exc
@@ -531,50 +528,78 @@ def solve_smallest_eigenpairs(S, M, k, tree, seed=0):
     """The k smallest eigenpairs of S f = lambda M f, a Spectrum.
 
     Shift-invert Lanczos below the spectrum, factored in the order of the
-    dissection ``tree`` (see dissection_tree); deterministic via a seeded
-    starting vector. The Ritz vectors are M-orthonormalized as one block in
-    index order, by the Cholesky factor of their M-Gram matrix, and each is
-    signed so that its largest-magnitude entry is positive; eigenvalues
-    within EIG_TOL of 0 are clamped to at least 0. A k outside
-    1 <= k <= V - 1 raises ParameterError.
+    dissection ``tree`` (see dissection_tree); deterministic via the seed.
+    The Ritz vectors are M-orthonormalized as one block in ascending order,
+    by the Cholesky factor of their M-Gram matrix, and each is signed so
+    that its largest-magnitude entry is positive; eigenvalues within
+    EIG_TOL of 0 are clamped to at least 0. A k outside 1 <= k <= V - 1
+    raises ParameterError.
 
-    Lanczos can return a later eigenvalue twice in place of one it missed,
-    every residual small, so one count_eigenvalues_below certifies the
-    values: every eigen_clusters run but the last, which k may cut, is
-    whole, so if the last run starts at index j, exactly j eigenvalues lie
-    below the gap before it (below the shift when j = 0). Raises
-    SolverError if a value is not above the shift, if that count differs,
-    if the block is degenerate, and (carrying the best residual) on failure
-    of the residual contract.
+    A pair is accepted when its relative residual is within EIG_TOL. One
+    count_eigenvalues_below certifies the k lowest accepted values: every
+    eigen_clusters run but the last, which k may cut, is whole, so if the
+    last run starts at index j, exactly j eigenvalues lie below the gap
+    before it (below the shift when j = 0). Lanczos finds the copies of a
+    multiple eigenvalue only by rounding luck, so when fewer than k pairs
+    are accepted, or the count exceeds j, it searches again for the pairs
+    missing, with the accepted vectors deflated, and the merged pairs are
+    certified again, at most EIG_RETRIES times. Raises SolverError if a
+    value is not above the shift or the block is degenerate, and with the
+    last failure (a count that differs, or the residual contract, carrying
+    the worst residual) when a search adds no accepted pair to the k
+    lowest or the retries run out.
     """
     V = S.shape[0]
     if not (1 <= k <= V - 1):
         raise ParameterError(f"k={k} out of range: need 1 <= k <= {V - 1}")
     sigma = -0.1  # S is PSD, so S - sigma M is SPD for sigma < 0
-    vals, vecs = _shift_invert_lanczos(S, M, sigma, tree.order, k, "LM", seed, vectors=True)
-    if vals[0] <= sigma:
-        raise SolverError(f"shift {sigma:g} is not below the spectrum: "
-                          f"Lanczos returned {vals[0]:g}")
-    values = np.where(np.abs(vals) < EIG_TOL, np.maximum(vals, 0.0), vals)
-    j = int(eigen_clusters(values)[-1][0])
-    cut = 0.5 * (values[j - 1] + values[j]) if j else sigma
-    below = count_eigenvalues_below(S, M, cut, tree)
-    if below != j:
-        raise SolverError(f"{below} eigenvalues lie below {cut:g}, Lanczos returned {j}")
-    # exact M-orthonormalization in index order: vecs = W L^T with W'MW = I
+    vals, W = np.empty(0), np.empty((V, 0))
+    want = k
+    for attempt in range(EIG_RETRIES + 1):
+        found, vecs = _shift_invert_lanczos(S, M, sigma, tree.order, want, "LM", seed,
+                                            vectors=True, deflate=W if attempt else None)
+        if found[0] <= sigma:
+            raise SolverError(f"shift {sigma:g} is not below the spectrum: "
+                              f"Lanczos returned {found[0]:g}")
+        merged = np.concatenate([vals, found])
+        ascending = np.argsort(merged, kind="stable")
+        block, residuals = _m_orthonormal(S, M, merged[ascending],
+                                          np.hstack([W, vecs])[:, ascending])
+        kept = np.flatnonzero(residuals <= EIG_TOL)[:k]
+        if attempt and not np.any(ascending[kept] >= vals.size):
+            break   # the search added no accepted pair to the k lowest
+        vals, W, accepted = merged[ascending][kept], block[:, kept], residuals[kept]
+        if vals.size < k:
+            worst = float(np.max(residuals))
+            failure = SolverError(f"eigenpair residual {worst:.3e} exceeds tol "
+                                  f"{EIG_TOL:.1e}", best_residual=worst)
+            want = k - vals.size
+            continue
+        values = np.where(np.abs(vals) < EIG_TOL, np.maximum(vals, 0.0), vals)
+        j = int(eigen_clusters(values)[-1][0])
+        cut = 0.5 * (values[j - 1] + values[j]) if j else sigma
+        below = count_eigenvalues_below(S, M, cut, tree)
+        if below == j:
+            pivot = np.argmax(np.abs(W), axis=0)
+            W *= np.where(W[pivot, np.arange(k)] < 0.0, -1.0, 1.0)
+            return Spectrum(values, W, accepted)
+        failure = SolverError(f"{below} eigenvalues lie below {cut:g}, Lanczos returned {j}")
+        if below < j:
+            break
+        want = below - j
+    raise failure
+
+
+def _m_orthonormal(S, M, vals, vecs):
+    """The columns of vecs M-orthonormalized in order, W with vecs = W L' and
+    W'MW = I, and the relative residuals |S w - lambda M w| / |M w| of the
+    pairs (vals, W). A singular M-Gram matrix raises SolverError."""
     L, info = lapack.dpotrf(vecs.T @ (M @ vecs), lower=1, clean=0)
     if info != 0:
         raise SolverError("degenerate eigenvector block")
     W = blas.dtrsm(1.0, L, vecs, side=1, lower=1, trans_a=1)
-    pivot = np.argmax(np.abs(W), axis=0)
-    W *= np.where(W[pivot, np.arange(k)] < 0.0, -1.0, 1.0)
     MW = M @ W
-    residuals = np.linalg.norm(S @ W - MW * vals, axis=0) / np.linalg.norm(MW, axis=0)
-    worst = float(np.max(residuals))
-    if worst > EIG_TOL:
-        raise SolverError(f"eigenpair residual {worst:.3e} exceeds tol {EIG_TOL:.1e}",
-                          best_residual=worst)
-    return Spectrum(values, W, residuals)
+    return W, np.linalg.norm(S @ W - MW * vals, axis=0) / np.linalg.norm(MW, axis=0)
 
 
 def write_spectrum_csv(spectrum, path):

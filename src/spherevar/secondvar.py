@@ -24,7 +24,7 @@ from .mesh import face_areas, face_derivatives, per_mesh, sphere_tangent_frames
 from .mobius import check_sphere_tangent, moebius_basis, split_tangent_normal
 from .operators import (
     DissectionTree,
-    _p1_gram,
+    _p1_mass,
     _shift_invert_lanczos,
     assemble_mass,
     assemble_stiffness,
@@ -32,7 +32,6 @@ from .operators import (
     dissection_tree,
     face_centroids_on_sphere,
     lumped_gram,
-    stiffness_on_mass_pattern,
 )
 
 DEFAULT_INDEX_DELTA = 0.1
@@ -157,12 +156,6 @@ def _normsq_A_values(mesh):
     return a2
 
 
-def weighted_mass(mesh, weights):
-    """Consistent mass with a per-face constant weight (centroid average)."""
-    w_face = np.asarray(weights, dtype=float)[mesh.faces].mean(axis=1)
-    return _p1_gram(mesh, face_areas(mesh) * w_face)
-
-
 def area_jacobi_form(mesh, f, g=None):
     """int grad f . grad g - 2 f g - |A|^2 f g (codimension one, n = 3 only)."""
     f = np.asarray(f, dtype=float)
@@ -215,22 +208,22 @@ def energy_quadratic_matrix(mesh):
     DOF dimension is n * V; the frame (sphere_tangent_frames) removes the
     radial directions, so the pencil has no artificial zero modes. Q is the
     congruence of S - 2M and the pencil's mass that of M, both taken on the
-    pattern of M, which holds every entry of S (stiffness_on_mass_pattern).
-    Both are exactly symmetric, because S and M are.
+    one CSR pattern of S and M. Both are exactly symmetric, because S and M
+    are.
     """
-    M = assemble_mass(mesh)
-    Q, MQ = _frame_block_matrices(sphere_tangent_frames(mesh), M,
-                                  stiffness_on_mass_pattern(mesh) - 2.0 * M.data, M.data)
+    S, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    Q, MQ = _frame_block_matrices(sphere_tangent_frames(mesh), M, S.data - 2.0 * M.data, M.data)
     return QuadraticFormMatrix(Q=Q, M=MQ, kind="energy", tree=dissection_tree(mesh))
 
 
 def area_jacobi_matrix(mesh):
-    """Scalar area Jacobi pencil (S - 2M - |A|^2-weighted M, M), n = 3 only."""
+    """Scalar area Jacobi pencil (S - 2M - W, M), n = 3 only, with W the mass
+    weighted by |A|^2 averaged on each face; S, M and W share one pattern."""
     if mesh.n != 3:
         raise UnsupportedSurfaceError("area Jacobi form is defined for surfaces in S^3 only")
-    a2 = _normsq_A_values(mesh)
-    M = assemble_mass(mesh)
-    Q = (assemble_stiffness(mesh) - 2.0 * M - weighted_mass(mesh, a2)).tocsr()
+    W = _p1_mass(mesh, face_areas(mesh) * _normsq_A_values(mesh)[mesh.faces].mean(axis=1))
+    S, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    Q = sp.csr_matrix((S.data - 2.0 * M.data - W.data, M.indices, M.indptr), shape=M.shape)
     return QuadraticFormMatrix(Q=Q, M=M, kind="areaJacobi", tree=dissection_tree(mesh))
 
 

@@ -18,13 +18,17 @@ frame_block_reference and shifted_in_order_reference build the index
 pencils and their shifted matrices through COO triplets, the references for
 the CSR assembly of secondvar.energy_quadratic_matrix and the
 elimination-order builder behind operators.count_eigenvalues_below and
-operators._factor_shifted.
+operators._factor_shifted. p1_gram_reference and
+cotangent_stiffness_reference assemble M from its nine COO entries per
+face and S from the cotangents of the edge lengths (U. Pinkall and K.
+Polthier, Experiment. Math. 2, 1993), the references for the one P1
+scatter, operators._p1_matrix.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from spherevar.errors import ContractError, MeshError
+from spherevar.errors import ContractError
 from spherevar.mobius import (
     moebius_basis,
     moebius_normal,
@@ -33,7 +37,7 @@ from spherevar.mobius import (
     project_orthogonal_to_moebius,
     split_tangent_normal,
 )
-from spherevar.mesh import face_areas, face_corner_vectors, face_gram
+from spherevar.mesh import face_areas, face_corner_vectors, face_corners, face_gram
 from spherevar.operators import integrate, lumped_gram, vertex_weights
 from spherevar.secondvar import (
     covariant_face_derivatives,
@@ -53,27 +57,54 @@ def field_norm(weights, X):
     return float(np.sqrt(max(field_inner(weights, X, X), 0.0)))
 
 
-def gradient_gram(mesh):
-    """The held face Gram data, checked for the division the gradients make."""
-    gram = face_gram(mesh)
-    if np.any(gram.det <= 0.0):
-        raise MeshError("degenerate face in gradient computation")
-    return gram
-
-
 def surface_gradient(mesh, f):
     """Per-face constant gradient of the linear interpolant, shape (F, n+1)."""
     f = np.asarray(f, dtype=float)
     if f.shape != (mesh.num_vertices,):
         raise ContractError("scalar field length must equal vertex count")
     u, w = face_corner_vectors(mesh)
-    guu, gww, guw, det = gradient_gram(mesh)
+    guu, gww, guw, det = face_gram(mesh)
     tri = mesh.faces
     du = f[tri[:, 1]] - f[tri[:, 0]]
     dw = f[tri[:, 2]] - f[tri[:, 0]]
     c1 = (gww * du - guw * dw) / det
     c2 = (guu * dw - guw * du) / det
     return c1[:, None] * u + c2[:, None] * w
+
+
+def p1_gram_reference(mesh, areas):
+    """Gram matrix of the P1 hat functions, each face counted with its
+    entry of ``areas``: area / 6 on the diagonal, area / 12 off it."""
+    f = mesh.faces
+    V = mesh.num_vertices
+    rows = np.concatenate([f[:, 0], f[:, 1], f[:, 2],
+                           f[:, 0], f[:, 1], f[:, 0], f[:, 2], f[:, 1], f[:, 2]])
+    cols = np.concatenate([f[:, 0], f[:, 1], f[:, 2],
+                           f[:, 1], f[:, 0], f[:, 2], f[:, 0], f[:, 2], f[:, 1]])
+    vals = np.concatenate([areas / 6.0] * 3 + [areas / 12.0] * 6)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(V, V)).tocsr()
+
+
+def cotangent_stiffness_reference(mesh):
+    """Cotangent stiffness from the edge lengths: half the cotangent of the
+    angle at each corner on the edge opposite it, the diagonal minus the
+    off-diagonal row sums. Sparse sums drop exact zeros."""
+    a, b, c = face_corners(mesh)
+    l0, l1, l2 = (np.linalg.norm(c - b, axis=1), np.linalg.norm(a - c, axis=1),
+                  np.linalg.norm(b - a, axis=1))
+    areas = face_areas(mesh)
+    # cot(angle at corner k) = (sum of adjacent squared lengths - opposite^2) / (4 area)
+    sq0, sq1, sq2 = l0 * l0, l1 * l1, l2 * l2
+    cot0 = (sq1 + sq2 - sq0) / (4.0 * areas)
+    cot1 = (sq2 + sq0 - sq1) / (4.0 * areas)
+    cot2 = (sq0 + sq1 - sq2) / (4.0 * areas)
+    f = mesh.faces
+    V = mesh.num_vertices
+    rows = np.concatenate([f[:, 1], f[:, 2], f[:, 0], f[:, 2], f[:, 0], f[:, 1]])
+    cols = np.concatenate([f[:, 2], f[:, 1], f[:, 2], f[:, 0], f[:, 1], f[:, 0]])
+    w = np.concatenate([cot0, cot0, cot1, cot1, cot2, cot2]) * 0.5
+    off = sp.coo_matrix((-w, (rows, cols)), shape=(V, V)).tocsr()
+    return (off + sp.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
 
 
 def frame_block_reference(frames, entries, *values):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from spherevar.cli import (
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
@@ -152,8 +153,7 @@ def test_malformed_off_file_is_usage_error(tmp_path, text):
 @pytest.mark.parametrize("case", ["missing-mesh", "directory-mesh", "binary-mesh",
                                   "spectrum-out", "index-out"])
 def test_unreadable_or_unwritable_file_is_usage_error(tmp_path, capsys, case):
-    # one "error:" line and exit 2, not a traceback; the outputs are written
-    # after the whole computation
+    # one "error:" line and exit 2, not a traceback
     binary = tmp_path / "binary.off"
     binary.write_bytes(bytes(range(256)))
     torus = ["--surface", "clifford-torus", "--res", "8", "--out"]
@@ -167,6 +167,58 @@ def test_unreadable_or_unwritable_file_is_usage_error(tmp_path, capsys, case):
     assert run(args) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", ["index-missing-dir", "index-out-is-a-dir",
+                                  "certificate-missing-dir", "spectrum-default-is-a-dir"])
+def test_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys, case):
+    # the output path is checked before the surface is built: nothing is
+    # computed or printed
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spectrum.csv").mkdir()
+    torus = ["--surface", "clifford-torus", "--res", "8"]
+    args = {
+        "index-missing-dir": ["index", *torus, "--out", str(tmp_path / "missing" / "s.json")],
+        "index-out-is-a-dir": ["index", *torus, "--out", str(tmp_path)],
+        "certificate-missing-dir": ["certificate", *torus, "--out", "missing/c.json"],
+        "spectrum-default-is-a-dir": ["spectrum", *torus],
+    }[case]
+    assert run(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# each of these solves missed a copy of a multiple eigenvalue, or left a
+# pair unconverged, and is completed by a deflated search
+@pytest.mark.parametrize("surface, k, seed", [
+    (["--surface", "clifford-torus", "--res", "16"], "7", "6"),
+    (["--surface", "equatorial-sphere", "--res", "3"], "9", "1"),
+    (["--surface", "product-torus", "--n", "5", "--res", "16"], "7", "6"),
+], ids=["clifford-torus", "equatorial-sphere", "product-torus"])
+def test_spectrum_recovers_pairs_lanczos_missed(tmp_path, capsys, surface, k, seed):
+    out = tmp_path / "spec.csv"
+    assert run(["spectrum", *surface, "--k", k, "--seed", seed, "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == int(k) + 1
+    assert "lambda1 = " in capsys.readouterr().out
+
+
+def test_lambda1_cluster_cut_by_k_is_not_reported(tmp_path, capsys):
+    # k = 3 holds 0 and two of the four copies of lambda1 = 2 on the torus
+    torus = ["--surface", "clifford-torus", "--res", "32", "--k", "3"]
+    assert run(["spectrum", *torus, "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "increase k" in out and "lambda1 =" not in out
+    assert run(["certificate", *torus, "--out", str(tmp_path / "c.json")]) == EXIT_NUMERICAL
+    assert "k too small" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_spectrum_threshold_needs_n_at_least_3(tmp_path, capsys):
+    assert run(["spectrum", "--surface", "equatorial-sphere", "--n", "2", "--res", "2",
+                "--out", str(tmp_path / "s.csv")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "threshold (n-2)/(2n) needs n >= 3" in out and "nan" not in out
 
 
 def test_index_report(tmp_path):

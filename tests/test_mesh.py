@@ -251,6 +251,16 @@ def test_face_derivatives_reject_a_zero_area_face():
         face_derivatives(SurfaceMesh(n=3, vertices=verts, faces=faces))
 
 
+@pytest.mark.parametrize("read", [validate_mesh, assemble_stiffness, assemble_mass],
+                         ids=lambda read: read.__name__)
+def test_zero_area_face_is_rejected_by_the_face_gram(read):
+    # the one face check is face_gram's, and every per-face quantity reads it
+    verts = np.eye(4)[[0, 1, 2, 0]]   # vertex 3 sits on vertex 0
+    faces = np.array([[0, 1, 2], [0, 1, 3]])
+    with pytest.raises(MeshError, match=r"^degenerate \(zero-area\) triangle$"):
+        read(SurfaceMesh(n=3, vertices=verts, faces=faces))
+
+
 def test_off_round_trip_bit_exact(tmp_path, clifford16):
     path = tmp_path / "mesh.off"
     write_off(clifford16, path)

@@ -1,18 +1,28 @@
 """Discrete operators: stiffness, mass, quadrature, gradients, eigensolver."""
 
-import functools
-
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from identity_reference import shifted_in_order_reference
+from identity_reference import (
+    cotangent_stiffness_reference,
+    p1_gram_reference,
+    shifted_in_order_reference,
+)
 from test_mesh import face_gradient_edge_error
 
+from spherevar import operators
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
 from spherevar.errors import ContractError, ParameterError, SolverError
-from spherevar.mesh import jitter_vertices, mesh_edges, read_off, write_off
+from spherevar.mesh import (
+    face_areas,
+    face_derivatives,
+    jitter_vertices,
+    mesh_edges,
+    read_off,
+    write_off,
+)
 from spherevar.operators import (
     CLUSTER_REL_TOL,
     Spectrum,
@@ -149,15 +159,61 @@ def test_eigensolver_returns_whole_clusters(sphere4, seed):
     assert [len(c) for c in eigen_clusters(spectrum.values)] == [1, 3, 5, 1]
 
 
+def _record_eigsh_calls(monkeypatch, **fixed):
+    """Run every eigsh with the keywords ``fixed``, recording the k of each call."""
+    calls, original = [], spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return original(*args, **fixed, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    return calls
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_eigensolver_rejects_a_missed_eigenvalue(sphere4, monkeypatch, seed):
+def test_eigensolver_recovers_a_missed_eigenvalue(sphere4, monkeypatch, seed):
     # at tol 1e-10 eigsh returns 12 twice in place of one copy of 6, every
     # residual under 1e-8; the count below the gap before the last cluster
-    # finds the 6 it missed
-    monkeypatch.setattr(spla, "eigsh", functools.partial(spla.eigsh, tol=1e-10))
-    with pytest.raises(SolverError, match="9 eigenvalues lie below 9.039.*returned 8"):
-        solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
-                                  k=10, tree=dissection_tree(sphere4), seed=seed)
+    # finds the 6 it missed, and one search with the ten pairs deflated
+    # returns it
+    calls = _record_eigsh_calls(monkeypatch, tol=1e-10)
+    spectrum = solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
+                                         k=10, tree=dissection_tree(sphere4), seed=seed)
+    assert [len(c) for c in eigen_clusters(spectrum.values)] == [1, 3, 5, 1]
+    assert calls == [10, 1]
+    assert np.all(spectrum.residuals <= 1e-8)
+    gram = spectrum.fields.T @ (assemble_mass(sphere4) @ spectrum.fields)
+    assert np.max(np.abs(gram - np.eye(10))) <= 1e-12
+
+
+def test_eigensolver_recovers_an_unconverged_pair(clifford16, monkeypatch):
+    # 0 | 2.05 (x4) | 4.10 (x2) | 4.32 (x2): at tol 1e-6 eigsh returns 0,
+    # two copies of 2.05, a 4.10 and a 4.32, one of the 2.05s at residual
+    # 7.6e-7; a search for one pair replaces it, the count below the gap
+    # before 4.32 then finds three values more than were returned (two
+    # 2.05s and a 4.10), and a search for three returns them
+    calls = _record_eigsh_calls(monkeypatch, tol=1e-6)
+    spectrum = solve_smallest_eigenpairs(assemble_stiffness(clifford16),
+                                         assemble_mass(clifford16), k=5,
+                                         tree=dissection_tree(clifford16))
+    assert calls == [5, 1, 3]
+    assert [len(c) for c in eigen_clusters(spectrum.values)] == [1, 4]
+    assert np.all(spectrum.residuals <= 1e-8)
+
+
+def test_eigensolver_raises_when_a_retry_finds_nothing(clifford16, monkeypatch):
+    # 0 | 2 (x4) | 4 (x4): an inertia count that reports one eigenvalue
+    # more below the gap than there is; the deflated search can only return
+    # a 4, above the last cluster, which adds nothing to the k lowest, so
+    # the solve stops after one retry
+    calls = _record_eigsh_calls(monkeypatch)
+    monkeypatch.setattr(operators, "count_eigenvalues_below",
+                        lambda *args: count_eigenvalues_below(*args) + 1)
+    with pytest.raises(SolverError, match="2 eigenvalues lie below 1.026.*, Lanczos returned 1"):
+        solve_smallest_eigenpairs(assemble_stiffness(clifford16), assemble_mass(clifford16),
+                                  k=5, tree=dissection_tree(clifford16))
+    assert calls == [5, 1]
 
 
 def _eigen_clusters_loop(values):
@@ -176,7 +232,7 @@ def _eigen_clusters_loop(values):
 
 @pytest.mark.parametrize("values, expected, first", [
     ([0.0, 1.0, 1.0009, 1.0018, 1.5], [[0], [1, 2, 3], [4]], [1, 2, 3]),   # a chain
-    ([5.0, 5.004, 5.006], [[0, 1, 2]], [0, 1, 2]),
+    ([5.0, 5.004, 5.006], [[0, 1, 2]], None),   # the last run, which k may cut
     ([5.0, 5.006], [[0], [1]], [0]),
     ([0.0, 0.0009], [[0, 1]], None),   # gaps below 1 are held to CLUSTER_REL_TOL
     ([], [], None),
@@ -319,6 +375,48 @@ def test_front_count_rejects_an_entry_off_the_mesh_graph(clifford16):
                                 dissection_tree(clifford16))
 
 
+def _named_mesh(name, request, tmp_path):
+    """A shared mesh fixture, the S^5 torus at res 32, or the jittered sphere read
+    back from an OFF file (no chart)."""
+    if name == "s5-torus32":
+        return build_product_torus(32, n=5)
+    if name == "jittered-off-sphere":
+        path = tmp_path / "jittered.off"
+        write_off(jitter_vertices(request.getfixturevalue("sphere4"), 0.01, seed=3), path)
+        return read_off(path)
+    return request.getfixturevalue(name)
+
+
+P1_MESHES = ["clifford64", "sphere4", "s5-torus32", "jittered-off-sphere"]
+
+
+@pytest.mark.parametrize("name", P1_MESHES)
+def test_p1_matrices_share_one_pattern(name, request, tmp_path):
+    mesh = _named_mesh(name, request, tmp_path)
+    matrices = [assemble_stiffness(mesh), assemble_mass(mesh)]
+    if mesh.chart is not None and mesh.n == 3:
+        matrices.append(area_jacobi_matrix(mesh).Q)
+    M = matrices[1]
+    for A in matrices:
+        assert A.has_canonical_format
+        assert np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)
+    # the pattern is the vertex pairs that share a face, the diagonal and the edges
+    assert M.nnz == mesh.num_vertices + 2 * len(mesh_edges(mesh))
+
+
+@pytest.mark.parametrize("name", P1_MESHES)
+def test_p1_matrices_match_the_references(name, request, tmp_path):
+    mesh = _named_mesh(name, request, tmp_path)
+    M, reference = assemble_mass(mesh), p1_gram_reference(mesh, face_areas(mesh))
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(M, part), getattr(reference, part)), part
+    S = assemble_stiffness(mesh)
+    D = face_derivatives(mesh)
+    scale = 1e-14 * np.max(np.abs(S.data))
+    assert abs(S - cotangent_stiffness_reference(mesh)).max() <= scale
+    assert abs(S - D.T @ sp.diags(np.repeat(face_areas(mesh), 2)) @ D).max() <= scale
+
+
 def _pencil(kind, mesh):
     """(A, M, vertex order) of the energy, area Jacobi or Laplace pencil."""
     if kind == "laplace":
@@ -335,17 +433,9 @@ def _pencil(kind, mesh):
 def test_elimination_order_matches_coo_route(mesh_name, kind, request, tmp_path):
     # the upper CSR of the fronts and the CSC of SuperLU equal, entry for
     # entry, the matrices built from the permuted COO triplet of A - sigma M
-    if mesh_name == "s5-torus32":
-        mesh = build_product_torus(32, n=5)
-    elif mesh_name == "jittered-off-sphere":   # no chart, vertices from a file
-        path = tmp_path / "jittered.off"
-        write_off(jitter_vertices(request.getfixturevalue("sphere4"), 0.01, seed=3), path)
-        mesh = read_off(path)
-    else:
-        mesh = request.getfixturevalue(mesh_name)
-    A, M, order = _pencil(kind, mesh)
-    # the energy and area pencils share M's pattern; on the torus grid S does not
-    assert (A.nnz < M.nnz) == (kind == "laplace")
+    A, M, order = _pencil(kind, _named_mesh(mesh_name, request, tmp_path))
+    # every pencil is on the one P1 pattern (the Laplace one keeps S's zeros)
+    assert A.nnz == M.nnz
     block = A.shape[0] // order.size
     for sigma in (0.1, -0.1):
         references = shifted_in_order_reference(A, M, sigma, order)

@@ -39,6 +39,25 @@ def factor_reads(source):
                   if isinstance(node, ast.Attribute) and node.attr in ("U", "L"))
 
 
+def coo_builds(source):
+    """Names of the functions in source that name coo_matrix, once per use,
+    with "<module>" for a use outside every function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == "coo_matrix") or (
+                    isinstance(child, ast.Attribute) and child.attr == "coo_matrix"):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
 def imports_package(node):
     """True for an import statement that reads from spherevar, relatively or by name."""
     if isinstance(node, ast.ImportFrom):
@@ -91,6 +110,20 @@ def test_factor_reads_finds_a_planted_name():
 def test_package_module_reads_no_superlu_factor(path):
     # SuperLU only solves: every inertia count is count_eigenvalues_below's
     assert factor_reads(path.read_text()) == []
+
+
+def test_coo_builds_finds_a_planted_name():
+    source = ("import scipy.sparse as sp\nfrom scipy.sparse import coo_matrix\n\n"
+              "def f(v, r, c):\n    return sp.coo_matrix((v, (r, c))).tocsr()\n\n"
+              "def g(v, r, c):\n    def h():\n        return coo_matrix((v, (r, c)))\n"
+              "    return sp.csr_matrix(h())\n\nBUILD = sp.coo_matrix\n")
+    assert coo_builds(source) == ["<module>", "f", "h"]
+
+
+def test_package_scatters_through_one_p1_assembly():
+    # every P1 matrix is one per-face scatter on one pattern (_p1_matrix)
+    builds = [(path.stem, name) for path in SOURCES for name in coo_builds(path.read_text())]
+    assert builds == [("operators", "_p1_matrix")]
 
 
 def test_package_imports_in_functions_finds_a_planted_name():
