@@ -313,48 +313,50 @@ def _node_updates(nodes, edges):
     return np.searchsorted(pairs // V, np.arange(start.size + 1)), pairs % V
 
 
-def _shifted_in_elimination_order(A, M, sigma, order, upper):
-    """K = A - sigma M permuted to elimination order, with 32-bit indices.
-
-    The vertex order is expanded to the per-vertex DOF blocks (DOF
-    v * block + j belongs to vertex v, and sits at position p * block + j
-    when v is at position p). With ``upper`` the result is the upper
-    triangle of K grouped by row, a CSR matrix (the input of the fronts);
-    without, all of K grouped by column, a CSC matrix (the input of
-    SuperLU). Indices ascend within each row or column, and exact zeros are
-    not stored. Where A and M have one CSR pattern (as in every pencil the
-    package builds) K's data is one axpy on it; otherwise K is on the union
-    of their patterns. The rows are
-    gathered into elimination order and the columns renumbered; no COO
-    triplet is formed. Returns the matrix, the DOF at each position and the
-    block size.
-    """
+def _dof_order(A, order):
+    """The vertex order expanded to the per-vertex DOF blocks of the pencil
+    dimension of A: DOF v * block + j belongs to vertex v, and sits at
+    position p * block + j when v is at position p. Returns the DOF at each
+    position and the block size."""
     order = np.asarray(order)
     block, rest = divmod(A.shape[0], order.size)
     if rest or block == 0:
         raise ContractError(
             f"pencil dimension {A.shape[0]} is not a multiple of {order.size} vertices")
-    perm = (order[:, None] * block + np.arange(block)).ravel()
+    return (order[:, None] * block + np.arange(block)).ravel(), block
+
+
+def _on_one_pattern(A, M, sigma):
+    """A and M as canonical CSR matrices on one pattern, with A - sigma M
+    unchanged: as given where they have one (as every pencil the package
+    builds has), else A - sigma M and zero on the union of their patterns."""
     A, M = A.tocsr(), M.tocsr()
     if (A.has_canonical_format and M.has_canonical_format
             and np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)):
-        K = sp.csr_matrix((A.data - sigma * M.data, A.indices, A.indptr), shape=A.shape)
-    else:
-        K = (A - sigma * M).tocsr()
+        return A, M
+    K = (A - sigma * M).tocsr()
+    return K, sp.csr_matrix((np.zeros(K.nnz), K.indices, K.indptr), shape=K.shape)
+
+
+def _shifted_in_elimination_order(A, M, sigma, order):
+    """K = A - sigma M permuted to elimination order (see _dof_order), a CSC
+    matrix with 32-bit indices, ascending within each column, and no exact
+    zeros stored. K's data is one axpy on the one pattern of A and M
+    (_on_one_pattern). The rows are gathered into elimination order and the
+    columns renumbered, with no COO triplet; A and M are symmetric, so the
+    sorted rows of K are its columns. Returns K and the DOF at each
+    position.
+    """
+    perm, _ = _dof_order(A, order)
+    A, M = _on_one_pattern(A, M, sigma)
+    K = sp.csr_matrix((A.data - sigma * M.data, A.indices, A.indptr), shape=A.shape)
     K = K[perm]   # rows in elimination order: new arrays, so K can be edited
     K.eliminate_zeros()
     position = np.empty(perm.size, dtype=K.indices.dtype)
     position[perm] = np.arange(perm.size)
-    K.indices = position[K.indices]
-    if not upper:
-        return K.tocsc(), perm, block
-    row = np.repeat(np.arange(perm.size, dtype=K.indices.dtype), np.diff(K.indptr))
-    keep = K.indices >= row
-    indptr = np.zeros_like(K.indptr)
-    np.cumsum(np.bincount(row[keep], minlength=perm.size), out=indptr[1:])
-    U = sp.csr_matrix((K.data[keep], K.indices[keep], indptr), shape=K.shape)
-    U.sort_indices()
-    return U, perm, block
+    K = sp.csr_matrix((K.data, position[K.indices], K.indptr), shape=K.shape)
+    K.sort_indices()
+    return sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape), perm
 
 
 def _factor_shifted(A, M, sigma, order):
@@ -362,15 +364,15 @@ def _factor_shifted(A, M, sigma, order):
 
     _shifted_in_elimination_order writes the matrix once, grouped by column
     in elimination order, and SuperLU factors it in symmetric mode without
-    column reordering. That CSC matrix, about one pencil in size, is the
-    only transient beside the factor, and is freed on return; the factor
-    (123 MiB for the energy pencil of the Clifford torus at res 128,
-    against a 23 MiB pencil) lives as long as the Lanczos run that solves
+    column reordering. That CSC matrix (11.6 MiB for the energy pencil of
+    the Clifford torus at res 128, against a 19.2 MiB pencil) is the only
+    transient beside the factor, and is freed on return; the factor
+    (123 MiB there) lives as long as the Lanczos run that solves
     with it. The factor is only solved with: every inertia count is
     count_eigenvalues_below's. Returns (factor, DOF permutation). A
     singular A - sigma M, i.e. an eigenvalue on sigma, raises SolverError.
     """
-    K, perm, _ = _shifted_in_elimination_order(A, M, sigma, order, upper=False)
+    K, perm = _shifted_in_elimination_order(A, M, sigma, order)
     try:
         lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -435,47 +437,90 @@ def count_eigenvalues_below(A, M, shift, tree):
     Bunch-Kaufman, and the negative eigenvalues of its D blocks are counted;
     the Schur complement F22 - F21 F11^-1 F12 goes to the parent front. By
     inertia additivity the counts sum to that of K. A singular F11, as from
-    an eigenvalue on the shift, raises SolverError. K is read from its
-    upper triangle grouped by row in elimination order, as
-    _shifted_in_elimination_order writes it (about half a pencil); an entry
-    of K between two vertices that no mesh edge joins raises ContractError.
-    The peak memory is that upper triangle and the live fronts: the dense
-    matrix of the front being eliminated, its LAPACK factor and the Schur
-    complements that wait for their parents.
+    an eigenvalue on the shift, raises SolverError. Each front reads the
+    rows of its pivots from A and M, on their one pattern (_on_one_pattern),
+    keeping the nonzero entries of K on or after the diagonal in
+    elimination order (_dof_order), so no copy of K is formed; an entry of
+    K between two vertices that no mesh edge joins raises ContractError.
+    Every front is a view of one Fortran-ordered buffer of the largest
+    front's size, zeroed in place, and every Schur complement that waits
+    for its parent a view of one contribution stack (_contribution_offsets),
+    so the peak memory is those two buffers and the LAPACK factor of one
+    pivot block.
     """
-    # each row of the upper triangle goes to the lower triangle of the one
-    # front that pivots on it
-    K, _, block = _shifted_in_elimination_order(A, M, shift, tree.order, upper=True)
+    perm, block = _dof_order(A, tree.order)
+    A, M = _on_one_pattern(A, M, shift)
+    position = np.empty(perm.size, dtype=np.intp)
+    position[perm] = np.arange(perm.size)
+    row_nnz = np.diff(A.indptr)
     # a front is a node with more than FRONT_MERGE_DOFS DOFs in its subtree,
     # pivoting on its own vertices, or a largest subtree of at most that
     # many, pivoting on all of them
     small = (tree.stop - tree.first) * block <= FRONT_MERGE_DOFS
     fronts = np.flatnonzero(~small | (tree.parent < 0) | ~np.take(small, tree.parent))
     starts = np.where(small, tree.first, tree.start)
-    local = np.zeros(K.shape[0], dtype=np.intp)
+    pivots = (tree.stop - starts)[fronts] * block
+    updates = np.diff(tree.update_ptr)[fronts] * block
+    work = np.empty(int(np.max(pivots + updates)) ** 2)   # every front, in turn
+    offsets, length = _contribution_offsets(fronts, tree.parent, updates ** 2)
+    stack = np.empty(length)
+    local = np.zeros(perm.size, dtype=np.intp)
     lanes = np.arange(block)
     negative = 0
-    pending = []   # (parent, update DOFs, Schur complement), newest last
-    for s in fronts.tolist():
+    pending = []   # (parent, update DOFs, Schur complement in the stack), newest last
+    for s, offset in zip(fronts.tolist(), offsets.tolist()):
         a, b = starts[s] * block, tree.stop[s] * block
         later = tree.update[tree.update_ptr[s]:tree.update_ptr[s + 1]]
         dofs = np.concatenate([np.arange(a, b), (later[:, None] * block + lanes).ravel()])
         local[dofs] = np.arange(dofs.size)
-        lo, hi = K.indptr[a], K.indptr[b]
-        at = local[K.indices[lo:hi]]
-        if not np.array_equal(np.take(dofs, at, mode="clip"), K.indices[lo:hi]):
+        # the entries of K in the pivot rows, on or after the diagonal
+        rows = perm[a:b]
+        lengths = row_nnz[rows]
+        ends = np.cumsum(lengths)
+        entry = np.arange(ends[-1]) + np.repeat(A.indptr[rows] - ends + lengths, lengths)
+        col = position[A.indices[entry]]
+        pivot = np.repeat(np.arange(b - a), lengths)
+        values = A.data[entry] - shift * M.data[entry]
+        keep = (col >= a + pivot) & (values != 0.0)
+        col, pivot, values = col[keep], pivot[keep], values[keep]
+        at = local[col]
+        if not np.array_equal(np.take(dofs, at, mode="clip"), col):
             raise ContractError("the pencil has an entry between vertices that no "
                                 "mesh edge joins")
-        F = np.zeros((dofs.size,) * 2, order="F")
-        F[at, np.repeat(np.arange(b - a), np.diff(K.indptr[a:b + 1]))] = K.data[lo:hi]
+        F = work[:dofs.size ** 2].reshape((dofs.size,) * 2, order="F")
+        F.fill(0.0)
+        F[at, pivot] = values
         while pending and pending[-1][0] == s:
             _, child, update = pending.pop()
             _extend_add(F, local[child], update)
-        count, update = _eliminate_pivots(F, b - a, shift)
-        negative += count
-        if dofs.size > b - a:
+        rest = dofs.size - (b - a)
+        update = stack[offset:offset + rest ** 2].reshape((rest, rest), order="F")
+        negative += _eliminate_pivots(F, b - a, shift, update)
+        if rest:
             pending.append((tree.parent[s], dofs[b - a:], update))
     return negative
+
+
+def _contribution_offsets(fronts, parent, sizes):
+    """Where the Schur complement of each front, of sizes[i] entries, lies in
+    one contribution stack, and the length of that stack.
+
+    The fronts are in post-order, so the complements a front adds up are
+    the newest on the stack: it pops them before it pushes its own, which
+    takes their place.
+    """
+    offsets = np.empty(fronts.size, dtype=np.intp)
+    pending = []   # (parent, offset), newest last
+    top = length = 0
+    for i, s in enumerate(fronts.tolist()):
+        while pending and pending[-1][0] == s:
+            top = pending.pop()[1]
+        offsets[i] = top
+        if sizes[i]:
+            pending.append((parent[s], top))
+            top += int(sizes[i])
+            length = max(length, top)
+    return offsets, length
 
 
 def _extend_add(F, at, update):
@@ -497,21 +542,24 @@ def _extend_add(F, at, update):
         F[at[k0:], at[k0]:at[k0] + k1 - k0] += update[k0:, k0:k1]
 
 
-def _eliminate_pivots(F, pivots, shift):
-    """Negative eigenvalues of F11 = F[:pivots, :pivots] and the Schur
-    complement of F11 in F, both from the lower triangle of F (the upper
-    triangle of the returned complement is not set)."""
+def _eliminate_pivots(F, pivots, shift, out):
+    """Negative eigenvalues of F11 = F[:pivots, :pivots], from the lower
+    triangle of F; the lower triangle of the Schur complement of F11 in F
+    is written into ``out``, a Fortran-ordered array (its upper triangle is
+    not set)."""
     F11, F21, F22 = F[:pivots, :pivots], F[pivots:, :pivots], F[pivots:, pivots:]
     L, info = lapack.dpotrf(F11, lower=1, clean=0)
     if info == 0:
-        if not F21.size:
-            return 0, None
-        L21 = blas.dtrsm(1.0, L, F21, side=1, lower=1, trans_a=1)
-        return 0, blas.dsyrk(-1.0, L21, beta=1.0, c=F22, lower=1, overwrite_c=1)
+        if F21.size:
+            L21 = blas.dtrsm(1.0, L, F21, side=1, lower=1, trans_a=1)
+            out[...] = F22
+            blas.dsyrk(-1.0, L21, beta=1.0, c=out, lower=1, overwrite_c=1)
+        return 0
+    del L   # Bunch-Kaufman factors F11 afresh (in place at a root, where F11 is F)
     if F21.size:
         LD, ipiv, X, info = lapack.dsysv(F11, F21.T, lower=1)
     else:
-        LD, ipiv, info = lapack.dsytrf(F11, lower=1)
+        LD, ipiv, info = lapack.dsytrf(F11, lower=1, overwrite_a=1)
     # D has 1x1 blocks where ipiv > 0 and 2x2 blocks on the pairs ipiv < 0
     d = LD.diagonal()
     two = np.flatnonzero(ipiv < 0)[::2]
@@ -519,9 +567,10 @@ def _eliminate_pivots(F, pivots, shift):
     if info != 0 or np.any(det == 0.0):
         raise SolverError(f"inertia count of A - ({shift:g}) M: a pivot block is "
                           "singular")
-    count = (np.count_nonzero(d[ipiv > 0] < 0.0) + np.count_nonzero(det < 0.0)
-             + 2 * np.count_nonzero((det > 0.0) & (d[two] < 0.0)))
-    return int(count), (F22 - F21 @ X if F21.size else None)
+    if F21.size:
+        np.subtract(F22, F21 @ X, out=out)
+    return int(np.count_nonzero(d[ipiv > 0] < 0.0) + np.count_nonzero(det < 0.0)
+               + 2 * np.count_nonzero((det > 0.0) & (d[two] < 0.0)))
 
 
 def solve_smallest_eigenpairs(S, M, k, tree, seed=0):

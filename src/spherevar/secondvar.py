@@ -175,30 +175,50 @@ class QuadraticFormMatrix(NamedTuple):
 
 
 def _frame_block_matrices(frames, pattern, *values):
-    """Congruences of scalar matrices to per-vertex frame coordinates.
+    """Congruences of scalar matrices to per-vertex frame coordinates, on one
+    CSR pattern.
 
     Each scalar matrix is given by its values on the CSR pattern of
     ``pattern`` (canonical). For one with entries A_vw, the block at (v, w)
-    is A_vw * F_v F_w^T where F_v is the (count, n+1) frame at vertex v; the
-    frame products F_v F_w^T are formed once for all of them. Each matrix is
-    the BSR matrix of its blocks on that pattern, written straight into CSR
-    by scipy's bsr_tocsr: row v * count + k holds row k of the blocks of
-    row v in turn, so no COO triplet is formed. Exact zeros, from frame
-    vectors with disjoint support, are not stored.
+    is A_vw * F_v F_w^T where F_v is the (count, n+1) frame at vertex v. The
+    frame products F_v F_w^T are formed once and expanded to CSR once, by
+    scipy's bsr_tocsr: row v * count + k holds row k of the blocks of row v
+    in turn, so each run of count entries is one block's. Each matrix
+    scales every run by the value of its block, and all of them hold the
+    one read-only indices and indptr of that expansion. An entry is dropped
+    where it is zero in every matrix, as where frame vectors have disjoint
+    support.
     """
     count = frames.shape[1]
-    row = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    V = pattern.shape[0]
+    row = np.repeat(np.arange(V), np.diff(pattern.indptr))
     products = np.einsum("eki,eli->ekl", frames[row], frames[pattern.indices])
-    dim = pattern.shape[0] * count
-    matrices = []
-    for k, data in enumerate(values):
-        # the last matrix scales the products in place
-        blocks = np.multiply(products, data[:, None, None],
-                             out=products if k == len(values) - 1 else None)
-        matrix = sp.bsr_matrix((blocks, pattern.indices, pattern.indptr),
-                               shape=(dim, dim)).tocsr()
-        matrix.eliminate_zeros()
-        matrices.append(matrix)
+    dim = V * count
+    expanded = sp.bsr_matrix((products, pattern.indices, pattern.indptr),
+                             shape=(dim, dim)).tocsr()
+    del products
+    indices, indptr, runs = expanded.indices, expanded.indptr, expanded.data.reshape(-1, count)
+    # the block of each run: row v's blocks, once for each of its count rows
+    blocks = sp.csr_matrix((np.arange(pattern.nnz), pattern.indices, pattern.indptr),
+                           shape=pattern.shape)[np.repeat(np.arange(V), count)].data
+    # the last matrix scales the products in place
+    data = [np.multiply(runs, block_values[blocks, None],
+                        out=runs if k == len(values) - 1 else None).ravel()
+            for k, block_values in enumerate(values)]
+    del expanded, runs, blocks
+    keep = np.logical_or.reduce([one != 0.0 for one in data])
+    if not keep.all():
+        for k in range(len(data)):
+            data[k] = data[k][keep]   # one at a time, each freeing its uncompacted array
+        indices = indices[keep]
+        kept = np.zeros(keep.size + 1, dtype=indptr.dtype)   # entries kept before each
+        np.cumsum(keep, out=kept[1:])
+        indptr = kept[indptr]
+    indices.flags.writeable = indptr.flags.writeable = False
+    matrices = [sp.csr_matrix((one, indices, indptr), shape=(dim, dim)) for one in data]
+    for matrix in matrices:
+        # the constructor holds views; hold the arrays themselves
+        matrix.indices, matrix.indptr = indices, indptr
     return matrices
 
 
@@ -208,8 +228,9 @@ def energy_quadratic_matrix(mesh):
     DOF dimension is n * V; the frame (sphere_tangent_frames) removes the
     radial directions, so the pencil has no artificial zero modes. Q is the
     congruence of S - 2M and the pencil's mass that of M, both taken on the
-    one CSR pattern of S and M. Both are exactly symmetric, because S and M
-    are.
+    one CSR pattern of S and M and expanded to one CSR pattern, whose
+    read-only index arrays Q and M share. Both are exactly symmetric,
+    because S and M are.
     """
     S, M = assemble_stiffness(mesh), assemble_mass(mesh)
     Q, MQ = _frame_block_matrices(sphere_tangent_frames(mesh), M, S.data - 2.0 * M.data, M.data)

@@ -17,12 +17,11 @@ inverse of the face Gram matrix, the reference for mesh.face_derivatives.
 frame_block_reference and shifted_in_order_reference build the index
 pencils and their shifted matrices through COO triplets, the references for
 the CSR assembly of secondvar.energy_quadratic_matrix and the
-elimination-order builder behind operators.count_eigenvalues_below and
-operators._factor_shifted. p1_gram_reference and
-cotangent_stiffness_reference assemble M from its nine COO entries per
-face and S from the cotangents of the edge lengths (U. Pinkall and K.
-Polthier, Experiment. Math. 2, 1993), the references for the one P1
-scatter, operators._p1_matrix.
+elimination-order builder behind operators._factor_shifted.
+p1_gram_reference and cotangent_stiffness_reference assemble M from its
+nine COO entries per face and S from the cotangents of the edge lengths
+(U. Pinkall and K. Polthier, Experiment. Math. 2, 1993), the references
+for the one P1 scatter, operators._p1_matrix.
 """
 
 import numpy as np
@@ -130,21 +129,15 @@ def frame_block_reference(frames, entries, *values):
 
 
 def shifted_in_order_reference(A, M, sigma, order):
-    """A - sigma M in elimination order through one COO triplet.
-
-    The DOF at position p * block + j is order[p] * block + j. Returns the
-    upper triangle as CSR and the whole matrix as CSC, each built from the
-    permuted triplet.
+    """A - sigma M in elimination order, a CSC matrix built from the permuted
+    COO triplet. The DOF at position p * block + j is order[p] * block + j.
     """
     block = A.shape[0] // np.size(order)
     perm = (np.asarray(order)[:, None] * block + np.arange(block)).ravel()
     position = np.empty_like(perm)
     position[perm] = np.arange(perm.size)
     K = (A - sigma * M).tocoo()
-    row, col = position[K.row], position[K.col]
-    keep = row <= col
-    upper = sp.csr_matrix((K.data[keep], (row[keep], col[keep])), shape=A.shape)
-    return upper, sp.csc_matrix((K.data, (row, col)), shape=A.shape)
+    return sp.csc_matrix((K.data, (position[K.row], position[K.col])), shape=A.shape)
 
 
 def _combination(basis, a):

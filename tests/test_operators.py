@@ -26,6 +26,7 @@ from spherevar.mesh import (
 from spherevar.operators import (
     CLUSTER_REL_TOL,
     Spectrum,
+    _contribution_offsets,
     _factor_shifted,
     _shifted_in_elimination_order,
     assemble_mass,
@@ -375,6 +376,26 @@ def test_front_count_rejects_an_entry_off_the_mesh_graph(clifford16):
                                 dissection_tree(clifford16))
 
 
+@pytest.mark.parametrize("mesh_name", ["clifford64", "sphere4"])
+def test_contribution_stack_keeps_pending_complements_apart(mesh_name, request):
+    # every node a front: each complement's slot lies in the stack and
+    # overlaps no complement still waiting for its parent
+    tree = dissection_tree(request.getfixturevalue(mesh_name))
+    nodes = np.arange(tree.start.size)
+    sizes = np.diff(tree.update_ptr) ** 2
+    offsets, length = _contribution_offsets(nodes, tree.parent, sizes)
+    pending, top = [], 0
+    for s in nodes:
+        while pending and pending[-1][0] == s:
+            pending.pop()
+        lo, hi = offsets[s], offsets[s] + sizes[s]
+        assert all(hi <= a or b <= lo for _, a, b in pending), s
+        if sizes[s]:
+            pending.append((tree.parent[s], lo, hi))
+            top = max(top, hi)
+    assert length == top
+
+
 def _named_mesh(name, request, tmp_path):
     """A shared mesh fixture, the S^5 torus at res 32, or the jittered sphere read
     back from an OFF file (no chart)."""
@@ -402,6 +423,11 @@ def test_p1_matrices_share_one_pattern(name, request, tmp_path):
         assert np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)
     # the pattern is the vertex pairs that share a face, the diagonal and the edges
     assert M.nnz == mesh.num_vertices + 2 * len(mesh_edges(mesh))
+    # the energy pencil holds one read-only pattern, its expansion to frame blocks
+    energy = energy_quadratic_matrix(mesh)
+    assert energy.Q.indices is energy.M.indices and energy.Q.indptr is energy.M.indptr
+    assert not (energy.M.indices.flags.writeable or energy.M.indptr.flags.writeable)
+    assert energy.Q.has_canonical_format and energy.M.has_canonical_format
 
 
 @pytest.mark.parametrize("name", P1_MESHES)
@@ -431,21 +457,20 @@ def _pencil(kind, mesh):
 ], ids=["clifford64-energy", "s5-torus32-energy", "clifford64-area", "sphere4-area",
         "clifford64-laplace", "jittered-off-sphere-energy"])
 def test_elimination_order_matches_coo_route(mesh_name, kind, request, tmp_path):
-    # the upper CSR of the fronts and the CSC of SuperLU equal, entry for
-    # entry, the matrices built from the permuted COO triplet of A - sigma M
+    # the CSC of SuperLU equals, entry for entry, the matrix built from the
+    # permuted COO triplet of A - sigma M
     A, M, order = _pencil(kind, _named_mesh(mesh_name, request, tmp_path))
     # every pencil is on the one P1 pattern (the Laplace one keeps S's zeros)
     assert A.nnz == M.nnz
     block = A.shape[0] // order.size
     for sigma in (0.1, -0.1):
-        references = shifted_in_order_reference(A, M, sigma, order)
-        for upper, reference in zip((True, False), references):
-            matrix, perm, size = _shifted_in_elimination_order(A, M, sigma, order, upper)
-            assert matrix.format == reference.format and size == block
-            assert np.array_equal(perm, (order[:, None] * block + np.arange(block)).ravel())
-            assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(matrix, part), getattr(reference, part)), part
+        reference = shifted_in_order_reference(A, M, sigma, order)
+        matrix, perm = _shifted_in_elimination_order(A, M, sigma, order)
+        assert matrix.format == reference.format == "csc"
+        assert np.array_equal(perm, (order[:, None] * block + np.arange(block)).ravel())
+        assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(matrix, part), getattr(reference, part)), part
 
 
 def test_nested_dissection_of_a_graph_without_edges():

@@ -185,11 +185,12 @@ def test_front_count_matches_superlu_pivots(surface, res, build):
         assert count_eigenvalues_below(form.Q, form.M, shift, form.tree) == pivots
 
 
-# tracemalloc peaks measured on clifford64, in pencil sizes (the CSR bytes
-# of Q and M): 1.45 for the assembly and 1.65 for the count at +delta; the
-# same work routed through COO triplets peaks at 2.80 and 3.17
-ASSEMBLY_PEAK_PENCILS = 1.6
-COUNT_PEAK_PENCILS = 2.0
+# tracemalloc peaks measured on clifford64, in pencil sizes (the bytes of
+# the distinct arrays of Q and M, which share indices and indptr): 1.60 for
+# the assembly and 1.63 for the count at +delta, bounded with a margin of
+# about 10%
+ASSEMBLY_PEAK_PENCILS = 1.75
+COUNT_PEAK_PENCILS = 1.8
 
 
 def _traced_peak(call):
@@ -204,8 +205,9 @@ def _traced_peak(call):
 
 def test_energy_pencil_and_count_peak_memory(clifford64):
     form = energy_quadratic_matrix(clifford64)   # holds frames, S, M and the tree
-    pencil = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                 for m in (form.Q, form.M))
+    arrays = {id(a): a for m in (form.Q, form.M) for a in (m.data, m.indices, m.indptr)}
+    assert len(arrays) == 4   # two data arrays on one pattern
+    pencil = sum(a.nbytes for a in arrays.values())
     assembly = _traced_peak(lambda: energy_quadratic_matrix(clifford64))
     count = _traced_peak(lambda: count_eigenvalues_below(
         form.Q, form.M, DEFAULT_INDEX_DELTA, form.tree))
