@@ -22,11 +22,4 @@ class ContractError(SphereVarError):
 
 
 class SolverError(SphereVarError):
-    """Eigen or linear solver failed to converge.
-
-    Carries the best residual seen so callers can report it.
-    """
-
-    def __init__(self, message, best_residual=None):
-        super().__init__(message)
-        self.best_residual = best_residual
+    """Eigen or linear solver failed to converge; the message states the residual."""

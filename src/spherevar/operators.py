@@ -620,8 +620,7 @@ def solve_smallest_eigenpairs(S, M, k, tree, seed=0):
         vals, W, accepted = merged[ascending][kept], block[:, kept], residuals[kept]
         if vals.size < k:
             worst = float(np.max(residuals))
-            failure = SolverError(f"eigenpair residual {worst:.3e} exceeds tol "
-                                  f"{EIG_TOL:.1e}", best_residual=worst)
+            failure = SolverError(f"eigenpair residual {worst:.3e} exceeds tol {EIG_TOL:.1e}")
             want = k - vals.size
             continue
         values = np.where(np.abs(vals) < EIG_TOL, np.maximum(vals, 0.0), vals)

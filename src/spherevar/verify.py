@@ -2,12 +2,10 @@
 
 Each check compares two independently computed quantities and records the
 worst error over its instances together with the tolerance it was held to.
-Identities with the (4 - lambda) denominator are checked in cross-multiplied
-form so that eigenvalues near 4 stay well conditioned. The eigenpair
-identities are bilinear in the random Moebius combination they are drawn
-against, so they are contracted into (n+1) x (n+1) matrices per eigenpair,
-all eigenpairs in one product with per-vertex densities, and each draw is a
-dot product.
+The Moebius product identities hold for every function, so they take no
+eigenvalue: each is an (n+1) x (n+1) matrix of integrals against
+xi_i . xi_j, checked entrywise on the random polynomials and eigenfunctions
+of prop1, all functions in one product with per-vertex densities.
 """
 
 from __future__ import annotations
@@ -23,14 +21,12 @@ from .mesh import mesh_size
 from .mobius import (
     moebius_basis,
     moebius_gram,
-    moebius_normal,
     moebius_normal_gram,
     moebius_tangential,
     pointwise_identity_report,
     sum_normal_sq,
 )
 from .operators import (
-    KERNEL_TOL,
     assemble_mass,
     assemble_stiffness,
     dissection_tree,
@@ -53,7 +49,6 @@ EIGENVALUE_CAP = 6.1
 NUM_DIRECTIONS = 20       # random Moebius directions beside the axes (d2e-moebius-fields)
 NUM_FORM_FIELDS = 10      # random fields of form-equivalence
 NUM_RANDOM_F = 10         # random polynomials of prop1-random
-NUM_COEFFS = 20           # random combinations a_j xi_j per eigenpair (proof identities)
 DEFAULT_VERIFY_TOL = 0.02  # discretization tolerance of the oracle checks
 DEFAULT_VERIFY_K = 12     # eigenpairs; 12 spans the lambda = 4 cluster of the Clifford torus
 
@@ -112,33 +107,56 @@ def _check(name, error, tolerance, provenance, detail=""):
 
 
 def identity_matrices(mesh, f):
-    """Integrals of f xi_i against xi_j, as four (n+1) x (n+1) matrices.
+    """Integrals of f against products of Moebius fields, four (n+1) x (n+1) matrices.
 
-    L[i, j] = int f xi_i . xi_j, T[i, j] = int f xi_i^T . xi_j^T,
-    N[i, j] = int f xi_i^N . xi_j^N and D[i, j] = int <D(f xi_i), D xi_j>.
-    Each is linear in xi_j, so row i dotted with a gives the integral
-    against the combination sum_j a_j xi_j. Each is also linear in f, a sum
-    over vertices of f(v) times a per-vertex density: w_v xi_i . xi_j,
-    w_v xi_i^T . xi_j^T, w_v xi_i^N . xi_j^N and xi_i(v) . (C xi_j)(v) with
+    K[i, j] = int grad f . grad(xi_i . xi_j), L[i, j] = int f xi_i . xi_j,
+    T[i, j] = int f xi_i^T . xi_j^T and D[i, j] = int <D(f xi_i), D xi_j>.
+    K is f'S g with the held S and g_ij = xi_i . xi_j at the vertices; L, T
+    and D are sums over vertices of f(v) times a per-vertex density,
+    w_v xi_i . xi_j, w_v xi_i^T . xi_j^T and xi_i(v) . (C xi_j)(v) with
     C xi_j the held covariant load (moebius_covariant_load).
 
-    One f (V,) gives an array (4, n+1, n+1) of L, T, N, D; a batch (V, m)
+    One f (V,) gives an array (4, n+1, n+1) of K, L, T, D; a batch (V, m)
     gives (m, 4, n+1, n+1), from one product per density.
     """
     f = np.asarray(f, dtype=float)
     fields = f.reshape(mesh.num_vertices, -1)
     d = mesh.n + 1
-    basis = moebius_basis(mesh)
-    tangential, normal = moebius_tangential(mesh), moebius_normal(mesh)
+    basis, tangential = moebius_basis(mesh), moebius_tangential(mesh)
+
+    def density(X, Y):
+        return np.einsum("ivc,jvc->vij", X, Y).reshape(-1, d * d)
+
+    products = density(basis, basis)
     weighted = fields * vertex_weights(mesh)[:, None]
     out = np.empty((fields.shape[1], 4, d, d))
-    for slot, (F, X, Y) in enumerate(((weighted, basis, basis),
-                                      (weighted, tangential, tangential),
-                                      (weighted, normal, normal),
-                                      (fields, basis, moebius_covariant_load(mesh)))):
-        density = np.einsum("ivc,jvc->vij", X, Y).reshape(-1, d * d)
-        out[:, slot] = (F.T @ density).reshape(-1, d, d)
+    for slot, (F, A) in enumerate(((fields, assemble_stiffness(mesh) @ products),
+                                   (weighted, products),
+                                   (weighted, density(tangential, tangential)),
+                                   (fields, density(basis, moebius_covariant_load(mesh))))):
+        out[:, slot] = (F.T @ A).reshape(-1, d, d)
     return out[0] if f.ndim == 1 else out
+
+
+def product_identity_residuals(mesh, f):
+    """Entrywise residuals of the two Moebius product identities, relative to their scale.
+
+    From Delta(x_i x_j) = -4 x_i x_j + 2 grad x_i . grad x_j on a minimal
+    surface in S^n, for every function f:
+      weak form  W_ij = K_ij - 4 L_ij + 4 delta_ij int f - 2 T_ij = 0,
+      mixed      D_ij - T_ij = 0,
+    with K, L, T, D of identity_matrices. One f (V,) or a batch (V, m) gives
+    (W, mixed, matrices), each divided entrywise by max|f| sqrt(G_ii G_jj)
+    with G the Moebius Gram matrix: W and mixed (m, n+1, n+1), the matrices
+    (m, 4, n+1, n+1).
+    """
+    fields = np.asarray(f, dtype=float).reshape(mesh.num_vertices, -1)
+    K, L, T, D = np.moveaxis(identity_matrices(mesh, fields), 1, 0)
+    integral = vertex_weights(mesh) @ fields
+    W = K - 4.0 * L + 4.0 * integral[:, None, None] * np.eye(mesh.n + 1) - 2.0 * T
+    norms = np.sqrt(np.maximum(np.diag(moebius_gram(mesh)), 0.0))
+    scale = np.max(np.abs(fields), axis=0)[:, None, None] * np.outer(norms, norms)
+    return W / scale, (D - T) / scale, np.stack([K, L, T, D], axis=1) / scale[:, None]
 
 
 def form_equivalence_error(mesh, rng, num_fields):
@@ -223,40 +241,23 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0, k=DEFAULT_VERIFY_K):
 
     # canonical-variation sum identity for random functions and eigenfunctions,
     # one prop1_sum over both
-    randoms = np.empty((mesh.num_vertices, NUM_RANDOM_F))
-    for j in range(NUM_RANDOM_F):
-        randoms[:, j] = random_polynomial_scalar(mesh, rng)
+    randoms = np.stack([random_polynomial_scalar(mesh, rng) for _ in range(NUM_RANDOM_F)], axis=1)
     values, fields, _ = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh),
                                                   k=k, tree=dissection_tree(mesh), seed=seed)
-    low = values <= EIGENVALUE_CAP
-    gaps = _prop1_gaps(mesh, np.hstack([randoms, fields[:, low]]))
+    functions = np.hstack([randoms, fields[:, values <= EIGENVALUE_CAP]])
+    gaps = _prop1_gaps(mesh, functions)
     for name, part in (("prop1-random", gaps[:NUM_RANDOM_F]),
                        ("prop1-eigen", gaps[NUM_RANDOM_F:])):
         report.checks.append(_check(name, np.max(part, initial=0.0), tol, "theorem"))
 
-    # proof identities on every nonconstant eigenpair with lambda <= 6, each
-    # against NUM_COEFFS random combinations a_j xi_j (row t uses i = t mod n+1)
-    worst55 = worst_n = worst_mixed = 0.0
-    nonconstant = low & (values > KERNEL_TOL)
-    matrices = identity_matrices(mesh, fields[:, nonconstant])
-    rows = np.arange(NUM_COEFFS) % (n + 1)
-    for lam, pair_matrices in zip(values[nonconstant], matrices):
-        a = rng.standard_normal((NUM_COEFFS, n + 1))
-        L, T, N, D = (np.einsum("tj,tj->t", X[rows], a) for X in pair_matrices)
-        # ||xi_i||_{L2} ||a_j xi_j||_{L2}, from the lumped Gram matrix
-        scale = (np.sqrt(np.maximum(np.diag(G)[rows], 0.0))
-                 * np.sqrt(np.maximum(np.einsum("tj,jk,tk->t", a, G, a), 0.0)))
-        worst55 = np.max(np.abs((4.0 - lam) * L + 2.0 * T) / scale, initial=worst55)
-        worst_n = np.max(np.abs((4.0 - lam) * N + (6.0 - lam) * T) / scale, initial=worst_n)
-        worst_n = np.max(np.abs(N - (6.0 - lam) / 2.0 * L) / scale, initial=worst_n)
-        worst_mixed = np.max(np.abs(-2.0 * D + 2.0 * T) / scale, initial=worst_mixed)
-    # the size of what was compared, so that a pass on vanishing integrals shows
-    largest = np.max(np.abs(matrices), axis=(0, 2, 3), initial=0.0)
-    largest /= np.sqrt(np.max(np.diag(G)) * np.trace(G))
-    detail = (f"eigenpairs={len(matrices)} max|entry|/sqrt(max G_ii tr G): "
-              + " ".join(f"{name}={value:.3e}" for name, value in zip("LTND", largest)))
-    report.checks.append(_check("identity-55", worst55, tol, "theorem", detail))
-    report.checks.append(_check("identity-normal", worst_n, tol, "theorem", detail))
-    report.checks.append(_check("mixed-gradient", worst_mixed, tol, "theorem", detail))
+    # the Moebius product identities entrywise on the same functions; the
+    # size of what was compared shows in the detail, so that a pass on
+    # vanishing integrals shows
+    weak, mixed, matrices = product_identity_residuals(mesh, functions)
+    largest = np.max(np.abs(matrices), axis=(0, 2, 3))
+    detail = (f"functions={functions.shape[1]} max|entry|/(max|f| sqrt(G_ii G_jj)): "
+              + " ".join(f"{name}={value:.3e}" for name, value in zip("KLTD", largest)))
+    for name, residual in (("product-weak-form", weak), ("mixed-gradient", mixed)):
+        report.checks.append(_check(name, np.max(np.abs(residual)), tol, "theorem", detail))
 
     return report

@@ -2,12 +2,15 @@
 
 field_inner and field_norm evaluate the lumped L2 product of one pair of
 fields, the reference for operators.lumped_gram. identity_55,
-identity_normal and mixed_gradient_identity evaluate one identity for one
-Moebius combination a_j xi_j, splitting the combination afresh.
-run_verification contracts the same integrals into (n+1) x (n+1) matrices
-(verify.identity_matrices); identity_matrices_reference contracts them for
-one function f from the per-face covariant derivatives of each f xi_i.
-These are the references the contraction is tested against.
+identity_normal, weak_form_identity and mixed_gradient_identity evaluate
+one identity for one Moebius combination a_j xi_j, splitting the
+combination afresh. run_verification contracts the integrals of the
+lambda-free two into (n+1) x (n+1) matrices (verify.identity_matrices);
+identity_matrices_reference contracts L, T, N and D for one function f
+from the per-face covariant derivatives of each f xi_i, and
+product_stiffness_reference contracts K from the per-face gradients of f
+and of each xi_i . xi_j. These are the references the contraction is
+tested against.
 certificate_member_reference evaluates the certificate for one
 eigenfunction, building its n+1 canonical variations f xi_i as fields;
 certificates.certificate_members evaluates a whole cluster from the
@@ -184,6 +187,31 @@ def identity_normal(mesh, f, lam, a, i):
     return lhs, rhs_t, rhs_total
 
 
+def _stiffness_inner(mesh, f, g):
+    """int grad f . grad g of the linear interpolants, face by face."""
+    return float(face_areas(mesh) @ np.einsum("fc,fc->f", surface_gradient(mesh, f),
+                                              surface_gradient(mesh, g)))
+
+
+def weak_form_identity(mesh, f, a, i):
+    """Weak form of Delta(x_i x_j) = -4 x_i x_j + 2 grad x_i . grad x_j,
+    against the combination a_j xi_j; holds for any f on a minimal surface.
+
+    lhs = int grad f . grad(xi_i . a_j xi_j) with the per-face gradients;
+    rhs = 4 int f xi_i . (a_j xi_j) - 4 a_i int f
+          + 2 int f xi_i^T . (a_j xi_j)^T.
+    """
+    basis = moebius_basis(mesh)
+    f = np.asarray(f, dtype=float)
+    combo = _combination(basis, a)
+    lhs = _stiffness_inner(mesh, f, _pointwise_dot(basis[i], combo))
+    combo_t = split_tangent_normal(mesh, combo).tangential
+    rhs = (4.0 * integrate(mesh, f * _pointwise_dot(basis[i], combo))
+           - 4.0 * a[i] * integrate(mesh, f)
+           + 2.0 * integrate(mesh, f * _pointwise_dot(moebius_tangential(mesh)[i], combo_t)))
+    return lhs, rhs
+
+
 def mixed_gradient_identity(mesh, f, a, i):
     """Mixed covariant-gradient term of the cross expansion.
 
@@ -222,6 +250,15 @@ def identity_matrices_reference(mesh, f):
                      derivatives, axes=([0, 1, 2], [1, 2, 3]))
         for xi in basis])
     return contract(basis), contract(tangential), contract(basis - tangential), D
+
+
+def product_stiffness_reference(mesh, f):
+    """K of verify.identity_matrices for one f (V,), entry by entry:
+    K[i, j] = int grad f . grad(xi_i . xi_j) from the per-face gradients."""
+    basis = moebius_basis(mesh)
+    d = mesh.n + 1
+    return np.array([[_stiffness_inner(mesh, f, _pointwise_dot(basis[i], basis[j]))
+                      for j in range(d)] for i in range(d)])
 
 
 def certificate_member_reference(mesh, f, lam):

