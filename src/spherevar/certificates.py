@@ -1,15 +1,16 @@
 """Constructive certificate pipeline and proof-identity checks.
 
-Pipeline: take the first Laplace eigenfunction f, form the canonical
-variations f * xi_i, pick the index with the most negative energy ratio,
-project orthogonal to the span of all Moebius fields, and report the sign of
-the energy second variation on the projection. The eigenvalue threshold for
-a guaranteed negative direction is (n-2)/(2n).
+Pipeline: over the first Laplace eigenspace, project the canonical
+variations f * xi_i orthogonal to the span of all Moebius fields, take the
+witness (f, i0) on which the energy second variation of the projection is
+least, and report its sign. The witness depends on the eigenspace, not on
+the basis the eigensolver returns. The eigenvalue threshold for a
+guaranteed negative direction is (n-2)/(2n).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -19,9 +20,11 @@ from .errors import ParameterError, SolverError, UnsupportedSurfaceError
 from .mesh import contained_in_geodesic_s2, mesh_size
 from .mobius import (
     moebius_basis,
+    moebius_coefficients,
     moebius_normal,
     moebius_normal_gram,
     project_orthogonal_to_moebius,
+    vertex_products,
 )
 from .operators import (
     assemble_mass,
@@ -36,6 +39,7 @@ from .secondvar import energy_form_coordinate, moebius_energy_gram
 
 ORTHOGONALITY_TOL = 1e-8
 DEFAULT_CERTIFICATE_K = 8   # eigenpairs solved for the first nonzero cluster
+TIE_REL = 1e-9              # per-i least eigenvalues this close (relative) tie
 
 
 def threshold(n):
@@ -66,10 +70,10 @@ def prop1_sum(mesh, f):
 
     f is one function (V,), which gives two floats (lhs, rhs), or a batch
     (V, m) of functions, which gives two length-m arrays. The lhs sums the
-    n+1 canonical energies of each function (canonical_variation_values),
-    the rhs takes one product with S and one with M. The identity holds for
-    every smooth f on a minimal surface, so the gap is pure discretization
-    error.
+    n+1 canonical energies of each function, the diagonals of
+    canonical_variation_values; the rhs takes one product with S and one
+    with M. The identity holds for every smooth f on a minimal surface, so
+    the gap is pure discretization error.
     """
     f = np.asarray(f, dtype=float)
 
@@ -77,7 +81,8 @@ def prop1_sum(mesh, f):
         return np.einsum("v...,v...->...", f, A @ f)
 
     n = mesh.n
-    lhs = canonical_variation_values(mesh, f.reshape(f.shape[0], -1))[0].sum(axis=1)
+    d2e = canonical_variation_values(mesh, f.reshape(f.shape[0], -1))[0]
+    lhs = np.diagonal(d2e, axis1=1, axis2=2).sum(axis=0)
     rhs = n * form(assemble_stiffness(mesh)) - (2 * n - 4) * form(assemble_mass(mesh))
     if f.ndim == 1:
         return float(lhs[0]), float(rhs)
@@ -123,7 +128,7 @@ class CertificateReport:
     proposition_applicable: bool     # lambda <= 1 and the -3/2 gap condition
     verdict: str                     # negative | nonnegative
     degenerate_gram: bool
-    cluster_members: list = field(default_factory=list)
+    cluster_members: list            # ascending eigenvalues of each G_i
 
     def to_dict(self):
         """JSON-ready dict in field order, each array as a list of floats."""
@@ -133,78 +138,89 @@ class CertificateReport:
 
 
 def canonical_variation_values(mesh, F):
-    """D^2E(f xi_i) and int |f xi_i^N|^2 of every column f of F (V, m), each (m, n+1).
+    """D^2E(F_a xi_i, F_b xi_i) and int F_a F_b |xi_i^N|^2 over the columns of F (V, m).
 
-    D^2E(f xi_i) = sum_vw f_v f_w (S - 2M)_vw xi_i(v) . xi_i(w). S and M
-    share one CSR pattern, so the energies are f' S_i f - 2 f' M_i f, with
-    S_i and M_i the matrices S and M on that pattern weighted entrywise
-    by xi_i(v) . xi_i(w), one sparse product of each with F. The two parts
-    are summed apart, as the coordinate form sums them: S - 2M formed
-    entrywise rounds alike on every vertex of a regular grid, which shifts
-    f' (S - 2M) f by about 100 times the rounding of the separate sums. The
-    normal masses are sums over vertices of f(v)^2 times the per-vertex
-    density w_v |xi_i^N(v)|^2, one product for all of F.
+    Two arrays (n+1, m, m). S and M share one CSR pattern, so the energies
+    are F' S_i F - 2 F' M_i F, with S_i and M_i the matrices S and M on that
+    pattern weighted entrywise by xi_i(v) . xi_i(w). The two parts are
+    summed apart, as the coordinate form sums them: S - 2M formed entrywise
+    rounds alike on every vertex of a regular grid, which shifts f'(S - 2M)f
+    by about 100 times the rounding of the separate sums. The normal masses
+    weight F_a(v) F_b(v) by the per-vertex density w_v |xi_i^N(v)|^2.
     """
     M = assemble_mass(mesh)
     row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
     stiffness = assemble_stiffness(mesh).data
-    d2e = np.empty((F.shape[1], mesh.n + 1))
+    d2e = np.empty((mesh.n + 1, F.shape[1], F.shape[1]))
     for i, xi in enumerate(moebius_basis(mesh)):
         w = np.einsum("ed,ed->e", np.take(xi, row, axis=0), np.take(xi, M.indices, axis=0))
         S_i, M_i = (sp.csr_matrix((values * w, M.indices, M.indptr), shape=M.shape)
                     for values in (stiffness, M.data))
-        d2e[:, i] = (np.einsum("vm,vm->m", F, S_i @ F)
-                     - 2.0 * np.einsum("vm,vm->m", F, M_i @ F))
+        d2e[i] = F.T @ (S_i @ F) - 2.0 * (F.T @ (M_i @ F))
     normal = moebius_normal(mesh)
     density = vertex_weights(mesh)[:, None] * np.einsum("ivd,ivd->vi", normal, normal)
-    return d2e, (F * F).T @ density
+    return d2e, np.stack([(F * weight[:, None]).T @ F for weight in density.T])
 
 
-def certificate_members(mesh, F, lam):
-    """Selection + projection + evaluation for each eigenfunction, a column of F (V, m).
+def eigenspace_witness(mesh, F, lam):
+    """The one witness (f, i0) of the eigenspace spanned by F (V, m), M-orthonormal.
 
-    Each member is a dict keyed by the CertificateReport fields it fills.
+    G_i[a, b] = D^2E(P F_a xi_i, P F_b xi_i), P the projection orthogonal to
+    the Moebius fields, is formed in (n+1)-space: G_i = C_i - R_i'A_i -
+    A_i'R_i + A_i'BA_i with C_i the canonical energies, A_i = G^-1 b_i,
+    b_i[j, a] = int F_a xi_i . xi_j, R_i[j, a] = D^2E(xi_j, F_a xi_i), G the
+    Moebius Gram and B moebius_energy_gram. A rotation F Q turns G_i into
+    Q'G_i Q. i0 is the lowest i whose least eigenvalue is within TIE_REL
+    times the largest |eigenvalue| of the least of all, f = F c with c its
+    first eigenvector. Returns the CertificateReport fields it fills.
     """
-    n = mesh.n
+    n, d, m = mesh.n, mesh.n + 1, F.shape[1]
     basis = moebius_basis(mesh)
-    normals = moebius_normal(mesh)
-    coeff = (n * lam - 2 * n + 4) / (n - 2)
-    members = []
-    for f, d2e, normal_mass in zip(F.T, *canonical_variation_values(mesh, F)):
-        mass_floor = 1e-12 * max(float(np.max(normal_mass)), 1.0)
-        usable = normal_mass > mass_floor
-        if np.any(usable):
-            ratios = np.where(usable, d2e / np.maximum(normal_mass, mass_floor), np.inf)
-            i0 = int(np.argmin(ratios))
-        else:
-            i0 = int(np.argmin(d2e))
-        X0 = f[:, None] * basis[i0]
-        X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, X0)
+    S, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    C, N = canonical_variation_values(mesh, F)
+    # b[a, i, j] = int F_a xi_i . xi_j and R[a, i, j] = D^2E(F_a xi_i, xi_j)
+    b = (F * vertex_weights(mesh)[:, None]).T @ vertex_products(basis, basis)
+    load = np.stack([S @ xi - 2.0 * (M @ xi) for xi in basis])
+    R = (F.T @ vertex_products(basis, load)).reshape(m, d, d)
+    A = moebius_coefficients(mesh, b.reshape(-1, d).T)[0].T.reshape(m, d, d)
+    cross = np.einsum("aij,bij->iab", R, A)
+    G = (C - cross - cross.transpose(0, 2, 1)
+         + np.einsum("aij,jk,bik->iab", A, moebius_energy_gram(mesh), A))
+    spectra, vectors = np.linalg.eigh(G)
+    least = spectra[:, 0]
+    i0 = int(np.argmax(least <= least.min() + TIE_REL * np.max(np.abs(spectra))))
+    c = vectors[i0, :, 0]
+    f = F @ c
+    d2e, normal_mass = (np.einsum("a,iab,b->i", c, X, c) for X in (C, N))
+    X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, f[:, None] * basis[i0])
 
-        # proof decomposition: D^2E(X) = D^2E(f xi_i0) - 2 int |a_j xi_j^N|^2
-        #                                + 4 int f xi_i0^N . (a_j xi_j^N)
-        decomposition = (d2e[i0]
-                         - 2.0 * (a @ moebius_normal_gram(mesh) @ a)
-                         + 4.0 * (lumped_gram(mesh, f[None, :, None] * normals[[i0]],
-                                              normals)[0] @ a))
-        members.append({
-            "i0": i0, "a": a, "d2e_canonical": d2e, "normal_mass": normal_mass,
-            "d2e_value": energy_form_coordinate(mesh, X_perp),
-            "decomposition_value": decomposition,
-            "pigeonhole_sum": float(np.sum(d2e - coeff * normal_mass)),
-            "orthogonality_residuals": residuals,
-            "proposition_applicable": bool(lam <= 1.0 and d2e[i0] < -1.5 * normal_mass[i0]),
-            "degenerate_gram": degenerate,
-        })
-    return members
+    # proof decomposition: D^2E(X) = D^2E(f xi_i0) - 2 int |a_j xi_j^N|^2
+    #                                + 4 int f xi_i0^N . (a_j xi_j^N)
+    normals = moebius_normal(mesh)
+    decomposition = (d2e[i0] - 2.0 * (a @ moebius_normal_gram(mesh) @ a) + 4.0 * (
+        lumped_gram(mesh, f[None, :, None] * normals[[i0]], normals)[0] @ a))
+    coeff = (n * lam - 2 * n + 4) / (n - 2)
+    return {
+        "i0": i0, "a": a, "d2e_canonical": d2e, "normal_mass": normal_mass,
+        "d2e_value": energy_form_coordinate(mesh, X_perp),
+        "decomposition_value": decomposition,
+        "pigeonhole_sum": float(np.sum(d2e - coeff * normal_mass)),
+        "orthogonality_residuals": residuals,
+        "proposition_applicable": bool(lam <= 1.0 and d2e[i0] < -1.5 * normal_mass[i0]),
+        "degenerate_gram": degenerate,
+        "cluster_members": spectra.tolist(),
+    }
 
 
 def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0, synthetic_lambda=None):
     """Run the full certificate pipeline on a mesh.
 
-    All first-eigenvalue cluster members are processed; the reported fields
-    come from the lowest-index member. With synthetic_lambda the eigenvalue
-    is overridden (plumbing exercise) and the report is tagged synthetic; a
+    The report comes from the one witness of the first nonzero eigenspace
+    (eigenspace_witness): d2e_value is the least eigenvalue of all G_i, and
+    cluster_members holds each G_i's ascending eigenvalues. Where that
+    eigenvalue repeats in G_i0, the witness fields belong to the first
+    eigenvector of its eigenspace. With synthetic_lambda the eigenvalue is
+    overridden (plumbing exercise) and the report is tagged synthetic; a
     synthetic_lambda that is not finite raises ParameterError.
     """
     if synthetic_lambda is not None and not np.isfinite(synthetic_lambda):
@@ -219,30 +235,12 @@ def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0, synthetic_lambda=No
         raise SolverError("k too small: no whole nonzero eigenvalue cluster resolved")
     lambda1 = float(np.mean(spectrum.values[first]))
     lam_used = float(synthetic_lambda) if synthetic_lambda is not None else lambda1
-    thr = threshold(mesh.n)
-
-    # C order: the einsum sums of certificate_members follow the memory layout
-    members = certificate_members(
-        mesh, np.ascontiguousarray(spectrum.fields[:, first]), lam_used)
-    main = members[0]
-    residual_ok = bool(np.max(main["orthogonality_residuals"]) <= ORTHOGONALITY_TOL)
-    verdict = "negative" if (main["d2e_value"] < 0.0 and residual_ok) else "nonnegative"
+    witness = eigenspace_witness(mesh, spectrum.fields[:, first], lam_used)
+    residual_ok = bool(np.max(witness["orthogonality_residuals"]) <= ORTHOGONALITY_TOL)
+    verdict = "negative" if (witness["d2e_value"] < 0.0 and residual_ok) else "nonnegative"
 
     return CertificateReport(
-        surface=mesh.name,
-        n=mesh.n,
-        mesh_size=mesh_size(mesh),
-        lambda1=lambda1,
-        multiplicity=len(first),
-        threshold=thr,
-        hypothesis_met=bool(lam_used < thr),
-        synthetic=synthetic_lambda is not None,
-        lambda_used=lam_used,
-        verdict=verdict,
-        cluster_members=[
-            {"i0": m["i0"], "d2e_value": float(m["d2e_value"]),
-             "max_residual": float(np.max(m["orthogonality_residuals"]))}
-            for m in members
-        ],
-        **main,
-    )
+        surface=mesh.name, n=mesh.n, mesh_size=mesh_size(mesh), lambda1=lambda1,
+        multiplicity=len(first), threshold=threshold(mesh.n),
+        hypothesis_met=bool(lam_used < threshold(mesh.n)), synthetic=synthetic_lambda is not None,
+        lambda_used=lam_used, verdict=verdict, **witness)

@@ -129,6 +129,8 @@ def build_surface(cfg):
     """Build a catalog surface or load a mesh file, per the surface value."""
     name = cfg["surface"]
     if os.path.sep in name or name.endswith(".off") or os.path.isfile(name):
+        if cfg["res"] is not None:
+            raise ParameterError(f"--res {cfg['res']} does not apply to mesh file {name!r}")
         mesh = read_off(name)
         if cfg["n"] is not None and cfg["n"] != mesh.n:
             raise ParameterError(

@@ -94,24 +94,37 @@ def moebius_normal_gram(mesh):
     return lumped_gram(mesh, moebius_normal(mesh))
 
 
+def vertex_products(X, Y):
+    """Dot products X_i(v) . Y_j(v) of two field stacks (p, V, d) and (q, V, d)
+    at every vertex, (V, p * q), row-major in (i, j)."""
+    return np.einsum("ivc,jvc->vij", X, Y).reshape(X.shape[1], -1)
+
+
+def moebius_coefficients(mesh, b):
+    """Solve G a = b with G the Moebius Gram matrix, b (n+1,) or (n+1, k).
+
+    A singular G falls back to least squares. Returns (a, degenerate_gram).
+    """
+    gram = moebius_gram(mesh)
+    evals = np.linalg.eigvalsh(gram)
+    degenerate = bool(evals[0] <= GRAM_SINGULAR_REL * max(evals[-1], 1.0))
+    if degenerate:
+        return np.linalg.lstsq(gram, b, rcond=None)[0], degenerate
+    return np.linalg.solve(gram, b), degenerate
+
+
 def project_orthogonal_to_moebius(mesh, X):
     """Remove the Moebius components: X_perp = X - sum_j a_j xi_j.
 
-    Coefficients solve G a = (int X . xi_j)_j; a singular Gram matrix falls
-    back to least squares and sets the warning flag. Returns
-    (X_perp, a, residuals, degenerate_gram) with residuals normalized by
-    ||X||_{L2} ||xi_j||_{L2}.
+    Coefficients solve G a = (int X . xi_j)_j (moebius_coefficients).
+    Returns (X_perp, a, residuals, degenerate_gram) with residuals
+    normalized by ||X_perp||_{L2} ||xi_j||_{L2}, which is stricter than
+    ||X||_{L2} when the projection removes most of X.
     """
     basis = moebius_basis(mesh)
     gram = moebius_gram(mesh)
     X = check_sphere_tangent(mesh, X)
-    b = lumped_gram(mesh, X[None], basis)[0]
-    evals = np.linalg.eigvalsh(gram)
-    degenerate = bool(evals[0] <= GRAM_SINGULAR_REL * max(evals[-1], 1.0))
-    if degenerate:
-        a, *_ = np.linalg.lstsq(gram, b, rcond=None)
-    else:
-        a = np.linalg.solve(gram, b)
+    a, degenerate = moebius_coefficients(mesh, lumped_gram(mesh, X[None], basis)[0])
     X_perp = X - np.einsum("j,jvd->vd", a, basis)
     tiny = np.finfo(float).tiny
     norm_x = max(np.sqrt(max(lumped_gram(mesh, X_perp[None])[0, 0], 0.0)), tiny)

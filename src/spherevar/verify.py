@@ -25,6 +25,7 @@ from .mobius import (
     moebius_tangential,
     pointwise_identity_report,
     sum_normal_sq,
+    vertex_products,
 )
 from .operators import (
     assemble_mass,
@@ -123,17 +124,14 @@ def identity_matrices(mesh, f):
     fields = f.reshape(mesh.num_vertices, -1)
     d = mesh.n + 1
     basis, tangential = moebius_basis(mesh), moebius_tangential(mesh)
-
-    def density(X, Y):
-        return np.einsum("ivc,jvc->vij", X, Y).reshape(-1, d * d)
-
-    products = density(basis, basis)
+    products = vertex_products(basis, basis)
+    covariant = vertex_products(basis, moebius_covariant_load(mesh))
     weighted = fields * vertex_weights(mesh)[:, None]
     out = np.empty((fields.shape[1], 4, d, d))
     for slot, (F, A) in enumerate(((fields, assemble_stiffness(mesh) @ products),
                                    (weighted, products),
-                                   (weighted, density(tangential, tangential)),
-                                   (fields, density(basis, moebius_covariant_load(mesh))))):
+                                   (weighted, vertex_products(tangential, tangential)),
+                                   (fields, covariant))):
         out[:, slot] = (F.T @ A).reshape(-1, d, d)
     return out[0] if f.ndim == 1 else out
 

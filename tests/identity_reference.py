@@ -2,19 +2,21 @@
 
 field_inner and field_norm evaluate the lumped L2 product of one pair of
 fields, the reference for operators.lumped_gram. identity_55,
-identity_normal, weak_form_identity and mixed_gradient_identity evaluate
-one identity for one Moebius combination a_j xi_j, splitting the
-combination afresh. run_verification contracts the integrals of the
-lambda-free two into (n+1) x (n+1) matrices (verify.identity_matrices);
-identity_matrices_reference contracts L, T, N and D for one function f
-from the per-face covariant derivatives of each f xi_i, and
+weak_form_identity and mixed_gradient_identity evaluate one identity for
+one Moebius combination a_j xi_j, splitting the combination afresh.
+run_verification contracts the integrals of the lambda-free two into
+(n+1) x (n+1) matrices (verify.identity_matrices);
+identity_matrices_reference contracts L, T and D for one function f from
+the per-face covariant derivatives of each f xi_i, and
 product_stiffness_reference contracts K from the per-face gradients of f
 and of each xi_i . xi_j. These are the references the contraction is
 tested against.
-certificate_member_reference evaluates the certificate for one
-eigenfunction, building its n+1 canonical variations f xi_i as fields;
-certificates.certificate_members evaluates a whole cluster from the
-canonical energies of certificates.canonical_variation_values.
+eigenspace_witness_reference evaluates the certificate witness of an
+eigenspace field by field: each canonical variation F_a xi_i is formed,
+projected orthogonal to the Moebius fields, and the energy Gram matrix
+G_i of the projections is one energy_form_coordinate of their stack.
+certificates.eigenspace_witness forms the same G_i in (n+1)-space from
+per-vertex densities, with no field F_a xi_i.
 surface_gradient is the per-face gradient of a linear interpolant from the
 inverse of the face Gram matrix, the reference for mesh.face_derivatives.
 frame_block_reference and shifted_in_order_reference build the index
@@ -30,6 +32,7 @@ for the one P1 scatter, operators._p1_matrix.
 import numpy as np
 import scipy.sparse as sp
 
+from spherevar.certificates import TIE_REL
 from spherevar.errors import ContractError
 from spherevar.mobius import (
     moebius_basis,
@@ -165,28 +168,6 @@ def identity_55(mesh, f, lam, a, i):
     return lhs, rhs
 
 
-def identity_normal(mesh, f, lam, a, i):
-    """Normal-part identity for an eigenfunction f of eigenvalue lam; returns
-    (lhs, rhs_tangential, rhs_total).
-
-    lhs = int f xi_i^N . (a_j xi_j)^N, compared against
-    -(6-lambda)/(4-lambda) * int f xi_i^T . (a_j xi_j)^T and
-    (6-lambda)/2 * int f xi_i . (a_j xi_j).
-    """
-    if abs(lam - 4.0) < LAMBDA_SINGULAR_TOL:
-        raise ContractError("eigenvalue at the singular denominator lambda = 4")
-    basis = moebius_basis(mesh)
-    xi_t = moebius_tangential(mesh)[i]
-    combo = _combination(basis, a)
-    combo_split = split_tangent_normal(mesh, combo)
-    lhs = integrate(mesh, f * _pointwise_dot(basis[i] - xi_t, combo_split.normal))
-    rhs_t = -(6.0 - lam) / (4.0 - lam) * integrate(
-        mesh, f * _pointwise_dot(xi_t, combo_split.tangential))
-    rhs_total = (6.0 - lam) / 2.0 * integrate(
-        mesh, f * _pointwise_dot(basis[i], combo))
-    return lhs, rhs_t, rhs_total
-
-
 def _stiffness_inner(mesh, f, g):
     """int grad f . grad g of the linear interpolants, face by face."""
     return float(face_areas(mesh) @ np.einsum("fc,fc->f", surface_gradient(mesh, f),
@@ -230,10 +211,10 @@ def mixed_gradient_identity(mesh, f, a, i):
 
 
 def identity_matrices_reference(mesh, f):
-    """L, T, N, D of verify.identity_matrices for one f (V,), contracted directly.
+    """L, T, D of verify.identity_matrices for one f (V,), contracted directly.
 
-    L, T and N contract the weighted basis, tangential and normal parts over
-    vertices and components; D[i, j] contracts the per-face covariant
+    L and T contract the weighted basis and tangential parts over vertices
+    and components; D[i, j] contracts the per-face covariant
     derivatives of f xi_i with those of xi_j, weighted by the face areas.
     """
     f = np.asarray(f, dtype=float)
@@ -249,7 +230,7 @@ def identity_matrices_reference(mesh, f):
         np.tensordot(covariant_face_derivatives(mesh, f[:, None] * xi) * areas,
                      derivatives, axes=([0, 1, 2], [1, 2, 3]))
         for xi in basis])
-    return contract(basis), contract(tangential), contract(basis - tangential), D
+    return contract(basis), contract(tangential), D
 
 
 def product_stiffness_reference(mesh, f):
@@ -261,33 +242,40 @@ def product_stiffness_reference(mesh, f):
                       for j in range(d)] for i in range(d)])
 
 
-def certificate_member_reference(mesh, f, lam):
-    """Selection + projection + evaluation for one eigenfunction f (V,), field by field."""
+def eigenspace_witness_reference(mesh, F, lam):
+    """The certificate witness of the eigenspace spanned by F (V, m), field by field.
+
+    G_i is the energy Gram matrix of the projections of the fields F_a xi_i
+    (project_orthogonal_to_moebius); i0 and c follow the tie rule of
+    certificates.eigenspace_witness, and the other fields are evaluated on
+    the fields f xi_i and f xi_i^N of the witness f = F c. Returns the
+    fields keyed as eigenspace_witness returns them, and G (n+1, m, m).
+    """
     n = mesh.n
     basis = moebius_basis(mesh)
     normals = moebius_normal(mesh)
+    G = np.stack([energy_form_coordinate(mesh, np.stack(
+        [project_orthogonal_to_moebius(mesh, F_a[:, None] * xi)[0] for F_a in F.T]))
+        for xi in basis])
+    spectra, vectors = np.linalg.eigh(G)
+    least = spectra[:, 0]
+    i0 = int(np.flatnonzero(least <= least.min() + TIE_REL * np.max(np.abs(spectra)))[0])
+    f = F @ vectors[i0, :, 0]
     f_normals = f[None, :, None] * normals
     d2e = np.diag(energy_form_coordinate(mesh, f[None, :, None] * basis))
     normal_mass = np.diag(lumped_gram(mesh, f_normals))
-    mass_floor = 1e-12 * max(float(np.max(normal_mass)), 1.0)
-    usable = normal_mass > mass_floor
-    if np.any(usable):
-        ratios = np.where(usable, d2e / np.maximum(normal_mass, mass_floor), np.inf)
-        i0 = int(np.argmin(ratios))
-    else:
-        i0 = int(np.argmin(d2e))
-    X0 = f[:, None] * basis[i0]
-    X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, X0)
-    d2e_value = energy_form_coordinate(mesh, X_perp)
+    X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, f[:, None] * basis[i0])
     decomposition = (d2e[i0]
                      - 2.0 * (a @ moebius_normal_gram(mesh) @ a)
                      + 4.0 * (lumped_gram(mesh, f_normals[[i0]], normals)[0] @ a))
     coeff = (n * lam - 2 * n + 4) / (n - 2)
     return {
         "i0": i0, "a": a, "d2e_canonical": d2e, "normal_mass": normal_mass,
-        "d2e_value": d2e_value, "decomposition_value": decomposition,
+        "d2e_value": energy_form_coordinate(mesh, X_perp),
+        "decomposition_value": decomposition,
         "pigeonhole_sum": float(np.sum(d2e - coeff * normal_mass)),
         "orthogonality_residuals": residuals,
         "proposition_applicable": bool(lam <= 1.0 and d2e[i0] < -1.5 * normal_mass[i0]),
         "degenerate_gram": degenerate,
-    }
+        "cluster_members": spectra.tolist(),
+    }, G

@@ -197,12 +197,10 @@ def test_criterion_6_proof_identities(clifford64, clifford64_spectrum_acc):
         for t in range(20):
             a = rng.standard_normal(4)
             i = t % 4
-            L, T, N, D = (X[i] @ a for X in matrices)
+            L, T, D = (X[i] @ a for X in matrices)
             combo = np.einsum("j,jvd->vd", a, basis)
             scale = field_norm(w, basis[i]) * field_norm(w, combo)
             worst = max(worst, abs((4 - lam) * L + 2 * T) / scale)
-            worst = max(worst, abs((4 - lam) * N + (6 - lam) * T) / scale)
-            worst = max(worst, abs(N - (6 - lam) / 2 * L) / scale)
             worst = max(worst, abs(-2 * D + 2 * T) / scale)
     ok = worst <= 0.02
     report(6, "proof-identities", ok, f"worst={worst:.2e} over {levels.sum()} eigenpairs")

@@ -1,23 +1,25 @@
 """Certificate pipeline, proof identities, and the eigenvalue threshold."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from identity_reference import (
-    certificate_member_reference,
+    eigenspace_witness_reference,
     field_norm,
     identity_55,
-    identity_normal,
     mixed_gradient_identity,
 )
 
 from spherevar.catalog import build_product_torus
+from spherevar import certificates
 from spherevar.certificates import (
+    CertificateReport,
     build_certificate,
     canonical_variation_values,
-    certificate_members,
+    eigenspace_witness,
     el_soufi_lower_bound_check,
     prop1_sum,
     threshold,
@@ -30,6 +32,7 @@ from spherevar.operators import (
     assemble_stiffness,
     dissection_tree,
     eigen_clusters,
+    first_nonzero_cluster,
     integrate,
     solve_smallest_eigenpairs,
 )
@@ -104,17 +107,6 @@ def test_identity_singular_guard(clifford64):
     f = np.zeros(clifford64.num_vertices)
     with pytest.raises(ContractError):
         identity_55(clifford64, f, 4.0, np.ones(4), 0)
-    with pytest.raises(ContractError):
-        identity_normal(clifford64, f, 4.0, np.ones(4), 0)
-
-
-def test_identity_normal(clifford64, clifford64_spectrum):
-    values, fields, _ = clifford64_spectrum
-    a = np.eye(4)[1]
-    lhs, rhs_t, rhs_total = identity_normal(clifford64, fields[:, 1], values[1], a, 1)
-    scale = abs(lhs) + abs(rhs_t) + 0.1
-    assert lhs == pytest.approx(rhs_t, abs=0.02 * scale)
-    assert lhs == pytest.approx(rhs_total, abs=0.02 * scale)
 
 
 def test_mixed_gradient_identity_any_function(clifford64, rng):
@@ -153,7 +145,15 @@ def test_certificate_clifford(clifford64):
     assert abs(report.pigeonhole_sum) <= 0.02 * scale
     assert report.synthetic is False
     assert report.verdict in ("negative", "nonnegative")
-    assert len(report.cluster_members) == report.multiplicity
+    # the ascending spectrum of G_i for every i; the witness is the least value
+    spectra = np.array(report.cluster_members)
+    assert spectra.shape == (report.n + 1, report.multiplicity)
+    assert np.all(np.diff(spectra, axis=1) >= 0.0)
+    assert report.d2e_value == pytest.approx(spectra.min(), rel=1e-10)
+    # the four G_i are congruent under the symmetries of the torus, so their
+    # least eigenvalues differ by rounding only, and the lowest i wins
+    assert np.ptp(spectra[:, 0]) <= 1e-12
+    assert report.i0 == 0
 
 
 def test_certificate_synthetic_mode(clifford64):
@@ -229,7 +229,9 @@ def test_prop1_lhs_sums_the_canonical_energies(mesh_name, request):
     rng = np.random.default_rng(5)
     F = np.stack([random_polynomial_scalar(mesh, rng) for _ in range(3)], axis=1)
     lhs, _ = prop1_sum(mesh, F)
-    assert np.array_equal(lhs, canonical_variation_values(mesh, F)[0].sum(axis=1))
+    d2e, normal_mass = canonical_variation_values(mesh, F)
+    assert d2e.shape == normal_mass.shape == (mesh.n + 1, 3, 3)
+    assert np.array_equal(lhs, np.diagonal(d2e, axis1=1, axis2=2).sum(axis=0))
     one_lhs, _ = prop1_sum(mesh, F[:, 0])
     assert one_lhs == canonical_variation_values(mesh, F[:, :1])[0].sum()
 
@@ -251,10 +253,8 @@ def test_prop1_lhs_near_exactly_summed_reference(clifford64):
 
 @pytest.mark.parametrize("mesh_name", ["clifford64", "s5-torus32"])
 @pytest.mark.parametrize("lam", [None, 0.1], ids=["lambda1", "synthetic"])
-def test_certificate_members_match_per_member_reference(mesh_name, lam, request):
-    # the whole first cluster in one pass; the selection, projection and
-    # final energy are exactly the reference's, the canonical-variation
-    # energies and normal masses agree to rounding
+def test_witness_matches_field_by_field_reference(mesh_name, lam, request):
+    # G_i from (n+1)-space densities against G_i of the projected fields
     if mesh_name == "s5-torus32":
         mesh = build_product_torus(32, n=5)
         values, fields, _ = solve_smallest_eigenpairs(
@@ -265,23 +265,97 @@ def test_certificate_members_match_per_member_reference(mesh_name, lam, request)
         values, fields, _ = request.getfixturevalue(mesh_name + "_spectrum")
     first = eigen_clusters(values)[1]
     assert len(first) == 4
+    F = fields[:, first]
     lam = float(np.mean(values[first])) if lam is None else lam
-    # in C order, as build_certificate passes the cluster
-    members = certificate_members(mesh, np.ascontiguousarray(fields[:, first]), lam)
-    assert len(members) == len(first)
-    for member, j in zip(members, first):
-        reference = certificate_member_reference(mesh, fields[:, j], lam)
-        assert member.keys() == reference.keys()
-        for key in ("i0", "degenerate_gram", "d2e_value", "proposition_applicable"):
-            assert member[key] == reference[key], key
-        for key in ("a", "orthogonality_residuals"):
-            assert np.array_equal(member[key], reference[key]), key
-        scale = np.sum(np.abs(reference["d2e_canonical"])) + np.sum(reference["normal_mass"])
-        for key in ("d2e_canonical", "normal_mass", "decomposition_value", "pigeonhole_sum"):
-            assert np.max(np.abs(member[key] - reference[key])) <= 1e-12 * scale, key
+    witness = eigenspace_witness(mesh, F, lam)
+    reference, G = eigenspace_witness_reference(mesh, F, lam)
+    assert witness.keys() == reference.keys()
+    for spectrum, G_i in zip(np.array(witness["cluster_members"]), G):
+        assert np.max(np.abs(spectrum - np.linalg.eigvalsh(G_i))) <= 1e-10 * max(
+            np.max(np.abs(G_i)), 1.0)
+    mu = np.min(np.linalg.eigvalsh(G))
+    assert abs(witness["d2e_value"] - mu) <= 1e-10 * abs(mu)
+    for key in ("i0", "degenerate_gram"):
+        assert witness[key] == reference[key], key
     if mesh.n == 5:
-        # xi_4 = e_4 and xi_5 = e_5 on the equatorial torus: their ratios tie
-        # exactly, and the argmin keeps the first
-        assert all(m["d2e_canonical"][4] == m["d2e_canonical"][5] for m in members)
-        assert all(m["normal_mass"][4] == m["normal_mass"][5] for m in members)
-        assert [m["i0"] for m in members] == [4, 4, 4, 4]
+        # xi_4 = e_4 and xi_5 = e_5 on the equatorial torus: G_4 and G_5 tie,
+        # each a multiple of the identity to rounding, and the lower i wins
+        spectra = np.array(witness["cluster_members"])
+        assert witness["i0"] == 4
+        assert np.max(np.abs(spectra[4] - spectra[5])) <= 1e-12 * np.max(np.abs(spectra))
+        return
+    # on the Clifford torus the least eigenvalue of G_i0 is simple, so the
+    # witness f is the reference's up to sign
+    assert witness["proposition_applicable"] == reference["proposition_applicable"]
+    scale = np.sum(np.abs(reference["d2e_canonical"])) + np.sum(reference["normal_mass"])
+    for key in ("d2e_canonical", "normal_mass", "decomposition_value", "pigeonhole_sum"):
+        assert np.max(np.abs(witness[key] - reference[key])) <= 1e-10 * scale, key
+    assert min(np.max(np.abs(witness["a"] - sign * reference["a"])) for sign in (1, -1)) <= 1e-10
+    assert np.max(np.abs(witness["orthogonality_residuals"]
+                         - reference["orthogonality_residuals"])) <= 1e-10
+
+
+@pytest.mark.parametrize("mesh_name", ["clifford64", "sphere4"])
+def test_witness_projection_matches_reference_on_random_functions(mesh_name, request):
+    # on eigenfunctions of the Clifford torus the Moebius projection is zero
+    # to rounding; M-orthonormal random polynomials give it every term
+    mesh = request.getfixturevalue(mesh_name)
+    rng = np.random.default_rng(17)
+    F = np.stack([random_polynomial_scalar(mesh, rng) for _ in range(3)], axis=1)
+    F = np.linalg.solve(np.linalg.cholesky(F.T @ (assemble_mass(mesh) @ F)), F.T).T
+    witness = eigenspace_witness(mesh, F, 0.1)
+    reference, G = eigenspace_witness_reference(mesh, F, 0.1)
+    scale = max(np.max(np.abs(G)), 1.0)
+    # the projection moves G_i off the canonical energies
+    assert np.max(np.abs(G - canonical_variation_values(mesh, F)[0])) > 0.01 * scale
+    assert np.max(np.abs(np.array(witness["cluster_members"])
+                         - np.array(reference["cluster_members"]))) <= 1e-10 * scale
+    for key in ("i0", "degenerate_gram", "proposition_applicable"):
+        assert witness[key] == reference[key], key
+    sign = np.sign(witness["a"] @ reference["a"])
+    assert np.max(np.abs(witness["a"] - sign * reference["a"])) <= 1e-10 * scale
+    for key in ("d2e_value", "d2e_canonical", "normal_mass", "decomposition_value",
+                "pigeonhole_sum", "orthogonality_residuals"):
+        assert np.max(np.abs(witness[key] - reference[key])) <= 1e-10 * scale, key
+
+
+# fields read only on the Clifford torus, where the witness f is unique up to sign
+WITNESS_FIELDS = ("a", "d2e_canonical", "normal_mass", "decomposition_value", "pigeonhole_sum",
+                  "orthogonality_residuals", "proposition_applicable", "degenerate_gram")
+
+
+@pytest.mark.parametrize("mesh_name", ["clifford64", "s5-torus32"])
+def test_certificate_does_not_depend_on_the_eigenbasis(mesh_name, request, monkeypatch):
+    # five random orthonormal bases of the lambda_1 eigenspace give one report
+    if mesh_name == "s5-torus32":
+        mesh = build_product_torus(32, n=5)
+    else:
+        mesh = request.getfixturevalue(mesh_name)
+    spectrum = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=8,
+                                         tree=dissection_tree(mesh), seed=0)
+    first = first_nonzero_cluster(spectrum.values)
+    monkeypatch.setattr(certificates, "solve_smallest_eigenpairs",
+                        lambda *args, **kwargs: spectrum)
+    base = build_certificate(mesh, k=8, seed=0)
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        Q, _ = np.linalg.qr(rng.standard_normal((len(first), len(first))))
+        fields = spectrum.fields.copy()
+        fields[:, first] = fields[:, first] @ Q
+        monkeypatch.setattr(certificates, "solve_smallest_eigenpairs",
+                            lambda *args, fields=fields, **kwargs: spectrum._replace(
+                                fields=fields))
+        report = build_certificate(mesh, k=8, seed=0)
+        for name in (f.name for f in dataclasses.fields(CertificateReport)):
+            if mesh.n == 5 and name in WITNESS_FIELDS:
+                continue
+            value, expected = getattr(report, name), getattr(base, name)
+            if isinstance(expected, (bool, str, int)):
+                assert value == expected, name
+                continue
+            value, expected = np.asarray(value), np.asarray(expected)
+            floor = 1.0 if name in ("a", "orthogonality_residuals") else 0.0
+            tol = 1e-10 * max(np.max(np.abs(expected)), floor)
+            if name == "a":
+                value = value * np.sign(value @ expected or 1.0)
+            assert np.max(np.abs(value - expected)) <= tol, name

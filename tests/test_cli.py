@@ -117,6 +117,19 @@ def test_mesh_file_is_reported_by_its_name(tmp_path, sphere2):
     assert json.loads(out.read_text())["surface"] == "jittered"
 
 
+@pytest.mark.parametrize("command", ["spectrum", "verify", "index", "certificate"])
+@pytest.mark.parametrize("flag, value", [("--res", "64"), ("--n", "4")])
+def test_catalog_flag_with_mesh_file_is_usage_error(tmp_path, capsys, clifford16, command,
+                                                    flag, value):
+    # a mesh file fixes its own resolution and dimension: neither is ignored
+    path = tmp_path / "t16.off"
+    write_off(clifford16, path)
+    out = tmp_path / "out.file"
+    assert run([command, "--surface", str(path), flag, value, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {flag} {value} ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["index", "certificate"])
 def test_invalid_off_mesh_is_usage_error(tmp_path, clifford16, command):
     # a mesh read from a file is validated: vertices off the unit sphere and

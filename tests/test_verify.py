@@ -176,7 +176,7 @@ def test_batched_identity_matrices_match_per_eigenpair_reference(mesh):
     gram_scale = np.max(np.diag(moebius_gram(mesh)))
     for f, matrices in zip(fields, batch):
         scale = np.max(np.abs(f)) * gram_scale
-        L, T, _, D = identity_matrices_reference(mesh, f)
+        L, T, D = identity_matrices_reference(mesh, f)
         reference = np.stack([product_stiffness_reference(mesh, f), L, T, D])
         assert np.max(np.abs(matrices - reference)) <= 1e-13 * scale
         # a batch gives each column's single-f matrices, up to the order of
