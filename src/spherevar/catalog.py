@@ -69,12 +69,7 @@ def _sphere_chart(vertices3, n):
     # tangent plane at x: orthogonal complement of x inside span(e0, e1, e2)
     proj = np.zeros((V, d, d))
     proj[:, :3, :3] = np.eye(3)[None] - np.einsum("vi,vj->vij", vertices3, vertices3)
-    frames = frames_from_projectors(proj, 2)
-    normal = None
-    if n == 3:
-        normal = np.zeros((V, 4))
-        normal[:, 3] = 1.0
-    return Chart(tangent_frames=frames, normsq_A=0.0, unit_normal=normal)
+    return Chart(tangent_frames=frames_from_projectors(proj, 2), normsq_A=0.0)
 
 
 def build_equatorial_sphere(n, res):
@@ -118,12 +113,8 @@ def _torus_chart(trig, n):
     frames[:, 0, 1] = cos_a
     frames[:, 1, 2] = -sin_b
     frames[:, 1, 3] = cos_b
-    normsq_A = normal = None
-    if n == 3:
-        # in codimension > 1 the scalar area Jacobi form does not apply
-        normsq_A = 2.0
-        normal = np.stack([cos_a, sin_a, -cos_b, -sin_b], axis=1) / np.sqrt(2.0)
-    return Chart(tangent_frames=frames, normsq_A=normsq_A, unit_normal=normal)
+    # in codimension > 1 the scalar area Jacobi form does not apply
+    return Chart(tangent_frames=frames, normsq_A=2.0 if n == 3 else None)
 
 
 def _clifford_vertices(trig, n):

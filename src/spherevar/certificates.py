@@ -115,8 +115,6 @@ class CertificateReport:
     multiplicity: int
     threshold: float
     hypothesis_met: bool
-    synthetic: bool
-    lambda_used: float
     i0: int
     a: np.ndarray
     d2e_canonical: np.ndarray        # D^2E(f xi_i) for every i
@@ -212,19 +210,16 @@ def eigenspace_witness(mesh, F, lam):
     }
 
 
-def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0, synthetic_lambda=None):
+def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0):
     """Run the full certificate pipeline on a mesh.
 
     The report comes from the one witness of the first nonzero eigenspace
     (eigenspace_witness): d2e_value is the least eigenvalue of all G_i, and
     cluster_members holds each G_i's ascending eigenvalues. Where that
     eigenvalue repeats in G_i0, the witness fields belong to the first
-    eigenvector of its eigenspace. With synthetic_lambda the eigenvalue is
-    overridden (plumbing exercise) and the report is tagged synthetic; a
-    synthetic_lambda that is not finite raises ParameterError.
+    eigenvector of its eigenspace. The hypothesis, the pigeonhole
+    coefficient and proposition_applicable read the measured lambda1.
     """
-    if synthetic_lambda is not None and not np.isfinite(synthetic_lambda):
-        raise ParameterError(f"synthetic_lambda={synthetic_lambda:g} must be finite")
     if contained_in_geodesic_s2(mesh):
         raise UnsupportedSurfaceError(
             "certificate pipeline requires a surface not contained in a geodesic S^2")
@@ -234,13 +229,11 @@ def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0, synthetic_lambda=No
     if first is None:
         raise SolverError("k too small: no whole nonzero eigenvalue cluster resolved")
     lambda1 = float(np.mean(spectrum.values[first]))
-    lam_used = float(synthetic_lambda) if synthetic_lambda is not None else lambda1
-    witness = eigenspace_witness(mesh, spectrum.fields[:, first], lam_used)
+    witness = eigenspace_witness(mesh, spectrum.fields[:, first], lambda1)
     residual_ok = bool(np.max(witness["orthogonality_residuals"]) <= ORTHOGONALITY_TOL)
     verdict = "negative" if (witness["d2e_value"] < 0.0 and residual_ok) else "nonnegative"
 
     return CertificateReport(
         surface=mesh.name, n=mesh.n, mesh_size=mesh_size(mesh), lambda1=lambda1,
         multiplicity=len(first), threshold=threshold(mesh.n),
-        hypothesis_met=bool(lam_used < threshold(mesh.n)), synthetic=synthetic_lambda is not None,
-        lambda_used=lam_used, verdict=verdict, **witness)
+        hypothesis_met=bool(lambda1 < threshold(mesh.n)), verdict=verdict, **witness)

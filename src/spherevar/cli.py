@@ -81,8 +81,7 @@ OPTIONS = {
                                         "discretization tolerance"), _OUT),
     "index": _SURFACE + (Option("delta", float, DEFAULT_INDEX_DELTA,
                                 "negative-eigenvalue separation"), _SEED, _OUT),
-    "certificate": _SURFACE + (_K, _SEED, _OUT, Option(
-        "synthetic_lambda", float, None, "override the first eigenvalue (plumbing exercise)")),
+    "certificate": _SURFACE + (_K, _SEED, _OUT),
 }
 
 
@@ -297,8 +296,7 @@ def cmd_index(cfg):
 
 def cmd_certificate(cfg):
     mesh = build_surface(cfg)
-    report = build_certificate(mesh, k=cfg["k"], seed=cfg["seed"],
-                               synthetic_lambda=cfg["synthetic_lambda"])
+    report = build_certificate(mesh, k=cfg["k"], seed=cfg["seed"])
     payload = report.to_dict()
     payload["tolerances"] = {
         "orthogonality_residual": ORTHOGONALITY_TOL,
@@ -306,8 +304,7 @@ def cmd_certificate(cfg):
     }
     print(f"surface={report.surface} lambda1={report.lambda1:.6f} "
           f"(mult {report.multiplicity}) threshold={report.threshold:.6f}")
-    print(f"hypothesis lambda1 < threshold: {report.hypothesis_met}"
-          + (" [synthetic]" if report.synthetic else ""))
+    print(f"hypothesis lambda1 < threshold: {report.hypothesis_met}")
     print(f"selected i0={report.i0}, D2E on projected field = {report.d2e_value:.6f}, "
           f"verdict: {report.verdict}")
     print(f"max orthogonality residual = {float(np.max(report.orthogonality_residuals)):.3e}")

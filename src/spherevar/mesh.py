@@ -2,11 +2,10 @@
 
 A SurfaceMesh stores vertices (all on the unit sphere), oriented triangular
 faces, and optional analytic chart data for catalog surfaces (per-vertex
-tangent frames, unit normal when the surface has codimension one in S^3, and
-the squared norm of the second fundamental form). Its vertices and faces are
-read-only. Every per-mesh quantity (geometry, operators, frames, Moebius
-fields) is a function of the mesh decorated with per_mesh, which computes it
-once, at first use, and holds it on the mesh.
+tangent frames and the squared norm of the second fundamental form). Its
+vertices and faces are read-only. Every per-mesh quantity (geometry,
+operators, frames, Moebius fields) is a function of the mesh decorated with
+per_mesh, which computes it once, at first use, and holds it on the mesh.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ class Chart:
         plane at each vertex, orthogonal to the position vector.
     normsq_A : squared norm of the second fundamental form, a constant or a
         per-vertex array; only meaningful for surfaces in S^3.
-    unit_normal : (V, n+1) unit normal of the surface inside S^3, or None.
 
     Frozen, and its arrays are made read-only in place, so the frames held
     for a mesh cannot change after construction.
@@ -42,10 +40,9 @@ class Chart:
 
     tangent_frames: np.ndarray
     normsq_A: Union[float, np.ndarray, None] = None
-    unit_normal: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        for value in (self.tangent_frames, self.normsq_A, self.unit_normal):
+        for value in (self.tangent_frames, self.normsq_A):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 

@@ -136,15 +136,19 @@ def project_orthogonal_to_moebius(mesh, X):
 def pointwise_identity_report(mesh):
     """Worst pointwise errors of the Moebius-field identities, a dict of floats.
 
-      norm_sq       max_i | |xi_i|^2 - (1 - x_i^2) |        (algebraic, ~machine)
-      sum_sq        | sum_i |xi_i|^2 - n |                  (algebraic, ~machine)
-      tangential_sq max_i | |xi_i^T|^2 - |grad x_i|^2 |     (discretization)
+      norm_sq       max_i | |xi_i|^2 - (1 - x_i^2 (2 - |x|^2)) |  (algebraic, ~machine)
+      sum_sq        | sum_i |xi_i|^2 - n |                      (algebraic, ~machine)
+      tangential_sq max_i | |xi_i^T|^2 - |grad x_i|^2 |         (discretization)
       covariant     max_i | FD of xi_i along an edge + x_i * edge | / |edge|
 
-    tangential_sq compares at each vertex v: |xi_i^T(v)|^2 against the
-    area-weighted mean over the faces around v of the P1 |grad x_i|^2.
+    norm_sq compares with the exact value for the stored x, which may lie
+    off the unit sphere by rounding: 1 - x_i^2 alone differs from it by
+    x_i^2 (|x|^2 - 1). tangential_sq compares at each vertex v: |xi_i^T(v)|^2
+    against the area-weighted mean over the faces around v of the P1
+    |grad x_i|^2.
     """
     x = mesh.vertices
+    two_minus_sq = 2.0 - np.einsum("vd,vd->v", x, x)
     d = mesh.n + 1
     basis = moebius_basis(mesh)
     tangential = moebius_tangential(mesh)
@@ -171,7 +175,7 @@ def pointwise_identity_report(mesh):
         xi = basis[i]
         sq = np.einsum("vd,vd->v", xi, xi)
         norm_sq_all += sq
-        err_norm = np.max(np.abs(sq - (1.0 - x[:, i] ** 2)))
+        err_norm = np.max(np.abs(sq - (1.0 - x[:, i] ** 2 * two_minus_sq)))
 
         tansq = np.einsum("vd,vd->v", tangential[i], tangential[i])
         err_tan = np.max(np.abs(tansq - star_gradsq[:, i]))

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from covered_torus import covered_clifford_torus
 from identity_reference import field_norm, identity_matrices_reference
 
 from spherevar.catalog import (
@@ -240,3 +241,26 @@ def test_criterion_9_negative_control(tmp_path, sphere2):
     ok = residual > 0.5 and exit_code == EXIT_VERIFICATION
     report(9, "negative-control", ok,
            f"residual={residual:.3f} verify-exit={exit_code}")
+
+
+def test_criterion_10_hypothesis_met_certificate():
+    # oracle: the 4-fold cover of the Clifford torus is a minimal immersion
+    # with lambda1 = 2/4^2 = 1/8 (multiplicity 2), below threshold(3) = 1/6;
+    # G_0 and G_1 tie by symmetry, so i0 is not pinned
+    certs = [build_certificate(covered_clifford_torus(r), k=8, seed=0) for r in (32, 64)]
+    lam_err = [abs(c.lambda1 - 0.125) for c in certs]
+    mu = [c.d2e_value for c in certs]
+    ok = (max(lam_err) <= 1e-3 and lam_err[0] >= 3.0 * lam_err[1]
+          and abs(mu[1] - mu[0]) < 0.01 * abs(mu[1]))
+    details = []
+    for c in certs:
+        dec_err = abs(c.d2e_value - c.decomposition_value) / abs(c.d2e_value)
+        scale = float(np.sum(np.abs(c.d2e_canonical)) + np.sum(c.normal_mass))
+        pig_err = abs(c.pigeonhole_sum) / scale
+        ok = (ok and c.multiplicity == 2 and c.hypothesis_met and c.verdict == "negative"
+              and c.proposition_applicable
+              and float(np.max(c.orthogonality_residuals)) <= 1e-8
+              and dec_err <= 0.02 and pig_err <= 0.02)
+        details.append(f"lambda1={c.lambda1:.6f} x{c.multiplicity} mu*={c.d2e_value:.6f} "
+                       f"{c.verdict} pigeonhole={pig_err:.1e}")
+    report(10, "hypothesis-met-certificate", ok, "; ".join(details))

@@ -153,8 +153,7 @@ def test_torus_faces_match_loop_reference(res):
 def _torus_by_vertex_angles(res, n):
     """Reference for the torus vertices and chart: cos and sin of each vertex's angles.
 
-    Returns the vertices, the tangent frames and the unit normal (None
-    unless n = 3).
+    Returns the vertices and the tangent frames.
     """
     idx = np.arange(res)
     a = 2.0 * np.pi * idx / res
@@ -173,24 +172,16 @@ def _torus_by_vertex_angles(res, n):
     frames[:, 0, 1] = np.cos(aa)
     frames[:, 1, 2] = -np.sin(bb)
     frames[:, 1, 3] = np.cos(bb)
-    normal = None
-    if n == 3:
-        normal = np.stack([np.cos(aa), np.sin(aa), -np.cos(bb), -np.sin(bb)],
-                          axis=1) / np.sqrt(2.0)
-    return verts, frames, normal
+    return verts, frames
 
 
 @pytest.mark.parametrize("res", [8, 64])
 @pytest.mark.parametrize("n", [3, 5])
 def test_torus_vertices_and_chart_match_vertex_angle_reference(res, n):
     mesh = build_product_torus(res, n=n)
-    verts, frames, normal = _torus_by_vertex_angles(res, n)
+    verts, frames = _torus_by_vertex_angles(res, n)
     assert np.array_equal(mesh.vertices, verts)
     assert np.array_equal(mesh.chart.tangent_frames, frames)
-    if n == 3:
-        assert np.array_equal(mesh.chart.unit_normal, normal)
-    else:
-        assert mesh.chart.unit_normal is None
 
 
 def test_catalog_entries_buildable():

@@ -143,7 +143,6 @@ def test_certificate_clifford(clifford64):
     assert report.d2e_value == pytest.approx(report.decomposition_value, rel=0.02)
     scale = float(np.sum(np.abs(report.d2e_canonical)) + np.sum(report.normal_mass))
     assert abs(report.pigeonhole_sum) <= 0.02 * scale
-    assert report.synthetic is False
     assert report.verdict in ("negative", "nonnegative")
     # the ascending spectrum of G_i for every i; the witness is the least value
     spectra = np.array(report.cluster_members)
@@ -154,17 +153,6 @@ def test_certificate_clifford(clifford64):
     # least eigenvalues differ by rounding only, and the lowest i wins
     assert np.ptp(spectra[:, 0]) <= 1e-12
     assert report.i0 == 0
-
-
-def test_certificate_synthetic_mode(clifford64):
-    report = build_certificate(clifford64, k=8, seed=0, synthetic_lambda=0.1)
-    assert report.synthetic is True
-    assert report.lambda_used == 0.1
-    assert report.hypothesis_met is True         # 0.1 < 1/6
-    assert np.max(report.orthogonality_residuals) <= 1e-8
-    # selection and projection fields populated
-    assert 0 <= report.i0 <= 3
-    assert report.a.shape == (4,)
 
 
 def test_certificate_rejects_geodesic_sphere(sphere4):
@@ -252,7 +240,7 @@ def test_prop1_lhs_near_exactly_summed_reference(clifford64):
 
 
 @pytest.mark.parametrize("mesh_name", ["clifford64", "s5-torus32"])
-@pytest.mark.parametrize("lam", [None, 0.1], ids=["lambda1", "synthetic"])
+@pytest.mark.parametrize("lam", [None, 0.1], ids=["lambda1", "below-threshold"])
 def test_witness_matches_field_by_field_reference(mesh_name, lam, request):
     # G_i from (n+1)-space densities against G_i of the projected fields
     if mesh_name == "s5-torus32":

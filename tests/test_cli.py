@@ -5,7 +5,9 @@ import re
 from pathlib import Path
 
 import pytest
+from covered_torus import covered_clifford_torus
 
+from spherevar.catalog import build_equatorial_sphere
 from spherevar.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -74,6 +76,7 @@ def test_verify_tol_not_positive_and_finite_is_usage_error(tmp_path, tol):
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
 def test_certificate_nonfinite_synthetic_lambda_is_usage_error(tmp_path, lam):
+    # certificate takes no --synthetic-lambda: any value, finite or not, is refused
     out = tmp_path / "certificate.json"
     assert run(["certificate", "--surface", "clifford-torus", "--res", "16",
                 "--synthetic-lambda", lam, "--out", str(out)]) == EXIT_USAGE
@@ -101,6 +104,18 @@ def test_verify_default_k_matches_run_verification(tmp_path, clifford64):
     run(["verify", "--surface", "clifford-torus", "--res", "64", "--out", str(out)])
     expected = json.loads(json.dumps(run_verification(clifford64, seed=0).to_dict()))
     assert json.loads(out.read_text())["checks"] == expected["checks"]
+
+
+def test_verify_passes_on_a_mesh_off_the_sphere_by_rounding(tmp_path, capsys):
+    # validate_mesh accepts vertices up to 1e-12 off the unit sphere; the
+    # norm identity compares |xi_i|^2 with its exact value for such vertices,
+    # not with 1 - x_i^2, which differs from it by x_i^2 (|x|^2 - 1)
+    sphere = build_equatorial_sphere(3, 3)
+    path = tmp_path / "scaled.off"
+    write_off(SurfaceMesh(n=3, vertices=(1.0 + 0.9e-12) * sphere.vertices,
+                          faces=sphere.faces), path)
+    assert run(["verify", "--surface", str(path), "--out", str(tmp_path / "v.json")]) == EXIT_OK
+    assert "PASS moebius-norm-identity" in capsys.readouterr().out
 
 
 def test_verify_fails_on_jittered_mesh(tmp_path, sphere2):
@@ -256,14 +271,15 @@ def test_certificate_report(tmp_path):
     assert max(payload["orthogonality_residuals"]) <= 1e-8
 
 
-def test_certificate_synthetic_flag(tmp_path):
+def test_certificate_meets_the_hypothesis_on_the_covered_torus(tmp_path):
+    # the 4-fold cover of the Clifford torus has lambda1 = 1/8 < 1/6
+    path = tmp_path / "cover.off"
     out = tmp_path / "cert.json"
-    code = run(["certificate", "--surface", "clifford-torus", "--res", "16",
-                "--synthetic-lambda", "0.1", "--out", str(out)])
-    assert code == EXIT_OK
+    write_off(covered_clifford_torus(32), path)
+    assert run(["certificate", "--surface", str(path), "--out", str(out)]) == EXIT_OK
     payload = json.loads(out.read_text())
-    assert payload["synthetic"] is True
     assert payload["hypothesis_met"] is True
+    assert payload["verdict"] == "negative"
 
 
 def test_certificate_on_geodesic_sphere_is_usage_error():
@@ -302,7 +318,7 @@ READS = {
     "spectrum": ["surface", "n", "res", "k", "seed", "out"],
     "verify": ["surface", "n", "res", "k", "seed", "tol", "out"],
     "index": ["surface", "n", "res", "delta", "seed", "out"],
-    "certificate": ["surface", "n", "res", "k", "seed", "out", "synthetic-lambda"],
+    "certificate": ["surface", "n", "res", "k", "seed", "out"],
 }
 FLAG_VALUES = {"surface": "clifford-torus", "n": "3", "res": "16", "k": "6",
                "delta": "0.1", "seed": "0", "tol": "0.02", "out": "out.json",
@@ -320,7 +336,8 @@ def test_unread_flag_is_usage_error(capsys, command, flag):
 
 
 @pytest.mark.parametrize("command, key", [("spectrum", "delta"), ("verify", "synthetic_lambda"),
-                                          ("index", "k"), ("certificate", "tol")])
+                                          ("index", "k"), ("certificate", "tol"),
+                                          ("certificate", "synthetic_lambda")])
 def test_unread_config_key_is_usage_error(tmp_path, capsys, command, key):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = 1\n")

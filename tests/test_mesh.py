@@ -299,7 +299,7 @@ def test_mesh_arrays_and_held_geometry_are_read_only(clifford16):
     with pytest.raises(AttributeError):
         clifford16.chart.normsq_A = None
     with pytest.raises(ValueError):
-        clifford16.chart.unit_normal[0, 0] = 0.0
+        clifford16.chart.tangent_frames[0, 0, 0] = 0.0
     assert face_areas(clifford16) is face_areas(clifford16)
     assert vertex_weights(clifford16) is vertex_weights(clifford16)
     # a held value is computed once per mesh and never shared with another mesh

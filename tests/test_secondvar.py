@@ -286,8 +286,9 @@ def test_energy_pencil_dimensions(clifford16):
 
 
 def test_area_le_energy_for_normal_fields(clifford64, clifford64_spectrum):
-    # second variation of area <= second variation of energy on f * nu
-    nu = clifford64.chart.unit_normal
+    # second variation of area <= second variation of energy on f * nu, with
+    # nu = (x0, x1, -x2, -x3) the unit normal of the Clifford torus in S^3
+    nu = clifford64.vertices * np.array([1.0, 1.0, -1.0, -1.0])
     for j in (1, 2):
         f = clifford64_spectrum.fields[:, j]
         aj = area_jacobi_form(clifford64, f)

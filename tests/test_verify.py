@@ -207,11 +207,11 @@ def test_discretization_checks_pass_at_res_32_and_converge(n):
 
 def test_tangential_norm_fails_on_a_rotated_frame():
     # the chart frames of the Clifford torus, rotated by 0.2 rad in the
-    # sphere tangent space towards the surface normal, give tangential parts
-    # that are not those of the surface
+    # sphere tangent space towards the surface normal (x0, x1, -x2, -x3),
+    # give tangential parts that are not those of the surface
     mesh = build_clifford_torus(32)
     frames = np.array(mesh.chart.tangent_frames)
-    normal = mesh.chart.unit_normal
+    normal = mesh.vertices * np.array([1.0, 1.0, -1.0, -1.0])
     frames[:, 0] = np.cos(0.2) * frames[:, 0] + np.sin(0.2) * normal
     rotated = SurfaceMesh(n=3, vertices=mesh.vertices, faces=mesh.faces,
                           genus=1, chart=Chart(tangent_frames=frames))
