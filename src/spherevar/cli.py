@@ -59,16 +59,24 @@ class Option(NamedTuple):
     """One setting: flag --key (with - for _), type, default and help."""
 
     key: str
-    type: type
+    type: callable
     default: object
     help: str
+
+
+def nonnegative_int(text):
+    """int(text), raising ValueError on a negative value (numpy seeds are >= 0)."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
 
 
 _SURFACE = (Option("surface", str, "clifford-torus", "catalog name or mesh file path"),
             Option("n", int, None, "ambient sphere dimension"),
             Option("res", int, None, "mesh resolution (catalog semantics)"))
 _K = Option("k", int, DEFAULT_CERTIFICATE_K, "number of eigenpairs")
-_SEED = Option("seed", int, 0, "random seed")
+_SEED = Option("seed", nonnegative_int, 0, "random seed")
 _OUT = Option("out", str, None, "output JSON path (default: stdout)")
 
 # the settings each command reads, in --help order

@@ -239,7 +239,7 @@ def validate_mesh(mesh):
 
     Checks: finite unit vertices, positive triangle areas, every directed
     edge used exactly once with its reverse also used exactly once
-    (mesh_edges).
+    (mesh_edges), and every vertex used by some face.
     """
     x = mesh.vertices
     if not np.all(np.isfinite(x)):
@@ -253,6 +253,9 @@ def validate_mesh(mesh):
         raise MeshError("face index out of range")
     face_gram(mesh)   # raises MeshError on a zero-area triangle
     mesh_edges(mesh)
+    unused = np.flatnonzero(np.bincount(f.ravel(), minlength=mesh.num_vertices) == 0)
+    if unused.size:
+        raise MeshError(f"vertex {unused[0]} is used by no face")
     return True
 
 

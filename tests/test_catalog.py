@@ -2,21 +2,30 @@
 
 import numpy as np
 import pytest
+from covered_torus import covered_clifford_torus
 
 from spherevar.catalog import (
     CATALOG,
     _icosahedron,
     _subdivide,
-    _torus_faces,
     build_by_name,
     build_clifford_torus,
     build_equatorial_sphere,
     build_product_torus,
+    grid_faces,
     minimality_residual,
 )
 from spherevar.errors import ParameterError, UnsupportedSurfaceError
-from spherevar.mesh import jitter_vertices
-from spherevar.operators import integrate
+from spherevar.mesh import contained_in_geodesic_s2, jitter_vertices
+from spherevar.operators import (
+    assemble_mass,
+    assemble_stiffness,
+    dissection_tree,
+    first_nonzero_cluster,
+    integrate,
+    solve_smallest_eigenpairs,
+)
+from spherevar.secondvar import area_jacobi_matrix, energy_quadratic_matrix, negative_index_count
 
 
 def test_sphere_parameter_errors():
@@ -119,14 +128,14 @@ def _subdivide_by_loop(verts, faces):
     return np.array(verts), np.array(out, dtype=np.int64)
 
 
-def _torus_faces_by_loop(res):
-    """Reference for catalog._torus_faces, one grid quad at a time."""
+def _grid_faces_by_loop(rows, cols):
+    """Reference for catalog.grid_faces, one grid quad at a time."""
     def vid(i, j):
-        return (i % res) * res + (j % res)
+        return (i % rows) * cols + (j % cols)
 
     faces = []
-    for i in range(res):
-        for j in range(res):
+    for i in range(rows):
+        for j in range(cols):
             v00, v10 = vid(i, j), vid(i + 1, j)
             v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
             faces.append([v00, v10, v11])
@@ -145,9 +154,10 @@ def test_subdivision_matches_loop_reference():
         assert np.all(np.abs(verts - ref_verts) <= np.spacing(np.abs(ref_verts))), level
 
 
-@pytest.mark.parametrize("res", [8, 9, 16])
-def test_torus_faces_match_loop_reference(res):
-    assert np.array_equal(_torus_faces(res), _torus_faces_by_loop(res))
+@pytest.mark.parametrize("rows, cols", [(8, 8), (9, 9), (16, 16), (32, 8), (36, 9), (8, 13)],
+                         ids=["8", "9", "16", "32x8", "36x9", "8x13"])
+def test_torus_faces_match_loop_reference(rows, cols):
+    assert np.array_equal(grid_faces(rows, cols), _grid_faces_by_loop(rows, cols))
 
 
 def _torus_by_vertex_angles(res, n):
@@ -184,7 +194,31 @@ def test_torus_vertices_and_chart_match_vertex_angle_reference(res, n):
     assert np.array_equal(mesh.chart.tangent_frames, frames)
 
 
+@pytest.mark.parametrize("r", [8, 9, 32])
+def test_covered_torus_vertices_match_vertex_angle_reference(r):
+    # a = 2 pi i / r runs on to 8 pi over the 4r rows of the cover, which is
+    # not renormalized: each vertex is (cos a, sin a, cos b, sin b)/sqrt(2)
+    mesh = covered_clifford_torus(r)
+    i, j = np.divmod(np.arange(4 * r * r), r)
+    a, b = 2.0 * np.pi * i / r, 2.0 * np.pi * j / r
+    verts = np.stack([np.cos(a), np.sin(a), np.cos(b), np.sin(b)], axis=1) / np.sqrt(2.0)
+    assert np.array_equal(mesh.vertices, verts)
+    assert np.array_equal(mesh.faces, _grid_faces_by_loop(4 * r, r))
+
+
 def test_catalog_entries_buildable():
-    for name in CATALOG:
-        mesh = build_by_name(name, res=16 if "torus" in name else 1)
-        assert mesh.num_vertices > 0
+    # every datum `spherevar catalog` lists holds on the entry's own mesh
+    for name, entry in CATALOG.items():
+        mesh = build_by_name(name, res=32 if "torus" in name else 3)
+        assert abs(integrate(mesh, 1.0) / entry.area - 1.0) <= 0.005, name
+        spectrum = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh),
+                                             k=10, tree=dissection_tree(mesh))
+        first = first_nonzero_cluster(spectrum.values)
+        assert len(first) == entry.lambda1_multiplicity, name
+        assert abs(np.mean(spectrum.values[first]) / entry.lambda1 - 1.0) <= 0.01, name
+        assert mesh.chart.normsq_A == entry.normsq_A, name
+        assert contained_in_geodesic_s2(mesh) == entry.in_geodesic_s2, name
+        for expected, form in ((entry.expected_index_area, area_jacobi_matrix),
+                               (entry.expected_index_energy, energy_quadratic_matrix)):
+            if expected is not None:
+                assert negative_index_count(form(mesh)).count == expected, name

@@ -4,6 +4,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from covered_torus import covered_clifford_torus
 
@@ -145,19 +146,37 @@ def test_catalog_flag_with_mesh_file_is_usage_error(tmp_path, capsys, clifford16
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["index", "certificate"])
+@pytest.mark.parametrize("command", ["spectrum", "verify", "index", "certificate"])
 def test_invalid_off_mesh_is_usage_error(tmp_path, clifford16, command):
-    # a mesh read from a file is validated: vertices off the unit sphere and
-    # a single flipped face each end in MeshError, not in counts or a verdict
+    # a mesh read from a file is validated: vertices off the unit sphere, a
+    # single flipped face and a vertex no face uses each end in MeshError,
+    # not in a singular factor, counts or a verdict
     flipped = clifford16.faces.copy()
     flipped[0] = flipped[0, ::-1]
+    unused = np.vstack([clifford16.vertices, [[1.0, 0.0, 0.0, 0.0]]])
+    out = tmp_path / "out.file"
     for name, mesh in (("scaled", SurfaceMesh(n=3, vertices=1.3 * clifford16.vertices,
                                               faces=clifford16.faces)),
                        ("flipped", SurfaceMesh(n=3, vertices=clifford16.vertices,
-                                               faces=flipped))):
+                                               faces=flipped)),
+                       ("unused", SurfaceMesh(n=3, vertices=unused, faces=clifford16.faces))):
         path = tmp_path / f"{name}.off"
         write_off(mesh, path)
-        assert run([command, "--surface", str(path)]) == EXIT_USAGE, name
+        assert run([command, "--surface", str(path), "--out", str(out)]) == EXIT_USAGE, name
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "index", "certificate"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command, via):
+    # numpy takes no negative seed: the option rejects it before any work
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    seed = ["--seed", "-1"] if via == "flag" else ["--config", str(cfg)]
+    out = tmp_path / "out.file"
+    assert run([command, "--res", "8", *seed, "--out", str(out)]) == EXIT_USAGE
+    assert "-1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 _TETRAHEDRON = ["1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1"]

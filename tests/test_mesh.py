@@ -123,6 +123,16 @@ def test_validate_rejects_bad_directed_edges(clifford16, edit, fault, message):
     assert str(raised.value) == message
 
 
+def test_validate_names_a_vertex_no_face_uses(clifford16):
+    # an unused vertex leaves a zero row in the mass matrix; an edge fault,
+    # checked first, keeps its own message
+    verts = np.vstack([clifford16.vertices, [[1.0, 0.0, 0.0, 0.0]]])
+    with pytest.raises(MeshError, match=r"^vertex 256 is used by no face$"):
+        validate_mesh(SurfaceMesh(n=3, vertices=verts, faces=clifford16.faces))
+    with pytest.raises(MeshError, match="^boundary edge"):
+        validate_mesh(SurfaceMesh(n=3, vertices=verts, faces=clifford16.faces[1:]))
+
+
 def test_mesh_edges_names_an_edge_from_a_vertex_to_itself():
     # the directed edges of one face (0, 0, 1) pass the used-twice and
     # boundary checks, but do not pair up

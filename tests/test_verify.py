@@ -11,12 +11,13 @@ from identity_reference import (
 )
 
 from spherevar.catalog import (
-    _torus_faces,
-    _torus_trig,
     build_clifford_torus,
     build_equatorial_sphere,
     build_product_torus,
+    grid_faces,
     minimality_residual,
+    sweep_ring,
+    torus_ring,
 )
 from spherevar.mesh import Chart, SurfaceMesh, jitter_vertices
 from spherevar.mobius import (
@@ -111,10 +112,10 @@ def test_report_deterministic(clifford16):
 def _torus(res, radius):
     """Torus (cos r cos a, cos r sin a, sin r cos b, sin r sin b) in S^3 with
     r = radius, minimal only at r = pi/4."""
-    cos_a, sin_a, cos_b, sin_b = _torus_trig(res)
-    vertices = np.stack([np.cos(radius) * cos_a, np.cos(radius) * sin_a,
-                         np.sin(radius) * cos_b, np.sin(radius) * sin_b], axis=1)
-    return SurfaceMesh(n=3, vertices=vertices, faces=_torus_faces(res), genus=1)
+    rotations, ring = torus_ring(res, res, 4)
+    ring[:, 0] *= [np.cos(radius), 0.0, np.sin(radius), np.sin(radius)]
+    vertices, _ = sweep_ring(rotations, ring)
+    return SurfaceMesh(n=3, vertices=vertices, faces=grid_faces(res, res), genus=1)
 
 
 def _random_polynomials(mesh, seed, count):
