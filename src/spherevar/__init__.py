@@ -34,12 +34,14 @@ from .mobius import (
     split_tangent_normal,
 )
 from .operators import (
+    Pencil,
     Spectrum,
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
     dissection_tree,
     integrate,
+    laplace_pencil,
     nested_dissection,
     solve_smallest_eigenpairs,
 )

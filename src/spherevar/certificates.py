@@ -29,8 +29,8 @@ from .mobius import (
 from .operators import (
     assemble_mass,
     assemble_stiffness,
-    dissection_tree,
     first_nonzero_cluster,
+    laplace_pencil,
     lumped_gram,
     solve_smallest_eigenpairs,
     vertex_weights,
@@ -223,8 +223,7 @@ def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0):
     if contained_in_geodesic_s2(mesh):
         raise UnsupportedSurfaceError(
             "certificate pipeline requires a surface not contained in a geodesic S^2")
-    spectrum = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=k,
-                                         tree=dissection_tree(mesh), seed=seed)
+    spectrum = solve_smallest_eigenpairs(laplace_pencil(mesh), k=k, seed=seed)
     first = first_nonzero_cluster(spectrum.values)
     if first is None:
         raise SolverError("k too small: no whole nonzero eigenvalue cluster resolved")

@@ -33,10 +33,8 @@ from .errors import (
 )
 from .mesh import mesh_size, read_off
 from .operators import (
-    assemble_mass,
-    assemble_stiffness,
-    dissection_tree,
     first_nonzero_cluster,
+    laplace_pencil,
     solve_smallest_eigenpairs,
     write_spectrum_csv,
 )
@@ -188,9 +186,7 @@ def cmd_catalog(cfg):
 
 def cmd_spectrum(cfg):
     mesh = build_surface(cfg)
-    spectrum = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh),
-                                         k=cfg["k"], tree=dissection_tree(mesh),
-                                         seed=cfg["seed"])
+    spectrum = solve_smallest_eigenpairs(laplace_pencil(mesh), k=cfg["k"], seed=cfg["seed"])
     write_spectrum_csv(spectrum, cfg["out"])
     first = first_nonzero_cluster(spectrum.values)
     print(f"surface={mesh.name} n={mesh.n} V={mesh.num_vertices} h={mesh_size(mesh):.4f}")

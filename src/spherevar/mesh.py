@@ -335,17 +335,6 @@ def surface_tangent_frames(mesh):
     return frames_from_projectors(plane, 2)
 
 
-def jitter_vertices(mesh, scale, seed=0):
-    """Random perturbation renormalized back to the sphere (negative control)."""
-    rng = np.random.default_rng(seed)
-    x = mesh.vertices + scale * rng.standard_normal(mesh.vertices.shape)
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return SurfaceMesh(
-        n=mesh.n, vertices=x, faces=mesh.faces.copy(),
-        name=mesh.name + "-jittered", genus=mesh.genus, chart=None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Extended OFF format: "nOFF" header, "<n+1> <V> <F> 0" counts line,
 # V vertex lines of n+1 floats at 17 significant digits, F lines "3 i j k".

@@ -3,13 +3,14 @@
 Cotangent stiffness, consistent mass, barycentric quadrature weights,
 face centroids on the sphere, quadrature, lumped L2 products of vector
 fields, the low end of the Laplace-Beltrami eigenproblem
-S f = lambda M f, the nested dissection of the mesh graph, the SuperLU
-factorizations behind every shift-invert eigensolve, and the dense-front
-inertia count.
+S f = lambda M f, the nested dissection of the mesh graph, the one pencil
+type (Pencil) that every count and solve takes, the SuperLU factorizations
+behind every shift-invert eigensolve, and the dense-front inertia count.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -313,43 +314,55 @@ def _node_updates(nodes, edges):
     return np.searchsorted(pairs // V, np.arange(start.size + 1)), pairs % V
 
 
-def _dof_order(A, order):
-    """The vertex order expanded to the per-vertex DOF blocks of the pencil
-    dimension of A: DOF v * block + j belongs to vertex v, and sits at
-    position p * block + j when v is at position p. Returns the DOF at each
-    position and the block size."""
-    order = np.asarray(order)
-    block, rest = divmod(A.shape[0], order.size)
-    if rest or block == 0:
-        raise ContractError(
-            f"pencil dimension {A.shape[0]} is not a multiple of {order.size} vertices")
-    return (order[:, None] * block + np.arange(block)).ravel(), block
+@dataclass(frozen=True, eq=False)
+class Pencil:
+    """The pencil Q w = mu M w, M positive definite, over ``block`` DOFs per
+    mesh vertex, DOF v * block + j of vertex v. Q and M are canonical CSR
+    matrices on one pattern, so Q - sigma M is one axpy on their data, and
+    the pencil is eliminated in its dissection ``tree``'s order (dof_order);
+    construction checks both, and the dimension, raising ContractError."""
+
+    Q: sp.csr_matrix
+    M: sp.csr_matrix
+    kind: str                  # "laplace" | "energy" | "areaJacobi"
+    tree: DissectionTree       # elimination order and tree (dissection_tree)
+
+    def __post_init__(self):
+        Q, M, V = self.Q, self.M, self.tree.order.size
+        if not (Q.format == M.format == "csr" and Q.has_canonical_format and M.has_canonical_format
+                and np.array_equal(Q.indptr, M.indptr) and np.array_equal(Q.indices, M.indices)
+                and Q.shape == M.shape == (Q.shape[0],) * 2
+                and 0 < Q.shape[0] and Q.shape[0] % V == 0):
+            raise ContractError(f"{self.kind} pencil: Q {Q.shape} and M {M.shape} must be square "
+                                "canonical CSR matrices on one pattern, of a positive multiple "
+                                f"of {V} rows")
+
+    @property
+    def block(self):
+        return self.Q.shape[0] // self.tree.order.size
+
+    @property
+    def dof_order(self):
+        """The DOF at each elimination position: DOF v * block + j sits at
+        position p * block + j when vertex v is at position p of tree.order."""
+        return (self.tree.order[:, None] * self.block + np.arange(self.block)).ravel()
 
 
-def _on_one_pattern(A, M, sigma):
-    """A and M as canonical CSR matrices on one pattern, with A - sigma M
-    unchanged: as given where they have one (as every pencil the package
-    builds has), else A - sigma M and zero on the union of their patterns."""
-    A, M = A.tocsr(), M.tocsr()
-    if (A.has_canonical_format and M.has_canonical_format
-            and np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)):
-        return A, M
-    K = (A - sigma * M).tocsr()
-    return K, sp.csr_matrix((np.zeros(K.nnz), K.indices, K.indptr), shape=K.shape)
+def laplace_pencil(mesh):
+    """The Laplace pencil (S, M) of the held stiffness and mass, one DOF per vertex."""
+    return Pencil(assemble_stiffness(mesh), assemble_mass(mesh), "laplace", dissection_tree(mesh))
 
 
-def _shifted_in_elimination_order(A, M, sigma, order):
-    """K = A - sigma M permuted to elimination order (see _dof_order), a CSC
-    matrix with 32-bit indices, ascending within each column, and no exact
-    zeros stored. K's data is one axpy on the one pattern of A and M
-    (_on_one_pattern). The rows are gathered into elimination order and the
-    columns renumbered, with no COO triplet; A and M are symmetric, so the
-    sorted rows of K are its columns. Returns K and the DOF at each
-    position.
+def _shifted_in_elimination_order(pencil, sigma):
+    """K = Q - sigma M permuted to elimination order (Pencil.dof_order), a
+    CSC matrix with 32-bit indices, ascending within each column, and no
+    exact zeros stored. K's data is one axpy on the pencil's one pattern.
+    The rows are gathered into elimination order and the columns
+    renumbered, with no COO triplet; Q and M are symmetric, so the sorted
+    rows of K are its columns. Returns K and the DOF at each position.
     """
-    perm, _ = _dof_order(A, order)
-    A, M = _on_one_pattern(A, M, sigma)
-    K = sp.csr_matrix((A.data - sigma * M.data, A.indices, A.indptr), shape=A.shape)
+    Q, M, perm = pencil.Q, pencil.M, pencil.dof_order
+    K = sp.csr_matrix((Q.data - sigma * M.data, Q.indices, Q.indptr), shape=Q.shape)
     K = K[perm]   # rows in elimination order: new arrays, so K can be edited
     K.eliminate_zeros()
     position = np.empty(perm.size, dtype=K.indices.dtype)
@@ -359,8 +372,8 @@ def _shifted_in_elimination_order(A, M, sigma, order):
     return sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape), perm
 
 
-def _factor_shifted(A, M, sigma, order):
-    """SuperLU factor of A - sigma M in dissection order, pivots on the diagonal.
+def _factor_shifted(pencil, sigma):
+    """SuperLU factor of Q - sigma M in dissection order, pivots on the diagonal.
 
     _shifted_in_elimination_order writes the matrix once, grouped by column
     in elimination order, and SuperLU factors it in symmetric mode without
@@ -370,37 +383,36 @@ def _factor_shifted(A, M, sigma, order):
     (123 MiB there) lives as long as the Lanczos run that solves
     with it. The factor is only solved with: every inertia count is
     count_eigenvalues_below's. Returns (factor, DOF permutation). A
-    singular A - sigma M, i.e. an eigenvalue on sigma, raises SolverError.
+    singular Q - sigma M, i.e. an eigenvalue on sigma, raises SolverError.
     """
-    K, perm = _shifted_in_elimination_order(A, M, sigma, order)
+    K, perm = _shifted_in_elimination_order(pencil, sigma)
     try:
         lu = spla.splu(K, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
     except RuntimeError as exc:
-        raise SolverError(f"factorization of A - ({sigma:g}) M failed: {exc}") from exc
+        raise SolverError(f"factorization of Q - ({sigma:g}) M failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolverError(f"factorization of A - ({sigma:g}) M left the diagonal: "
+        raise SolverError(f"factorization of Q - ({sigma:g}) M left the diagonal: "
                           "a pivot vanished")
     return lu, perm
 
 
-def _shift_invert_lanczos(A, M, sigma, order, k, which, seed, vectors=False, deflate=None):
-    """k eigenvalues of A w = mu M w by shift-invert Lanczos at sigma, ascending.
+def _shift_invert_lanczos(pencil, sigma, k, which, seed, vectors=False, deflate=None):
+    """k eigenvalues of the pencil by shift-invert Lanczos at sigma, ascending.
 
-    A - sigma M is factored by _factor_shifted in the vertex ``order``, and
-    the factor, the OPinv of eigsh, is freed on return; the starting vector,
-    and any vector ARPACK restarts from when the Krylov space breaks down
-    (as on an exactly degenerate eigenvalue), are drawn from ``seed``. With
-    ``vectors`` the M-orthonormal Ritz vectors are returned as well, as
-    (values, vectors). ``deflate``, an
-    M-orthonormal block W (V, m) of eigenvectors, is projected off every
-    solve (x - W W'M x), so the operator maps their span to 0 and Lanczos
-    finds the eigenpairs M-orthogonal to it. An ARPACK failure raises
-    SolverError. Private, so that a tracer of the public functions names
-    the Lanczos run after the function that asked for it.
+    Q - sigma M is factored by _factor_shifted, and the factor, the OPinv
+    of eigsh, is freed on return; the starting vector, and any vector ARPACK
+    restarts from when the Krylov space breaks down (as on an exactly
+    degenerate eigenvalue), are drawn from ``seed``. With ``vectors`` the
+    M-orthonormal Ritz vectors are returned as well, as (values, vectors).
+    ``deflate``, an M-orthonormal block W (V, m) of eigenvectors, is
+    projected off every solve (x - W W'M x), so the operator maps their span
+    to 0 and Lanczos finds the eigenpairs M-orthogonal to it. An ARPACK
+    failure raises SolverError. Private, so that a tracer of the public
+    functions names the Lanczos run after the function that asked for it.
     """
-    lu, perm = _factor_shifted(A, M, sigma, order)
-    MW = None if deflate is None else M @ deflate
+    lu, perm = _factor_shifted(pencil, sigma)
+    MW = None if deflate is None else pencil.M @ deflate
 
     def solve(b):
         x = np.empty_like(b)
@@ -410,10 +422,10 @@ def _shift_invert_lanczos(A, M, sigma, order, k, which, seed, vectors=False, def
         return x
 
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(A.shape[0])
+    v0 = rng.standard_normal(lu.shape[0])
     try:
-        result = spla.eigsh(A, k=k, M=M, sigma=sigma, which=which, v0=v0, maxiter=5000,
-                            return_eigenvectors=vectors, rng=rng,
+        result = spla.eigsh(pencil.Q, k=k, M=pencil.M, sigma=sigma, which=which, v0=v0,
+                            maxiter=5000, return_eigenvectors=vectors, rng=rng,
                             OPinv=spla.LinearOperator(lu.shape, matvec=solve, dtype=float))
     except (spla.ArpackNoConvergence, RuntimeError) as exc:
         raise SolverError(f"eigensolver at shift {sigma:g} failed: {exc}") from exc
@@ -424,11 +436,11 @@ def _shift_invert_lanczos(A, M, sigma, order, k, which, seed, vectors=False, def
     return vals[ascending], vecs[:, ascending]
 
 
-def count_eigenvalues_below(A, M, shift, tree):
-    """Eigenvalues of A w = mu M w below shift, by Sylvester's law of inertia.
+def count_eigenvalues_below(pencil, shift):
+    """Eigenvalues of the pencil below shift, by Sylvester's law of inertia.
 
     With M positive definite this is the number of negative eigenvalues of
-    K = A - shift M, counted by a multifrontal LDL^T that keeps nothing but
+    K = Q - shift M, counted by a multifrontal LDL^T that keeps nothing but
     the count (I. S. Duff and J. K. Reid, ACM TOMS 9, 1983). The fronts are
     those of the dissection tree (see nested_dissection), in DOF blocks.
     A front gathers its rows of K and the updates of its children into a
@@ -438,21 +450,20 @@ def count_eigenvalues_below(A, M, shift, tree):
     the Schur complement F22 - F21 F11^-1 F12 goes to the parent front. By
     inertia additivity the counts sum to that of K. A singular F11, as from
     an eigenvalue on the shift, raises SolverError. Each front reads the
-    rows of its pivots from A and M, on their one pattern (_on_one_pattern),
-    keeping the nonzero entries of K on or after the diagonal in
-    elimination order (_dof_order), so no copy of K is formed; an entry of
-    K between two vertices that no mesh edge joins raises ContractError.
+    rows of its pivots from Q and M, on their one pattern, keeping the
+    nonzero entries of K on or after the diagonal in elimination order
+    (Pencil.dof_order), so no copy of K is formed; an entry of K between
+    two vertices that no mesh edge joins raises ContractError.
     Every front is a view of one Fortran-ordered buffer of the largest
     front's size, zeroed in place, and every Schur complement that waits
     for its parent a view of one contribution stack (_contribution_offsets),
     so the peak memory is those two buffers and the LAPACK factor of one
     pivot block.
     """
-    perm, block = _dof_order(A, tree.order)
-    A, M = _on_one_pattern(A, M, shift)
+    Q, M, tree, block, perm = pencil.Q, pencil.M, pencil.tree, pencil.block, pencil.dof_order
     position = np.empty(perm.size, dtype=np.intp)
     position[perm] = np.arange(perm.size)
-    row_nnz = np.diff(A.indptr)
+    row_nnz = np.diff(Q.indptr)
     # a front is a node with more than FRONT_MERGE_DOFS DOFs in its subtree,
     # pivoting on its own vertices, or a largest subtree of at most that
     # many, pivoting on all of them
@@ -477,10 +488,10 @@ def count_eigenvalues_below(A, M, shift, tree):
         rows = perm[a:b]
         lengths = row_nnz[rows]
         ends = np.cumsum(lengths)
-        entry = np.arange(ends[-1]) + np.repeat(A.indptr[rows] - ends + lengths, lengths)
-        col = position[A.indices[entry]]
+        entry = np.arange(ends[-1]) + np.repeat(Q.indptr[rows] - ends + lengths, lengths)
+        col = position[Q.indices[entry]]
         pivot = np.repeat(np.arange(b - a), lengths)
-        values = A.data[entry] - shift * M.data[entry]
+        values = Q.data[entry] - shift * M.data[entry]
         keep = (col >= a + pivot) & (values != 0.0)
         col, pivot, values = col[keep], pivot[keep], values[keep]
         at = local[col]
@@ -565,7 +576,7 @@ def _eliminate_pivots(F, pivots, shift, out):
     two = np.flatnonzero(ipiv < 0)[::2]
     det = d[two] * d[two + 1] - LD[two + 1, two] ** 2
     if info != 0 or np.any(det == 0.0):
-        raise SolverError(f"inertia count of A - ({shift:g}) M: a pivot block is "
+        raise SolverError(f"inertia count of Q - ({shift:g}) M: a pivot block is "
                           "singular")
     if F21.size:
         np.subtract(F22, F21 @ X, out=out)
@@ -573,16 +584,17 @@ def _eliminate_pivots(F, pivots, shift, out):
                + 2 * np.count_nonzero((det > 0.0) & (d[two] < 0.0)))
 
 
-def solve_smallest_eigenpairs(S, M, k, tree, seed=0):
-    """The k smallest eigenpairs of S f = lambda M f, a Spectrum.
+def solve_smallest_eigenpairs(pencil, k, seed=0):
+    """The k smallest eigenpairs of a pencil (S, M), S positive semidefinite
+    as in laplace_pencil, a Spectrum.
 
-    Shift-invert Lanczos below the spectrum, factored in the order of the
-    dissection ``tree`` (see dissection_tree); deterministic via the seed.
-    The Ritz vectors are M-orthonormalized as one block in ascending order,
-    by the Cholesky factor of their M-Gram matrix, and each is signed so
-    that its largest-magnitude entry is positive; eigenvalues within
-    EIG_TOL of 0 are clamped to at least 0. A k outside 1 <= k <= V - 1
-    raises ParameterError.
+    Shift-invert Lanczos below the spectrum, factored in the pencil's
+    dissection order; deterministic via the seed. The Ritz vectors are
+    M-orthonormalized as one block in ascending order, by the Cholesky
+    factor of their M-Gram matrix, and each is signed so that its
+    largest-magnitude entry is positive; eigenvalues within EIG_TOL of 0
+    are clamped to at least 0. A k outside 1 <= k <= V - 1 raises
+    ParameterError.
 
     A pair is accepted when its relative residual is within EIG_TOL. One
     count_eigenvalues_below certifies the k lowest accepted values: every
@@ -598,6 +610,7 @@ def solve_smallest_eigenpairs(S, M, k, tree, seed=0):
     the worst residual) when a search adds no accepted pair to the k
     lowest or the retries run out.
     """
+    S, M = pencil.Q, pencil.M
     V = S.shape[0]
     if not (1 <= k <= V - 1):
         raise ParameterError(f"k={k} out of range: need 1 <= k <= {V - 1}")
@@ -605,8 +618,8 @@ def solve_smallest_eigenpairs(S, M, k, tree, seed=0):
     vals, W = np.empty(0), np.empty((V, 0))
     want = k
     for attempt in range(EIG_RETRIES + 1):
-        found, vecs = _shift_invert_lanczos(S, M, sigma, tree.order, want, "LM", seed,
-                                            vectors=True, deflate=W if attempt else None)
+        found, vecs = _shift_invert_lanczos(pencil, sigma, want, "LM", seed, vectors=True,
+                                            deflate=W if attempt else None)
         if found[0] <= sigma:
             raise SolverError(f"shift {sigma:g} is not below the spectrum: "
                               f"Lanczos returned {found[0]:g}")
@@ -626,7 +639,7 @@ def solve_smallest_eigenpairs(S, M, k, tree, seed=0):
         values = np.where(np.abs(vals) < EIG_TOL, np.maximum(vals, 0.0), vals)
         j = int(eigen_clusters(values)[-1][0])
         cut = 0.5 * (values[j - 1] + values[j]) if j else sigma
-        below = count_eigenvalues_below(S, M, cut, tree)
+        below = count_eigenvalues_below(pencil, cut)
         if below == j:
             pivot = np.argmax(np.abs(W), axis=0)
             W *= np.where(W[pivot, np.arange(k)] < 0.0, -1.0, 1.0)

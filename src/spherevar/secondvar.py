@@ -23,7 +23,7 @@ from .errors import ContractError, ParameterError, SolverError, UnsupportedSurfa
 from .mesh import face_areas, face_derivatives, per_mesh, sphere_tangent_frames
 from .mobius import check_sphere_tangent, moebius_basis, split_tangent_normal
 from .operators import (
-    DissectionTree,
+    Pencil,
     _p1_mass,
     _shift_invert_lanczos,
     assemble_mass,
@@ -165,15 +165,6 @@ def area_jacobi_form(mesh, f, g=None):
     return float(f @ (area_jacobi_matrix(mesh).Q @ g))
 
 
-class QuadraticFormMatrix(NamedTuple):
-    """Sparse pencil (Q, M) of a second-variation form over explicit DOFs."""
-
-    Q: sp.csr_matrix
-    M: sp.csr_matrix
-    kind: str                  # "energy" | "areaJacobi"
-    tree: DissectionTree       # elimination order and tree (dissection_tree)
-
-
 def _frame_block_matrices(frames, pattern, *values):
     """Congruences of scalar matrices to per-vertex frame coordinates, on one
     CSR pattern.
@@ -234,7 +225,7 @@ def energy_quadratic_matrix(mesh):
     """
     S, M = assemble_stiffness(mesh), assemble_mass(mesh)
     Q, MQ = _frame_block_matrices(sphere_tangent_frames(mesh), M, S.data - 2.0 * M.data, M.data)
-    return QuadraticFormMatrix(Q=Q, M=MQ, kind="energy", tree=dissection_tree(mesh))
+    return Pencil(Q, MQ, "energy", dissection_tree(mesh))
 
 
 def area_jacobi_matrix(mesh):
@@ -245,7 +236,7 @@ def area_jacobi_matrix(mesh):
     W = _p1_mass(mesh, face_areas(mesh) * _normsq_A_values(mesh)[mesh.faces].mean(axis=1))
     S, M = assemble_stiffness(mesh), assemble_mass(mesh)
     Q = sp.csr_matrix((S.data - 2.0 * M.data - W.data, M.indices, M.indptr), shape=M.shape)
-    return QuadraticFormMatrix(Q=Q, M=M, kind="areaJacobi", tree=dissection_tree(mesh))
+    return Pencil(Q, M, "areaJacobi", dissection_tree(mesh))
 
 
 class IndexCount(NamedTuple):
@@ -274,19 +265,18 @@ def negative_index_count(form, delta=DEFAULT_INDEX_DELTA, seed=0):
     if not 0.0 < delta < math.inf:
         raise ParameterError(f"delta={delta:g} must be positive and finite")
     dim = form.Q.shape[0]
-    wanted = count_eigenvalues_below(form.Q, form.M, delta, form.tree)
+    wanted = count_eigenvalues_below(form, delta)
     if wanted >= dim:
         raise SolverError(f"{form.kind} index: all {dim} eigenvalues lie below "
                           f"{delta:g}; shift-invert Lanczos needs fewer than {dim}")
     vals = np.empty(0)
     if wanted:
-        vals = _shift_invert_lanczos(form.Q, form.M, delta, form.tree.order, wanted, "SA",
-                                     seed)
+        vals = _shift_invert_lanczos(form, delta, wanted, "SA", seed)
     if vals.size and not vals[-1] < delta:
         raise SolverError(
             f"{form.kind} index: Lanczos returned {vals[-1]:.6g}, not below "
             f"{delta:g}, so an eigenvalue below {delta:g} was missed")
-    count = count_eigenvalues_below(form.Q, form.M, -delta, form.tree)
+    count = count_eigenvalues_below(form, -delta)
     negatives = vals[vals < -delta]
     if negatives.size != count:
         raise SolverError(

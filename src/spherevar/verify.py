@@ -28,10 +28,9 @@ from .mobius import (
     vertex_products,
 )
 from .operators import (
-    assemble_mass,
     assemble_stiffness,
-    dissection_tree,
     integrate,
+    laplace_pencil,
     solve_smallest_eigenpairs,
     vertex_weights,
 )
@@ -240,8 +239,7 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0, k=DEFAULT_VERIFY_K):
     # canonical-variation sum identity for random functions and eigenfunctions,
     # one prop1_sum over both
     randoms = np.stack([random_polynomial_scalar(mesh, rng) for _ in range(NUM_RANDOM_F)], axis=1)
-    values, fields, _ = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh),
-                                                  k=k, tree=dissection_tree(mesh), seed=seed)
+    values, fields, _ = solve_smallest_eigenpairs(laplace_pencil(mesh), k=k, seed=seed)
     functions = np.hstack([randoms, fields[:, values <= EIGENVALUE_CAP]])
     gaps = _prop1_gaps(mesh, functions)
     for name, part in (("prop1-random", gaps[:NUM_RANDOM_F]),

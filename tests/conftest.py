@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
-from spherevar.operators import (
-    assemble_mass,
-    assemble_stiffness,
-    dissection_tree,
-    solve_smallest_eigenpairs,
-)
+from spherevar.operators import laplace_pencil, solve_smallest_eigenpairs
 
 
 @pytest.fixture(scope="session")
@@ -40,14 +35,12 @@ def torus_s4():
 
 @pytest.fixture(scope="session")
 def clifford64_spectrum(clifford64):
-    return solve_smallest_eigenpairs(assemble_stiffness(clifford64), assemble_mass(clifford64),
-                                     k=12, tree=dissection_tree(clifford64), seed=0)
+    return solve_smallest_eigenpairs(laplace_pencil(clifford64), k=12, seed=0)
 
 
 @pytest.fixture(scope="session")
 def sphere4_spectrum(sphere4):
-    return solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
-                                     k=10, tree=dissection_tree(sphere4), seed=0)
+    return solve_smallest_eigenpairs(laplace_pencil(sphere4), k=10, seed=0)
 
 
 @pytest.fixture

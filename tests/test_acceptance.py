@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from covered_torus import covered_clifford_torus
 from identity_reference import field_norm, identity_matrices_reference
+from jittered import jitter_vertices
 
 from spherevar.catalog import (
     build_clifford_torus,
@@ -23,7 +24,7 @@ from spherevar.certificates import (
     threshold_chain_check,
 )
 from spherevar.cli import EXIT_VERIFICATION, main as cli_main
-from spherevar.mesh import jitter_vertices, write_off
+from spherevar.mesh import write_off
 from spherevar.mobius import (
     moebius_basis,
     moebius_field,
@@ -34,9 +35,9 @@ from spherevar.mobius import (
 from spherevar.operators import (
     assemble_mass,
     assemble_stiffness,
-    dissection_tree,
     eigen_clusters,
     integrate,
+    laplace_pencil,
     solve_smallest_eigenpairs,
     vertex_weights,
 )
@@ -86,8 +87,7 @@ def clifford128():
 
 @pytest.fixture(scope="module")
 def clifford64_spectrum_acc(clifford64):
-    return solve_smallest_eigenpairs(assemble_stiffness(clifford64), assemble_mass(clifford64),
-                                     k=12, tree=dissection_tree(clifford64), seed=0)
+    return solve_smallest_eigenpairs(laplace_pencil(clifford64), k=12, seed=0)
 
 
 def test_criterion_1_spectrum_fidelity(clifford64_spectrum_acc, sphere4_spectrum):

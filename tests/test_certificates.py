@@ -30,10 +30,10 @@ from spherevar.mobius import moebius_basis
 from spherevar.operators import (
     assemble_mass,
     assemble_stiffness,
-    dissection_tree,
     eigen_clusters,
     first_nonzero_cluster,
     integrate,
+    laplace_pencil,
     solve_smallest_eigenpairs,
 )
 from spherevar.sampling import random_polynomial_scalar
@@ -245,9 +245,7 @@ def test_witness_matches_field_by_field_reference(mesh_name, lam, request):
     # G_i from (n+1)-space densities against G_i of the projected fields
     if mesh_name == "s5-torus32":
         mesh = build_product_torus(32, n=5)
-        values, fields, _ = solve_smallest_eigenpairs(
-            assemble_stiffness(mesh), assemble_mass(mesh), k=8, tree=dissection_tree(mesh),
-            seed=0)
+        values, fields, _ = solve_smallest_eigenpairs(laplace_pencil(mesh), k=8, seed=0)
     else:
         mesh = request.getfixturevalue(mesh_name)
         values, fields, _ = request.getfixturevalue(mesh_name + "_spectrum")
@@ -319,8 +317,7 @@ def test_certificate_does_not_depend_on_the_eigenbasis(mesh_name, request, monke
         mesh = build_product_torus(32, n=5)
     else:
         mesh = request.getfixturevalue(mesh_name)
-    spectrum = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh), k=8,
-                                         tree=dissection_tree(mesh), seed=0)
+    spectrum = solve_smallest_eigenpairs(laplace_pencil(mesh), k=8, seed=0)
     first = first_nonzero_cluster(spectrum.values)
     monkeypatch.setattr(certificates, "solve_smallest_eigenpairs",
                         lambda *args, **kwargs: spectrum)

@@ -1,5 +1,7 @@
 """CLI contract: subcommands, config precedence, exit codes, file outputs."""
 
+import contextlib
+import io
 import json
 import re
 from pathlib import Path
@@ -7,8 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from covered_torus import covered_clifford_torus
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jittered import jitter_vertices
+from test_operators import eigsh_at_one_iteration
 
-from spherevar.catalog import build_equatorial_sphere
+from spherevar.catalog import build_clifford_torus, build_equatorial_sphere
 from spherevar.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -19,7 +25,7 @@ from spherevar.cli import (
     main,
 )
 from spherevar.errors import ParameterError
-from spherevar.mesh import SurfaceMesh, jitter_vertices, write_off
+from spherevar.mesh import SurfaceMesh, write_off
 from spherevar.verify import run_verification
 
 
@@ -166,6 +172,57 @@ def test_invalid_off_mesh_is_usage_error(tmp_path, clifford16, command):
     assert not out.exists()
 
 
+OFF_EDITS = ["reversed", "duplicated", "dropped", "collapsed", "off-sphere", "nan", "inf",
+             "out-of-range"]
+
+
+def edited_off(lines, edit, at):
+    """The lines of an nOFF file with one adversarial edit at the face or
+    vertex ``at`` (modulo their count): a face reversed, duplicated,
+    dropped, collapsed onto an edge or given an index out of range, or a
+    vertex scaled 1e-9 off the sphere or given a NaN or infinite coordinate."""
+    dim, nv, nf = (int(t) for t in lines[1].split()[:3])
+    verts, faces = lines[2:2 + nv], lines[2 + nv:2 + nv + nf]
+    if edit in ("off-sphere", "nan", "inf"):
+        x = np.array(verts[at % nv].split(), dtype=float)
+        if edit == "off-sphere":
+            x *= 1.0 + 1e-9
+        else:
+            x[at % dim] = float(edit)
+        verts[at % nv] = " ".join(f"{c:.17g}" for c in x)
+    else:
+        f = at % nf
+        _, a, b, c = faces[f].split()
+        if edit == "duplicated":
+            faces.append(faces[f])
+        elif edit == "dropped":
+            del faces[f]
+        else:
+            faces[f] = {"reversed": f"3 {c} {b} {a}", "collapsed": f"3 {a} {a} {c}",
+                        "out-of-range": f"3 {a} {b} {nv}"}[edit]
+    return [lines[0], f"{dim} {nv} {len(faces)} 0", *verts, *faces]
+
+
+@pytest.fixture(scope="module")
+def clifford16_off(tmp_path_factory):
+    path = tmp_path_factory.mktemp("off") / "clifford16.off"
+    write_off(build_clifford_torus(16), path)
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("edit", OFF_EDITS)
+@settings(max_examples=10, deadline=None)
+@given(at=st.integers(min_value=0, max_value=10 ** 6))
+def test_adversarial_off_edit_is_usage_error(clifford16_off, tmp_path_factory, edit, at):
+    # each edit breaks validate_mesh, so verify ends in one error line, exit 2
+    path = tmp_path_factory.mktemp("edited") / f"{edit}.off"
+    path.write_text("\n".join(edited_off(clifford16_off, edit, at)) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(["verify", "--surface", str(path)]) == EXIT_USAGE
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["spectrum", "verify", "index", "certificate"])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, command, via):
@@ -248,6 +305,17 @@ def test_spectrum_recovers_pairs_lanczos_missed(tmp_path, capsys, surface, k, se
     assert run(["spectrum", *surface, "--k", k, "--seed", seed, "--out", str(out)]) == EXIT_OK
     assert len(out.read_text().splitlines()) == int(k) + 1
     assert "lambda1 = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["index", "spectrum"])
+def test_arpack_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch, command):
+    eigsh_at_one_iteration(monkeypatch)
+    out = tmp_path / "out.file"
+    assert run([command, "--surface", "clifford-torus", "--res", "8",
+                "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: eigensolver at shift ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_lambda1_cluster_cut_by_k_is_not_reported(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from identity_reference import surface_gradient
+from jittered import jitter_vertices
 
 from spherevar.errors import MeshError, ParameterError
 from spherevar.mesh import (
@@ -12,7 +13,6 @@ from spherevar.mesh import (
     face_corner_vectors,
     face_derivatives,
     face_gram,
-    jitter_vertices,
     mesh_edges,
     mesh_size,
     read_off,

@@ -10,6 +10,7 @@ from identity_reference import (
     p1_gram_reference,
     shifted_in_order_reference,
 )
+from jittered import jitter_vertices
 from test_mesh import face_gradient_edge_error
 
 from spherevar import operators
@@ -18,13 +19,13 @@ from spherevar.errors import ContractError, ParameterError, SolverError
 from spherevar.mesh import (
     face_areas,
     face_derivatives,
-    jitter_vertices,
     mesh_edges,
     read_off,
     write_off,
 )
 from spherevar.operators import (
     CLUSTER_REL_TOL,
+    Pencil,
     Spectrum,
     _contribution_offsets,
     _factor_shifted,
@@ -36,12 +37,17 @@ from spherevar.operators import (
     eigen_clusters,
     first_nonzero_cluster,
     integrate,
+    laplace_pencil,
     nested_dissection,
     solve_smallest_eigenpairs,
     vertex_weights,
     write_spectrum_csv,
 )
-from spherevar.secondvar import area_jacobi_matrix, energy_quadratic_matrix
+from spherevar.secondvar import (
+    area_jacobi_matrix,
+    energy_quadratic_matrix,
+    negative_index_count,
+)
 
 
 def test_stiffness_kernel_and_psd(clifford64, rng):
@@ -119,20 +125,16 @@ def test_eigensolver_sphere_spectrum(sphere4_spectrum):
 
 
 def test_eigensolver_deterministic(clifford16):
-    S = assemble_stiffness(clifford16)
-    M = assemble_mass(clifford16)
-    tree = dissection_tree(clifford16)
-    a = solve_smallest_eigenpairs(S, M, k=5, tree=tree, seed=3)
-    b = solve_smallest_eigenpairs(S, M, k=5, tree=tree, seed=3)
+    pencil = laplace_pencil(clifford16)
+    a = solve_smallest_eigenpairs(pencil, k=5, seed=3)
+    b = solve_smallest_eigenpairs(pencil, k=5, seed=3)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.fields, b.fields)
 
 
 def test_eigensolver_k_range(clifford16):
-    S = assemble_stiffness(clifford16)
-    M = assemble_mass(clifford16)
     with pytest.raises(ParameterError):
-        solve_smallest_eigenpairs(S, M, k=0, tree=dissection_tree(clifford16))
+        solve_smallest_eigenpairs(laplace_pencil(clifford16), k=0)
 
 
 @pytest.mark.parametrize("name", ["clifford64", "sphere4"])
@@ -155,8 +157,7 @@ def test_eigen_clusters(clifford64_spectrum):
 def test_eigensolver_returns_whole_clusters(sphere4, seed):
     # 0 | 2 (x3) | 6 (x5) | 12: eigsh at a loose tol (1e-10) returns 12 twice
     # in place of one copy of 6, with every residual under 1e-8
-    spectrum = solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
-                                         k=10, tree=dissection_tree(sphere4), seed=seed)
+    spectrum = solve_smallest_eigenpairs(laplace_pencil(sphere4), k=10, seed=seed)
     assert [len(c) for c in eigen_clusters(spectrum.values)] == [1, 3, 5, 1]
 
 
@@ -172,6 +173,23 @@ def _record_eigsh_calls(monkeypatch, **fixed):
     return calls
 
 
+def eigsh_at_one_iteration(monkeypatch):
+    """Run every eigsh with maxiter=1, too few iterations for ARPACK to converge."""
+    original = spla.eigsh
+    monkeypatch.setattr(spla, "eigsh",
+                        lambda *args, **kwargs: original(*args, **{**kwargs, "maxiter": 1}))
+
+
+@pytest.mark.parametrize("solve, shift", [
+    (lambda mesh: negative_index_count(energy_quadratic_matrix(mesh)), "0.1"),
+    (lambda mesh: solve_smallest_eigenpairs(laplace_pencil(mesh), k=6), "-0.1"),
+], ids=["index-count", "laplace-solve"])
+def test_arpack_failure_is_a_solver_error_naming_the_shift(solve, shift, monkeypatch):
+    eigsh_at_one_iteration(monkeypatch)
+    with pytest.raises(SolverError, match=f"eigensolver at shift {shift} failed"):
+        solve(build_clifford_torus(8))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_eigensolver_recovers_a_missed_eigenvalue(sphere4, monkeypatch, seed):
     # at tol 1e-10 eigsh returns 12 twice in place of one copy of 6, every
@@ -179,8 +197,7 @@ def test_eigensolver_recovers_a_missed_eigenvalue(sphere4, monkeypatch, seed):
     # finds the 6 it missed, and one search with the ten pairs deflated
     # returns it
     calls = _record_eigsh_calls(monkeypatch, tol=1e-10)
-    spectrum = solve_smallest_eigenpairs(assemble_stiffness(sphere4), assemble_mass(sphere4),
-                                         k=10, tree=dissection_tree(sphere4), seed=seed)
+    spectrum = solve_smallest_eigenpairs(laplace_pencil(sphere4), k=10, seed=seed)
     assert [len(c) for c in eigen_clusters(spectrum.values)] == [1, 3, 5, 1]
     assert calls == [10, 1]
     assert np.all(spectrum.residuals <= 1e-8)
@@ -195,9 +212,7 @@ def test_eigensolver_recovers_an_unconverged_pair(clifford16, monkeypatch):
     # before 4.32 then finds three values more than were returned (two
     # 2.05s and a 4.10), and a search for three returns them
     calls = _record_eigsh_calls(monkeypatch, tol=1e-6)
-    spectrum = solve_smallest_eigenpairs(assemble_stiffness(clifford16),
-                                         assemble_mass(clifford16), k=5,
-                                         tree=dissection_tree(clifford16))
+    spectrum = solve_smallest_eigenpairs(laplace_pencil(clifford16), k=5)
     assert calls == [5, 1, 3]
     assert [len(c) for c in eigen_clusters(spectrum.values)] == [1, 4]
     assert np.all(spectrum.residuals <= 1e-8)
@@ -212,8 +227,7 @@ def test_eigensolver_raises_when_a_retry_finds_nothing(clifford16, monkeypatch):
     monkeypatch.setattr(operators, "count_eigenvalues_below",
                         lambda *args: count_eigenvalues_below(*args) + 1)
     with pytest.raises(SolverError, match="2 eigenvalues lie below 1.026.*, Lanczos returned 1"):
-        solve_smallest_eigenpairs(assemble_stiffness(clifford16), assemble_mass(clifford16),
-                                  k=5, tree=dissection_tree(clifford16))
+        solve_smallest_eigenpairs(laplace_pencil(clifford16), k=5)
     assert calls == [5, 1]
 
 
@@ -269,13 +283,13 @@ def test_dissection_order_is_a_repeatable_permutation(build):
 
 
 def test_shift_invert_operator_solves_the_shifted_system(clifford16, rng):
-    S = assemble_stiffness(clifford16)
-    M = assemble_mass(clifford16)
+    pencil = laplace_pencil(clifford16)
+    S, M = pencil.Q, pencil.M
     b = rng.standard_normal(clifford16.num_vertices)
     # below the spectrum, and between the clusters 2 (x4) and 4 (x4)
     for shift, below in ((-0.1, 0), (3.0, 5)):
-        lu, perm = _factor_shifted(S, M, shift, dissection_tree(clifford16).order)
-        assert count_eigenvalues_below(S, M, shift, dissection_tree(clifford16)) == below
+        lu, perm = _factor_shifted(pencil, shift)
+        assert count_eigenvalues_below(pencil, shift) == below
         x = np.empty_like(b)
         x[perm] = lu.solve(b[perm])
         assert np.linalg.norm((S - shift * M) @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -286,17 +300,15 @@ def test_eigensolver_rejects_shift_inside_spectrum(clifford16):
     S = assemble_stiffness(clifford16)
     M = assemble_mass(clifford16)
     with pytest.raises(SolverError, match="not below the spectrum"):
-        solve_smallest_eigenpairs(S - M, M, k=5, tree=dissection_tree(clifford16))
+        solve_smallest_eigenpairs(Pencil(S - M, M, "laplace", dissection_tree(clifford16)), k=5)
 
 
 def test_inertia_count_matches_dense_spectrum(clifford16):
-    S = assemble_stiffness(clifford16)
-    M = assemble_mass(clifford16)
-    lams = scipy.linalg.eigh(S.toarray(), M.toarray(), eigvals_only=True)
-    tree = dissection_tree(clifford16)
+    pencil = laplace_pencil(clifford16)
+    lams = scipy.linalg.eigh(pencil.Q.toarray(), pencil.M.toarray(), eigvals_only=True)
     # shifts between the clusters 0 | 2 (x4) | 4 (x4) | 8 (x4)
     for shift, expected in ((-0.1, 0), (1.0, 1), (3.0, 5), (6.0, 9)):
-        assert count_eigenvalues_below(S, M, shift, tree) == expected
+        assert count_eigenvalues_below(pencil, shift) == expected
         assert int(np.sum(lams < shift)) == expected
 
 
@@ -352,6 +364,14 @@ def _ancestors(tree, s):
     return found
 
 
+def _on_their_union(Q, M):
+    """Q and M on the union of their patterns, each zero where it has no entry."""
+    union = (abs(Q) + abs(M)).tocsr()   # no two entries cancel
+    rows = np.repeat(np.arange(union.shape[0]), np.diff(union.indptr))
+    return [sp.csr_matrix((np.asarray(A[rows, union.indices]).ravel(), union.indices,
+                           union.indptr), shape=union.shape) for A in (Q, M)]
+
+
 def test_front_count_with_two_by_two_pivots(clifford16, rng):
     # random weights on the mesh edges and a zero diagonal: no front is
     # definite, and Bunch-Kaufman needs 2x2 pivots at the first shift
@@ -359,21 +379,46 @@ def test_front_count_with_two_by_two_pivots(clifford16, rng):
     V = clifford16.num_vertices
     W = sp.coo_matrix((rng.standard_normal(a.size), (a, b)), shape=(V, V))
     Q = (W + W.T).tocsr()
-    I = sp.identity(V, format="csr")
+    pencil = Pencil(*_on_their_union(Q, sp.identity(V, format="csr")), "test",
+                    dissection_tree(clifford16))
     mus = np.linalg.eigvalsh(Q.toarray())
-    tree = dissection_tree(clifford16)
     for shift in (0.0, -1.5, 0.7, 2.0, -3.0):
         assert np.min(np.abs(mus - shift)) > 1e-6
-        assert count_eigenvalues_below(Q, I, shift, tree) == int(np.sum(mus < shift))
+        assert count_eigenvalues_below(pencil, shift) == int(np.sum(mus < shift))
 
 
 def test_front_count_rejects_an_entry_off_the_mesh_graph(clifford16):
     S = assemble_stiffness(clifford16)
     V = clifford16.num_vertices
     far = sp.coo_matrix(([1.0, 1.0], ([0, V // 2], [V // 2, 0])), shape=(V, V))
+    pencil = Pencil(*_on_their_union(S + far, assemble_mass(clifford16)), "test",
+                    dissection_tree(clifford16))
     with pytest.raises(ContractError, match="no mesh edge"):
-        count_eigenvalues_below(S + far, assemble_mass(clifford16), -0.1,
-                                dissection_tree(clifford16))
+        count_eigenvalues_below(pencil, -0.1)
+
+
+def test_pencil_takes_one_pattern_and_a_whole_number_of_dof_blocks(clifford16):
+    S, M = assemble_stiffness(clifford16), assemble_mass(clifford16)
+    tree = dissection_tree(clifford16)
+    V = clifford16.num_vertices
+    assert Pencil(S, M, "laplace", tree).block == 1
+    assert Pencil(*(sp.block_diag([A] * 3, format="csr") for A in (S, M)), "energy",
+                  tree).block == 3
+    # not canonical CSR on one pattern: another pattern, COO, one unsorted pattern
+    far = sp.coo_matrix(([1.0, 1.0], ([0, V // 2], [V // 2, 0])), shape=(V, V))
+    unsorted = [A.copy() for A in (S, M)]
+    for A in unsorted:
+        A.indices[:2] = A.indices[1::-1]
+        A.has_sorted_indices = False
+    patterns = [((S + far).tocsr(), M), (S, (M + far).tocsr()), (S.tocoo(), M), unsorted]
+    # one pattern, but V + 1 rows, no rows, or not square
+    padded = [sp.block_diag([A, sp.identity(1)], format="csr") for A in (S, M)]
+    assert np.array_equal(padded[0].indices, padded[1].indices)
+    empty = [sp.csr_matrix((0, 0))] * 2
+    wide = [sp.hstack([A, A], format="csr") for A in (S, M)]
+    for Q, MQ in patterns + [padded, empty, wide]:
+        with pytest.raises(ContractError, match="laplace pencil"):
+            Pencil(Q, MQ, "laplace", tree)
 
 
 @pytest.mark.parametrize("mesh_name", ["clifford64", "sphere4"])
@@ -443,12 +488,8 @@ def test_p1_matrices_match_the_references(name, request, tmp_path):
     assert abs(S - D.T @ sp.diags(np.repeat(face_areas(mesh), 2)) @ D).max() <= scale
 
 
-def _pencil(kind, mesh):
-    """(A, M, vertex order) of the energy, area Jacobi or Laplace pencil."""
-    if kind == "laplace":
-        return assemble_stiffness(mesh), assemble_mass(mesh), dissection_tree(mesh).order
-    form = (energy_quadratic_matrix if kind == "energy" else area_jacobi_matrix)(mesh)
-    return form.Q, form.M, form.tree.order
+PENCILS = {"energy": energy_quadratic_matrix, "area": area_jacobi_matrix,
+           "laplace": laplace_pencil}
 
 
 @pytest.mark.parametrize("mesh_name, kind", [
@@ -459,13 +500,14 @@ def _pencil(kind, mesh):
 def test_elimination_order_matches_coo_route(mesh_name, kind, request, tmp_path):
     # the CSC of SuperLU equals, entry for entry, the matrix built from the
     # permuted COO triplet of A - sigma M
-    A, M, order = _pencil(kind, _named_mesh(mesh_name, request, tmp_path))
+    pencil = PENCILS[kind](_named_mesh(mesh_name, request, tmp_path))
+    A, M, order = pencil.Q, pencil.M, pencil.tree.order
     # every pencil is on the one P1 pattern (the Laplace one keeps S's zeros)
     assert A.nnz == M.nnz
     block = A.shape[0] // order.size
     for sigma in (0.1, -0.1):
         reference = shifted_in_order_reference(A, M, sigma, order)
-        matrix, perm = _shifted_in_elimination_order(A, M, sigma, order)
+        matrix, perm = _shifted_in_elimination_order(pencil, sigma)
         assert matrix.format == reference.format == "csc"
         assert np.array_equal(perm, (order[:, None] * block + np.arange(block)).ravel())
         assert matrix.indices.dtype == matrix.indptr.dtype == np.int32
@@ -478,4 +520,5 @@ def test_nested_dissection_of_a_graph_without_edges():
     assert np.array_equal(np.sort(tree.order), np.arange(40))
     assert np.all(tree.parent == -1) and tree.update.size == 0
     Q = sp.diags(np.linspace(-2.0, 2.0, 40) + 0.01).tocsr()
-    assert count_eigenvalues_below(Q, sp.identity(40, format="csr"), 0.0, tree) == 20
+    pencil = Pencil(Q, sp.identity(40, format="csr"), "test", tree)
+    assert count_eigenvalues_below(pencil, 0.0) == 20

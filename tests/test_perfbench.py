@@ -39,9 +39,7 @@ def test_tracer_names_each_lanczos_run_after_its_caller(monkeypatch):
     secondvar, operators = spherevar.secondvar, spherevar.operators
     try:
         secondvar.negative_index_count(secondvar.energy_quadratic_matrix(mesh))
-        operators.solve_smallest_eigenpairs(
-            operators.assemble_stiffness(mesh), operators.assemble_mass(mesh), k=6,
-            tree=operators.dissection_tree(mesh))
+        operators.solve_smallest_eigenpairs(operators.laplace_pencil(mesh), k=6)
     finally:
         tracer.uninstall()
     eigsh = [s for s in tracer.spans if s.name.endswith(".eigsh")]

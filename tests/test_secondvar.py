@@ -31,6 +31,7 @@ from spherevar.mobius import (
     split_tangent_normal,
 )
 from spherevar.operators import (
+    Pencil,
     _factor_shifted,
     assemble_mass,
     assemble_stiffness,
@@ -54,7 +55,6 @@ from spherevar.secondvar import (
     moebius_covariant_load,
     moebius_energy_gram,
     negative_index_count,
-    QuadraticFormMatrix,
 )
 
 SMALL_TORUS = build_clifford_torus(8)
@@ -164,7 +164,7 @@ def test_front_count_matches_dense_spectrum(build):
     shifts += [-0.1, 0.1]
     for shift in shifts:
         assert np.min(np.abs(mus - shift)) > 1e-6
-        assert count_eigenvalues_below(form.Q, form.M, shift, form.tree) == np.sum(mus < shift)
+        assert count_eigenvalues_below(form, shift) == np.sum(mus < shift)
 
 
 @pytest.mark.parametrize("surface, res, build", [
@@ -179,10 +179,10 @@ def test_front_count_matches_superlu_pivots(surface, res, build):
     # the pencils and shifts of `spherevar index` and the benchmark's index workload
     form = build(build_by_name(surface, res=res))
     for shift in (DEFAULT_INDEX_DELTA, -DEFAULT_INDEX_DELTA):
-        lu, _ = _factor_shifted(form.Q, form.M, shift, form.tree.order)
+        lu, _ = _factor_shifted(form, shift)
         pivots = int(np.count_nonzero(lu.U.diagonal() < 0.0))
         del lu
-        assert count_eigenvalues_below(form.Q, form.M, shift, form.tree) == pivots
+        assert count_eigenvalues_below(form, shift) == pivots
 
 
 # tracemalloc peaks measured on clifford64, in pencil sizes (the bytes of
@@ -209,8 +209,7 @@ def test_energy_pencil_and_count_peak_memory(clifford64):
     assert len(arrays) == 4   # two data arrays on one pattern
     pencil = sum(a.nbytes for a in arrays.values())
     assembly = _traced_peak(lambda: energy_quadratic_matrix(clifford64))
-    count = _traced_peak(lambda: count_eigenvalues_below(
-        form.Q, form.M, DEFAULT_INDEX_DELTA, form.tree))
+    count = _traced_peak(lambda: count_eigenvalues_below(form, DEFAULT_INDEX_DELTA))
     assert assembly <= ASSEMBLY_PEAK_PENCILS * pencil, assembly / pencil
     assert count <= COUNT_PEAK_PENCILS * pencil, count / pencil
 
@@ -218,10 +217,10 @@ def test_energy_pencil_and_count_peak_memory(clifford64):
 def _diagonal_form(mus):
     """A pencil (diag(mus), I), one DOF per vertex."""
     dim = len(mus)
-    return QuadraticFormMatrix(Q=sp.diags(np.asarray(mus, dtype=float)).tocsr(),
-                               M=sp.identity(dim, format="csr"), kind="areaJacobi",
-                               tree=nested_dissection(np.arange(dim, dtype=float)[:, None],
-                                                      np.empty((0, 2), dtype=int)))
+    return Pencil(Q=sp.diags(np.asarray(mus, dtype=float)).tocsr(),
+                  M=sp.identity(dim, format="csr"), kind="areaJacobi",
+                  tree=nested_dissection(np.arange(dim, dtype=float)[:, None],
+                                         np.empty((0, 2), dtype=int)))
 
 
 @pytest.mark.parametrize("on_cutoff", [0.1, -0.1], ids=["plus-delta", "minus-delta"])
@@ -267,8 +266,8 @@ def test_index_count_inertia_disagreement_raises(clifford16, monkeypatch):
 
     count = secondvar.count_eigenvalues_below
 
-    def wrong_below_minus_delta(Q, M, shift, tree):
-        return 99 if shift < 0 else count(Q, M, shift, tree)
+    def wrong_below_minus_delta(pencil, shift):
+        return 99 if shift < 0 else count(pencil, shift)
 
     monkeypatch.setattr(secondvar, "count_eigenvalues_below", wrong_below_minus_delta)
     with pytest.raises(SolverError, match="inertia"):

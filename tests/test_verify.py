@@ -9,6 +9,7 @@ from identity_reference import (
     product_stiffness_reference,
     weak_form_identity,
 )
+from jittered import jitter_vertices
 
 from spherevar.catalog import (
     build_clifford_torus,
@@ -19,7 +20,7 @@ from spherevar.catalog import (
     sweep_ring,
     torus_ring,
 )
-from spherevar.mesh import Chart, SurfaceMesh, jitter_vertices
+from spherevar.mesh import Chart, SurfaceMesh
 from spherevar.mobius import (
     moebius_basis,
     moebius_field,
@@ -29,8 +30,8 @@ from spherevar.mobius import (
 from spherevar.operators import (
     assemble_mass,
     assemble_stiffness,
-    dissection_tree,
     integrate,
+    laplace_pencil,
     solve_smallest_eigenpairs,
     vertex_weights,
 )
@@ -132,8 +133,7 @@ def test_contracted_identities_match_per_draw_reference(mesh):
     # functions are random polynomials, where no integral vanishes by
     # symmetry, and eigenfunctions; each gap is taken relative to
     # ||xi_i|| ||a_j xi_j||.
-    values, fields, _ = solve_smallest_eigenpairs(
-        assemble_stiffness(mesh), assemble_mass(mesh), k=12, tree=dissection_tree(mesh), seed=0)
+    values, fields, _ = solve_smallest_eigenpairs(laplace_pencil(mesh), k=12, seed=0)
     low = (values > 1e-6) & (values <= 6.0)
     assert np.count_nonzero(low) == 8
     rng = np.random.default_rng(11)
@@ -167,8 +167,7 @@ def test_batched_identity_matrices_match_per_eigenpair_reference(mesh):
     # from the per-face gradients and L, T, D from the per-face covariant
     # derivatives of f xi_i, for one f. Each gap is taken relative to
     # max|f| max_i G_ii, which bounds every entry of L and T.
-    values, eigenfields, _ = solve_smallest_eigenpairs(
-        assemble_stiffness(mesh), assemble_mass(mesh), k=12, tree=dissection_tree(mesh), seed=0)
+    values, eigenfields, _ = solve_smallest_eigenpairs(laplace_pencil(mesh), k=12, seed=0)
     fields = list(eigenfields[:, values <= EIGENVALUE_CAP].T)
     fields += list(_random_polynomials(mesh, 13, 3).T)
     batch = identity_matrices(mesh, np.stack(fields, axis=1))
@@ -250,8 +249,7 @@ def _moebius_span_reference_errors(mesh, seed, k=12):
         return worst
 
     randoms = [random_polynomial_scalar(mesh, rng) for _ in range(NUM_RANDOM_F)]
-    values, fields, _ = solve_smallest_eigenpairs(assemble_stiffness(mesh), assemble_mass(mesh),
-                                                  k=k, tree=dissection_tree(mesh), seed=seed)
+    values, fields, _ = solve_smallest_eigenpairs(laplace_pencil(mesh), k=k, seed=seed)
     return {"d2e-moebius-fields": d2e_worst,
             "prop1-random": prop1_worst(randoms),
             "prop1-eigen": prop1_worst(fields[:, values <= EIGENVALUE_CAP].T)}
