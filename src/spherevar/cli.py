@@ -45,7 +45,7 @@ from .secondvar import (
     energy_quadratic_matrix,
     negative_index_count,
 )
-from .verify import DEFAULT_VERIFY_K, DEFAULT_VERIFY_TOL, run_verification
+from .verify import DEFAULT_VERIFY_TOL, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -81,9 +81,7 @@ _OUT = Option("out", str, None, "output JSON path (default: stdout)")
 OPTIONS = {
     "catalog": (),
     "spectrum": _SURFACE + (_K, _SEED, Option("out", str, "spectrum.csv", "output CSV path")),
-    "verify": _SURFACE + (Option("k", int, DEFAULT_VERIFY_K, "number of eigenpairs; the "
-                                 "default spans the lambda = 4 cluster of the Clifford torus"),
-                          _SEED, Option("tol", float, DEFAULT_VERIFY_TOL,
+    "verify": _SURFACE + (_SEED, Option("tol", float, DEFAULT_VERIFY_TOL,
                                         "discretization tolerance"), _OUT),
     "index": _SURFACE + (Option("delta", float, DEFAULT_INDEX_DELTA,
                                 "negative-eigenvalue separation"), _SEED, _OUT),
@@ -207,7 +205,7 @@ def cmd_spectrum(cfg):
 
 def cmd_verify(cfg):
     mesh = build_surface(cfg)
-    report = run_verification(mesh, tol=cfg["tol"], seed=cfg["seed"], k=cfg["k"])
+    report = run_verification(mesh, tol=cfg["tol"], seed=cfg["seed"])
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{status:4s} {c.name:28s} err={c.error:.3e} tol={c.tolerance:.3e} "

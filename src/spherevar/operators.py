@@ -408,7 +408,8 @@ def _shift_invert_lanczos(pencil, sigma, k, which, seed, vectors=False, deflate=
     ``deflate``, an M-orthonormal block W (V, m) of eigenvectors, is
     projected off every solve (x - W W'M x), so the operator maps their span
     to 0 and Lanczos finds the eigenpairs M-orthogonal to it. An ARPACK
-    failure raises SolverError. Private, so that a tracer of the public
+    failure raises SolverError, with the worst relative residual of the
+    pairs that converged. Private, so that a tracer of the public
     functions names the Lanczos run after the function that asked for it.
     """
     lu, perm = _factor_shifted(pencil, sigma)
@@ -428,7 +429,12 @@ def _shift_invert_lanczos(pencil, sigma, k, which, seed, vectors=False, deflate=
                             maxiter=5000, return_eigenvectors=vectors, rng=rng,
                             OPinv=spla.LinearOperator(lu.shape, matvec=solve, dtype=float))
     except (spla.ArpackNoConvergence, RuntimeError) as exc:
-        raise SolverError(f"eigensolver at shift {sigma:g} failed: {exc}") from exc
+        # an ArpackNoConvergence carries the pairs that did converge
+        partial, worst = getattr(exc, "eigenvalues", np.empty(0)), "no pair converged"
+        if partial.size:
+            residual = np.max(_m_orthonormal(pencil.Q, pencil.M, partial, exc.eigenvectors)[1])
+            worst = f"worst relative residual {residual:.3e} of {partial.size} converged pairs"
+        raise SolverError(f"eigensolver at shift {sigma:g} failed: {exc}; {worst}") from exc
     if not vectors:
         return np.sort(result)
     vals, vecs = result

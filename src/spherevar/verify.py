@@ -16,7 +16,7 @@ import numpy as np
 
 from .catalog import minimality_residual
 from .certificates import prop1_sum
-from .errors import ParameterError
+from .errors import ParameterError, SolverError
 from .mesh import mesh_size
 from .mobius import (
     moebius_basis,
@@ -29,6 +29,7 @@ from .mobius import (
 )
 from .operators import (
     assemble_stiffness,
+    count_eigenvalues_below,
     integrate,
     laplace_pencil,
     solve_smallest_eigenpairs,
@@ -50,7 +51,6 @@ NUM_DIRECTIONS = 20       # random Moebius directions beside the axes (d2e-moebi
 NUM_FORM_FIELDS = 10      # random fields of form-equivalence
 NUM_RANDOM_F = 10         # random polynomials of prop1-random
 DEFAULT_VERIFY_TOL = 0.02  # discretization tolerance of the oracle checks
-DEFAULT_VERIFY_K = 12     # eigenpairs; 12 spans the lambda = 4 cluster of the Clifford torus
 
 
 @dataclass
@@ -89,6 +89,14 @@ class VerificationReport:
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
+    def check(self, name, error, tolerance, provenance, detail=""):
+        """Record one check, passed when error <= tolerance, and return it."""
+        result = CheckResult(name=name, error=float(error), tolerance=float(tolerance),
+                             passed=bool(error <= tolerance), provenance=provenance,
+                             detail=detail)
+        self.checks.append(result)
+        return result
+
     def to_dict(self):
         return {
             "surface": self.surface,
@@ -98,12 +106,6 @@ class VerificationReport:
             "pass": self.passed,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-
-def _check(name, error, tolerance, provenance, detail=""):
-    return CheckResult(name=name, error=float(error), tolerance=float(tolerance),
-                       passed=bool(error <= tolerance), provenance=provenance,
-                       detail=detail)
 
 
 def identity_matrices(mesh, f):
@@ -172,19 +174,12 @@ def form_equivalence_error(mesh, rng, num_fields):
     return worst
 
 
-def _prop1_gaps(mesh, fields):
-    """Relative gaps of prop1_sum for the functions, the columns of fields (V, m), (m,).
-
-    Each gap is relative to |lhs| + |rhs| + the area.
-    """
-    lhs, rhs = prop1_sum(mesh, fields)
-    return np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + integrate(mesh, 1.0))
-
-
-def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0, k=DEFAULT_VERIFY_K):
+def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0):
     """Run every identity check; the minimality gate short-circuits failures.
 
-    A tol that is not positive and finite raises ParameterError.
+    The eigenfunctions checked are all those below EIGENVALUE_CAP, as many
+    as an inertia count at the cap finds. A tol that is not positive and
+    finite raises ParameterError.
     """
     if not 0.0 < tol < np.inf:
         raise ParameterError(f"tol={tol:g} must be positive and finite")
@@ -192,37 +187,30 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0, k=DEFAULT_VERIFY_K):
         surface=mesh.name, n=mesh.n,
         mesh_size=mesh_size(mesh), tolerance=tol,
     )
-    h = report.mesh_size
     n = mesh.n
     rng = np.random.default_rng(seed)
 
-    report.checks.append(_check(
-        "minimality-gate", minimality_residual(mesh), MINIMALITY_GATE, "oracle"))
-    if not report.checks[-1].passed:
+    if not report.check("minimality-gate", minimality_residual(mesh), MINIMALITY_GATE,
+                        "oracle").passed:
         return report
 
     area = integrate(mesh, 1.0)
 
     pw = pointwise_identity_report(mesh)
-    report.checks.append(_check(
-        "moebius-norm-identity", pw["norm_sq"], ALGEBRAIC_TOL, "algebraic"))
-    report.checks.append(_check(
-        "moebius-sum-identity", pw["sum_sq"], AGGREGATE_ALGEBRAIC_TOL, "algebraic"))
-    report.checks.append(_check(
-        "tangential-norm-identity", pw["tangential_sq"], tol, "oracle"))
-    report.checks.append(_check(
-        "covariant-derivative", pw["covariant"], 0.05 * h, "oracle"))
+    report.check("moebius-norm-identity", pw["norm_sq"], ALGEBRAIC_TOL, "algebraic")
+    report.check("moebius-sum-identity", pw["sum_sq"], AGGREGATE_ALGEBRAIC_TOL, "algebraic")
+    report.check("tangential-norm-identity", pw["tangential_sq"], tol, "oracle")
+    report.check("covariant-derivative", pw["covariant"], 0.05 * report.mesh_size, "oracle")
 
     G = moebius_gram(mesh)
-    report.checks.append(_check(
-        "gram-trace", abs(np.trace(G) - n * area) / (n * area),
-        AGGREGATE_ALGEBRAIC_TOL, "algebraic"))
+    report.check("gram-trace", abs(np.trace(G) - n * area) / (n * area),
+                 AGGREGATE_ALGEBRAIC_TOL, "algebraic")
 
     if n >= 3:
+        # tr P_N of the rank n - 2 normal bundle: exact on any surface with orthonormal frames
         s = sum_normal_sq(mesh)
-        report.checks.append(_check(
-            "sum-normal-sq", float(np.max(np.abs(s - (n - 2)))) / (n - 2),
-            tol, "theorem"))
+        report.check("sum-normal-sq", float(np.max(np.abs(s - (n - 2)))) / (n - 2),
+                     AGGREGATE_ALGEBRAIC_TOL, "algebraic")
 
     # D^2E(xi_v) = -2 int |xi_v^N|^2 for the axes and random directions; the
     # three integrals are quadratic forms in v, read from the held Gram matrices
@@ -231,20 +219,25 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0, k=DEFAULT_VERIFY_K):
     d2e, nm, nrm = (np.einsum("ti,ij,tj->t", directions, X, directions)
                     for X in (moebius_energy_gram(mesh), moebius_normal_gram(mesh), G))
     worst = float(np.max(np.abs(d2e + 2.0 * nm) / np.maximum(nm, 0.01 * nrm)))
-    report.checks.append(_check("d2e-moebius-fields", worst, tol, "theorem"))
-
-    report.checks.append(_check(
-        "form-equivalence", form_equivalence_error(mesh, rng, NUM_FORM_FIELDS), tol, "theorem"))
+    report.check("d2e-moebius-fields", worst, tol, "theorem")
+    report.check("form-equivalence", form_equivalence_error(mesh, rng, NUM_FORM_FIELDS), tol,
+                 "theorem")
 
     # canonical-variation sum identity for random functions and eigenfunctions,
-    # one prop1_sum over both
+    # one prop1_sum over both, each gap relative to |lhs| + |rhs| + the area
     randoms = np.stack([random_polynomial_scalar(mesh, rng) for _ in range(NUM_RANDOM_F)], axis=1)
-    values, fields, _ = solve_smallest_eigenpairs(laplace_pencil(mesh), k=k, seed=seed)
-    functions = np.hstack([randoms, fields[:, values <= EIGENVALUE_CAP]])
-    gaps = _prop1_gaps(mesh, functions)
+    pencil = laplace_pencil(mesh)
+    values, fields, _ = solve_smallest_eigenpairs(
+        pencil, k=count_eigenvalues_below(pencil, EIGENVALUE_CAP), seed=seed)
+    if values[-1] >= EIGENVALUE_CAP:
+        raise SolverError(f"{values.size} eigenvalues counted below {EIGENVALUE_CAP:g}, "
+                          f"the largest solved is {values[-1]:g}")
+    functions = np.hstack([randoms, fields])
+    lhs, rhs = prop1_sum(mesh, functions)
+    gaps = np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + area)
     for name, part in (("prop1-random", gaps[:NUM_RANDOM_F]),
                        ("prop1-eigen", gaps[NUM_RANDOM_F:])):
-        report.checks.append(_check(name, np.max(part, initial=0.0), tol, "theorem"))
+        report.check(name, np.max(part, initial=0.0), tol, "theorem")
 
     # the Moebius product identities entrywise on the same functions; the
     # size of what was compared shows in the detail, so that a pass on
@@ -254,6 +247,6 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0, k=DEFAULT_VERIFY_K):
     detail = (f"functions={functions.shape[1]} max|entry|/(max|f| sqrt(G_ii G_jj)): "
               + " ".join(f"{name}={value:.3e}" for name, value in zip("KLTD", largest)))
     for name, residual in (("product-weak-form", weak), ("mixed-gradient", mixed)):
-        report.checks.append(_check(name, np.max(np.abs(residual)), tol, "theorem", detail))
+        report.check(name, np.max(np.abs(residual)), tol, "theorem", detail)
 
     return report

@@ -104,9 +104,9 @@ def test_verify_passes_on_clifford(tmp_path):
     assert all("provenance" in c and "tolerance" in c for c in payload["checks"])
 
 
-def test_verify_default_k_matches_run_verification(tmp_path, clifford64):
-    # without --k, verify keeps run_verification's own k, which spans the
-    # whole lambda = 4 cluster of the Clifford torus
+def test_verify_matches_run_verification(tmp_path, clifford64):
+    # verify reports what run_verification does, every eigenfunction below
+    # the cap included
     out = tmp_path / "verify.json"
     run(["verify", "--surface", "clifford-torus", "--res", "64", "--out", str(out)])
     expected = json.loads(json.dumps(run_verification(clifford64, seed=0).to_dict()))
@@ -403,7 +403,7 @@ def test_usage_error_exit_code():
 READS = {
     "catalog": [],
     "spectrum": ["surface", "n", "res", "k", "seed", "out"],
-    "verify": ["surface", "n", "res", "k", "seed", "tol", "out"],
+    "verify": ["surface", "n", "res", "seed", "tol", "out"],
     "index": ["surface", "n", "res", "delta", "seed", "out"],
     "certificate": ["surface", "n", "res", "k", "seed", "out"],
 }
@@ -423,7 +423,7 @@ def test_unread_flag_is_usage_error(capsys, command, flag):
 
 
 @pytest.mark.parametrize("command, key", [("spectrum", "delta"), ("verify", "synthetic_lambda"),
-                                          ("index", "k"), ("certificate", "tol"),
+                                          ("verify", "k"), ("index", "k"), ("certificate", "tol"),
                                           ("certificate", "synthetic_lambda")])
 def test_unread_config_key_is_usage_error(tmp_path, capsys, command, key):
     cfg = tmp_path / "run.cfg"

@@ -180,13 +180,18 @@ def eigsh_at_one_iteration(monkeypatch):
                         lambda *args, **kwargs: original(*args, **{**kwargs, "maxiter": 1}))
 
 
-@pytest.mark.parametrize("solve, shift", [
-    (lambda mesh: negative_index_count(energy_quadratic_matrix(mesh)), "0.1"),
-    (lambda mesh: solve_smallest_eigenpairs(laplace_pencil(mesh), k=6), "-0.1"),
+@pytest.mark.parametrize("solve, shift, partial", [
+    (lambda mesh: negative_index_count(energy_quadratic_matrix(mesh)), "0.1",
+     "no pair converged"),
+    (lambda mesh: solve_smallest_eigenpairs(laplace_pencil(mesh), k=6), "-0.1",
+     r"worst relative residual \d\.\d{3}e-\d+ of \d converged pairs"),
 ], ids=["index-count", "laplace-solve"])
-def test_arpack_failure_is_a_solver_error_naming_the_shift(solve, shift, monkeypatch):
+def test_arpack_failure_is_a_solver_error_naming_the_shift(solve, shift, partial, monkeypatch):
+    # at one iteration none of the four energy pairs converges, and some of
+    # the six Laplace pairs do; the message gives their worst residual
     eigsh_at_one_iteration(monkeypatch)
-    with pytest.raises(SolverError, match=f"eigensolver at shift {shift} failed"):
+    with pytest.raises(SolverError, match=f"eigensolver at shift {shift} failed: "
+                                          rf"ARPACK error -1: No convergence .*\); {partial}$"):
         solve(build_clifford_torus(8))
 
 

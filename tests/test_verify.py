@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from covered_torus import covered_clifford_torus
 from identity_reference import (
     field_norm,
     identity_matrices_reference,
@@ -11,6 +12,7 @@ from identity_reference import (
 )
 from jittered import jitter_vertices
 
+from spherevar import operators, verify
 from spherevar.catalog import (
     build_clifford_torus,
     build_equatorial_sphere,
@@ -20,6 +22,7 @@ from spherevar.catalog import (
     sweep_ring,
     torus_ring,
 )
+from spherevar.errors import SolverError
 from spherevar.mesh import Chart, SurfaceMesh
 from spherevar.mobius import (
     moebius_basis,
@@ -30,6 +33,7 @@ from spherevar.mobius import (
 from spherevar.operators import (
     assemble_mass,
     assemble_stiffness,
+    count_eigenvalues_below,
     integrate,
     laplace_pencil,
     solve_smallest_eigenpairs,
@@ -38,6 +42,7 @@ from spherevar.operators import (
 from spherevar.sampling import random_polynomial_scalar, random_unit_direction
 from spherevar.secondvar import energy_form_coordinate
 from spherevar.verify import (
+    AGGREGATE_ALGEBRAIC_TOL,
     EIGENVALUE_CAP,
     NUM_DIRECTIONS,
     NUM_FORM_FIELDS,
@@ -67,13 +72,13 @@ EXPECTED_CHECKS = {
 
 
 def test_all_checks_pass_on_clifford(clifford64):
-    report = run_verification(clifford64, k=12, seed=0)
+    report = run_verification(clifford64, seed=0)
     assert report.passed, [c.name for c in report.failures]
     assert {c.name for c in report.checks} == EXPECTED_CHECKS
 
 
 def test_all_checks_pass_on_sphere(sphere4):
-    report = run_verification(sphere4, k=10, seed=0)
+    report = run_verification(sphere4, seed=0)
     assert report.passed, [c.name for c in report.failures]
 
 
@@ -87,13 +92,13 @@ def test_minimality_gate_short_circuits(sphere2):
 
 def test_coarse_mesh_algebraic_checks_still_pass(clifford16):
     # discretization-limited checks may fail at res=16; algebraic ones cannot
-    report = run_verification(clifford16, k=8, seed=0)
+    report = run_verification(clifford16, seed=0)
     algebraic = [c for c in report.checks if c.provenance == "algebraic"]
     assert algebraic and all(c.passed for c in algebraic)
 
 
 def test_report_serializes_with_provenance(sphere4):
-    report = run_verification(sphere4, k=8, seed=0)
+    report = run_verification(sphere4, seed=0)
     payload = report.to_dict()
     assert payload["pass"] is True
     for entry in payload["checks"]:
@@ -102,8 +107,8 @@ def test_report_serializes_with_provenance(sphere4):
 
 
 def test_report_deterministic(clifford16):
-    a = run_verification(clifford16, k=8, seed=0)
-    b = run_verification(clifford16, k=8, seed=0)
+    a = run_verification(clifford16, seed=0)
+    b = run_verification(clifford16, seed=0)
     for ca, cb in zip(a.checks, b.checks):
         assert ca.name == cb.name
         assert np.isclose(ca.error, cb.error, rtol=0, atol=1e-12)
@@ -221,7 +226,63 @@ def test_tangential_norm_fails_on_a_rotated_frame():
     assert checks["minimality-gate"].passed
 
 
-def _moebius_span_reference_errors(mesh, seed, k=12):
+def test_sum_normal_sq_fails_on_a_frame_that_is_not_unit():
+    # one chart frame vector of the Clifford torus scaled by s = 1.01 adds
+    # (s^2 - 1)^2 |xi_i . e_1|^2 to each |xi_i^N|^2, (s^2 - 1)^2 = 4.04e-4 in
+    # the sum: inside the discretization tolerance, far outside the
+    # algebraic one that the identity is held to
+    mesh = build_clifford_torus(32)
+    frames = np.array(mesh.chart.tangent_frames)
+    frames[:, 0] *= 1.01
+    scaled = SurfaceMesh(n=3, vertices=mesh.vertices, faces=mesh.faces,
+                         genus=1, chart=Chart(tangent_frames=frames))
+    checks = {c.name: c for c in run_verification(scaled, seed=0).checks}
+    check = checks["sum-normal-sq"]
+    assert check.provenance == "algebraic" and check.tolerance == AGGREGATE_ALGEBRAIC_TOL
+    assert abs(check.error - (1.01 ** 2 - 1.0) ** 2) <= 1e-12
+    assert check.error < 0.02 and not check.passed
+    assert checks["minimality-gate"].passed
+
+
+def test_battery_checks_every_eigenfunction_below_the_cap_on_the_cover(monkeypatch):
+    # 35 eigenvalues of the 4-fold cover lie below the cap, more than the
+    # lowest twelve; one Lanczos run returns them all, and the product
+    # identities take them with the ten random polynomials
+    mesh = covered_clifford_torus(32)
+    below = count_eigenvalues_below(laplace_pencil(mesh), EIGENVALUE_CAP)
+    assert below == 35
+    runs, spectra = [], []
+
+    def lanczos(*args, **kwargs):
+        runs.append(args[1:3])
+        return lanczos_run(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        spectra.append(solve_run(*args, **kwargs))
+        return spectra[-1]
+
+    lanczos_run, solve_run = operators._shift_invert_lanczos, verify.solve_smallest_eigenpairs
+    monkeypatch.setattr(operators, "_shift_invert_lanczos", lanczos)
+    monkeypatch.setattr(verify, "solve_smallest_eigenpairs", solve)
+    report = run_verification(mesh, seed=0)
+    assert report.passed, [c.name for c in report.failures]
+    assert runs == [(-0.1, below)]
+    assert spectra[0].values.size == below and np.all(spectra[0].values < EIGENVALUE_CAP)
+    details = {c.detail.split()[0] for c in report.checks if c.detail}
+    assert details == {f"functions={NUM_RANDOM_F + below}"} == {"functions=45"}
+
+
+def test_a_solved_eigenvalue_not_below_the_cap_is_a_solver_error(clifford16, monkeypatch):
+    # a count one too high makes the solve return the lowest eigenvalue
+    # above the cap as well
+    monkeypatch.setattr(verify, "count_eigenvalues_below",
+                        lambda *args: count_eigenvalues_below(*args) + 1)
+    with pytest.raises(SolverError, match="10 eigenvalues counted below 6.1, the largest "
+                                          "solved is 8.528"):
+        run_verification(clifford16, seed=0)
+
+
+def _moebius_span_reference_errors(mesh, seed):
     """d2e-moebius-fields, prop1-random and prop1-eigen one field at a time,
     drawing from the rng in run_verification's order."""
     n = mesh.n
@@ -249,10 +310,12 @@ def _moebius_span_reference_errors(mesh, seed, k=12):
         return worst
 
     randoms = [random_polynomial_scalar(mesh, rng) for _ in range(NUM_RANDOM_F)]
-    values, fields, _ = solve_smallest_eigenpairs(laplace_pencil(mesh), k=k, seed=seed)
+    pencil = laplace_pencil(mesh)
+    _, fields, _ = solve_smallest_eigenpairs(
+        pencil, k=count_eigenvalues_below(pencil, EIGENVALUE_CAP), seed=seed)
     return {"d2e-moebius-fields": d2e_worst,
             "prop1-random": prop1_worst(randoms),
-            "prop1-eigen": prop1_worst(fields[:, values <= EIGENVALUE_CAP].T)}
+            "prop1-eigen": prop1_worst(fields.T)}
 
 
 @pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(16, n=5)],
