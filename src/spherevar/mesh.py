@@ -353,12 +353,14 @@ def write_off(mesh, path):
 def read_off(path):
     """Read an extended OFF file; the mesh must pass validate_mesh (MeshError).
 
-    The mesh is named after the file's stem. A file that cannot be read as
-    text or does not parse as nOFF raises ParameterError.
+    The mesh is named after the file's stem. Text from # to the end of a
+    line is a comment. A file that cannot be read as text or does not
+    parse as nOFF raises ParameterError.
     """
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            stripped = (ln.split("#", 1)[0].strip() for ln in fh)
+            lines = [ln for ln in stripped if ln]
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read mesh file {path!r}: {exc}") from exc
     if not lines or lines[0] != "nOFF":

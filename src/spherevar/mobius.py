@@ -137,7 +137,6 @@ def pointwise_identity_report(mesh):
     """Worst pointwise errors of the Moebius-field identities, a dict of floats.
 
       norm_sq       max_i | |xi_i|^2 - (1 - x_i^2 (2 - |x|^2)) |  (algebraic, ~machine)
-      sum_sq        | sum_i |xi_i|^2 - n |                      (algebraic, ~machine)
       tangential_sq max_i | |xi_i^T|^2 - |grad x_i|^2 |         (discretization)
       covariant     max_i | FD of xi_i along an edge + x_i * edge | / |edge|
 
@@ -170,11 +169,9 @@ def pointwise_identity_report(mesh):
     edge_len = np.linalg.norm(edge, axis=1)
 
     errors = []   # (norm_sq, tangential_sq, covariant) of each coordinate
-    norm_sq_all = np.zeros(mesh.num_vertices)
     for i in range(d):
         xi = basis[i]
         sq = np.einsum("vd,vd->v", xi, xi)
-        norm_sq_all += sq
         err_norm = np.max(np.abs(sq - (1.0 - x[:, i] ** 2 * two_minus_sq)))
 
         tansq = np.einsum("vd,vd->v", tangential[i], tangential[i])
@@ -188,10 +185,7 @@ def pointwise_identity_report(mesh):
         err_cov = np.max(np.linalg.norm(delta - target, axis=1) / edge_len)
         errors.append((err_norm, err_tan, err_cov))
     norm_sq, tangential_sq, covariant = np.max(errors, axis=0).tolist()
-    return {"norm_sq": norm_sq,
-            "sum_sq": float(np.max(np.abs(norm_sq_all - mesh.n))),
-            "tangential_sq": tangential_sq,
-            "covariant": covariant}
+    return {"norm_sq": norm_sq, "tangential_sq": tangential_sq, "covariant": covariant}
 
 
 def sum_normal_sq(mesh):

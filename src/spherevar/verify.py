@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .catalog import minimality_residual
 from .certificates import prop1_sum
@@ -41,15 +42,14 @@ from .secondvar import (
     moebius_covariant_load,
     moebius_energy_gram,
 )
-from .sampling import random_bandlimited_field, random_polynomial_scalar, random_unit_direction
+from .sampling import random_bandlimited_field, random_polynomial_scalar
 
 MINIMALITY_GATE = 0.05
 ALGEBRAIC_TOL = 1e-12
 AGGREGATE_ALGEBRAIC_TOL = 1e-9
 EIGENVALUE_CAP = 6.1
-NUM_DIRECTIONS = 20       # random Moebius directions beside the axes (d2e-moebius-fields)
 NUM_FORM_FIELDS = 10      # random fields of form-equivalence
-NUM_RANDOM_F = 10         # random polynomials of prop1-random
+NUM_RANDOM_F = 10         # random polynomials of prop1
 DEFAULT_VERIFY_TOL = 0.02  # discretization tolerance of the oracle checks
 
 
@@ -194,17 +194,10 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0):
                         "oracle").passed:
         return report
 
-    area = integrate(mesh, 1.0)
-
     pw = pointwise_identity_report(mesh)
     report.check("moebius-norm-identity", pw["norm_sq"], ALGEBRAIC_TOL, "algebraic")
-    report.check("moebius-sum-identity", pw["sum_sq"], AGGREGATE_ALGEBRAIC_TOL, "algebraic")
     report.check("tangential-norm-identity", pw["tangential_sq"], tol, "oracle")
     report.check("covariant-derivative", pw["covariant"], 0.05 * report.mesh_size, "oracle")
-
-    G = moebius_gram(mesh)
-    report.check("gram-trace", abs(np.trace(G) - n * area) / (n * area),
-                 AGGREGATE_ALGEBRAIC_TOL, "algebraic")
 
     if n >= 3:
         # tr P_N of the rank n - 2 normal bundle: exact on any surface with orthonormal frames
@@ -212,13 +205,12 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0):
         report.check("sum-normal-sq", float(np.max(np.abs(s - (n - 2)))) / (n - 2),
                      AGGREGATE_ALGEBRAIC_TOL, "algebraic")
 
-    # D^2E(xi_v) = -2 int |xi_v^N|^2 for the axes and random directions; the
-    # three integrals are quadratic forms in v, read from the held Gram matrices
-    directions = np.vstack([np.eye(n + 1)]
-                           + [random_unit_direction(rng, n + 1) for _ in range(NUM_DIRECTIONS)])
-    d2e, nm, nrm = (np.einsum("ti,ij,tj->t", directions, X, directions)
-                    for X in (moebius_energy_gram(mesh), moebius_normal_gram(mesh), G))
-    worst = float(np.max(np.abs(d2e + 2.0 * nm) / np.maximum(nm, 0.01 * nrm)))
+    # D^2E(xi_v) = -2 int |xi_v^N|^2 for every direction v: with the held Gram
+    # matrices B, N, G the worst of |v'(B + 2N)v| / v'(N + 0.01 G)v is the
+    # largest |eigenvalue| of that pencil; N + 0.01 G is definite since G is
+    N = moebius_normal_gram(mesh)
+    worst = np.max(np.abs(scipy.linalg.eigvalsh(moebius_energy_gram(mesh) + 2.0 * N,
+                                                N + 0.01 * moebius_gram(mesh))))
     report.check("d2e-moebius-fields", worst, tol, "theorem")
     report.check("form-equivalence", form_equivalence_error(mesh, rng, NUM_FORM_FIELDS), tol,
                  "theorem")
@@ -234,10 +226,8 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0):
                           f"the largest solved is {values[-1]:g}")
     functions = np.hstack([randoms, fields])
     lhs, rhs = prop1_sum(mesh, functions)
-    gaps = np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + area)
-    for name, part in (("prop1-random", gaps[:NUM_RANDOM_F]),
-                       ("prop1-eigen", gaps[NUM_RANDOM_F:])):
-        report.check(name, np.max(part, initial=0.0), tol, "theorem")
+    gaps = np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + integrate(mesh, 1.0))
+    report.check("prop1", np.max(gaps), tol, "theorem", f"functions={functions.shape[1]}")
 
     # the Moebius product identities entrywise on the same functions; the
     # size of what was compared shows in the detail, so that a pass on

@@ -25,7 +25,7 @@ from spherevar.cli import (
     main,
 )
 from spherevar.errors import ParameterError
-from spherevar.mesh import SurfaceMesh, write_off
+from spherevar.mesh import SurfaceMesh, read_off, write_off
 from spherevar.verify import run_verification
 
 
@@ -221,6 +221,45 @@ def test_adversarial_off_edit_is_usage_error(clifford16_off, tmp_path_factory, e
     with contextlib.redirect_stderr(err):
         assert run(["verify", "--surface", str(path)]) == EXIT_USAGE
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-12])
+def test_sliver_triangle_fails_only_the_minimality_gate(tmp_path, eps):
+    # the third vertex c of face 0 moved to mid + eps (c - mid), mid the
+    # midpoint of the opposite edge, and pushed back onto the sphere: the
+    # mesh stays valid, verify stops at its minimality gate, and every other
+    # command runs to the end
+    mesh = build_clifford_torus(16)
+    vertices = np.array(mesh.vertices)
+    a, b, c = mesh.faces[0]
+    mid = 0.5 * (vertices[a] + vertices[b])
+    moved = mid + eps * (vertices[c] - mid)
+    vertices[c] = moved / np.linalg.norm(moved)
+    path = tmp_path / "sliver.off"
+    write_off(SurfaceMesh(n=3, vertices=vertices, faces=mesh.faces, genus=1), path)
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--surface", str(path), "--out", str(out)]) == EXIT_VERIFICATION
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks if not c["pass"]] == ["minimality-gate"]
+    for command in ("index", "certificate", "spectrum"):
+        assert run([command, "--surface", str(path),
+                    "--out", str(tmp_path / f"{command}.out")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("comment", ["indented", "tab-indented", "after-counts"])
+def test_off_comments_run_from_hash_to_line_end(clifford16_off, tmp_path, comment):
+    # a comment may start anywhere on a line, not only in its first column
+    lines = list(clifford16_off)
+    if comment == "after-counts":
+        lines[1] += "  # dim, vertices, faces, edges"
+    else:
+        lines.insert(2, {"indented": "   # vertices", "tab-indented": "\t# vertices"}[comment])
+    plain, commented = tmp_path / "plain.off", tmp_path / "commented.off"
+    plain.write_text("\n".join(clifford16_off) + "\n")
+    commented.write_text("\n".join(lines) + "\n")
+    expected, mesh = read_off(plain), read_off(commented)
+    assert np.array_equal(mesh.vertices, expected.vertices)
+    assert np.array_equal(mesh.faces, expected.faces)
 
 
 @pytest.mark.parametrize("command", ["spectrum", "verify", "index", "certificate"])
