@@ -222,16 +222,18 @@ def cmd_verify(cfg):
 def _index_count(matrix, cfg, label, pencil):
     """Count, print and report the negative directions of one pencil."""
     result = negative_index_count(matrix, delta=cfg["delta"], seed=cfg["seed"])
+    values = (f"values from shift-invert Lanczos at +delta on {result.lanczos_factor} of "
+              "Q - delta M" if result.lanczos_factor else
+              "no eigenvalue below +delta, so no Lanczos run")
     print(f"{label}: {result.count} "
           f"(negatives {np.round(result.negatives, 4).tolist()})")
     return result.count, {
         "count": result.count,
         "negatives": [float(v) for v in result.negatives],
         "near_zero": [float(v) for v in result.near_zero],
-        "provenance": f"inertia of Q + delta M on the {pencil}, from a count-only "
-                      "multifrontal LDL^T (Cholesky or Bunch-Kaufman per dense front "
-                      "of the nested-dissection tree); values from shift-invert "
-                      "Lanczos at +delta on a SuperLU factor of Q - delta M, "
+        "provenance": f"inertia of Q + delta M on the {pencil}, from a multifrontal "
+                      "LDL^T (Cholesky or Bunch-Kaufman per dense front of the "
+                      f"nested-dissection tree); {values}, "
                       "cross-checked against the dense-front inertia of Q - delta M "
                       "and Q + delta M",
     }

@@ -4,8 +4,10 @@ Cotangent stiffness, consistent mass, barycentric quadrature weights,
 face centroids on the sphere, quadrature, lumped L2 products of vector
 fields, the low end of the Laplace-Beltrami eigenproblem
 S f = lambda M f, the nested dissection of the mesh graph, the one pencil
-type (Pencil) that every count and solve takes, the SuperLU factorizations
-behind every shift-invert eigensolve, and the dense-front inertia count.
+type (Pencil) that every count and solve takes, the dense-front
+multifrontal LDL^T behind every inertia count, whose factor can be kept
+for shift-invert Lanczos (FrontFactor), and the SuperLU factorizations
+behind every other shift-invert eigensolve.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ KERNEL_TOL = 1e-6           # eigenvalues at most this belong to the constants
 DISSECTION_LEAF_SIZE = 16   # parts this small keep their vertex-index order
 FRONT_MERGE_DOFS = 192      # subtrees this small are counted as one dense front
 EXTEND_ADD_COLUMNS = 64     # widest column block of one update added at a time
+KEPT_ENTRY_BYTES = 8        # an entry of a kept dense-front factor: one float
+SUPERLU_ENTRY_BYTES = 12    # an entry of SuperLU's L or U: a float and its row index
 
 
 # the (row corner, column corner) of each element entry in scatter order, on
@@ -382,7 +386,9 @@ def _factor_shifted(pencil, sigma):
     transient beside the factor, and is freed on return; the factor
     (123 MiB there) lives as long as the Lanczos run that solves
     with it. The factor is only solved with: every inertia count is
-    count_eigenvalues_below's. Returns (factor, DOF permutation). A
+    _eliminate's. It serves the scalar pencils, solve_smallest_eigenpairs
+    and the energy pencils whose kept FrontFactor would take more bytes
+    (secondvar.negative_index_count). Returns (factor, DOF permutation). A
     singular Q - sigma M, i.e. an eigenvalue on sigma, raises SolverError.
     """
     K, perm = _shifted_in_elimination_order(pencil, sigma)
@@ -397,13 +403,15 @@ def _factor_shifted(pencil, sigma):
     return lu, perm
 
 
-def _shift_invert_lanczos(pencil, sigma, k, which, seed, vectors=False, deflate=None):
+def _shift_invert_lanczos(pencil, sigma, k, which, seed, vectors=False, deflate=None,
+                          factor=None):
     """k eigenvalues of the pencil by shift-invert Lanczos at sigma, ascending.
 
-    Q - sigma M is factored by _factor_shifted, and the factor, the OPinv
-    of eigsh, is freed on return; the starting vector, and any vector ARPACK
-    restarts from when the Krylov space breaks down (as on an exactly
-    degenerate eigenvalue), are drawn from ``seed``. With ``vectors`` the
+    The OPinv of eigsh solves with ``factor``, a FrontFactor of
+    Q - sigma M, or when it is None with the SuperLU factor of
+    _factor_shifted, which is freed on return. The starting vector, and
+    any vector ARPACK restarts from when the Krylov space breaks down (as
+    on an exactly degenerate eigenvalue), are drawn from ``seed``. With ``vectors`` the
     M-orthonormal Ritz vectors are returned as well, as (values, vectors).
     ``deflate``, an M-orthonormal block W (V, m) of eigenvectors, is
     projected off every solve (x - W W'M x), so the operator maps their span
@@ -412,7 +420,7 @@ def _shift_invert_lanczos(pencil, sigma, k, which, seed, vectors=False, deflate=
     pairs that converged. Private, so that a tracer of the public
     functions names the Lanczos run after the function that asked for it.
     """
-    lu, perm = _factor_shifted(pencil, sigma)
+    lu, perm = _factor_shifted(pencil, sigma) if factor is None else (factor, pencil.dof_order)
     MW = None if deflate is None else pencil.M @ deflate
 
     def solve(b):
@@ -443,50 +451,152 @@ def _shift_invert_lanczos(pencil, sigma, k, which, seed, vectors=False, deflate=
 
 
 def count_eigenvalues_below(pencil, shift):
-    """Eigenvalues of the pencil below shift, by Sylvester's law of inertia.
+    """Eigenvalues of the pencil below shift, by Sylvester's law of inertia:
+    with M positive definite, the negative eigenvalues of Q - shift M,
+    counted by the multifrontal LDL^T of _eliminate, which keeps no factor."""
+    return _eliminate(pencil, _fronts(pencil), shift).negative
 
-    With M positive definite this is the number of negative eigenvalues of
-    K = Q - shift M, counted by a multifrontal LDL^T that keeps nothing but
-    the count (I. S. Duff and J. K. Reid, ACM TOMS 9, 1983). The fronts are
-    those of the dissection tree (see nested_dissection), in DOF blocks.
-    A front gathers its rows of K and the updates of its children into a
-    dense matrix [[F11, F12], [F21, F22]] over its pivots and its update
-    positions. F11 is factored by Cholesky, or when that fails by
-    Bunch-Kaufman, and the negative eigenvalues of its D blocks are counted;
-    the Schur complement F22 - F21 F11^-1 F12 goes to the parent front. By
-    inertia additivity the counts sum to that of K. A singular F11, as from
-    an eigenvalue on the shift, raises SolverError. Each front reads the
-    rows of its pivots from Q and M, on their one pattern, keeping the
-    nonzero entries of K on or after the diagonal in elimination order
-    (Pencil.dof_order), so no copy of K is formed; an entry of K between
-    two vertices that no mesh edge joins raises ContractError.
-    Every front is a view of one Fortran-ordered buffer of the largest
-    front's size, zeroed in place, and every Schur complement that waits
-    for its parent a view of one contribution stack (_contribution_offsets),
-    so the peak memory is those two buffers and the LAPACK factor of one
-    pivot block.
+
+class FrontFactor(NamedTuple):
+    """The dense-front LDL^T of K = Q - shift M that _eliminate keeps.
+
+    One buffer of Fronts.kept_sizes floats holds, front after front,
+    the pivot block packed to its lower triangle (by columns, as BLAS
+    packs it) and then the update block, Fortran-ordered: for a Cholesky
+    pivot block L11, L21 = F21 L11^-T (updates x pivots); for a
+    Bunch-Kaufman one, the LD of LAPACK's dsytrf, whose ipiv the front
+    holds, and X = F11^-1 F12 (pivots x updates). Like a SuperLU factor it
+    solves in elimination order (Pencil.dof_order).
+    """
+
+    buffer: np.ndarray
+    # per front, in post-order: (pivot positions, packed block, update block,
+    # update positions, ipiv or None)
+    fronts: list
+
+    @property
+    def shape(self):
+        return (self.fronts[-1][0].stop,) * 2
+
+    def solve(self, rhs):
+        """K^-1 rhs, by forward substitution over the fronts in post-order
+        and back substitution in reverse."""
+        x = np.array(rhs, dtype=float)
+        for pivots, packed, update, at, ipiv in self.fronts:
+            pivot = x[pivots]
+            if ipiv is None:
+                pivot[:] = blas.dtpsv(pivot.size, packed, pivot, lower=1, overwrite_x=1)
+                if at.size:
+                    x[at] -= update @ pivot
+                continue
+            if at.size:
+                x[at] -= pivot @ update
+            LD = np.empty((pivot.size,) * 2, order="F")   # dsytrs reads its lower triangle
+            LD.T[_packed_lower(pivot.size)] = packed
+            pivot[:] = lapack.dsytrs(LD, ipiv, pivot, lower=1)[0]
+        for pivots, packed, update, at, ipiv in reversed(self.fronts):
+            pivot = x[pivots]
+            if ipiv is None:
+                if at.size:
+                    pivot -= x[at] @ update
+                pivot[:] = blas.dtpsv(pivot.size, packed, pivot, lower=1, trans=1, overwrite_x=1)
+            elif at.size:
+                pivot -= update @ x[at]
+        return x
+
+
+class Elimination(NamedTuple):
+    """What _eliminate found of K = Q - shift M."""
+
+    negative: int    # negative eigenvalues of K
+    nonzeros: int    # nonzero entries of the factor's pivot-block lower triangles and update blocks
+    factor: FrontFactor | None   # the factor, when kept
+
+
+def _packed_lower(p):
+    """The mask on the transpose of a p x p matrix that reads its lower
+    triangle column by column, BLAS's packed order."""
+    return np.tri(p, dtype=bool).T
+
+
+class Fronts(NamedTuple):
+    """The fronts of a pencil's elimination and the buffers that every
+    elimination of it (_eliminate) works in.
+
+    A front is a dissection-tree node with more than FRONT_MERGE_DOFS DOFs
+    in its subtree, pivoting on its own vertices, or a largest subtree of
+    at most that many, pivoting on all of them. Every front is a view of
+    one Fortran-ordered buffer of the largest front's size, and every
+    Schur complement that waits for its parent a view of one contribution
+    stack (_contribution_offsets), so eliminations at several shifts
+    allocate them once.
+    """
+
+    nodes: np.ndarray     # the tree nodes that are fronts, post-order
+    starts: np.ndarray    # first pivot position (in vertices) of every tree node
+    pivots: np.ndarray    # pivot DOFs of each front
+    updates: np.ndarray   # update DOFs of each front
+    offsets: np.ndarray   # where each front's Schur complement lies in the stack
+    work: np.ndarray
+    stack: np.ndarray
+
+    @property
+    def kept_sizes(self):
+        """Floats of each front's kept factor: its pivot block packed, p (p + 1) / 2,
+        and its update block, p u."""
+        return self.pivots * (self.pivots + 1) // 2 + self.pivots * self.updates
+
+
+def _fronts(pencil):
+    """The Fronts of a pencil, their buffers allocated."""
+    tree, block = pencil.tree, pencil.block
+    small = (tree.stop - tree.first) * block <= FRONT_MERGE_DOFS
+    nodes = np.flatnonzero(~small | (tree.parent < 0) | ~np.take(small, tree.parent))
+    starts = np.where(small, tree.first, tree.start)
+    pivots = (tree.stop - starts)[nodes] * block
+    updates = np.diff(tree.update_ptr)[nodes] * block
+    offsets, length = _contribution_offsets(nodes, tree.parent, updates ** 2)
+    return Fronts(nodes, starts, pivots, updates, offsets,
+                  np.empty(int(np.max(pivots + updates)) ** 2), np.empty(length))
+
+
+def _eliminate(pencil, fronts, shift, count_nonzeros=False, keep=False):
+    """The multifrontal LDL^T of K = Q - shift M (I. S. Duff and J. K. Reid,
+    ACM TOMS 9, 1983) on the pencil's Fronts, an Elimination: its negative
+    eigenvalues, with ``count_nonzeros`` or ``keep`` its factor's nonzeros,
+    and with ``keep`` the FrontFactor.
+
+    The fronts are in DOF blocks. A front gathers its rows of K and the
+    updates of its children into a dense matrix [[F11, F12], [F21, F22]]
+    over its pivots and its update positions. F11 is factored by
+    Cholesky, or when that fails by Bunch-Kaufman, and the negative
+    eigenvalues of its D blocks are counted; the Schur complement
+    F22 - F21 F11^-1 F12 goes to the parent front. By inertia additivity
+    the counts sum to that of K. A singular F11, as from an eigenvalue on
+    the shift, raises SolverError. Each front reads the rows of its pivots
+    from Q and M, on their one pattern, keeping the nonzero entries of K on
+    or after the diagonal in elimination order (Pencil.dof_order), so no
+    copy of K is formed; an entry of K between two vertices that no mesh
+    edge joins raises ContractError. Beside the buffers of ``fronts``,
+    zeroed in place, the peak memory is the LAPACK factor of one pivot
+    block, and with ``keep`` the factor's own buffer, which the factor of
+    each front is copied into.
     """
     Q, M, tree, block, perm = pencil.Q, pencil.M, pencil.tree, pencil.block, pencil.dof_order
     position = np.empty(perm.size, dtype=np.intp)
     position[perm] = np.arange(perm.size)
     row_nnz = np.diff(Q.indptr)
-    # a front is a node with more than FRONT_MERGE_DOFS DOFs in its subtree,
-    # pivoting on its own vertices, or a largest subtree of at most that
-    # many, pivoting on all of them
-    small = (tree.stop - tree.first) * block <= FRONT_MERGE_DOFS
-    fronts = np.flatnonzero(~small | (tree.parent < 0) | ~np.take(small, tree.parent))
-    starts = np.where(small, tree.first, tree.start)
-    pivots = (tree.stop - starts)[fronts] * block
-    updates = np.diff(tree.update_ptr)[fronts] * block
-    work = np.empty(int(np.max(pivots + updates)) ** 2)   # every front, in turn
-    offsets, length = _contribution_offsets(fronts, tree.parent, updates ** 2)
-    stack = np.empty(length)
+    sizes = fronts.kept_sizes
+    kept_offsets = np.cumsum(sizes) - sizes
+    buffer = np.empty(int(np.sum(sizes)) if keep else 0)
+    kept = []
     local = np.zeros(perm.size, dtype=np.intp)
     lanes = np.arange(block)
-    negative = 0
+    negative = nonzeros = 0
     pending = []   # (parent, update DOFs, Schur complement in the stack), newest last
-    for s, offset in zip(fronts.tolist(), offsets.tolist()):
-        a, b = starts[s] * block, tree.stop[s] * block
+    for s, offset, kept_offset, size in zip(fronts.nodes.tolist(), fronts.offsets.tolist(),
+                                            kept_offsets.tolist(), sizes.tolist()):
+        a, b = fronts.starts[s] * block, tree.stop[s] * block
         later = tree.update[tree.update_ptr[s]:tree.update_ptr[s + 1]]
         dofs = np.concatenate([np.arange(a, b), (later[:, None] * block + lanes).ravel()])
         local[dofs] = np.arange(dofs.size)
@@ -498,24 +608,36 @@ def count_eigenvalues_below(pencil, shift):
         col = position[Q.indices[entry]]
         pivot = np.repeat(np.arange(b - a), lengths)
         values = Q.data[entry] - shift * M.data[entry]
-        keep = (col >= a + pivot) & (values != 0.0)
-        col, pivot, values = col[keep], pivot[keep], values[keep]
+        keep_entry = (col >= a + pivot) & (values != 0.0)
+        col, pivot, values = col[keep_entry], pivot[keep_entry], values[keep_entry]
         at = local[col]
         if not np.array_equal(np.take(dofs, at, mode="clip"), col):
             raise ContractError("the pencil has an entry between vertices that no "
                                 "mesh edge joins")
-        F = work[:dofs.size ** 2].reshape((dofs.size,) * 2, order="F")
+        F = fronts.work[:dofs.size ** 2].reshape((dofs.size,) * 2, order="F")
         F.fill(0.0)
         F[at, pivot] = values
         while pending and pending[-1][0] == s:
             _, child, update = pending.pop()
             _extend_add(F, local[child], update)
         rest = dofs.size - (b - a)
-        update = stack[offset:offset + rest ** 2].reshape((rest, rest), order="F")
-        negative += _eliminate_pivots(F, b - a, shift, update)
+        update = fronts.stack[offset:offset + rest ** 2].reshape((rest, rest), order="F")
+        count, pivot_block, update_block, ipiv = _eliminate_pivots(F, b - a, shift, update)
+        negative += count
+        if count_nonzeros or keep:
+            lower = pivot_block.T[_packed_lower(b - a)]   # a copy, packed
+            nonzeros += np.count_nonzero(lower) + np.count_nonzero(update_block)
+        if keep:
+            front = buffer[kept_offset:kept_offset + size]
+            front[:lower.size] = lower
+            front[lower.size:] = update_block.ravel(order="F")
+            kept.append((slice(a, b), front[:lower.size],
+                         front[lower.size:].reshape(update_block.shape, order="F"),
+                         dofs[b - a:], ipiv))
+        del pivot_block, update_block   # freed before the next front's are formed
         if rest:
             pending.append((tree.parent[s], dofs[b - a:], update))
-    return negative
+    return Elimination(negative, nonzeros, FrontFactor(buffer, kept) if keep else None)
 
 
 def _contribution_offsets(fronts, parent, sizes):
@@ -560,23 +682,30 @@ def _extend_add(F, at, update):
 
 
 def _eliminate_pivots(F, pivots, shift, out):
-    """Negative eigenvalues of F11 = F[:pivots, :pivots], from the lower
-    triangle of F; the lower triangle of the Schur complement of F11 in F
-    is written into ``out``, a Fortran-ordered array (its upper triangle is
-    not set)."""
+    """Eliminate the pivots of F, from its lower triangle.
+
+    Returns (negative eigenvalues of F11 = F[:pivots, :pivots], pivot
+    block, update block, ipiv): the Cholesky factor L11 of F11, L21 and
+    None, or when F11 is indefinite the Bunch-Kaufman LD and X =
+    F11^-1 F12 with LD's ipiv. The lower triangle of the Schur complement
+    of F11 in F is written into ``out``, a Fortran-ordered array (its upper
+    triangle is not set).
+    """
     F11, F21, F22 = F[:pivots, :pivots], F[pivots:, :pivots], F[pivots:, pivots:]
     L, info = lapack.dpotrf(F11, lower=1, clean=0)
     if info == 0:
-        if F21.size:
-            L21 = blas.dtrsm(1.0, L, F21, side=1, lower=1, trans_a=1)
-            out[...] = F22
-            blas.dsyrk(-1.0, L21, beta=1.0, c=out, lower=1, overwrite_c=1)
-        return 0
+        if not F21.size:
+            return 0, L, F21, None
+        L21 = blas.dtrsm(1.0, L, F21, side=1, lower=1, trans_a=1)
+        out[...] = F22
+        blas.dsyrk(-1.0, L21, beta=1.0, c=out, lower=1, overwrite_c=1)
+        return 0, L, L21, None
     del L   # Bunch-Kaufman factors F11 afresh (in place at a root, where F11 is F)
     if F21.size:
         LD, ipiv, X, info = lapack.dsysv(F11, F21.T, lower=1)
     else:
         LD, ipiv, info = lapack.dsytrf(F11, lower=1, overwrite_a=1)
+        X = F21.T
     # D has 1x1 blocks where ipiv > 0 and 2x2 blocks on the pairs ipiv < 0
     d = LD.diagonal()
     two = np.flatnonzero(ipiv < 0)[::2]
@@ -586,8 +715,9 @@ def _eliminate_pivots(F, pivots, shift, out):
                           "singular")
     if F21.size:
         np.subtract(F22, F21 @ X, out=out)
-    return int(np.count_nonzero(d[ipiv > 0] < 0.0) + np.count_nonzero(det < 0.0)
-               + 2 * np.count_nonzero((det > 0.0) & (d[two] < 0.0)))
+    negative = (np.count_nonzero(d[ipiv > 0] < 0.0) + np.count_nonzero(det < 0.0)
+                + 2 * np.count_nonzero((det > 0.0) & (d[two] < 0.0)))
+    return int(negative), LD, X, ipiv
 
 
 def solve_smallest_eigenpairs(pencil, k, seed=0):

@@ -23,12 +23,15 @@ from .errors import ContractError, ParameterError, SolverError, UnsupportedSurfa
 from .mesh import face_areas, face_derivatives, per_mesh, sphere_tangent_frames
 from .mobius import check_sphere_tangent, moebius_basis, split_tangent_normal
 from .operators import (
+    KEPT_ENTRY_BYTES,
+    SUPERLU_ENTRY_BYTES,
     Pencil,
+    _eliminate,
+    _fronts,
     _p1_mass,
     _shift_invert_lanczos,
     assemble_mass,
     assemble_stiffness,
-    count_eigenvalues_below,
     dissection_tree,
     face_centroids_on_sphere,
     lumped_gram,
@@ -244,46 +247,59 @@ class IndexCount(NamedTuple):
     negatives: np.ndarray     # eigenvalues below -delta, ascending
     near_zero: np.ndarray     # eigenvalues in [-delta, delta] (diagnostics)
     delta: float
+    lanczos_factor: str       # the factor of Q - delta M that Lanczos solved with, "" if none ran
 
 
 def negative_index_count(form, delta=DEFAULT_INDEX_DELTA, seed=0):
     """Count eigenvalues of Q w = mu M w below -delta.
 
-    Sylvester inertia leads and Lanczos supplies the values. The inertia
-    of Q - delta M, counted on the dense fronts of the dissection tree
-    (count_eigenvalues_below), gives the number of eigenvalues below
-    +delta. SuperLU factors Q - delta M, in the same vertex order, as the
-    OPinv of one shift-invert Lanczos at +delta; there exactly those
-    eigenvalues have a negative transformed value 1 / (mu - delta), so
-    which="SA" with k equal to that number returns exactly them. The count
-    is the inertia of Q + delta M, counted on the fronts. Raises
-    SolverError if an eigenvalue sits on +-delta (a singular front), if a
-    Lanczos value is not below +delta, or if the Lanczos values below
-    -delta are not as many as that count. A delta that is not positive and
-    finite raises ParameterError.
+    Sylvester inertia leads and Lanczos supplies the values. The count is
+    the inertia of Q + delta M, and that of Q - delta M gives the number of
+    eigenvalues below +delta, both counted on the dense fronts of the
+    dissection tree (operators._eliminate). Shift-invert Lanczos at +delta
+    solves with a factor of Q - delta M; there exactly those eigenvalues
+    have a negative transformed value 1 / (mu - delta), so which="SA" with
+    k equal to that number returns exactly them.
+
+    The factor is chosen from the pencil alone. For a pencil of more than
+    one DOF per vertex (the energy pencil), the count at -delta also
+    counts its factor's nonzeros, and the elimination at +delta keeps its
+    fronts (operators.FrontFactor) when that factor takes no more bytes
+    than SuperLU's, whose L and U each store those nonzeros; otherwise, and
+    for a scalar pencil, SuperLU factors Q - delta M for Lanczos in the
+    same order. Raises SolverError if an eigenvalue sits on +-delta (a
+    singular front), if a Lanczos value is not below +delta, or if the
+    Lanczos values below -delta are not as many as the count. A delta that
+    is not positive and finite raises ParameterError.
     """
     if not 0.0 < delta < math.inf:
         raise ParameterError(f"delta={delta:g} must be positive and finite")
     dim = form.Q.shape[0]
-    wanted = count_eigenvalues_below(form, delta)
-    if wanted >= dim:
+    fronts = _fronts(form)
+    below = _eliminate(form, fronts, -delta, count_nonzeros=form.block > 1)
+    keep = form.block > 1 and (KEPT_ENTRY_BYTES * int(np.sum(fronts.kept_sizes))
+                               <= SUPERLU_ENTRY_BYTES * 2 * below.nonzeros)
+    above = _eliminate(form, fronts, delta, keep=keep)
+    del fronts   # its buffers, before SuperLU factors or Lanczos solves
+    if above.negative >= dim:
         raise SolverError(f"{form.kind} index: all {dim} eigenvalues lie below "
                           f"{delta:g}; shift-invert Lanczos needs fewer than {dim}")
-    vals = np.empty(0)
-    if wanted:
-        vals = _shift_invert_lanczos(form, delta, wanted, "SA", seed)
+    vals, factor = np.empty(0), ""
+    if above.negative:
+        vals = _shift_invert_lanczos(form, delta, above.negative, "SA", seed,
+                                     factor=above.factor)
+        factor = "the kept dense-front LDL^T" if keep else "a SuperLU factor"
     if vals.size and not vals[-1] < delta:
         raise SolverError(
             f"{form.kind} index: Lanczos returned {vals[-1]:.6g}, not below "
             f"{delta:g}, so an eigenvalue below {delta:g} was missed")
-    count = count_eigenvalues_below(form, -delta)
     negatives = vals[vals < -delta]
-    if negatives.size != count:
+    if negatives.size != below.negative:
         raise SolverError(
             f"{form.kind} index: Lanczos counts {negatives.size} eigenvalues below "
-            f"-{delta:g}, the inertia of Q + {delta:g} M counts {count}")
-    return IndexCount(count=count, negatives=negatives,
-                      near_zero=vals[vals >= -delta], delta=delta)
+            f"-{delta:g}, the inertia of Q + {delta:g} M counts {below.negative}")
+    return IndexCount(count=below.negative, negatives=negatives,
+                      near_zero=vals[vals >= -delta], delta=delta, lanczos_factor=factor)
 
 
 class EjiriMicallefR(NamedTuple):

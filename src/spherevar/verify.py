@@ -29,6 +29,7 @@ from .mobius import (
     vertex_products,
 )
 from .operators import (
+    assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
     integrate,
@@ -216,7 +217,8 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0):
                  "theorem")
 
     # canonical-variation sum identity for random functions and eigenfunctions,
-    # one prop1_sum over both, each gap relative to |lhs| + |rhs| + the area
+    # one prop1_sum over both, each gap relative to n int|grad f|^2 +
+    # (2n - 4) int f^2 + the area, whose terms cannot cancel as the rhs's can
     randoms = np.stack([random_polynomial_scalar(mesh, rng) for _ in range(NUM_RANDOM_F)], axis=1)
     pencil = laplace_pencil(mesh)
     values, fields, _ = solve_smallest_eigenpairs(
@@ -226,7 +228,9 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0):
                           f"the largest solved is {values[-1]:g}")
     functions = np.hstack([randoms, fields])
     lhs, rhs = prop1_sum(mesh, functions)
-    gaps = np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + integrate(mesh, 1.0))
+    stiffness, mass = (np.einsum("vm,vm->m", functions, A @ functions)
+                       for A in (assemble_stiffness(mesh), assemble_mass(mesh)))
+    gaps = np.abs(lhs - rhs) / (n * stiffness + (2 * n - 4) * mass + integrate(mesh, 1.0))
     report.check("prop1", np.max(gaps), tol, "theorem", f"functions={functions.shape[1]}")
 
     # the Moebius product identities entrywise on the same functions; the

@@ -385,6 +385,10 @@ def test_index_report(tmp_path):
     assert payload["counts"]["area_jacobi"]["count"] == 5
     assert payload["bracket"]["pass"] is True
     assert payload["el_soufi"]["negative_definite"] is True
+    # the provenance names the factor Lanczos solved with
+    counts = payload["counts"]
+    assert "on the kept dense-front LDL^T of Q - delta M" in counts["energy"]["provenance"]
+    assert "on a SuperLU factor of Q - delta M" in counts["area_jacobi"]["provenance"]
 
 
 def test_certificate_report(tmp_path):

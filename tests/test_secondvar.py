@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from covered_torus import covered_clifford_torus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from identity_reference import field_inner, frame_block_reference, surface_gradient
@@ -32,7 +33,10 @@ from spherevar.mobius import (
 )
 from spherevar.operators import (
     Pencil,
+    _eliminate,
     _factor_shifted,
+    _fronts,
+    _shift_invert_lanczos,
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
@@ -176,13 +180,86 @@ def test_front_count_matches_dense_spectrum(build):
 ], ids=["clifford64-energy", "clifford64-area", "clifford128-energy", "clifford128-area",
         "sphere5-area"])
 def test_front_count_matches_superlu_pivots(surface, res, build):
-    # the pencils and shifts of `spherevar index` and the benchmark's index workload
+    # the pencils and shifts of `spherevar index` and the benchmark's index
+    # workload; at -delta, where the size rule reads them, the factor's
+    # nonzeros are those SuperLU stores in L and again in U
     form = build(build_by_name(surface, res=res))
     for shift in (DEFAULT_INDEX_DELTA, -DEFAULT_INDEX_DELTA):
         lu, _ = _factor_shifted(form, shift)
         pivots = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+        stored = lu.L.nnz + lu.U.nnz
         del lu
         assert count_eigenvalues_below(form, shift) == pivots
+        if shift < 0:
+            found = _eliminate(form, _fronts(form), shift, count_nonzeros=True)
+            assert (found.negative, 2 * found.nonzeros) == (pivots, stored)
+
+
+@pytest.mark.parametrize("build, shift, structure", [
+    (lambda: build_clifford_torus(8), DEFAULT_INDEX_DELTA, "root only"),
+    (lambda: build_clifford_torus(16), DEFAULT_INDEX_DELTA, "indefinite root"),
+    (lambda: build_clifford_torus(16), 3.0, "indefinite below the root"),
+    (lambda: build_product_torus(8, n=5), DEFAULT_INDEX_DELTA, "indefinite root"),
+    (lambda: build_product_torus(8, n=5), 3.0, "indefinite below the root"),
+], ids=["clifford8", "clifford16", "clifford16-inside", "s5-torus8", "s5-torus8-inside"])
+def test_kept_front_factor_solves_like_a_dense_solve(build, shift, structure, rng):
+    # the pencil at res 8 is one front; at +delta the root is indefinite,
+    # and inside the spectrum fronts below it are too (Bunch-Kaufman)
+    form = energy_quadratic_matrix(build())
+    fronts = _fronts(form)
+    found = _eliminate(form, fronts, shift, keep=True)
+    factor = found.factor
+    indefinite = [ipiv is not None for _, _, _, _, ipiv in factor.fronts]
+    assert indefinite[-1]
+    assert (len(indefinite) == 1) == (structure == "root only")
+    if structure == "indefinite below the root":
+        assert any(indefinite[:-1])
+    K = (form.Q - shift * form.M).toarray()
+    assert found.negative == int(np.sum(np.linalg.eigvalsh(K) < 0.0))
+    perm = form.dof_order
+    for _ in range(3):
+        b = rng.standard_normal(K.shape[0])
+        x = np.empty_like(b)
+        x[perm] = factor.solve(b[perm])
+        exact = np.linalg.solve(K, b)
+        assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
+    # one buffer, sized from the tree, that every kept block lies in and
+    # that the elimination's own buffers never share
+    assert factor.buffer.size == np.sum(fronts.kept_sizes) and factor.buffer.base is None
+    for _, packed, update, _, ipiv in factor.fronts:
+        for kept in (packed, update):
+            assert kept.size == 0 or np.shares_memory(kept, factor.buffer)
+        for kept in (packed, update, ipiv):
+            assert kept is None or not any(np.shares_memory(kept, scratch)
+                                           for scratch in (fronts.work, fronts.stack))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_clifford_torus(64),
+    lambda: build_product_torus(32, n=5),
+], ids=["clifford64", "s5-torus32"])
+def test_lanczos_on_the_kept_factor_matches_superlu(build):
+    form = energy_quadratic_matrix(build())
+    above = _eliminate(form, _fronts(form), DEFAULT_INDEX_DELTA, keep=True)
+    kept = _shift_invert_lanczos(form, DEFAULT_INDEX_DELTA, above.negative, "SA", 0,
+                                 factor=above.factor)
+    superlu = _shift_invert_lanczos(form, DEFAULT_INDEX_DELTA, above.negative, "SA", 0)
+    assert np.all(np.abs(kept - superlu) <= 1e-10 * np.abs(superlu))
+    result = negative_index_count(form)
+    assert np.sum(kept < -DEFAULT_INDEX_DELTA) == np.sum(superlu < -DEFAULT_INDEX_DELTA)
+    assert result.count == np.sum(kept < -DEFAULT_INDEX_DELTA)
+
+
+@pytest.mark.parametrize("build, factor, count", [
+    (lambda: energy_quadratic_matrix(build_clifford_torus(32)), "the kept dense-front LDL^T", 4),
+    (lambda: energy_quadratic_matrix(covered_clifford_torus(32)), "a SuperLU factor", 24),
+    (lambda: area_jacobi_matrix(build_clifford_torus(32)), "a SuperLU factor", 5),
+], ids=["clifford32-energy", "cover32-energy", "clifford32-area"])
+def test_index_count_keeps_the_fronts_where_they_are_smaller(build, factor, count):
+    # the kept factor against SuperLU's: 4.0 against 5.7 MiB on the torus,
+    # 35.5 against 24.0 MiB on the cover; scalar pencils stay on SuperLU
+    result = negative_index_count(build())
+    assert (result.lanczos_factor, result.count) == (factor, count)
 
 
 # tracemalloc peaks measured on clifford64, in pencil sizes (the bytes of
@@ -264,12 +341,13 @@ def test_index_count_lanczos_value_above_cutoff_raises(clifford16, monkeypatch):
 def test_index_count_inertia_disagreement_raises(clifford16, monkeypatch):
     from spherevar import secondvar
 
-    count = secondvar.count_eigenvalues_below
+    eliminate = secondvar._eliminate
 
-    def wrong_below_minus_delta(pencil, shift):
-        return 99 if shift < 0 else count(pencil, shift)
+    def wrong_below_minus_delta(pencil, fronts, shift, **kwargs):
+        found = eliminate(pencil, fronts, shift, **kwargs)
+        return found._replace(negative=99) if shift < 0 else found
 
-    monkeypatch.setattr(secondvar, "count_eigenvalues_below", wrong_below_minus_delta)
+    monkeypatch.setattr(secondvar, "_eliminate", wrong_below_minus_delta)
     with pytest.raises(SolverError, match="inertia"):
         negative_index_count(area_jacobi_matrix(clifford16))
 

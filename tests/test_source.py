@@ -108,7 +108,8 @@ def test_factor_reads_finds_a_planted_name():
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_package_module_reads_no_superlu_factor(path):
-    # SuperLU only solves: every inertia count is count_eigenvalues_below's
+    # SuperLU only solves: every inertia count is the dense fronts', and a
+    # kept front factor names its blocks packed and update, never L or U
     assert factor_reads(path.read_text()) == []
 
 
