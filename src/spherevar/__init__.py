@@ -49,8 +49,6 @@ from .secondvar import (
     area_jacobi_form,
     area_jacobi_matrix,
     ejiri_micallef_r,
-    energy_form_coordinate,
-    energy_form_covariant,
     energy_quadratic_matrix,
     negative_index_count,
 )

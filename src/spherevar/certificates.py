@@ -35,7 +35,7 @@ from .operators import (
     solve_smallest_eigenpairs,
     vertex_weights,
 )
-from .secondvar import energy_form_coordinate, moebius_energy_gram
+from .secondvar import moebius_energy_gram
 
 ORTHOGONALITY_TOL = 1e-8
 DEFAULT_CERTIFICATE_K = 8   # eigenpairs solved for the first nonzero cluster
@@ -69,23 +69,21 @@ def prop1_sum(mesh, f):
     """Sum of canonical-variation energies vs n*int|grad f|^2 - (2n-4)*int f^2.
 
     f is one function (V,), which gives two floats (lhs, rhs), or a batch
-    (V, m) of functions, which gives two length-m arrays. The lhs sums the
-    n+1 canonical energies of each function, the diagonals of
-    canonical_variation_values; the rhs takes one product with S and one
-    with M. The identity holds for every smooth f on a minimal surface, so
-    the gap is pure discretization error.
+    (V, m) of functions, which gives two (m, m) matrices, the bilinear forms
+    of both sides over the columns: lhs = sum_i C_i with C_i the canonical
+    energies of canonical_variation_values, rhs = n F'SF - (2n-4) F'MF.
+    The identity holds for every smooth f on a minimal surface, so the gap
+    is pure discretization error.
     """
     f = np.asarray(f, dtype=float)
-
-    def form(A):
-        return np.einsum("v...,v...->...", f, A @ f)
-
+    F = f.reshape(f.shape[0], -1)
     n = mesh.n
-    d2e = canonical_variation_values(mesh, f.reshape(f.shape[0], -1))[0]
-    lhs = np.diagonal(d2e, axis1=1, axis2=2).sum(axis=0)
-    rhs = n * form(assemble_stiffness(mesh)) - (2 * n - 4) * form(assemble_mass(mesh))
+    stiffness, mass, _ = canonical_variation_values(mesh, F)
+    lhs = (stiffness - 2.0 * mass).sum(axis=0)
+    rhs = (n * (F.T @ (assemble_stiffness(mesh) @ F))
+           - (2 * n - 4) * (F.T @ (assemble_mass(mesh) @ F)))
     if f.ndim == 1:
-        return float(lhs[0]), float(rhs)
+        return float(lhs[0, 0]), float(rhs[0, 0])
     return lhs, rhs
 
 
@@ -135,29 +133,36 @@ class CertificateReport:
                 for name, v in values.items()}
 
 
-def canonical_variation_values(mesh, F):
-    """D^2E(F_a xi_i, F_b xi_i) and int F_a F_b |xi_i^N|^2 over the columns of F (V, m).
+def lumped_density_grams(mesh, F, X):
+    """int F_a F_b |X_i|^2 over the columns of F (V, m) for every field of a
+    stack X (k, V, n+1), (k, m, m): each weights F_a(v) F_b(v) by the
+    per-vertex density w_v |X_i(v)|^2."""
+    density = vertex_weights(mesh)[:, None] * np.einsum("ivd,ivd->vi", X, X)
+    return np.stack([(F * weight[:, None]).T @ F for weight in density.T])
 
-    Two arrays (n+1, m, m). S and M share one CSR pattern, so the energies
-    are F' S_i F - 2 F' M_i F, with S_i and M_i the matrices S and M on that
-    pattern weighted entrywise by xi_i(v) . xi_i(w). The two parts are
-    summed apart, as the coordinate form sums them: S - 2M formed entrywise
-    rounds alike on every vertex of a regular grid, which shifts f'(S - 2M)f
-    by about 100 times the rounding of the separate sums. The normal masses
-    weight F_a(v) F_b(v) by the per-vertex density w_v |xi_i^N(v)|^2.
+
+def canonical_variation_values(mesh, F):
+    """The parts of D^2E(F_a xi_i, F_b xi_i) over the columns of F (V, m), and
+    int F_a F_b |xi_i^N|^2.
+
+    Three arrays (n+1, m, m): stiffness F' S_i F, mass F' M_i F and normal
+    mass, with S_i and M_i the matrices S and M on their one CSR pattern
+    weighted entrywise by xi_i(v) . xi_i(w). The canonical energies are
+    C_i = stiffness - 2 mass, the two parts summed apart as the coordinate
+    form sums them: S - 2M formed entrywise rounds alike on every vertex of
+    a regular grid, which shifts f'(S - 2M)f by about 100 times the
+    rounding of the separate sums. The normal masses are lumped
+    (lumped_density_grams of the Moebius normal parts).
     """
     M = assemble_mass(mesh)
     row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
     stiffness = assemble_stiffness(mesh).data
-    d2e = np.empty((mesh.n + 1, F.shape[1], F.shape[1]))
+    parts = np.empty((2, mesh.n + 1, F.shape[1], F.shape[1]))
     for i, xi in enumerate(moebius_basis(mesh)):
         w = np.einsum("ed,ed->e", np.take(xi, row, axis=0), np.take(xi, M.indices, axis=0))
-        S_i, M_i = (sp.csr_matrix((values * w, M.indices, M.indptr), shape=M.shape)
-                    for values in (stiffness, M.data))
-        d2e[i] = F.T @ (S_i @ F) - 2.0 * (F.T @ (M_i @ F))
-    normal = moebius_normal(mesh)
-    density = vertex_weights(mesh)[:, None] * np.einsum("ivd,ivd->vi", normal, normal)
-    return d2e, np.stack([(F * weight[:, None]).T @ F for weight in density.T])
+        for part, values in zip(parts, (stiffness, M.data)):
+            part[i] = F.T @ (sp.csr_matrix((values * w, M.indices, M.indptr), shape=M.shape) @ F)
+    return parts[0], parts[1], lumped_density_grams(mesh, F, moebius_normal(mesh))
 
 
 def eigenspace_witness(mesh, F, lam):
@@ -170,12 +175,15 @@ def eigenspace_witness(mesh, F, lam):
     Moebius Gram and B moebius_energy_gram. A rotation F Q turns G_i into
     Q'G_i Q. i0 is the lowest i whose least eigenvalue is within TIE_REL
     times the largest |eigenvalue| of the least of all, f = F c with c its
-    first eigenvector. Returns the CertificateReport fields it fills.
+    first eigenvector, and d2e_value that least eigenvalue of G_i0, which
+    is c'G_i0 c = D^2E(P f xi_i0). Returns the CertificateReport fields it
+    fills.
     """
     n, d, m = mesh.n, mesh.n + 1, F.shape[1]
     basis = moebius_basis(mesh)
     S, M = assemble_stiffness(mesh), assemble_mass(mesh)
-    C, N = canonical_variation_values(mesh, F)
+    stiffness, mass, N = canonical_variation_values(mesh, F)
+    C = stiffness - 2.0 * mass
     # b[a, i, j] = int F_a xi_i . xi_j and R[a, i, j] = D^2E(F_a xi_i, xi_j)
     b = (F * vertex_weights(mesh)[:, None]).T @ vertex_products(basis, basis)
     load = np.stack([S @ xi - 2.0 * (M @ xi) for xi in basis])
@@ -190,7 +198,7 @@ def eigenspace_witness(mesh, F, lam):
     c = vectors[i0, :, 0]
     f = F @ c
     d2e, normal_mass = (np.einsum("a,iab,b->i", c, X, c) for X in (C, N))
-    X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, f[:, None] * basis[i0])
+    _, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, f[:, None] * basis[i0])
 
     # proof decomposition: D^2E(X) = D^2E(f xi_i0) - 2 int |a_j xi_j^N|^2
     #                                + 4 int f xi_i0^N . (a_j xi_j^N)
@@ -200,7 +208,7 @@ def eigenspace_witness(mesh, F, lam):
     coeff = (n * lam - 2 * n + 4) / (n - 2)
     return {
         "i0": i0, "a": a, "d2e_canonical": d2e, "normal_mass": normal_mass,
-        "d2e_value": energy_form_coordinate(mesh, X_perp),
+        "d2e_value": float(spectra[i0, 0]),
         "decomposition_value": decomposition,
         "pigeonhole_sum": float(np.sum(d2e - coeff * normal_mass)),
         "orthogonality_residuals": residuals,

@@ -74,7 +74,7 @@ _SURFACE = (Option("surface", str, "clifford-torus", "catalog name or mesh file 
             Option("n", int, None, "ambient sphere dimension"),
             Option("res", int, None, "mesh resolution (catalog semantics)"))
 _K = Option("k", int, DEFAULT_CERTIFICATE_K, "number of eigenpairs")
-_SEED = Option("seed", nonnegative_int, 0, "random seed")
+_SEED = Option("seed", nonnegative_int, 0, "seed of the Lanczos start vectors")
 _OUT = Option("out", str, None, "output JSON path (default: stdout)")
 
 # the settings each command reads, in --help order

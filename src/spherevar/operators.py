@@ -56,21 +56,25 @@ def _p1_mass(mesh, weights):
     return _p1_matrix(mesh, np.where(np.eye(3, dtype=bool), w / 6.0, w / 12.0))
 
 
-@per_mesh
-def assemble_stiffness(mesh):
-    """Cotangent stiffness matrix (PSD, constants in the kernel), held.
-
-    Its element is e_i . e_j / (2 sqrt(det)) for the edges w - u, -w, u
-    opposite the corners (u = B - A, w = C - A), read from face_gram.
-    """
+def _stiffness_element(mesh):
+    """The cotangent element of every face, (F, 3, 3): area grad phi_a . grad phi_b
+    over its corners a, b, which is e_a . e_b / (2 sqrt(det)) for the edges
+    w - u, -w, u opposite the corners (u = B - A, w = C - A), read from
+    face_gram. Each off-diagonal value is formed once, so the element is
+    exactly symmetric."""
     guu, gww, guw, det = face_gram(mesh)
     scale = 0.5 / np.sqrt(det)
-    # each off-diagonal value is formed once, so the element is exactly symmetric
     ab, ac, bc = (guw - gww) * scale, (guw - guu) * scale, -guw * scale
-    element = np.stack([np.stack([(guu - 2.0 * guw + gww) * scale, ab, ac], axis=1),
-                        np.stack([ab, gww * scale, bc], axis=1),
-                        np.stack([ac, bc, guu * scale], axis=1)], axis=1)
-    return _p1_matrix(mesh, element)
+    return np.stack([np.stack([(guu - 2.0 * guw + gww) * scale, ab, ac], axis=1),
+                     np.stack([ab, gww * scale, bc], axis=1),
+                     np.stack([ac, bc, guu * scale], axis=1)], axis=1)
+
+
+@per_mesh
+def assemble_stiffness(mesh):
+    """Cotangent stiffness matrix (PSD, constants in the kernel), held: the
+    P1 sum of the cotangent elements (_stiffness_element)."""
+    return _p1_matrix(mesh, _stiffness_element(mesh))
 
 
 @per_mesh

@@ -3,9 +3,12 @@
 Two independent discretizations of the energy second variation:
 
 * coordinate form: sum_i int |grad X^i|^2 - 2 |X^i|^2 over the ambient
-  components, assembled from the scalar stiffness/mass matrices (canonical);
+  components, assembled from the scalar stiffness/mass matrices (canonical:
+  the energy pencil, the Moebius Gram matrix B and the canonical energies
+  of the certificate);
 * covariant form: int |D X|^2 - 2|X^N|^2 - |X^T|^2 with the derivative taken
-  per face and projected into the sphere tangent space (cross-check only).
+  per face and projected into the sphere tangent space, as one covariant
+  Dirichlet matrix per Moebius field (cross-check only).
 
 The codimension-one area Jacobi form int |grad f|^2 - 2 f^2 - |A|^2 f^2 is
 available for catalog surfaces in S^3 with analytic |A|^2.
@@ -21,7 +24,7 @@ import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError, SolverError, UnsupportedSurfaceError
 from .mesh import face_areas, face_derivatives, per_mesh, sphere_tangent_frames
-from .mobius import check_sphere_tangent, moebius_basis, split_tangent_normal
+from .mobius import moebius_basis
 from .operators import (
     KEPT_ENTRY_BYTES,
     SUPERLU_ENTRY_BYTES,
@@ -29,87 +32,50 @@ from .operators import (
     _eliminate,
     _fronts,
     _p1_mass,
+    _p1_matrix,
     _shift_invert_lanczos,
+    _stiffness_element,
     assemble_mass,
     assemble_stiffness,
     dissection_tree,
     face_centroids_on_sphere,
-    lumped_gram,
 )
 
 DEFAULT_INDEX_DELTA = 0.1
 
 
-def _apply_to_stack(A, X):
-    """A applied to every component of every field of a stack X (m, V, n+1).
-
-    One sparse product over the (V, m * (n+1)) matrix of components; each
-    column is the product A @ X[k] would give, and each field of the result
-    is contiguous again.
-    """
-    m, V, d = X.shape
-    AX = A @ np.moveaxis(X, 0, 1).reshape(V, m * d)
-    return np.ascontiguousarray(np.moveaxis(AX.reshape(V, m, d), 1, 0))
-
-
-def _field_stack(mesh, X):
-    """X as a stack (m, V, n+1) of sphere-tangent fields; one field is a stack of one."""
-    X = np.asarray(X, dtype=float)
-    stack = X if X.ndim == 3 else X[None]
-    for one in stack:
-        check_sphere_tangent(mesh, one)
-    return stack
-
-
-def coordinate_form_parts(mesh, X, Y=None):
-    """Stiffness and mass parts sum_i X_a^i' S Y_b^i and sum_i X_a^i' M Y_b^i of D^2E.
-
-    X is a stack (m, V, n+1) of fields and Y one (p, V, n+1); one field
-    (V, n+1) is a stack of one. The parts are two (m, p) matrices, from one
-    stiffness and one mass product over the fields of Y, each entry summed
-    as for that pair alone; two single fields give two floats. Without Y
-    the matrices are Gram matrices of X, each entry a <= b mirrored, so
-    they are exactly symmetric.
-    """
-    Xs = _field_stack(mesh, X)
-    Ys = Xs if Y is None else _field_stack(mesh, Y)
-    parts = []
-    for A in (assemble_stiffness(mesh), assemble_mass(mesh)):
-        AY = _apply_to_stack(A, Ys)
-        G = np.array([[np.einsum("vd,vd->", x, ay) for ay in AY] for x in Xs])
-        if Y is None:
-            lower = np.tril_indices(len(G), -1)
-            G[lower] = G.T[lower]
-        parts.append(G)
-    if np.ndim(X) == 2 and (Y is None or np.ndim(Y) == 2):
-        return tuple(float(G[0, 0]) for G in parts)
-    return tuple(parts)
-
-
-def energy_form_coordinate(mesh, X, Y=None):
-    """D^2E as a bilinear form: sum_i (X^i' S Y^i - 2 X^i' M Y^i).
-
-    Stacks of fields give the (m, p) matrix of D^2E on every pair, a Gram
-    matrix without Y (see coordinate_form_parts).
-    """
-    stiffness, mass = coordinate_form_parts(mesh, X, Y)
-    return stiffness - 2.0 * mass
-
-
 @per_mesh
 def moebius_energy_gram(mesh):
-    """(n+1)x(n+1) Gram matrix B_ij = D^2E(xi_i, xi_j) of the Moebius basis, read-only."""
-    return energy_form_coordinate(mesh, moebius_basis(mesh))
+    """(n+1)x(n+1) Gram matrix B_ij = D^2E(xi_i, xi_j) of the Moebius basis, read-only.
+
+    D^2E(X, Y) = sum_c X^c' S Y^c - 2 X^c' M Y^c over the ambient components
+    (the coordinate form). S and M are each applied once, to the (V, (n+1)^2)
+    matrix of all components of the basis; each entry sums its stiffness
+    and its mass part apart, and the entries a > b are mirrored, so B is
+    exactly symmetric.
+    """
+    basis = moebius_basis(mesh)
+    d, V, _ = basis.shape
+    components = np.moveaxis(basis, 0, 1).reshape(V, d * d)
+    lower = np.tril_indices(d, -1)
+    parts = []
+    for A in (assemble_stiffness(mesh), assemble_mass(mesh)):
+        applied = np.ascontiguousarray(np.moveaxis((A @ components).reshape(V, d, d), 1, 0))
+        G = np.array([[np.einsum("vd,vd->", x, ay) for ay in applied] for x in basis])
+        G[lower] = G.T[lower]
+        parts.append(G)
+    return parts[0] - 2.0 * parts[1]
 
 
 @per_mesh
 def moebius_covariant_load(mesh):
     """Covariant loads C xi_j of the Moebius basis, (n+1, V, n+1), read-only.
 
-    sum_v X(v) . (C xi_j)(v) = covariant_gradient_inner(mesh, X, xi_j) for
-    every field X (V, n+1). The projection orthogonal to the face centroid
-    is symmetric and idempotent, so on each face <D X, D xi_j> is the
-    unprojected derivative of X along each direction dotted with
+    sum_v X(v) . (C xi_j)(v) = int <D X, D xi_j> for every field X (V, n+1),
+    with D the per-face sphere-covariant derivative
+    (covariant_face_derivatives). The projection orthogonal to the face
+    centroid is symmetric and idempotent, so on each face <D X, D xi_j> is
+    the unprojected derivative of X along each direction dotted with
     (D xi_j)_k, and C xi_j = D' (area * D xi_j) with D the face derivatives.
     """
     D = face_derivatives(mesh)
@@ -132,18 +98,26 @@ def covariant_face_derivatives(mesh, X):
     return D
 
 
-def covariant_gradient_inner(mesh, X, Y=None):
-    """int <D X, D Y> with D the per-face sphere-covariant derivative."""
-    DX = covariant_face_derivatives(mesh, X)
-    DY = DX if Y is None else covariant_face_derivatives(mesh, Y)
-    return float(face_areas(mesh) @ np.einsum("fkc,fkc->f", DX, DY))
+def moebius_covariant_matrices(mesh):
+    """The covariant Dirichlet matrix K_i of every Moebius field, one P1 matrix each.
 
-
-def energy_form_covariant(mesh, X):
-    """D^2E(X) = int |D X|^2 - 2 |X^N|^2 - |X^T|^2 (cross-check form)."""
-    split = split_tangent_normal(mesh, X)
-    tansq, norsq = np.diag(lumped_gram(mesh, np.stack([split.tangential, split.normal])))
-    return covariant_gradient_inner(mesh, X) - 2.0 * norsq - tansq
+    g' K_i h = int <D(g xi_i), D(h xi_i)> for scalar fields g and h, with D
+    the per-face derivative projected orthogonal to the face centroid c_f on
+    the sphere (covariant_face_derivatives): the cotangent element of face f
+    (operators._stiffness_element) weighted entrywise by
+    xi_i(v)' (I - c_f c_f') xi_i(w) over its corners v, w. Each K_i is on
+    the one P1 pattern of S and M.
+    """
+    element = _stiffness_element(mesh)
+    centroid = face_centroids_on_sphere(mesh)
+    matrices = []
+    for xi in moebius_basis(mesh):
+        corners = np.stack([np.take(xi, mesh.faces[:, k], axis=0) for k in range(3)], axis=1)
+        along = np.einsum("fkd,fd->fk", corners, centroid)
+        weight = (np.einsum("fkd,fld->fkl", corners, corners)
+                  - along[:, :, None] * along[:, None, :])
+        matrices.append(_p1_matrix(mesh, element * weight))
+    return matrices
 
 
 def _normsq_A_values(mesh):

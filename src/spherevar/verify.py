@@ -2,10 +2,16 @@
 
 Each check compares two independently computed quantities and records the
 worst error over its instances together with the tolerance it was held to.
-The Moebius product identities hold for every function, so they take no
-eigenvalue: each is an (n+1) x (n+1) matrix of integrals against
-xi_i . xi_j, checked entrywise on the random polynomials and eigenfunctions
-of prop1, all functions in one product with per-vertex densities.
+The identities over functions are checked exactly over one fixed space F:
+the ambient polynomials of degree <= 2 and the Laplace eigenfunctions below
+EIGENVALUE_CAP, M-orthonormalized (function_space). Proposition 1 and the
+agreement of the coordinate and covariant forms of D^2E are quadratic in
+f, so each is the largest |eigenvalue| of a small pencil over F, the worst
+relative gap over every function of F. The Moebius product identities are
+linear in f: each is an (n+1) x (n+1) matrix of integrals against
+xi_i . xi_j, checked entrywise on the columns of F, all in one product with
+per-vertex densities. Nothing is drawn at random; the seed only starts the
+Lanczos runs.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .catalog import minimality_residual
-from .certificates import prop1_sum
+from .certificates import canonical_variation_values, lumped_density_grams, prop1_sum
 from .errors import ParameterError, SolverError
 from .mesh import mesh_size
 from .mobius import (
@@ -32,25 +38,17 @@ from .operators import (
     assemble_mass,
     assemble_stiffness,
     count_eigenvalues_below,
-    integrate,
     laplace_pencil,
     solve_smallest_eigenpairs,
     vertex_weights,
 )
-from .secondvar import (
-    coordinate_form_parts,
-    energy_form_covariant,
-    moebius_covariant_load,
-    moebius_energy_gram,
-)
-from .sampling import random_bandlimited_field, random_polynomial_scalar
+from .secondvar import moebius_covariant_load, moebius_covariant_matrices, moebius_energy_gram
 
 MINIMALITY_GATE = 0.05
 ALGEBRAIC_TOL = 1e-12
 AGGREGATE_ALGEBRAIC_TOL = 1e-9
 EIGENVALUE_CAP = 6.1
-NUM_FORM_FIELDS = 10      # random fields of form-equivalence
-NUM_RANDOM_F = 10         # random polynomials of prop1
+SPACE_DROP_REL = 1e-10    # F'MF eigenvalues this small (relative) are dependent directions
 DEFAULT_VERIFY_TOL = 0.02  # discretization tolerance of the oracle checks
 
 
@@ -159,28 +157,38 @@ def product_identity_residuals(mesh, f):
     return W / scale, (D - T) / scale, np.stack([K, L, T, D], axis=1) / scale[:, None]
 
 
-def form_equivalence_error(mesh, rng, num_fields):
-    """Worst relative gap between the coordinate and covariant energy forms.
+def function_space(mesh, eigenfunctions):
+    """The fixed function space F of the battery, (V, m) M-orthonormal columns.
 
-    Taken over num_fields random band-limited fields drawn from rng, each gap
-    relative to the field's H^1 norm squared, X'SX + X'MX, whose two parts
-    are those of the coordinate form.
+    The candidates are 1, the ambient coordinates x_i, their products
+    x_i x_j (i <= j) and the columns of eigenfunctions. With P'MP = U L U'
+    over the candidates P, F = P U L^-1/2 over the eigenvalues L above
+    SPACE_DROP_REL times the largest: the directions below are dependent
+    (x . x = 1, a coordinate that vanishes, an eigenfunction that is a
+    polynomial) and are dropped.
     """
-    worst = 0.0
-    for _ in range(num_fields):
-        X = random_bandlimited_field(mesh, rng)
-        stiffness, mass = coordinate_form_parts(mesh, X)
-        cov = energy_form_covariant(mesh, X)
-        worst = max(worst, abs(stiffness - 2.0 * mass - cov) / (stiffness + mass))
-    return worst
+    x = mesh.vertices
+    upper = np.triu_indices(mesh.n + 1)
+    P = np.hstack([np.ones((mesh.num_vertices, 1)), x, x[:, upper[0]] * x[:, upper[1]],
+                   eigenfunctions])
+    values, U = np.linalg.eigh(P.T @ (assemble_mass(mesh) @ P))
+    kept = values > SPACE_DROP_REL * values[-1]
+    return P @ (U[:, kept] / np.sqrt(values[kept]))
+
+
+def largest_pencil_eigenvalue(A, B):
+    """The largest |eigenvalue| of the symmetric-definite pencil (A, B), the
+    worst |c'Ac| / c'Bc over every direction c."""
+    return float(np.max(np.abs(scipy.linalg.eigvalsh(A, B))))
 
 
 def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0):
     """Run every identity check; the minimality gate short-circuits failures.
 
-    The eigenfunctions checked are all those below EIGENVALUE_CAP, as many
-    as an inertia count at the cap finds. A tol that is not positive and
-    finite raises ParameterError.
+    The eigenfunctions in the function space are all those below
+    EIGENVALUE_CAP, as many as an inertia count at the cap finds; seed
+    starts their Lanczos run and nothing else. A tol that is not positive
+    and finite raises ParameterError.
     """
     if not 0.0 < tol < np.inf:
         raise ParameterError(f"tol={tol:g} must be positive and finite")
@@ -189,7 +197,6 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0):
         mesh_size=mesh_size(mesh), tolerance=tol,
     )
     n = mesh.n
-    rng = np.random.default_rng(seed)
 
     if not report.check("minimality-gate", minimality_residual(mesh), MINIMALITY_GATE,
                         "oracle").passed:
@@ -210,35 +217,42 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0):
     # matrices B, N, G the worst of |v'(B + 2N)v| / v'(N + 0.01 G)v is the
     # largest |eigenvalue| of that pencil; N + 0.01 G is definite since G is
     N = moebius_normal_gram(mesh)
-    worst = np.max(np.abs(scipy.linalg.eigvalsh(moebius_energy_gram(mesh) + 2.0 * N,
-                                                N + 0.01 * moebius_gram(mesh))))
-    report.check("d2e-moebius-fields", worst, tol, "theorem")
-    report.check("form-equivalence", form_equivalence_error(mesh, rng, NUM_FORM_FIELDS), tol,
-                 "theorem")
+    report.check("d2e-moebius-fields",
+                 largest_pencil_eigenvalue(moebius_energy_gram(mesh) + 2.0 * N,
+                                           N + 0.01 * moebius_gram(mesh)), tol, "theorem")
 
-    # canonical-variation sum identity for random functions and eigenfunctions,
-    # one prop1_sum over both, each gap relative to n int|grad f|^2 +
-    # (2n - 4) int f^2 + the area, whose terms cannot cancel as the rhs's can
-    randoms = np.stack([random_polynomial_scalar(mesh, rng) for _ in range(NUM_RANDOM_F)], axis=1)
     pencil = laplace_pencil(mesh)
-    values, fields, _ = solve_smallest_eigenpairs(
+    values, eigenfunctions, _ = solve_smallest_eigenpairs(
         pencil, k=count_eigenvalues_below(pencil, EIGENVALUE_CAP), seed=seed)
     if values[-1] >= EIGENVALUE_CAP:
         raise SolverError(f"{values.size} eigenvalues counted below {EIGENVALUE_CAP:g}, "
                           f"the largest solved is {values[-1]:g}")
-    functions = np.hstack([randoms, fields])
-    lhs, rhs = prop1_sum(mesh, functions)
-    stiffness, mass = (np.einsum("vm,vm->m", functions, A @ functions)
-                       for A in (assemble_stiffness(mesh), assemble_mass(mesh)))
-    gaps = np.abs(lhs - rhs) / (n * stiffness + (2 * n - 4) * mass + integrate(mesh, 1.0))
-    report.check("prop1", np.max(gaps), tol, "theorem", f"functions={functions.shape[1]}")
+    F = function_space(mesh, eigenfunctions)
+    m = F.shape[1]
 
-    # the Moebius product identities entrywise on the same functions; the
+    # coordinate against covariant D^2E on every field F_a xi_i: the covariant
+    # side int |D X|^2 - 2|X^N|^2 - |X^T|^2 from the covariant matrix K_i, each
+    # gap relative to the H^1 norm of the field, the coordinate form's parts
+    stiffness, mass, normal = canonical_variation_values(mesh, F)
+    tangential = lumped_density_grams(mesh, F, moebius_tangential(mesh))
+    worst = max(largest_pencil_eigenvalue(
+        stiffness[i] - 2.0 * mass[i] - (F.T @ (K @ F) - 2.0 * normal[i] - tangential[i]),
+        stiffness[i] + mass[i]) for i, K in enumerate(moebius_covariant_matrices(mesh)))
+    report.check("form-equivalence", worst, tol, "theorem", f"functions={m}")
+
+    # the canonical-variation sum identity over F, relative to n int|grad f|^2
+    # + (2n - 4) int f^2 + int f^2, whose terms cannot cancel as the rhs's can
+    lhs, rhs = prop1_sum(mesh, F)
+    S_F, M_F = (F.T @ (A @ F) for A in (assemble_stiffness(mesh), assemble_mass(mesh)))
+    report.check("prop1", largest_pencil_eigenvalue(lhs - rhs, n * S_F + (2 * n - 3) * M_F),
+                 tol, "theorem", f"functions={m}")
+
+    # the Moebius product identities entrywise on the columns of F; the
     # size of what was compared shows in the detail, so that a pass on
     # vanishing integrals shows
-    weak, mixed, matrices = product_identity_residuals(mesh, functions)
+    weak, mixed, matrices = product_identity_residuals(mesh, F)
     largest = np.max(np.abs(matrices), axis=(0, 2, 3))
-    detail = (f"functions={functions.shape[1]} max|entry|/(max|f| sqrt(G_ii G_jj)): "
+    detail = (f"functions={m} max|entry|/(max|f| sqrt(G_ii G_jj)): "
               + " ".join(f"{name}={value:.3e}" for name, value in zip("KLTD", largest)))
     for name, residual in (("product-weak-form", weak), ("mixed-gradient", mixed)):
         report.check(name, np.max(np.abs(residual)), tol, "theorem", detail)

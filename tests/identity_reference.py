@@ -1,5 +1,13 @@
-"""Reference evaluations of L2 products and the eigenfunction proof identities.
+"""Reference evaluations of L2 products, the two energy forms and the proof identities.
 
+energy_form_coordinate and energy_form_covariant evaluate D^2E of one field
+(or one pair) in the two discretizations, field by field: the coordinate
+form from S and M applied to the components, the covariant form from the
+per-face covariant derivatives (covariant_gradient_inner) and the split
+into tangential and normal parts. They are the references for
+secondvar.moebius_energy_gram, the canonical energies of
+certificates.canonical_variation_values and the covariant matrices of
+secondvar.moebius_covariant_matrices.
 field_inner and field_norm evaluate the lumped L2 product of one pair of
 fields, the reference for operators.lumped_gram. identity_55,
 weak_form_identity and mixed_gradient_identity evaluate one identity for
@@ -35,6 +43,7 @@ import scipy.sparse as sp
 from spherevar.certificates import TIE_REL
 from spherevar.errors import ContractError
 from spherevar.mobius import (
+    check_sphere_tangent,
     moebius_basis,
     moebius_normal,
     moebius_normal_gram,
@@ -43,12 +52,14 @@ from spherevar.mobius import (
     split_tangent_normal,
 )
 from spherevar.mesh import face_areas, face_corner_vectors, face_corners, face_gram
-from spherevar.operators import integrate, lumped_gram, vertex_weights
-from spherevar.secondvar import (
-    covariant_face_derivatives,
-    covariant_gradient_inner,
-    energy_form_coordinate,
+from spherevar.operators import (
+    assemble_mass,
+    assemble_stiffness,
+    integrate,
+    lumped_gram,
+    vertex_weights,
 )
+from spherevar.secondvar import covariant_face_derivatives
 
 LAMBDA_SINGULAR_TOL = 1e-6
 
@@ -60,6 +71,45 @@ def field_inner(weights, X, Y):
 
 def field_norm(weights, X):
     return float(np.sqrt(max(field_inner(weights, X, X), 0.0)))
+
+
+def energy_form_coordinate(mesh, X, Y=None):
+    """D^2E as a bilinear form: sum_c (X^c' S Y^c - 2 X^c' M Y^c) over the components.
+
+    One sphere-tangent field (V, n+1), or a pair, gives a float. A stack
+    (m, V, n+1) without Y gives its (m, m) Gram matrix, each entry a <= b
+    evaluated as for that pair alone and mirrored.
+    """
+    S, M = assemble_stiffness(mesh), assemble_mass(mesh)
+
+    def pair(A, B):
+        return float(np.einsum("vd,vd->", A, S @ B) - 2.0 * np.einsum("vd,vd->", A, M @ B))
+
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 3:
+        for one in X:
+            check_sphere_tangent(mesh, one)
+        G = np.empty((len(X), len(X)))
+        for a in range(len(X)):
+            for b in range(a, len(X)):
+                G[a, b] = G[b, a] = pair(X[a], X[b])
+        return G
+    check_sphere_tangent(mesh, X)
+    return pair(X, X if Y is None else check_sphere_tangent(mesh, Y))
+
+
+def covariant_gradient_inner(mesh, X, Y=None):
+    """int <D X, D Y> with D the per-face sphere-covariant derivative."""
+    DX = covariant_face_derivatives(mesh, X)
+    DY = DX if Y is None else covariant_face_derivatives(mesh, Y)
+    return float(face_areas(mesh) @ np.einsum("fkc,fkc->f", DX, DY))
+
+
+def energy_form_covariant(mesh, X):
+    """D^2E(X) = int |D X|^2 - 2 |X^N|^2 - |X^T|^2 (the covariant form)."""
+    split = split_tangent_normal(mesh, X)
+    tansq, norsq = np.diag(lumped_gram(mesh, np.stack([split.tangential, split.normal])))
+    return covariant_gradient_inner(mesh, X) - 2.0 * norsq - tansq
 
 
 def surface_gradient(mesh, f):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mobius import moebius_field
+from spherevar.mobius import moebius_field
 
 FIELD_TERMS = 3
 

@@ -10,8 +10,14 @@ import sys
 import numpy as np
 import pytest
 from covered_torus import covered_clifford_torus
-from identity_reference import field_norm, identity_matrices_reference
+from identity_reference import (
+    energy_form_coordinate,
+    energy_form_covariant,
+    field_norm,
+    identity_matrices_reference,
+)
 from jittered import jitter_vertices
+from sampling import random_bandlimited_field, random_polynomial_scalar, random_unit_direction
 
 from spherevar.catalog import (
     build_clifford_torus,
@@ -41,16 +47,9 @@ from spherevar.operators import (
     solve_smallest_eigenpairs,
     vertex_weights,
 )
-from spherevar.sampling import (
-    random_bandlimited_field,
-    random_polynomial_scalar,
-    random_unit_direction,
-)
 from spherevar.secondvar import (
     area_jacobi_matrix,
     ejiri_micallef_r,
-    energy_form_coordinate,
-    energy_form_covariant,
     energy_quadratic_matrix,
     negative_index_count,
 )

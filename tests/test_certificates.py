@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from identity_reference import (
     eigenspace_witness_reference,
+    energy_form_coordinate,
     field_norm,
     identity_55,
     mixed_gradient_identity,
 )
+from sampling import random_polynomial_scalar
 
 from spherevar.catalog import build_product_torus
 from spherevar import certificates
@@ -36,8 +38,6 @@ from spherevar.operators import (
     laplace_pencil,
     solve_smallest_eigenpairs,
 )
-from spherevar.sampling import random_polynomial_scalar
-from spherevar.secondvar import coordinate_form_parts, energy_form_coordinate
 
 
 def test_threshold_values():
@@ -177,35 +177,49 @@ def test_certificate_deterministic(clifford16):
     assert a.verdict == b.verdict
 
 
-def _prop1_loop_reference(mesh, f):
-    """sum_i D^2E(f xi_i), one canonical variation at a time, and the rhs,
-    with the scale of both: the sums of the absolute stiffness and mass
-    terms, of which lhs and rhs are differences."""
-    variations = [f[:, None] * xi for xi in moebius_basis(mesh)]
-    lhs = sum(energy_form_coordinate(mesh, X) for X in variations)
+def _prop1_loop_reference(mesh, f, g):
+    """sum_i D^2E(f xi_i, g xi_i), one pair of canonical variations at a
+    time, and the rhs n f'Sg - (2n-4) f'Mg."""
+    S, M = assemble_stiffness(mesh), assemble_mass(mesh)
+    lhs = sum(energy_form_coordinate(mesh, f[:, None] * xi, g[:, None] * xi)
+              for xi in moebius_basis(mesh))
+    n = mesh.n
+    return lhs, n * (f @ (S @ g)) - (2 * n - 4) * (f @ (M @ g))
+
+
+def _prop1_scale(mesh, f):
+    """The sum of the absolute stiffness and mass terms of which the lhs and
+    rhs of f are differences; the terms of a pair f, g are bounded by the
+    geometric mean of the two scales (Cauchy-Schwarz)."""
     S, M = assemble_stiffness(mesh), assemble_mass(mesh)
     n = mesh.n
-    stiffness, mass = f @ (S @ f), f @ (M @ f)
-    scale = sum(abs(part) for X in variations for part in coordinate_form_parts(mesh, X))
-    scale += n * stiffness + (2 * n - 4) * mass
-    return lhs, n * stiffness - (2 * n - 4) * mass, scale
+    variations = [f[:, None] * xi for xi in moebius_basis(mesh)]
+    return (sum(np.einsum("vd,vd->", X, A @ X) for X in variations for A in (S, M))
+            + n * (f @ (S @ f)) + (2 * n - 4) * (f @ (M @ f)))
 
 
 @pytest.mark.parametrize("mesh_name", ["clifford64", "sphere4"])
 def test_prop1_batch_matches_loop_reference(mesh_name, request):
+    # a batch gives the m x m bilinear forms of both sides, one function
+    # the two floats of its diagonal entry
     mesh = request.getfixturevalue(mesh_name)
     spectrum = request.getfixturevalue(mesh_name + "_spectrum")
     rng = np.random.default_rng(7)
     for fields in ([random_polynomial_scalar(mesh, rng) for _ in range(5)],
                    list(spectrum.fields.T)):
         lhs, rhs = prop1_sum(mesh, np.stack(fields, axis=1))
-        assert lhs.shape == rhs.shape == (len(fields),)
+        assert lhs.shape == rhs.shape == (len(fields), len(fields))
+        scales = [_prop1_scale(mesh, f) for f in fields]
         for j, f in enumerate(fields):
-            ref_lhs, ref_rhs, scale = _prop1_loop_reference(mesh, f)
             one_lhs, one_rhs = prop1_sum(mesh, f)
-            for value, ref in ((lhs[j], ref_lhs), (rhs[j], ref_rhs),
-                               (one_lhs, ref_lhs), (one_rhs, ref_rhs)):
-                assert abs(value - ref) <= 1e-13 * scale
+            assert isinstance(one_lhs, float) and isinstance(one_rhs, float)
+            for k in (j, (j + 1) % len(fields)):
+                ref_lhs, ref_rhs = _prop1_loop_reference(mesh, f, fields[k])
+                pairs = [(lhs[j, k], ref_lhs), (rhs[j, k], ref_rhs)]
+                if k == j:
+                    pairs += [(one_lhs, ref_lhs), (one_rhs, ref_rhs)]
+                for value, ref in pairs:
+                    assert abs(value - ref) <= 1e-13 * np.sqrt(scales[j] * scales[k])
 
 
 @pytest.mark.parametrize("mesh_name", ["clifford64", "s5-torus32"])
@@ -217,11 +231,12 @@ def test_prop1_lhs_sums_the_canonical_energies(mesh_name, request):
     rng = np.random.default_rng(5)
     F = np.stack([random_polynomial_scalar(mesh, rng) for _ in range(3)], axis=1)
     lhs, _ = prop1_sum(mesh, F)
-    d2e, normal_mass = canonical_variation_values(mesh, F)
-    assert d2e.shape == normal_mass.shape == (mesh.n + 1, 3, 3)
-    assert np.array_equal(lhs, np.diagonal(d2e, axis1=1, axis2=2).sum(axis=0))
+    stiffness, mass, normal_mass = canonical_variation_values(mesh, F)
+    assert stiffness.shape == mass.shape == normal_mass.shape == (mesh.n + 1, 3, 3)
+    assert np.array_equal(lhs, (stiffness - 2.0 * mass).sum(axis=0))
     one_lhs, _ = prop1_sum(mesh, F[:, 0])
-    assert one_lhs == canonical_variation_values(mesh, F[:, :1])[0].sum()
+    stiffness, mass, _ = canonical_variation_values(mesh, F[:, :1])
+    assert one_lhs == (stiffness - 2.0 * mass).sum()
 
 
 def test_prop1_lhs_near_exactly_summed_reference(clifford64):
@@ -293,7 +308,8 @@ def test_witness_projection_matches_reference_on_random_functions(mesh_name, req
     reference, G = eigenspace_witness_reference(mesh, F, 0.1)
     scale = max(np.max(np.abs(G)), 1.0)
     # the projection moves G_i off the canonical energies
-    assert np.max(np.abs(G - canonical_variation_values(mesh, F)[0])) > 0.01 * scale
+    stiffness, mass, _ = canonical_variation_values(mesh, F)
+    assert np.max(np.abs(G - (stiffness - 2.0 * mass))) > 0.01 * scale
     assert np.max(np.abs(np.array(witness["cluster_members"])
                          - np.array(reference["cluster_members"]))) <= 1e-10 * scale
     for key in ("i0", "degenerate_gram", "proposition_applicable"):

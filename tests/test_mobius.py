@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from identity_reference import field_inner, field_norm
+from sampling import random_polynomial_scalar
 
 from spherevar.catalog import build_clifford_torus, build_equatorial_sphere, build_product_torus
 from spherevar.errors import ContractError
@@ -23,7 +24,6 @@ from spherevar.mobius import (
     sum_normal_sq,
 )
 from spherevar.operators import integrate, lumped_gram, vertex_weights
-from spherevar.sampling import random_polynomial_scalar
 
 SMALL_TORUS = build_clifford_torus(8)
 SMALL_SPHERE = build_equatorial_sphere(3, 1)

@@ -9,7 +9,15 @@ import scipy.sparse as sp
 from covered_torus import covered_clifford_torus
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from identity_reference import field_inner, frame_block_reference, surface_gradient
+from identity_reference import (
+    covariant_gradient_inner,
+    energy_form_coordinate,
+    energy_form_covariant,
+    field_inner,
+    frame_block_reference,
+    surface_gradient,
+)
+from sampling import random_bandlimited_field
 
 from spherevar import secondvar
 from spherevar.catalog import (
@@ -42,24 +50,23 @@ from spherevar.operators import (
     count_eigenvalues_below,
     face_centroids_on_sphere,
     integrate,
+    laplace_pencil,
     nested_dissection,
+    solve_smallest_eigenpairs,
     vertex_weights,
 )
-from spherevar.sampling import random_bandlimited_field
 from spherevar.secondvar import (
     DEFAULT_INDEX_DELTA,
     area_jacobi_form,
     area_jacobi_matrix,
-    coordinate_form_parts,
-    covariant_gradient_inner,
     ejiri_micallef_r,
-    energy_form_coordinate,
-    energy_form_covariant,
     energy_quadratic_matrix,
     moebius_covariant_load,
+    moebius_covariant_matrices,
     moebius_energy_gram,
     negative_index_count,
 )
+from spherevar.verify import EIGENVALUE_CAP, function_space
 
 SMALL_TORUS = build_clifford_torus(8)
 
@@ -96,8 +103,6 @@ def test_forms_scale_quadratically(a):
 
 
 def test_coordinate_covariant_agreement(clifford64, rng):
-    from spherevar.sampling import random_bandlimited_field
-
     S, M = assemble_stiffness(clifford64), assemble_mass(clifford64)
     for _ in range(5):
         X = random_bandlimited_field(clifford64, rng)
@@ -439,45 +444,60 @@ def test_held_moebius_grams_match_pairwise_reference(mesh_name, request):
     for held, ref in ((moebius_energy_gram(mesh), B_ref), (moebius_normal_gram(mesh), N_ref)):
         assert np.max(np.abs(held - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(moebius_energy_gram(mesh), moebius_energy_gram(mesh).T)
-    # a stack of fields gives its Gram matrix, each entry a <= b summed as for
-    # that pair alone and mirrored
-    directions = np.random.default_rng(5).standard_normal((3, d))
-    stack = np.stack([moebius_field(mesh, v) for v in directions])
-    gram = [[energy_form_coordinate(mesh, stack[min(a, b)], stack[max(a, b)])
-             for b in range(3)] for a in range(3)]
-    assert np.array_equal(energy_form_coordinate(mesh, stack), gram)
 
 
-def test_coordinate_form_parts_pairs_two_stacks(clifford16):
-    rng = np.random.default_rng(11)
-    X = np.stack([random_bandlimited_field(clifford16, rng) for _ in range(3)])
-    Y = np.stack([random_bandlimited_field(clifford16, rng) for _ in range(2)])
-    parts = coordinate_form_parts(clifford16, X, Y)
-    for k, part in enumerate(parts):
-        assert part.shape == (3, 2)
-        assert np.array_equal(part, [[coordinate_form_parts(clifford16, x, y)[k] for y in Y]
-                                     for x in X])
-    assert np.array_equal(energy_form_coordinate(clifford16, X, Y), parts[0] - 2.0 * parts[1])
+class _CountedProducts:
+    """A sparse matrix that records the shape of every right operand of @."""
+
+    def __init__(self, matrix, shapes):
+        self.matrix, self.shapes = matrix, shapes
+
+    def __matmul__(self, other):
+        self.shapes.append(other.shape)
+        return self.matrix @ other
 
 
 def test_moebius_energy_gram_applies_each_operator_once_to_the_basis(monkeypatch):
+    # one stiffness and one mass product, each over all (n+1)^2 components
+    # of the basis, give B bit for bit as the pairwise sums of the reference
     mesh = build_product_torus(32, n=5)
-    applied, checked = [], []
-    apply_to_stack, check_tangent = secondvar._apply_to_stack, secondvar.check_sphere_tangent
+    shapes = []
+    for name in ("assemble_stiffness", "assemble_mass"):
+        held = getattr(secondvar, name)(mesh)
+        monkeypatch.setattr(secondvar, name,
+                            lambda mesh, held=held: _CountedProducts(held, shapes))
+    B = moebius_energy_gram.__wrapped__(mesh)
+    assert shapes == [(mesh.num_vertices, 36)] * 2
+    basis = moebius_basis(mesh)
+    assert np.array_equal(B, [[energy_form_coordinate(mesh, basis[min(i, j)], basis[max(i, j)])
+                               for j in range(6)] for i in range(6)])
 
-    def record_apply(A, X):
-        applied.append(X.shape[0])
-        return apply_to_stack(A, X)
 
-    def record_check(mesh, X):
-        checked.append(X.shape)
-        return check_tangent(mesh, X)
-
-    monkeypatch.setattr(secondvar, "_apply_to_stack", record_apply)
-    monkeypatch.setattr(secondvar, "check_sphere_tangent", record_check)
-    moebius_energy_gram(mesh)
-    assert applied == [6, 6]
-    assert checked == [(mesh.num_vertices, 6)] * 6
+@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(32, n=5),
+                                  build_equatorial_sphere(3, 3)],
+                         ids=["clifford32", "s5-torus32", "sphere3"])
+def test_covariant_matrices_match_the_covariant_form(mesh):
+    # g'K_i g - 2 int g^2 |xi_i^N|^2 - int g^2 |xi_i^T|^2 against the
+    # covariant form of the field g xi_i, with its per-face derivatives, for
+    # every column g of the function space of the verify battery, relative to
+    # the field's norm int |D X|^2 + |X|^2
+    pencil = laplace_pencil(mesh)
+    _, eigenfunctions, _ = solve_smallest_eigenpairs(
+        pencil, k=count_eigenvalues_below(pencil, EIGENVALUE_CAP), seed=0)
+    functions = function_space(mesh, eigenfunctions).T
+    w = vertex_weights(mesh)
+    for xi, K in zip(moebius_basis(mesh), moebius_covariant_matrices(mesh)):
+        assert K.shape == (mesh.num_vertices,) * 2
+        assert np.array_equal(K.indices, assemble_mass(mesh).indices)
+        split = split_tangent_normal(mesh, xi)
+        for g in functions:
+            X = g[:, None] * xi
+            tansq, norsq = (field_inner(w, g[:, None] * part, g[:, None] * part)
+                            for part in (split.tangential, split.normal))
+            ref = energy_form_covariant(mesh, X)
+            value = g @ (K @ g) - 2.0 * norsq - tansq
+            scale = covariant_gradient_inner(mesh, X) + norsq + tansq
+            assert abs(value - ref) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(32, n=5),

@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg
 from covered_torus import covered_clifford_torus
 from identity_reference import (
+    energy_form_coordinate,
+    energy_form_covariant,
     field_norm,
     identity_matrices_reference,
     mixed_gradient_identity,
@@ -12,8 +14,9 @@ from identity_reference import (
     weak_form_identity,
 )
 from jittered import jitter_vertices
+from sampling import random_polynomial_scalar
 
-from spherevar import operators, verify
+from spherevar import operators, secondvar, verify
 from spherevar.catalog import (
     build_clifford_torus,
     build_equatorial_sphere,
@@ -40,15 +43,11 @@ from spherevar.operators import (
     solve_smallest_eigenpairs,
     vertex_weights,
 )
-from spherevar.sampling import random_polynomial_scalar
-from spherevar.secondvar import energy_form_coordinate
 from spherevar.verify import (
     AGGREGATE_ALGEBRAIC_TOL,
     EIGENVALUE_CAP,
-    NUM_FORM_FIELDS,
-    NUM_RANDOM_F,
     MINIMALITY_GATE,
-    form_equivalence_error,
+    function_space,
     identity_matrices,
     product_identity_residuals,
     run_verification,
@@ -188,9 +187,9 @@ def test_batched_identity_matrices_match_per_eigenpair_reference(mesh):
 
 @pytest.mark.parametrize("n, seed", [(4, 0), (4, 2), (5, 0), (5, 2)])
 def test_prop1_passes_on_spheres_in_higher_codimension(n, seed):
-    # the rhs n int|grad f|^2 - (2n - 4) int f^2 cancels for some random
-    # quadratics in S^4 and S^5 (at seed 0 in S^4 it is 1.24 against parts
-    # of 231 and 230), so prop1 is relative to the sum of those parts
+    # the rhs n int|grad f|^2 - (2n - 4) int f^2 cancels for some
+    # quadratics in S^4 and S^5 (for a random one in S^4 it was 1.24 against
+    # parts of 231 and 230), so prop1 is relative to the sum of those parts
     report = run_verification(build_equatorial_sphere(n, 3), seed=seed)
     assert report.passed, [(c.name, c.error) for c in report.failures]
 
@@ -262,8 +261,10 @@ def test_sum_normal_sq_fails_on_a_frame_that_is_not_unit():
 
 def test_battery_checks_every_eigenfunction_below_the_cap_on_the_cover(monkeypatch):
     # 35 eigenvalues of the 4-fold cover lie below the cap, more than the
-    # lowest twelve; one Lanczos run returns them all, and the product
-    # identities take them with the ten random polynomials
+    # lowest twelve; one Lanczos run returns them all. With the 13
+    # independent polynomials of degree <= 2, of which the 9 below the cap
+    # on the unit circle's fibre (lambda = 0, 2 and 4 of the covered torus)
+    # are eigenfunctions, the function space has 39 columns
     mesh = covered_clifford_torus(32)
     below = count_eigenvalues_below(laplace_pencil(mesh), EIGENVALUE_CAP)
     assert below == 35
@@ -285,7 +286,7 @@ def test_battery_checks_every_eigenfunction_below_the_cap_on_the_cover(monkeypat
     assert runs == [(-0.1, below)]
     assert spectra[0].values.size == below and np.all(spectra[0].values < EIGENVALUE_CAP)
     details = {c.detail.split()[0] for c in report.checks if c.detail}
-    assert details == {f"functions={NUM_RANDOM_F + below}"} == {"functions=45"}
+    assert details == {"functions=39"}
 
 
 def test_a_solved_eigenvalue_not_below_the_cap_is_a_solver_error(clifford16, monkeypatch):
@@ -298,19 +299,20 @@ def test_a_solved_eigenvalue_not_below_the_cap_is_a_solver_error(clifford16, mon
         run_verification(clifford16, seed=0)
 
 
-def _moebius_span_reference_errors(mesh, seed):
-    """d2e-moebius-fields and prop1 one field pair and one function at a
-    time, drawing from the rng in run_verification's order.
+def _function_space_reference_errors(mesh, seed):
+    """d2e-moebius-fields, form-equivalence and prop1 one field pair at a time.
 
     B, N and G are built entry by entry, D^2E(xi_i, xi_j) and the
     integrals of xi_i^N . xi_j^N and xi_i . xi_j, with the normal parts
     split afresh; the worst of |v'(B + 2N)v| / v'(N + 0.01 G)v over every
-    direction v is the largest |eigenvalue| of that pencil.
+    direction v is the largest |eigenvalue| of that pencil. Over the
+    function space F, each entry of the form-equivalence and prop1 pencils
+    polarizes the energy of the fields (F_a + F_b) xi_i and
+    (F_a - F_b) xi_i, in the coordinate form and in the covariant form with
+    its per-face derivatives.
     """
-    n = mesh.n
-    rng = np.random.default_rng(seed)
-    area = integrate(mesh, 1.0)
-    fields = [moebius_field(mesh, v) for v in np.eye(n + 1)]
+    n, d = mesh.n, mesh.n + 1
+    fields = [moebius_field(mesh, v) for v in np.eye(d)]
     normals = [split_tangent_normal(mesh, xi).normal for xi in fields]
 
     def integrals(stack):
@@ -320,31 +322,102 @@ def _moebius_span_reference_errors(mesh, seed):
     B = np.array([[energy_form_coordinate(mesh, X, Y) for Y in fields] for X in fields])
     N = integrals(normals)
     d2e_worst = np.max(np.abs(scipy.linalg.eigvalsh(B + 2.0 * N, N + 0.01 * integrals(fields))))
-    form_equivalence_error(mesh, rng, NUM_FORM_FIELDS)
 
-    randoms = [random_polynomial_scalar(mesh, rng) for _ in range(NUM_RANDOM_F)]
     pencil = laplace_pencil(mesh)
-    _, eigenfields, _ = solve_smallest_eigenpairs(
+    _, eigenfunctions, _ = solve_smallest_eigenpairs(
         pencil, k=count_eigenvalues_below(pencil, EIGENVALUE_CAP), seed=seed)
+    F = function_space(mesh, eigenfunctions)
+    m = F.shape[1]
     S, M = assemble_stiffness(mesh), assemble_mass(mesh)
-    prop1_worst = 0.0
-    for f in randoms + list(eigenfields.T):
-        lhs = sum(energy_form_coordinate(mesh, f[:, None] * xi) for xi in fields)
-        stiffness, mass = f @ (S @ f), f @ (M @ f)
-        rhs = n * stiffness - (2 * n - 4) * mass
-        prop1_worst = max(prop1_worst,
-                          abs(lhs - rhs) / (n * stiffness + (2 * n - 4) * mass + area))
-    return {"d2e-moebius-fields": d2e_worst, "prop1": prop1_worst}
+
+    def polarized(form):
+        """The (m, m) bilinear form of a quadratic form of one function."""
+        return np.array([[0.25 * (form(F[:, a] + F[:, b]) - form(F[:, a] - F[:, b]))
+                          for b in range(m)] for a in range(m)])
+
+    def h1(xi):
+        return lambda f: sum(np.einsum("vd,vd->", f[:, None] * xi, A @ (f[:, None] * xi))
+                             for A in (S, M))
+
+    form_worst = max(np.max(np.abs(scipy.linalg.eigvalsh(
+        polarized(lambda f, xi=xi: energy_form_coordinate(mesh, f[:, None] * xi)
+                  - energy_form_covariant(mesh, f[:, None] * xi)),
+        polarized(h1(xi))))) for xi in fields)
+    lhs = polarized(lambda f: sum(energy_form_coordinate(mesh, f[:, None] * xi)
+                                  for xi in fields))
+    stiffness, mass = polarized(lambda f: f @ (S @ f)), polarized(lambda f: f @ (M @ f))
+    prop1_worst = np.max(np.abs(scipy.linalg.eigvalsh(
+        lhs - (n * stiffness - (2 * n - 4) * mass), n * stiffness + (2 * n - 3) * mass)))
+    return {"d2e-moebius-fields": d2e_worst, "form-equivalence": form_worst,
+            "prop1": prop1_worst}
 
 
 @pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(16, n=5)],
                          ids=["clifford32", "s5-torus16"])
 def test_moebius_span_checks_match_per_field_reference(mesh):
     # the battery reads d2e-moebius-fields from one eigvalsh on the held
-    # Gram matrices and prop1 from batched products; the reference builds
-    # the Gram matrices one field pair at a time and evaluates prop1 one
-    # function at a time
-    for seed in (0, 1):
-        errors = {c.name: c.error for c in run_verification(mesh, seed=seed).checks}
-        for name, ref in _moebius_span_reference_errors(mesh, seed).items():
-            assert abs(errors[name] - ref) <= 1e-9 * ref, name
+    # Gram matrices, form-equivalence and prop1 from matrices over F; the
+    # reference builds the Gram matrices one field pair at a time and every
+    # matrix over F from the energies of single fields
+    errors = {c.name: c.error for c in run_verification(mesh, seed=0).checks}
+    for name, ref in _function_space_reference_errors(mesh, 0).items():
+        assert abs(errors[name] - ref) <= 1e-9 * ref, name
+
+
+@pytest.mark.parametrize("mesh", [build_clifford_torus(32), build_product_torus(32, n=5),
+                                  build_equatorial_sphere(3, 4)],
+                         ids=["clifford32", "s5-torus32", "sphere4"])
+def test_function_space_is_m_orthonormal_and_spans_its_candidates(mesh):
+    # 1, x_i and x_i x_j leave 13 independent functions on the tori (x . x
+    # and the two circle radii are constant) and 9 on the sphere in S^3,
+    # where x_3 = 0; the eigenfunctions below the cap are polynomials on the
+    # tori and add 8 on the sphere, whose constant is already there. On the
+    # sphere the discrete eigenfunctions differ from the polynomials by
+    # O(h^2): those directions are kept at 1.8e-10 of the largest F'MF
+    # eigenvalue and amplify the rounding of F'MF to about 1e-6
+    pencil = laplace_pencil(mesh)
+    _, eigenfunctions, _ = solve_smallest_eigenpairs(
+        pencil, k=count_eigenvalues_below(pencil, EIGENVALUE_CAP), seed=0)
+    F = function_space(mesh, eigenfunctions)
+    M = assemble_mass(mesh)
+    assert F.shape[1] == (17 if mesh.genus == 0 else 13)
+    tol = 1e-6 if mesh.genus == 0 else 1e-12
+    assert np.max(np.abs(F.T @ (M @ F) - np.eye(F.shape[1]))) <= tol
+    x = mesh.vertices
+    for g in [x[:, 0] * x[:, 1], x[:, 2] ** 2, *eigenfunctions.T]:
+        residual = g - F @ (F.T @ (M @ g))
+        assert np.sqrt(residual @ (M @ residual)) <= 1e-6 * np.sqrt(g @ (M @ g))
+
+
+@pytest.mark.parametrize("res", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_check_passes_on_equatorial_spheres(n, res):
+    report = run_verification(build_equatorial_sphere(n, res), seed=0)
+    assert report.passed, [(c.name, c.error) for c in report.failures]
+
+
+@pytest.mark.parametrize("mesh", [build_equatorial_sphere(4, 3), build_clifford_torus(32)],
+                         ids=["s4-sphere3", "clifford32"])
+def test_function_space_checks_do_not_depend_on_the_seed(mesh):
+    # the seed starts Lanczos only: the eigenfunctions it returns differ
+    # by a rotation within each eigenspace, and every check over F reads
+    # the span alone
+    names = ("prop1", "form-equivalence")
+    errors = [{c.name: c.error for c in run_verification(mesh, seed=seed).checks}
+              for seed in (0, 5, 13)]
+    for name in names:
+        values = [e[name] for e in errors]
+        assert max(values) - min(values) <= 1e-9 * max(values), name
+
+
+def test_form_equivalence_fails_without_the_centroid_projection(monkeypatch):
+    # with every face centroid zero the covariant matrices are the
+    # coordinate stiffness S_i, and the tangential parts' derivative, which
+    # the projection removes, is missing from the covariant side
+    mesh = build_clifford_torus(32)
+    centroids = secondvar.face_centroids_on_sphere(mesh)
+    monkeypatch.setattr(secondvar, "face_centroids_on_sphere",
+                        lambda mesh: np.zeros_like(centroids))
+    checks = {c.name: c for c in run_verification(mesh, seed=0).checks}
+    assert checks["form-equivalence"].error > 0.2
+    assert not checks["form-equivalence"].passed
