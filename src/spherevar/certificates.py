@@ -40,6 +40,7 @@ from .secondvar import moebius_energy_gram
 ORTHOGONALITY_TOL = 1e-8
 DEFAULT_CERTIFICATE_K = 8   # eigenpairs solved for the first nonzero cluster
 TIE_REL = 1e-9              # per-i least eigenvalues this close (relative) tie
+WITNESS_REL = 1e-8          # D^2E(X_perp) against the eigenvalue of G_i0 (relative)
 
 
 def threshold(n):
@@ -175,9 +176,11 @@ def eigenspace_witness(mesh, F, lam):
     Moebius Gram and B moebius_energy_gram. A rotation F Q turns G_i into
     Q'G_i Q. i0 is the lowest i whose least eigenvalue is within TIE_REL
     times the largest |eigenvalue| of the least of all, f = F c with c its
-    first eigenvector, and d2e_value that least eigenvalue of G_i0, which
-    is c'G_i0 c = D^2E(P f xi_i0). Returns the CertificateReport fields it
-    fills.
+    first eigenvector. d2e_value is D^2E of the projected field X_perp =
+    P f xi_i0 itself, from one product of S and one of M with it; it must
+    agree with c'G_i0 c, the least eigenvalue of G_i0, to WITNESS_REL times
+    the largest |eigenvalue| of all G_i, or SolverError is raised. Returns
+    the CertificateReport fields it fills.
     """
     n, d, m = mesh.n, mesh.n + 1, F.shape[1]
     basis = moebius_basis(mesh)
@@ -198,7 +201,12 @@ def eigenspace_witness(mesh, F, lam):
     c = vectors[i0, :, 0]
     f = F @ c
     d2e, normal_mass = (np.einsum("a,iab,b->i", c, X, c) for X in (C, N))
-    _, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, f[:, None] * basis[i0])
+    X_perp, a, residuals, degenerate = project_orthogonal_to_moebius(mesh, f[:, None] * basis[i0])
+    d2e_value = float(np.einsum("vd,vd->", X_perp, S @ X_perp)
+                      - 2.0 * np.einsum("vd,vd->", X_perp, M @ X_perp))
+    if abs(d2e_value - spectra[i0, 0]) > WITNESS_REL * np.max(np.abs(spectra)):
+        raise SolverError(f"D^2E of the projected witness is {d2e_value:.6g}, the least "
+                          f"eigenvalue of G_{i0} that chose it {spectra[i0, 0]:.6g}")
 
     # proof decomposition: D^2E(X) = D^2E(f xi_i0) - 2 int |a_j xi_j^N|^2
     #                                + 4 int f xi_i0^N . (a_j xi_j^N)
@@ -208,7 +216,7 @@ def eigenspace_witness(mesh, F, lam):
     coeff = (n * lam - 2 * n + 4) / (n - 2)
     return {
         "i0": i0, "a": a, "d2e_canonical": d2e, "normal_mass": normal_mass,
-        "d2e_value": float(spectra[i0, 0]),
+        "d2e_value": d2e_value,
         "decomposition_value": decomposition,
         "pigeonhole_sum": float(np.sum(d2e - coeff * normal_mass)),
         "orthogonality_residuals": residuals,
@@ -222,8 +230,9 @@ def build_certificate(mesh, k=DEFAULT_CERTIFICATE_K, seed=0):
     """Run the full certificate pipeline on a mesh.
 
     The report comes from the one witness of the first nonzero eigenspace
-    (eigenspace_witness): d2e_value is the least eigenvalue of all G_i, and
-    cluster_members holds each G_i's ascending eigenvalues. Where that
+    (eigenspace_witness): d2e_value is D^2E of its projected field, which
+    agrees with the least eigenvalue of all G_i, and cluster_members holds
+    each G_i's ascending eigenvalues. Where that
     eigenvalue repeats in G_i0, the witness fields belong to the first
     eigenvector of its eigenspace. The hypothesis, the pigeonhole
     coefficient and proposition_applicable read the measured lambda1.

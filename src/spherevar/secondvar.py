@@ -7,8 +7,9 @@ Two independent discretizations of the energy second variation:
   the energy pencil, the Moebius Gram matrix B and the canonical energies
   of the certificate);
 * covariant form: int |D X|^2 - 2|X^N|^2 - |X^T|^2 with the derivative taken
-  per face and projected into the sphere tangent space, as one covariant
-  Dirichlet matrix per Moebius field (cross-check only).
+  per face and projected orthogonal to the face centroid on the sphere, as
+  one covariant Dirichlet matrix per Moebius field and the covariant loads
+  of the Moebius fields (cross-checks only).
 
 The codimension-one area Jacobi form int |grad f|^2 - 2 f^2 - |A|^2 f^2 is
 available for catalog surfaces in S^3 with analytic |A|^2.
@@ -67,6 +68,13 @@ def moebius_energy_gram(mesh):
     return parts[0] - 2.0 * parts[1]
 
 
+def _off_centroid(mesh, A):
+    """Per-face vectors A (F, k, n+1), each projected orthogonal to its face's
+    centroid on the sphere: the one projection of the covariant derivative."""
+    centroid = face_centroids_on_sphere(mesh)
+    return A - np.einsum("fkc,fc->fk", A, centroid)[:, :, None] * centroid[:, None, :]
+
+
 @per_mesh
 def moebius_covariant_load(mesh):
     """Covariant loads C xi_j of the Moebius basis, (n+1, V, n+1), read-only.
@@ -90,33 +98,29 @@ def covariant_face_derivatives(mesh, X):
 
     Entry [:, k] is the derivative of the linear interpolant of X along the
     k-th orthonormal in-plane direction (face_derivatives), projected
-    orthogonal to the face centroid on the sphere.
+    orthogonal to the face centroid on the sphere (_off_centroid).
     """
-    D = (face_derivatives(mesh) @ np.asarray(X, dtype=float)).reshape(mesh.num_faces, 2, -1)
-    centroid = face_centroids_on_sphere(mesh)
-    D -= np.einsum("fkc,fc->fk", D, centroid)[:, :, None] * centroid[:, None, :]
-    return D
+    D = face_derivatives(mesh) @ np.asarray(X, dtype=float)
+    return _off_centroid(mesh, D.reshape(mesh.num_faces, 2, -1))
 
 
 def moebius_covariant_matrices(mesh):
     """The covariant Dirichlet matrix K_i of every Moebius field, one P1 matrix each.
 
     g' K_i h = int <D(g xi_i), D(h xi_i)> for scalar fields g and h, with D
-    the per-face derivative projected orthogonal to the face centroid c_f on
-    the sphere (covariant_face_derivatives): the cotangent element of face f
-    (operators._stiffness_element) weighted entrywise by
-    xi_i(v)' (I - c_f c_f') xi_i(w) over its corners v, w. Each K_i is on
-    the one P1 pattern of S and M.
+    the per-face covariant derivative (covariant_face_derivatives). The
+    projection is linear and constant on a face, so D(g xi_i) is the
+    derivative of the interpolant of the projected corner values g u_i,
+    u_i = xi_i at the corners of the face projected by _off_centroid: K_i
+    is the cotangent element of each face (operators._stiffness_element)
+    weighted entrywise by u_i(v) . u_i(w) over its corners v, w, on the
+    one P1 pattern of S and M.
     """
     element = _stiffness_element(mesh)
-    centroid = face_centroids_on_sphere(mesh)
     matrices = []
     for xi in moebius_basis(mesh):
-        corners = np.stack([np.take(xi, mesh.faces[:, k], axis=0) for k in range(3)], axis=1)
-        along = np.einsum("fkd,fd->fk", corners, centroid)
-        weight = (np.einsum("fkd,fld->fkl", corners, corners)
-                  - along[:, :, None] * along[:, None, :])
-        matrices.append(_p1_matrix(mesh, element * weight))
+        u = _off_centroid(mesh, xi[mesh.faces])
+        matrices.append(_p1_matrix(mesh, element * (u @ u.transpose(0, 2, 1))))
     return matrices
 
 

@@ -7,11 +7,16 @@ the ambient polynomials of degree <= 2 and the Laplace eigenfunctions below
 EIGENVALUE_CAP, M-orthonormalized (function_space). Proposition 1 and the
 agreement of the coordinate and covariant forms of D^2E are quadratic in
 f, so each is the largest |eigenvalue| of a small pencil over F, the worst
-relative gap over every function of F. The Moebius product identities are
-linear in f: each is an (n+1) x (n+1) matrix of integrals against
-xi_i . xi_j, checked entrywise on the columns of F, all in one product with
-per-vertex densities. Nothing is drawn at random; the seed only starts the
-Lanczos runs.
+relative gap over every function of F; the form agreement is checked on
+the fields f xi_i, one Moebius field at a time, not on the cross terms
+D^2E(f xi_i, g xi_j), i != j. The Moebius product identities are linear in
+f: each is an (n+1) x (n+1) matrix of integrals against xi_i . xi_j,
+checked entrywise on the columns of F, all in one product with per-vertex
+densities. Nothing is drawn at random; the seed only starts the Lanczos
+runs. The two pencils read the span of F alone; the product checks read
+its columns, which, where F holds eigenfunctions beyond the polynomials,
+follow the basis Lanczos returns in each eigenspace, so those two may
+move with the seed.
 """
 
 from __future__ import annotations
@@ -48,7 +53,10 @@ MINIMALITY_GATE = 0.05
 ALGEBRAIC_TOL = 1e-12
 AGGREGATE_ALGEBRAIC_TOL = 1e-9
 EIGENVALUE_CAP = 6.1
-SPACE_DROP_REL = 1e-10    # F'MF eigenvalues this small (relative) are dependent directions
+# function_space drops directions whose M-norm^2 is below this share of the
+# largest candidate's: dependent ones measure at most 1.3e-5 (the eigenfunctions
+# of the coarsest sphere), independent ones at least 2e-2
+SPACE_DROP_REL = 1e-3
 DEFAULT_VERIFY_TOL = 0.02  # discretization tolerance of the oracle checks
 
 
@@ -157,23 +165,37 @@ def product_identity_residuals(mesh, f):
     return W / scale, (D - T) / scale, np.stack([K, L, T, D], axis=1) / scale[:, None]
 
 
+def _m_orthonormal(M, P, reference):
+    """The M-orthonormal directions of the columns of P (V, k): P U L^-1/2 over
+    the eigenvalues L of P'MP above SPACE_DROP_REL times the largest M-norm^2
+    of a column of reference. The directions below are dropped as dependent."""
+    values, U = np.linalg.eigh(P.T @ (M @ P))
+    kept = values > SPACE_DROP_REL * np.max(np.einsum("vk,vk->k", reference, M @ reference))
+    return P @ (U[:, kept] / np.sqrt(values[kept]))
+
+
 def function_space(mesh, eigenfunctions):
     """The fixed function space F of the battery, (V, m) M-orthonormal columns.
 
-    The candidates are 1, the ambient coordinates x_i, their products
-    x_i x_j (i <= j) and the columns of eigenfunctions. With P'MP = U L U'
-    over the candidates P, F = P U L^-1/2 over the eigenvalues L above
-    SPACE_DROP_REL times the largest: the directions below are dependent
-    (x . x = 1, a coordinate that vanishes, an eigenfunction that is a
-    polynomial) and are dropped.
+    First the polynomials: 1, the ambient coordinates x_i and their products
+    x_i x_j (i <= j), M-orthonormalized against the largest of them, which
+    drops their exact dependencies (x . x = 1, a coordinate that vanishes).
+    Then the columns of eigenfunctions with the polynomial directions
+    removed (twice, so that the two blocks are M-orthogonal to rounding),
+    M-orthonormalized against the largest eigenfunction, which drops an
+    eigenfunction that is a polynomial up to discretization error: on the
+    sphere the discrete eigenfunctions below the cap differ from
+    polynomials by O(h^2).
     """
+    M = assemble_mass(mesh)
     x = mesh.vertices
     upper = np.triu_indices(mesh.n + 1)
-    P = np.hstack([np.ones((mesh.num_vertices, 1)), x, x[:, upper[0]] * x[:, upper[1]],
-                   eigenfunctions])
-    values, U = np.linalg.eigh(P.T @ (assemble_mass(mesh) @ P))
-    kept = values > SPACE_DROP_REL * values[-1]
-    return P @ (U[:, kept] / np.sqrt(values[kept]))
+    polynomials = np.hstack([np.ones((mesh.num_vertices, 1)), x,
+                             x[:, upper[0]] * x[:, upper[1]]])
+    Q = _m_orthonormal(M, polynomials, polynomials)
+    rest = eigenfunctions - Q @ (Q.T @ (M @ eigenfunctions))
+    rest -= Q @ (Q.T @ (M @ rest))
+    return np.hstack([Q, _m_orthonormal(M, rest, eigenfunctions)])
 
 
 def largest_pencil_eigenvalue(A, B):
@@ -230,9 +252,10 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0):
     F = function_space(mesh, eigenfunctions)
     m = F.shape[1]
 
-    # coordinate against covariant D^2E on every field F_a xi_i: the covariant
-    # side int |D X|^2 - 2|X^N|^2 - |X^T|^2 from the covariant matrix K_i, each
-    # gap relative to the H^1 norm of the field, the coordinate form's parts
+    # coordinate against covariant D^2E on the fields f xi_i, f in F, for each
+    # i: the covariant side int |D X|^2 - 2|X^N|^2 - |X^T|^2 from the
+    # covariant matrix K_i, each gap relative to the H^1 norm of the field,
+    # the coordinate form's parts
     stiffness, mass, normal = canonical_variation_values(mesh, F)
     tangential = lumped_density_grams(mesh, F, moebius_tangential(mesh))
     worst = max(largest_pencil_eigenvalue(

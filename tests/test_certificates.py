@@ -27,7 +27,7 @@ from spherevar.certificates import (
     threshold,
     threshold_chain_check,
 )
-from spherevar.errors import ContractError, ParameterError, UnsupportedSurfaceError
+from spherevar.errors import ContractError, ParameterError, SolverError, UnsupportedSurfaceError
 from spherevar.mobius import moebius_basis
 from spherevar.operators import (
     assemble_mass,
@@ -319,6 +319,23 @@ def test_witness_projection_matches_reference_on_random_functions(mesh_name, req
     for key in ("d2e_value", "d2e_canonical", "normal_mass", "decomposition_value",
                 "pigeonhole_sum", "orthogonality_residuals"):
         assert np.max(np.abs(witness[key] - reference[key])) <= 1e-10 * scale, key
+
+
+def test_witness_energy_off_its_eigenvalue_is_a_solver_error(clifford64, clifford64_spectrum,
+                                                             monkeypatch):
+    # d2e_value is D^2E of the projected field itself; a defect in the
+    # (n+1)-space assembly of G_i, here a 1% error in the canonical
+    # stiffness, moves the eigenvalue that chose the witness off it
+    values, fields, _ = clifford64_spectrum
+    F = fields[:, eigen_clusters(values)[1]]
+    witness = eigenspace_witness(clifford64, F, 0.1)
+    assert witness["d2e_value"] == pytest.approx(
+        np.min(witness["cluster_members"]), rel=certificates.WITNESS_REL)
+    parts = certificates.canonical_variation_values
+    monkeypatch.setattr(certificates, "canonical_variation_values",
+                        lambda mesh, F: (1.01 * parts(mesh, F)[0], *parts(mesh, F)[1:]))
+    with pytest.raises(SolverError, match="the least eigenvalue of G_0 that chose it"):
+        eigenspace_witness(clifford64, F, 0.1)
 
 
 # fields read only on the Clifford torus, where the witness f is unique up to sign

@@ -370,23 +370,23 @@ def test_moebius_span_checks_match_per_field_reference(mesh):
 def test_function_space_is_m_orthonormal_and_spans_its_candidates(mesh):
     # 1, x_i and x_i x_j leave 13 independent functions on the tori (x . x
     # and the two circle radii are constant) and 9 on the sphere in S^3,
-    # where x_3 = 0; the eigenfunctions below the cap are polynomials on the
-    # tori and add 8 on the sphere, whose constant is already there. On the
-    # sphere the discrete eigenfunctions differ from the polynomials by
-    # O(h^2): those directions are kept at 1.8e-10 of the largest F'MF
-    # eigenvalue and amplify the rounding of F'MF to about 1e-6
+    # where x_3 = 0; the eigenfunctions below the cap add none: they are
+    # polynomials on the tori, and on the sphere they differ from
+    # polynomials by O(h^2), an M-norm^2 of at most 4.7e-8 of theirs at res
+    # 4, below SPACE_DROP_REL, so those directions are dropped
     pencil = laplace_pencil(mesh)
     _, eigenfunctions, _ = solve_smallest_eigenpairs(
         pencil, k=count_eigenvalues_below(pencil, EIGENVALUE_CAP), seed=0)
     F = function_space(mesh, eigenfunctions)
     M = assemble_mass(mesh)
-    assert F.shape[1] == (17 if mesh.genus == 0 else 13)
-    tol = 1e-6 if mesh.genus == 0 else 1e-12
-    assert np.max(np.abs(F.T @ (M @ F) - np.eye(F.shape[1]))) <= tol
+    assert F.shape[1] == (9 if mesh.genus == 0 else 13)
+    assert np.max(np.abs(F.T @ (M @ F) - np.eye(F.shape[1]))) <= 1e-12
     x = mesh.vertices
-    for g in [x[:, 0] * x[:, 1], x[:, 2] ** 2, *eigenfunctions.T]:
+    polynomials = [x[:, 0] * x[:, 1], x[:, 2] ** 2]
+    for g, tol in [*((g, 1e-6) for g in polynomials),
+                   *((g, 1e-6 if mesh.genus else 1e-3) for g in eigenfunctions.T)]:
         residual = g - F @ (F.T @ (M @ g))
-        assert np.sqrt(residual @ (M @ residual)) <= 1e-6 * np.sqrt(g @ (M @ g))
+        assert np.sqrt(residual @ (M @ residual)) <= tol * np.sqrt(g @ (M @ g))
 
 
 @pytest.mark.parametrize("res", [3, 4])
@@ -396,12 +396,15 @@ def test_every_check_passes_on_equatorial_spheres(n, res):
     assert report.passed, [(c.name, c.error) for c in report.failures]
 
 
-@pytest.mark.parametrize("mesh", [build_equatorial_sphere(4, 3), build_clifford_torus(32)],
-                         ids=["s4-sphere3", "clifford32"])
+@pytest.mark.parametrize("mesh", [build_equatorial_sphere(4, 3), build_clifford_torus(32),
+                                  covered_clifford_torus(32)],
+                         ids=["s4-sphere3", "clifford32", "cover32"])
 def test_function_space_checks_do_not_depend_on_the_seed(mesh):
     # the seed starts Lanczos only: the eigenfunctions it returns differ
-    # by a rotation within each eigenspace, and every check over F reads
-    # the span alone
+    # by a rotation within each eigenspace, and prop1 and form-equivalence
+    # read the span of F alone. On the sphere and the torus F is spanned by
+    # polynomials; on the cover 26 of its 39 columns come from
+    # eigenfunctions, rotated with the seed
     names = ("prop1", "form-equivalence")
     errors = [{c.name: c.error for c in run_verification(mesh, seed=seed).checks}
               for seed in (0, 5, 13)]
