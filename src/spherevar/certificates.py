@@ -71,21 +71,26 @@ def prop1_sum(mesh, f):
 
     f is one function (V,), which gives two floats (lhs, rhs), or a batch
     (V, m) of functions, which gives two (m, m) matrices, the bilinear forms
-    of both sides over the columns: lhs = sum_i C_i with C_i the canonical
-    energies of canonical_variation_values, rhs = n F'SF - (2n-4) F'MF.
-    The identity holds for every smooth f on a minimal surface, so the gap
-    is pure discretization error.
+    of both sides over the columns (prop1_sides). The identity holds for
+    every smooth f on a minimal surface, so the gap is pure discretization
+    error.
     """
     f = np.asarray(f, dtype=float)
     F = f.reshape(f.shape[0], -1)
-    n = mesh.n
     stiffness, mass, _ = canonical_variation_values(mesh, F)
-    lhs = (stiffness - 2.0 * mass).sum(axis=0)
-    rhs = (n * (F.T @ (assemble_stiffness(mesh) @ F))
-           - (2 * n - 4) * (F.T @ (assemble_mass(mesh) @ F)))
+    SF, MF = (F.T @ (A @ F) for A in (assemble_stiffness(mesh), assemble_mass(mesh)))
+    lhs, rhs = prop1_sides(mesh.n, stiffness, mass, SF, MF)
     if f.ndim == 1:
         return float(lhs[0, 0]), float(rhs[0, 0])
     return lhs, rhs
+
+
+def prop1_sides(n, stiffness, mass, SF, MF):
+    """The two sides of Proposition 1 over a batch F of functions, from the
+    parts of canonical_variation_values over F and SF = F'SF, MF = F'MF:
+    lhs = sum_i C_i, C_i = stiffness_i - 2 mass_i the canonical energies,
+    and rhs = n F'SF - (2n-4) F'MF."""
+    return (stiffness - 2.0 * mass).sum(axis=0), n * SF - (2 * n - 4) * MF
 
 
 def el_soufi_lower_bound_check(mesh):

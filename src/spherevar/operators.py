@@ -4,7 +4,8 @@ Cotangent stiffness, consistent mass, barycentric quadrature weights,
 face centroids on the sphere, quadrature, lumped L2 products of vector
 fields, the low end of the Laplace-Beltrami eigenproblem
 S f = lambda M f, the nested dissection of the mesh graph, the one pencil
-type (Pencil) that every count and solve takes, the dense-front
+type (Pencil) that every count and solve takes, held as matrices or as
+their congruence by per-vertex frames, the dense-front
 multifrontal LDL^T behind every inertia count, whose factor can be kept
 for shift-invert Lanczos (FrontFactor), and the SuperLU factorizations
 behind every other shift-invert eigensolve.
@@ -12,7 +13,6 @@ behind every other shift-invert eigensolve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -322,38 +322,117 @@ def _node_updates(nodes, edges):
     return np.searchsorted(pairs // V, np.arange(start.size + 1)), pairs % V
 
 
-@dataclass(frozen=True, eq=False)
 class Pencil:
     """The pencil Q w = mu M w, M positive definite, over ``block`` DOFs per
-    mesh vertex, DOF v * block + j of vertex v. Q and M are canonical CSR
-    matrices on one pattern, so Q - sigma M is one axpy on their data, and
-    the pencil is eliminated in its dissection ``tree``'s order (dof_order);
-    construction checks both, and the dimension, raising ContractError."""
+    mesh vertex, DOF v * block + k of vertex v, eliminated in its dissection
+    ``tree``'s order (dof_order).
 
-    Q: sp.csr_matrix
-    M: sp.csr_matrix
-    kind: str                  # "laplace" | "energy" | "areaJacobi"
-    tree: DissectionTree       # elimination order and tree (dissection_tree)
+    Pencil(Q, M, kind, tree, frames=None) holds two vertex matrices,
+    canonical CSR on one pattern, so that Q - sigma M is one axpy on their
+    data. Without frames they are Q and M themselves, of a whole number of
+    DOF blocks per vertex. With per-vertex frames (V, b, d) they are V x V
+    and the pencil is their congruence by the frames: the DOF entry
+    (v b + k, w b + l) of Q is Q_vw (F_v F_w')_kl, and M's likewise
+    (_frame_entries). That congruence is never expanded to DOF level on
+    the way to a count or a Lanczos run: _eliminate gathers each front's
+    rows from the vertex rows and the frames, ``products`` applies Q and M
+    through the frames, and _shifted_in_elimination_order builds SuperLU's
+    matrix from it. The properties Q and M are the DOF-level matrices,
+    which with frames are formed on each access (_frame_block_matrix) and
+    not held. Construction checks the matrices, the frames and the
+    dimension, raising ContractError.
+    """
 
-    def __post_init__(self):
-        Q, M, V = self.Q, self.M, self.tree.order.size
+    def __init__(self, Q, M, kind, tree, frames=None):
+        self.vertex_Q, self.vertex_M, self.kind, self.tree, self.frames = Q, M, kind, tree, frames
+        V = tree.order.size
         if not (Q.format == M.format == "csr" and Q.has_canonical_format and M.has_canonical_format
                 and np.array_equal(Q.indptr, M.indptr) and np.array_equal(Q.indices, M.indices)
                 and Q.shape == M.shape == (Q.shape[0],) * 2
-                and 0 < Q.shape[0] and Q.shape[0] % V == 0):
-            raise ContractError(f"{self.kind} pencil: Q {Q.shape} and M {M.shape} must be square "
+                and 0 < Q.shape[0] and Q.shape[0] % V == 0
+                and (frames is None or (Q.shape[0] == V and frames.ndim == 3
+                                        and frames.shape[0] == V and frames.shape[1] > 0))):
+            raise ContractError(f"{kind} pencil: Q {Q.shape} and M {M.shape} must be square "
                                 "canonical CSR matrices on one pattern, of a positive multiple "
-                                f"of {V} rows")
+                                f"of {V} rows, and of {V} with per-vertex frames")
 
     @property
     def block(self):
-        return self.Q.shape[0] // self.tree.order.size
+        if self.frames is not None:
+            return self.frames.shape[1]
+        return self.vertex_Q.shape[0] // self.tree.order.size
+
+    @property
+    def dim(self):
+        return self.tree.order.size * self.block
+
+    @property
+    def Q(self):
+        return self.vertex_Q if self.frames is None else _frame_block_matrix(self, 0)
+
+    @property
+    def M(self):
+        return self.vertex_M if self.frames is None else _frame_block_matrix(self, 1)
+
+    @property
+    def products(self):
+        """(Q, M) as operators on DOF vectors and blocks of them: the matrices
+        themselves, or with frames operators that apply the congruence of
+        each vertex matrix A as F (A x I_d) F', F the block diagonal of the
+        frames, without forming it."""
+        if self.frames is None:
+            return self.vertex_Q, self.vertex_M
+        frames, shape = self.frames, (self.dim,) * 2
+
+        def operator(A):
+            def apply(x):
+                V, b, d = frames.shape
+                z = np.einsum("vki,vkm->vim", frames, x.reshape(V, b, -1))
+                y = np.einsum("vki,vim->vkm", frames, (A @ z.reshape(V, -1)).reshape(V, d, -1))
+                return y.reshape(x.shape)
+            return spla.LinearOperator(shape, matvec=apply, matmat=apply, dtype=float)
+
+        return operator(self.vertex_Q), operator(self.vertex_M)
 
     @property
     def dof_order(self):
         """The DOF at each elimination position: DOF v * block + j sits at
         position p * block + j when vertex v is at position p of tree.order."""
         return (self.tree.order[:, None] * self.block + np.arange(self.block)).ravel()
+
+
+def _frame_entries(frames, rows, cols, *values):
+    """The DOF blocks of congruences by per-vertex frames at the vertex pairs
+    (rows, cols): for each array of vertex-matrix values A at those pairs,
+    the frame product F_v F_w' times A_vw, an array (pairs, b, b). Every
+    entry of a frame congruence is evaluated here, so the matrices formed
+    from it and the fronts gathered from it agree bit for bit: the products
+    are summed by one einsum, whose value at a pair does not depend on the
+    other pairs evaluated with it, and Q - sigma M is formed from them
+    afterwards."""
+    products = np.einsum("eki,eli->ekl", frames[rows], frames[cols])
+    return [products * one[:, None, None] for one in values]
+
+
+def _frame_block_matrix(pencil, part):
+    """Q (part 0) or M (part 1) of a pencil held with frames, formed at DOF
+    level as canonical CSR: each vertex entry expanded to its frame block
+    (_frame_entries), laid out by scipy's bsr_tocsr, whose row v b + k holds
+    row k of the blocks of row v in turn. The entries that are zero in both
+    Q and M are dropped, as where frame vectors have disjoint support, so
+    that Q and M have one pattern."""
+    Q, M, dim = pencil.vertex_Q, pencil.vertex_M, pencil.dim
+    row = np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))
+    blocks = _frame_entries(pencil.frames, row, Q.indices, Q.data, M.data)
+    # the block entry at each entry of the expansion
+    at = sp.bsr_matrix((np.arange(blocks[0].size).reshape(blocks[0].shape), Q.indices, Q.indptr),
+                       shape=(dim, dim)).tocsr()
+    source = at.data
+    keep = (blocks[0].ravel()[source] != 0.0) | (blocks[1].ravel()[source] != 0.0)
+    kept = np.zeros(keep.size + 1, dtype=at.indptr.dtype)   # entries kept before each
+    np.cumsum(keep, out=kept[1:])
+    return sp.csr_matrix((blocks[part].ravel()[source[keep]], at.indices[keep], kept[at.indptr]),
+                         shape=(dim, dim))
 
 
 def laplace_pencil(mesh):
@@ -364,19 +443,40 @@ def laplace_pencil(mesh):
 def _shifted_in_elimination_order(pencil, sigma):
     """K = Q - sigma M permuted to elimination order (Pencil.dof_order), a
     CSC matrix with 32-bit indices, ascending within each column, and no
-    exact zeros stored. K's data is one axpy on the pencil's one pattern.
-    The rows are gathered into elimination order and the columns
-    renumbered, with no COO triplet; Q and M are symmetric, so the sorted
-    rows of K are its columns. Returns K and the DOF at each position.
+    exact zeros stored. The rows are gathered into elimination order and
+    the columns renumbered, with no COO triplet; Q and M are symmetric, so
+    the sorted rows of K are its columns. Without frames, K's data is one
+    axpy on the pencil's one pattern. With frames, the vertex pattern is
+    put in elimination order so, and each of its entries expanded to the
+    frame block of K (_frame_entries) by scipy's bsr_tocsr, which keeps
+    the order. Returns K and the DOF at each position.
     """
-    Q, M, perm = pencil.Q, pencil.M, pencil.dof_order
-    K = sp.csr_matrix((Q.data - sigma * M.data, Q.indices, Q.indptr), shape=Q.shape)
-    K = K[perm]   # rows in elimination order: new arrays, so K can be edited
-    K.eliminate_zeros()
-    position = np.empty(perm.size, dtype=K.indices.dtype)
-    position[perm] = np.arange(perm.size)
-    K = sp.csr_matrix((K.data, position[K.indices], K.indptr), shape=K.shape)
-    K.sort_indices()
+    perm = pencil.dof_order
+    if pencil.frames is None:
+        Q, M = pencil.vertex_Q, pencil.vertex_M
+        K = sp.csr_matrix((Q.data - sigma * M.data, Q.indices, Q.indptr), shape=Q.shape)
+        K = K[perm]   # rows in elimination order: new arrays, so K can be edited
+        K.eliminate_zeros()
+        position = np.empty(perm.size, dtype=K.indices.dtype)
+        position[perm] = np.arange(perm.size)
+        K = sp.csr_matrix((K.data, position[K.indices], K.indptr), shape=K.shape)
+        K.sort_indices()
+    else:
+        Q, M, order = pencil.vertex_Q, pencil.vertex_M, pencil.tree.order
+        # each entry of the vertex pattern in elimination order, by its index
+        entries = sp.csr_matrix((np.arange(Q.nnz), Q.indices, Q.indptr), shape=Q.shape)[order]
+        position = np.empty(order.size, dtype=entries.indices.dtype)
+        position[order] = np.arange(order.size)
+        entries = sp.csr_matrix((entries.data, position[entries.indices], entries.indptr),
+                                shape=Q.shape)
+        entries.sort_indices()
+        e = entries.data
+        rows = np.repeat(order, np.diff(entries.indptr))
+        QF, MF = _frame_entries(pencil.frames, rows, Q.indices[e], Q.data[e], M.data[e])
+        QF -= sigma * MF
+        del MF
+        K = sp.bsr_matrix((QF, entries.indices, entries.indptr), shape=(perm.size,) * 2).tocsr()
+        K.eliminate_zeros()
     return sp.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape), perm
 
 
@@ -386,12 +486,12 @@ def _factor_shifted(pencil, sigma):
     _shifted_in_elimination_order writes the matrix once, grouped by column
     in elimination order, and SuperLU factors it in symmetric mode without
     column reordering. That CSC matrix (11.6 MiB for the energy pencil of
-    the Clifford torus at res 128, against a 19.2 MiB pencil) is the only
-    transient beside the factor, and is freed on return; the factor
-    (123 MiB there) lives as long as the Lanczos run that solves
-    with it. The factor is only solved with: every inertia count is
-    _eliminate's. It serves the scalar pencils, solve_smallest_eigenpairs
-    and the energy pencils whose kept FrontFactor would take more bytes
+    the Clifford torus at res 128) is the only transient beside the
+    factor, and is freed on return; the factor (123 MiB there) lives as
+    long as the Lanczos run that solves with it. The factor is only
+    solved with: every inertia count is _eliminate's. It serves the
+    scalar pencils, solve_smallest_eigenpairs and the energy pencils
+    whose kept FrontFactor would take more bytes
     (secondvar.negative_index_count). Returns (factor, DOF permutation). A
     singular Q - sigma M, i.e. an eigenvalue on sigma, raises SolverError.
     """
@@ -425,7 +525,8 @@ def _shift_invert_lanczos(pencil, sigma, k, which, seed, vectors=False, deflate=
     functions names the Lanczos run after the function that asked for it.
     """
     lu, perm = _factor_shifted(pencil, sigma) if factor is None else (factor, pencil.dof_order)
-    MW = None if deflate is None else pencil.M @ deflate
+    Q, M = pencil.products
+    MW = None if deflate is None else M @ deflate
 
     def solve(b):
         x = np.empty_like(b)
@@ -437,14 +538,14 @@ def _shift_invert_lanczos(pencil, sigma, k, which, seed, vectors=False, deflate=
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(lu.shape[0])
     try:
-        result = spla.eigsh(pencil.Q, k=k, M=pencil.M, sigma=sigma, which=which, v0=v0,
+        result = spla.eigsh(Q, k=k, M=M, sigma=sigma, which=which, v0=v0,
                             maxiter=5000, return_eigenvectors=vectors, rng=rng,
                             OPinv=spla.LinearOperator(lu.shape, matvec=solve, dtype=float))
     except (spla.ArpackNoConvergence, RuntimeError) as exc:
         # an ArpackNoConvergence carries the pairs that did converge
         partial, worst = getattr(exc, "eigenvalues", np.empty(0)), "no pair converged"
         if partial.size:
-            residual = np.max(_m_orthonormal(pencil.Q, pencil.M, partial, exc.eigenvectors)[1])
+            residual = np.max(_m_orthonormal(Q, M, partial, exc.eigenvectors)[1])
             worst = f"worst relative residual {residual:.3e} of {partial.size} converged pairs"
         raise SolverError(f"eigensolver at shift {sigma:g} failed: {exc}; {worst}") from exc
     if not vectors:
@@ -468,14 +569,15 @@ class FrontFactor(NamedTuple):
     the pivot block packed to its lower triangle (by columns, as BLAS
     packs it) and then the update block, Fortran-ordered: for a Cholesky
     pivot block L11, L21 = F21 L11^-T (updates x pivots); for a
-    Bunch-Kaufman one, the LD of LAPACK's dsytrf, whose ipiv the front
-    holds, and X = F11^-1 F12 (pivots x updates). Like a SuperLU factor it
-    solves in elimination order (Pencil.dof_order).
+    Bunch-Kaufman one, the unit lower L of F11 = P L D L' P' (_bunch_kaufman),
+    whose interchanges and D the front holds, and X = F11^-1 F12 (pivots x
+    updates). Like a SuperLU factor it solves in elimination order
+    (Pencil.dof_order).
     """
 
     buffer: np.ndarray
     # per front, in post-order: (pivot positions, packed block, update block,
-    # update positions, ipiv or None)
+    # update positions, None or the BunchKaufman interchanges and D)
     fronts: list
 
     @property
@@ -486,27 +588,70 @@ class FrontFactor(NamedTuple):
         """K^-1 rhs, by forward substitution over the fronts in post-order
         and back substitution in reverse."""
         x = np.array(rhs, dtype=float)
-        for pivots, packed, update, at, ipiv in self.fronts:
+        for pivots, packed, update, at, pivoting in self.fronts:
             pivot = x[pivots]
-            if ipiv is None:
+            if pivoting is None:
                 pivot[:] = blas.dtpsv(pivot.size, packed, pivot, lower=1, overwrite_x=1)
                 if at.size:
                     x[at] -= update @ pivot
                 continue
             if at.size:
                 x[at] -= pivot @ update
-            LD = np.empty((pivot.size,) * 2, order="F")   # dsytrs reads its lower triangle
-            LD.T[_packed_lower(pivot.size)] = packed
-            pivot[:] = lapack.dsytrs(LD, ipiv, pivot, lower=1)[0]
-        for pivots, packed, update, at, ipiv in reversed(self.fronts):
+            pivot[:] = pivoting.solve(packed, pivot)
+        for pivots, packed, update, at, pivoting in reversed(self.fronts):
             pivot = x[pivots]
-            if ipiv is None:
+            if pivoting is None:
                 if at.size:
                     pivot -= x[at] @ update
                 pivot[:] = blas.dtpsv(pivot.size, packed, pivot, lower=1, trans=1, overwrite_x=1)
             elif at.size:
                 pivot -= update @ x[at]
         return x
+
+
+class BunchKaufman(NamedTuple):
+    """What a kept Bunch-Kaufman pivot block holds beside its packed unit
+    lower L, F11 = P L D L' P': O(p) numbers."""
+
+    perm: np.ndarray    # the interchanges as one gather: P' b = b[perm]
+    d: np.ndarray       # the diagonal of D
+    two: np.ndarray     # the first index of each 2 x 2 block of D
+    e: np.ndarray       # the subdiagonal entry of each 2 x 2 block
+
+    def solve(self, packed, b):
+        """F11^-1 b, the substitutions of LAPACK's dsytrs2 on the packed L."""
+        y = blas.dtpsv(b.size, packed, b[self.perm], lower=1, diag=1)
+        z = y / self.d
+        two, e = self.two, self.e
+        akm1, ak = self.d[two] / e, self.d[two + 1] / e
+        denom = akm1 * ak - 1.0
+        bkm1, bk = y[two] / e, y[two + 1] / e
+        z[two] = (ak * bkm1 - bk) / denom
+        z[two + 1] = (akm1 * bk - bkm1) / denom
+        x = np.empty_like(z)
+        x[self.perm] = blas.dtpsv(b.size, packed, z, lower=1, trans=1, diag=1)
+        return x
+
+
+def _bunch_kaufman(LD, ipiv):
+    """The LD and ipiv of LAPACK's dsytrf (lower) converted once, by dsyconv,
+    to F11 = P L D L' P' with L unit lower triangular: (L, BunchKaufman),
+    L's diagonal holding D's. dsytrf's interchanges, row k with ipiv[k] at
+    a 1 x 1 block and row k + 1 with -ipiv[k + 1] at a 2 x 2 block at k,
+    compose to the one gather ``perm``."""
+    L, e, info = lapack.dsyconv(LD, ipiv, lower=1, overwrite_a=1)
+    if info != 0:
+        raise SolverError(f"conversion of a Bunch-Kaufman factor failed: info {info}")
+    p = ipiv.size
+    perm = np.arange(p)
+    k = 0
+    while k < p:
+        two = ipiv[k] < 0
+        r, s = k + two, abs(int(ipiv[k + two])) - 1
+        perm[r], perm[s] = perm[s], perm[r]
+        k += 1 + two
+    two = np.flatnonzero(ipiv < 0)[::2]
+    return L, BunchKaufman(perm, L.diagonal().copy(), two, e[two])
 
 
 class Elimination(NamedTuple):
@@ -578,23 +723,25 @@ def _eliminate(pencil, fronts, shift, count_nonzeros=False, keep=False):
     F22 - F21 F11^-1 F12 goes to the parent front. By inertia additivity
     the counts sum to that of K. A singular F11, as from an eigenvalue on
     the shift, raises SolverError. Each front reads the rows of its pivots
-    from Q and M, on their one pattern, keeping the nonzero entries of K on
-    or after the diagonal in elimination order (Pencil.dof_order), so no
-    copy of K is formed; an entry of K between two vertices that no mesh
-    edge joins raises ContractError. Beside the buffers of ``fronts``,
-    zeroed in place, the peak memory is the LAPACK factor of one pivot
-    block, and with ``keep`` the factor's own buffer, which the factor of
-    each front is copied into.
+    (_pivot_entries), keeping the nonzero entries of K on or after the
+    diagonal in elimination order (Pencil.dof_order), so no copy of K is
+    formed; an entry of K between two vertices that no mesh edge joins
+    raises ContractError. Beside the buffers of ``fronts``, zeroed in
+    place, the peak memory is the LAPACK factor of one pivot block, and
+    with ``keep`` the factor's own buffer, which the factor of each front
+    is copied into; a Bunch-Kaufman block is converted (_bunch_kaufman)
+    before it is.
     """
-    Q, M, tree, block, perm = pencil.Q, pencil.M, pencil.tree, pencil.block, pencil.dof_order
-    position = np.empty(perm.size, dtype=np.intp)
-    position[perm] = np.arange(perm.size)
-    row_nnz = np.diff(Q.indptr)
+    tree, block = pencil.tree, pencil.block
+    # the elimination position of each row and column of the vertex matrices
+    unit = pencil.dof_order if pencil.frames is None else tree.order
+    position = np.empty(unit.size, dtype=np.intp)
+    position[unit] = np.arange(unit.size)
     sizes = fronts.kept_sizes
     kept_offsets = np.cumsum(sizes) - sizes
     buffer = np.empty(int(np.sum(sizes)) if keep else 0)
     kept = []
-    local = np.zeros(perm.size, dtype=np.intp)
+    local = np.zeros(pencil.dim, dtype=np.intp)
     lanes = np.arange(block)
     negative = nonzeros = 0
     pending = []   # (parent, update DOFs, Schur complement in the stack), newest last
@@ -604,16 +751,7 @@ def _eliminate(pencil, fronts, shift, count_nonzeros=False, keep=False):
         later = tree.update[tree.update_ptr[s]:tree.update_ptr[s + 1]]
         dofs = np.concatenate([np.arange(a, b), (later[:, None] * block + lanes).ravel()])
         local[dofs] = np.arange(dofs.size)
-        # the entries of K in the pivot rows, on or after the diagonal
-        rows = perm[a:b]
-        lengths = row_nnz[rows]
-        ends = np.cumsum(lengths)
-        entry = np.arange(ends[-1]) + np.repeat(Q.indptr[rows] - ends + lengths, lengths)
-        col = position[Q.indices[entry]]
-        pivot = np.repeat(np.arange(b - a), lengths)
-        values = Q.data[entry] - shift * M.data[entry]
-        keep_entry = (col >= a + pivot) & (values != 0.0)
-        col, pivot, values = col[keep_entry], pivot[keep_entry], values[keep_entry]
+        pivot, col, values = _pivot_entries(pencil, a, b, shift, unit, position)
         at = local[col]
         if not np.array_equal(np.take(dofs, at, mode="clip"), col):
             raise ContractError("the pencil has an entry between vertices that no "
@@ -632,16 +770,55 @@ def _eliminate(pencil, fronts, shift, count_nonzeros=False, keep=False):
             lower = pivot_block.T[_packed_lower(b - a)]   # a copy, packed
             nonzeros += np.count_nonzero(lower) + np.count_nonzero(update_block)
         if keep:
+            pivoting = None
+            if ipiv is not None:
+                pivot_block, pivoting = _bunch_kaufman(pivot_block, ipiv)
+                lower = pivot_block.T[_packed_lower(b - a)]
             front = buffer[kept_offset:kept_offset + size]
             front[:lower.size] = lower
             front[lower.size:] = update_block.ravel(order="F")
             kept.append((slice(a, b), front[:lower.size],
                          front[lower.size:].reshape(update_block.shape, order="F"),
-                         dofs[b - a:], ipiv))
+                         dofs[b - a:], pivoting))
         del pivot_block, update_block   # freed before the next front's are formed
         if rest:
             pending.append((tree.parent[s], dofs[b - a:], update))
     return Elimination(negative, nonzeros, FrontFactor(buffer, kept) if keep else None)
+
+
+def _pivot_entries(pencil, a, b, shift, unit, position):
+    """The entries of K = Q - shift M in the rows of the DOF positions a:b,
+    on or after the diagonal in elimination order and nonzero, as (row
+    position - a, column position, value).
+
+    The rows are read from the vertex matrices on their one pattern: the
+    rows of ``unit``[a:b] (DOFs), or with frames those of the vertices at
+    a / block:b / block, whose entries on or after the diagonal are each
+    expanded to their frame block of K (_frame_entries). ``position`` is
+    the elimination position of each row of the vertex matrices.
+    """
+    Q, M, block = pencil.vertex_Q, pencil.vertex_M, pencil.block
+    framed = pencil.frames is not None
+    first, rows = (a // block, unit[a // block:b // block]) if framed else (a, unit[a:b])
+    lengths = Q.indptr[rows + 1] - Q.indptr[rows]
+    ends = np.cumsum(lengths)
+    entry = np.arange(ends[-1]) + np.repeat(Q.indptr[rows] - ends + lengths, lengths)
+    col = position[Q.indices[entry]]
+    pivot = np.repeat(np.arange(rows.size), lengths)
+    if framed:
+        upper = col >= first + pivot
+        entry, col, pivot = entry[upper], col[upper], pivot[upper]
+        QF, MF = _frame_entries(pencil.frames, rows[pivot], Q.indices[entry], Q.data[entry],
+                                M.data[entry])
+        values = (QF - shift * MF).ravel()
+        lanes = np.arange(block)
+        shape = QF.shape
+        pivot = np.broadcast_to((pivot * block)[:, None, None] + lanes[:, None], shape).ravel()
+        col = np.broadcast_to((col * block)[:, None, None] + lanes, shape).ravel()
+    else:
+        values = Q.data[entry] - shift * M.data[entry]
+    keep = (col >= a + pivot) & (values != 0.0)
+    return pivot[keep], col[keep], values[keep]
 
 
 def _contribution_offsets(fronts, parent, sizes):
@@ -750,8 +927,8 @@ def solve_smallest_eigenpairs(pencil, k, seed=0):
     the worst residual) when a search adds no accepted pair to the k
     lowest or the retries run out.
     """
-    S, M = pencil.Q, pencil.M
-    V = S.shape[0]
+    S, M = pencil.products
+    V = pencil.dim
     if not (1 <= k <= V - 1):
         raise ParameterError(f"k={k} out of range: need 1 <= k <= {V - 1}")
     sigma = -0.1  # S is PSD, so S - sigma M is SPD for sigma < 0

@@ -146,67 +146,20 @@ def area_jacobi_form(mesh, f, g=None):
     return float(f @ (area_jacobi_matrix(mesh).Q @ g))
 
 
-def _frame_block_matrices(frames, pattern, *values):
-    """Congruences of scalar matrices to per-vertex frame coordinates, on one
-    CSR pattern.
-
-    Each scalar matrix is given by its values on the CSR pattern of
-    ``pattern`` (canonical). For one with entries A_vw, the block at (v, w)
-    is A_vw * F_v F_w^T where F_v is the (count, n+1) frame at vertex v. The
-    frame products F_v F_w^T are formed once and expanded to CSR once, by
-    scipy's bsr_tocsr: row v * count + k holds row k of the blocks of row v
-    in turn, so each run of count entries is one block's. Each matrix
-    scales every run by the value of its block, and all of them hold the
-    one read-only indices and indptr of that expansion. An entry is dropped
-    where it is zero in every matrix, as where frame vectors have disjoint
-    support.
-    """
-    count = frames.shape[1]
-    V = pattern.shape[0]
-    row = np.repeat(np.arange(V), np.diff(pattern.indptr))
-    products = np.einsum("eki,eli->ekl", frames[row], frames[pattern.indices])
-    dim = V * count
-    expanded = sp.bsr_matrix((products, pattern.indices, pattern.indptr),
-                             shape=(dim, dim)).tocsr()
-    del products
-    indices, indptr, runs = expanded.indices, expanded.indptr, expanded.data.reshape(-1, count)
-    # the block of each run: row v's blocks, once for each of its count rows
-    blocks = sp.csr_matrix((np.arange(pattern.nnz), pattern.indices, pattern.indptr),
-                           shape=pattern.shape)[np.repeat(np.arange(V), count)].data
-    # the last matrix scales the products in place
-    data = [np.multiply(runs, block_values[blocks, None],
-                        out=runs if k == len(values) - 1 else None).ravel()
-            for k, block_values in enumerate(values)]
-    del expanded, runs, blocks
-    keep = np.logical_or.reduce([one != 0.0 for one in data])
-    if not keep.all():
-        for k in range(len(data)):
-            data[k] = data[k][keep]   # one at a time, each freeing its uncompacted array
-        indices = indices[keep]
-        kept = np.zeros(keep.size + 1, dtype=indptr.dtype)   # entries kept before each
-        np.cumsum(keep, out=kept[1:])
-        indptr = kept[indptr]
-    indices.flags.writeable = indptr.flags.writeable = False
-    matrices = [sp.csr_matrix((one, indices, indptr), shape=(dim, dim)) for one in data]
-    for matrix in matrices:
-        # the constructor holds views; hold the arrays themselves
-        matrix.indices, matrix.indptr = indices, indptr
-    return matrices
-
-
 def energy_quadratic_matrix(mesh):
     """Energy form over per-vertex orthonormal sphere-tangent frames.
 
     DOF dimension is n * V; the frame (sphere_tangent_frames) removes the
     radial directions, so the pencil has no artificial zero modes. Q is the
-    congruence of S - 2M and the pencil's mass that of M, both taken on the
-    one CSR pattern of S and M and expanded to one CSR pattern, whose
-    read-only index arrays Q and M share. Both are exactly symmetric,
-    because S and M are.
+    congruence of S - 2M and the pencil's mass that of M by the frames,
+    held as that congruence (operators.Pencil): the scalar S - 2M and M on
+    their one P1 pattern and the frames, never expanded to 3V x 3V on the
+    way to a count. The DOF-level Q and M, formed on access, are exactly
+    symmetric, because S and M are.
     """
     S, M = assemble_stiffness(mesh), assemble_mass(mesh)
-    Q, MQ = _frame_block_matrices(sphere_tangent_frames(mesh), M, S.data - 2.0 * M.data, M.data)
-    return Pencil(Q, MQ, "energy", dissection_tree(mesh))
+    Q = sp.csr_matrix((S.data - 2.0 * M.data, M.indices, M.indptr), shape=M.shape)
+    return Pencil(Q, M, "energy", dissection_tree(mesh), frames=sphere_tangent_frames(mesh))
 
 
 def area_jacobi_matrix(mesh):
@@ -252,7 +205,7 @@ def negative_index_count(form, delta=DEFAULT_INDEX_DELTA, seed=0):
     """
     if not 0.0 < delta < math.inf:
         raise ParameterError(f"delta={delta:g} must be positive and finite")
-    dim = form.Q.shape[0]
+    dim = form.dim
     fronts = _fronts(form)
     below = _eliminate(form, fronts, -delta, count_nonzeros=form.block > 1)
     keep = form.block > 1 and (KEPT_ENTRY_BYTES * int(np.sum(fronts.kept_sizes))

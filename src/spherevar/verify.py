@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .catalog import minimality_residual
-from .certificates import canonical_variation_values, lumped_density_grams, prop1_sum
+from .certificates import canonical_variation_values, lumped_density_grams, prop1_sides
 from .errors import ParameterError, SolverError
 from .mesh import mesh_size
 from .mobius import (
@@ -265,8 +265,8 @@ def run_verification(mesh, tol=DEFAULT_VERIFY_TOL, seed=0):
 
     # the canonical-variation sum identity over F, relative to n int|grad f|^2
     # + (2n - 4) int f^2 + int f^2, whose terms cannot cancel as the rhs's can
-    lhs, rhs = prop1_sum(mesh, F)
     S_F, M_F = (F.T @ (A @ F) for A in (assemble_stiffness(mesh), assemble_mass(mesh)))
+    lhs, rhs = prop1_sides(n, stiffness, mass, S_F, M_F)
     report.check("prop1", largest_pencil_eigenvalue(lhs - rhs, n * S_F + (2 * n - 3) * M_F),
                  tol, "theorem", f"functions={m}")
 

@@ -473,11 +473,15 @@ def test_p1_matrices_share_one_pattern(name, request, tmp_path):
         assert np.array_equal(A.indptr, M.indptr) and np.array_equal(A.indices, M.indices)
     # the pattern is the vertex pairs that share a face, the diagonal and the edges
     assert M.nnz == mesh.num_vertices + 2 * len(mesh_edges(mesh))
-    # the energy pencil holds one read-only pattern, its expansion to frame blocks
+    # the energy pencil holds its congruence, S - 2M and M on the one P1
+    # pattern; the DOF-level Q and M formed from it have one pattern too
     energy = energy_quadratic_matrix(mesh)
-    assert energy.Q.indices is energy.M.indices and energy.Q.indptr is energy.M.indptr
-    assert not (energy.M.indices.flags.writeable or energy.M.indptr.flags.writeable)
-    assert energy.Q.has_canonical_format and energy.M.has_canonical_format
+    assert energy.vertex_M is M
+    assert (np.shares_memory(energy.vertex_Q.indices, M.indices)
+            and np.shares_memory(energy.vertex_Q.indptr, M.indptr))
+    Q, MQ = energy.Q, energy.M
+    assert np.array_equal(Q.indices, MQ.indices) and np.array_equal(Q.indptr, MQ.indptr)
+    assert Q.has_canonical_format and MQ.has_canonical_format
 
 
 @pytest.mark.parametrize("name", P1_MESHES)

@@ -44,6 +44,7 @@ from spherevar.operators import (
     _eliminate,
     _factor_shifted,
     _fronts,
+    _m_orthonormal,
     _shift_invert_lanczos,
     assemble_mass,
     assemble_stiffness,
@@ -214,7 +215,7 @@ def test_kept_front_factor_solves_like_a_dense_solve(build, shift, structure, rn
     fronts = _fronts(form)
     found = _eliminate(form, fronts, shift, keep=True)
     factor = found.factor
-    indefinite = [ipiv is not None for _, _, _, _, ipiv in factor.fronts]
+    indefinite = [pivoting is not None for _, _, _, _, pivoting in factor.fronts]
     assert indefinite[-1]
     assert (len(indefinite) == 1) == (structure == "root only")
     if structure == "indefinite below the root":
@@ -231,12 +232,18 @@ def test_kept_front_factor_solves_like_a_dense_solve(build, shift, structure, rn
     # one buffer, sized from the tree, that every kept block lies in and
     # that the elimination's own buffers never share
     assert factor.buffer.size == np.sum(fronts.kept_sizes) and factor.buffer.base is None
-    for _, packed, update, _, ipiv in factor.fronts:
+    # a Bunch-Kaufman block keeps O(p) numbers beside it: its interchanges
+    # and D, converted once when it is kept
+    for _, packed, update, _, pivoting in factor.fronts:
         for kept in (packed, update):
             assert kept.size == 0 or np.shares_memory(kept, factor.buffer)
-        for kept in (packed, update, ipiv):
-            assert kept is None or not any(np.shares_memory(kept, scratch)
-                                           for scratch in (fronts.work, fronts.stack))
+        beside = () if pivoting is None else tuple(pivoting)
+        if beside:
+            p = int((np.sqrt(8 * packed.size + 1) - 1) / 2)
+            assert sum(a.size for a in beside) <= 3 * p
+        for kept in (packed, update) + beside:
+            assert not any(np.shares_memory(kept, scratch)
+                           for scratch in (fronts.work, fronts.stack))
 
 
 @pytest.mark.parametrize("build", [
@@ -267,12 +274,12 @@ def test_index_count_keeps_the_fronts_where_they_are_smaller(build, factor, coun
     assert (result.lanczos_factor, result.count) == (factor, count)
 
 
-# tracemalloc peaks measured on clifford64, in pencil sizes (the bytes of
-# the distinct arrays of Q and M, which share indices and indptr): 1.60 for
-# the assembly and 1.63 for the count at +delta, bounded with a margin of
-# about 10%
-ASSEMBLY_PEAK_PENCILS = 1.75
-COUNT_PEAK_PENCILS = 1.8
+# tracemalloc peaks measured on clifford64, in units of the materialized 3V
+# pair (the bytes of the data of Q and of M and of their one pattern): 0.091
+# for the assembly, which forms S - 2M on the P1 pattern and nothing at DOF
+# level, and 1.57 for the count at +delta, bounded with a margin of about 10%
+ASSEMBLY_PEAK_PAIRS = 0.10
+COUNT_PEAK_PAIRS = 1.73
 
 
 def _traced_peak(call):
@@ -286,14 +293,84 @@ def _traced_peak(call):
 
 
 def test_energy_pencil_and_count_peak_memory(clifford64):
-    form = energy_quadratic_matrix(clifford64)   # holds frames, S, M and the tree
-    arrays = {id(a): a for m in (form.Q, form.M) for a in (m.data, m.indices, m.indptr)}
-    assert len(arrays) == 4   # two data arrays on one pattern
-    pencil = sum(a.nbytes for a in arrays.values())
+    form = energy_quadratic_matrix(clifford64)   # holds frames, S - 2M, M and the tree
+    Q, M = form.Q, form.M
+    pair = Q.data.nbytes + M.data.nbytes + Q.indices.nbytes + Q.indptr.nbytes
+    del Q, M
     assembly = _traced_peak(lambda: energy_quadratic_matrix(clifford64))
     count = _traced_peak(lambda: count_eigenvalues_below(form, DEFAULT_INDEX_DELTA))
-    assert assembly <= ASSEMBLY_PEAK_PENCILS * pencil, assembly / pencil
-    assert count <= COUNT_PEAK_PENCILS * pencil, count / pencil
+    assert assembly <= ASSEMBLY_PEAK_PAIRS * pair, assembly / pair
+    assert count <= COUNT_PEAK_PAIRS * pair, count / pair
+
+
+CONGRUENCES = {
+    "clifford16": (lambda: build_clifford_torus(16), 4, "the kept dense-front LDL^T"),
+    "torus-in-s4-16": (lambda: build_product_torus(16, n=4), 5, "a SuperLU factor"),
+    "s5-torus8": (lambda: build_product_torus(8, n=5), 6, "the kept dense-front LDL^T"),
+    "cover32": (lambda: covered_clifford_torus(32), 24, "a SuperLU factor"),
+}
+
+
+def _materialized(form):
+    """The pencil of the DOF-level Q and M that ``form`` forms, held as matrices."""
+    return Pencil(form.Q, form.M, form.kind, form.tree)
+
+
+@pytest.mark.parametrize("name", list(CONGRUENCES))
+def test_congruence_counts_and_factors_like_its_materialized_matrices(name, rng):
+    build, count, factor = CONGRUENCES[name]
+    form = energy_quadratic_matrix(build())
+    dense = _materialized(form)
+    assert form.frames is not None and dense.frames is None and dense.block == form.block
+    # the frame products against the matrices
+    Q, M = form.products
+    X = rng.standard_normal((form.dim, 3))
+    for op, A in ((Q, dense.Q), (M, dense.M)):
+        exact = A @ X
+        assert np.max(np.abs(op @ X - exact)) <= 1e-14 * np.max(np.abs(exact))
+        assert np.array_equal(op @ X[:, 0], op @ X[:, :1][:, 0])
+    fronts = _fronts(form)
+    for shift in (-DEFAULT_INDEX_DELTA, DEFAULT_INDEX_DELTA, 3.0):
+        keep = shift > 0
+        kept, reference = (_eliminate(pencil, fronts, shift, count_nonzeros=True, keep=keep)
+                           for pencil in (form, dense))
+        assert (kept.negative, kept.nonzeros) == (reference.negative, reference.nonzeros)
+        if not keep:
+            continue
+        # the kept factors agree bit for bit, every block and interchange
+        assert np.array_equal(kept.factor.buffer, reference.factor.buffer)
+        for ours, theirs in zip(kept.factor.fronts, reference.factor.fronts):
+            assert (ours[4] is None) == (theirs[4] is None)
+            if ours[4] is not None:
+                assert all(np.array_equal(x, y) for x, y in zip(ours[4], theirs[4]))
+    # the residuals of an ARPACK failure, through the frames and the matrices
+    (W, residuals), (W_dense, residuals_dense) = (_m_orthonormal(*ops, [-1.0, 0.5, 2.0], X)
+                                                  for ops in (form.products, (dense.Q, dense.M)))
+    assert np.max(np.abs(W - W_dense)) <= 1e-12 * np.max(np.abs(W_dense))
+    assert np.max(np.abs(residuals - residuals_dense)) <= 1e-12 * np.max(residuals_dense)
+    result, expected = negative_index_count(form), negative_index_count(dense)
+    assert (result.count, result.lanczos_factor) == (count, factor)
+    assert (expected.count, expected.lanczos_factor) == (count, factor)
+    for ours, theirs in ((result.negatives, expected.negatives),
+                         (result.near_zero, expected.near_zero)):
+        assert ours.size == theirs.size
+        assert np.all(np.abs(ours - theirs) <= 1e-11 * DEFAULT_INDEX_DELTA)
+
+
+def test_index_count_never_expands_the_congruence(monkeypatch):
+    # the torus keeps its fronts, so nothing on its way forms a 3V x 3V matrix
+    from spherevar import operators
+
+    def expanded(*args, **kwargs):
+        raise AssertionError("the congruence was expanded")
+
+    form = energy_quadratic_matrix(build_clifford_torus(32))
+    monkeypatch.setattr(operators, "_frame_block_matrix", expanded)
+    monkeypatch.setattr(sp, "bsr_matrix", expanded)
+    result = negative_index_count(form)
+    assert (result.count, result.lanczos_factor) == (4, "the kept dense-front LDL^T")
+    with pytest.raises(AssertionError, match="expanded"):
+        form.Q
 
 
 def _diagonal_form(mus):

@@ -195,13 +195,27 @@ def test_prop1_passes_on_spheres_in_higher_codimension(n, seed):
 
 
 def test_prop1_fails_with_a_moebius_field_dropped(monkeypatch):
-    from spherevar import certificates
-
-    values = certificates.canonical_variation_values
-    monkeypatch.setattr(certificates, "canonical_variation_values",
-                        lambda mesh, F: tuple(part[1:] for part in values(mesh, F)))
+    # the battery forms the canonical parts once; prop1's lhs sums them
+    sides = verify.prop1_sides
+    monkeypatch.setattr(verify, "prop1_sides", lambda n, stiffness, mass, SF, MF:
+                        sides(n, stiffness[1:], mass[1:], SF, MF))
     report = run_verification(build_clifford_torus(32))
     assert [c.name for c in report.failures] == ["prop1"]
+
+
+def test_battery_forms_the_canonical_parts_once(monkeypatch):
+    from spherevar import certificates
+
+    calls, values = [], certificates.canonical_variation_values
+
+    def counted(mesh, F):
+        calls.append(F.shape)
+        return values(mesh, F)
+
+    monkeypatch.setattr(verify, "canonical_variation_values", counted)
+    monkeypatch.setattr(certificates, "canonical_variation_values", counted)
+    report = run_verification(build_clifford_torus(32))
+    assert report.passed and len(calls) == 1
 
 
 def test_weak_form_detects_a_non_minimal_torus():
